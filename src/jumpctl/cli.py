@@ -45,7 +45,7 @@ from . import __version__
 from . import dynamics as dyn
 from . import examples as ex
 from . import verify as ver
-from .hjb import Grid, HJBProblem, solve_finite_horizon, solve_stationary
+from .hjb import Grid, HJBProblem, SolverError, solve_finite_horizon, solve_stationary
 from .lq import LQSpec, solve_lq
 from .measures import (
     Action,
@@ -1136,7 +1136,7 @@ def main(argv=None) -> int:
     except dyn.AdmissibilityError as exc:
         print(f"jumpctl: inadmissible model: {exc}", file=sys.stderr)
         return 1
-    except (ex.BracketError, np.linalg.LinAlgError) as exc:
+    except (ex.BracketError, np.linalg.LinAlgError, SolverError) as exc:
         print(f"jumpctl: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ per-path loop and are only suitable for small ensembles.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -359,22 +358,6 @@ class PathBundle:
             "mean_cost": float(self.cost_disc.mean()),
             "total_jumps": int(self.jump_sizes.shape[0]),
         }
-
-    def to_csv(self, path) -> None:
-        """One row per (path, time): state, gamma, running cost."""
-        n, k, dim = self.states.shape
-        header = ["path", "time"] + [f"x{i}" for i in range(dim)] + [
-            "gamma", "cost_run",
-        ]
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.summary()) + "\n")
-            fh.write(",".join(header) + "\n")
-            for i in range(n):
-                for j in range(k):
-                    row = [str(i), f"{self.times[j]:.17g}"]
-                    row += [f"{v:.17g}" for v in self.states[i, j]]
-                    row += [f"{self.gamma[i, j]:.17g}", f"{self.cost_run[i, j]:.17g}"]
-                    fh.write(",".join(row) + "\n")
 
 
 def _state_fn(fn, n: int):

@@ -95,18 +95,23 @@ class AnalyticField:
         return self.fn(x)
 
 
+def _scalar(v) -> float:
+    """The one value of a scalar or size-1 result (a 1-D grid field returns shape (1,))."""
+    return float(np.asarray(v, float).reshape(()))
+
+
 def _field_value(g, x):
     """Evaluate a field at (n,) or batch (m, n) points, tolerating scalar-only fns."""
     x = np.asarray(x, float)
     if x.ndim <= 1:
-        return float(np.asarray(g.value(x)))
+        return _scalar(g.value(x))
     try:
         vals = np.asarray(g.value(x), float)
         if vals.shape == (x.shape[0],):
             return vals
     except Exception:
         pass
-    return np.array([float(np.asarray(g.value(row))) for row in x])
+    return np.array([_scalar(g.value(row)) for row in x])
 
 
 def _fd_steps(x, scheme):

@@ -9,6 +9,11 @@ interpolation. Values requested outside the box come from per-axis
 polynomial tail extensions, the natural boundary treatment for value
 functions of polynomial growth; the same extension weights serve both the
 matrix assembly and point evaluation, so the solve and the readout agree.
+
+Each candidate's operator is built once per solve as sparse matrices,
+shared by policy evaluation and improvement. Every linear system, stationary
+or one implicit time step, is solved by one sparse LU factorisation
+(``scipy.sparse.linalg.splu``) with a residual check.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
-from .measures import Action, _support_points, first_moment, validate_Mp
+from .measures import Action, _support_points, validate_Mp
 
 __all__ = [
     "Grid",
@@ -43,11 +48,9 @@ __all__ = [
 
 log = logging.getLogger("jumpctl.hjb")
 
-DENSE_NODE_LIMIT = 2048
-
 
 class SolverError(RuntimeError):
-    """Linear system singular, ill conditioned, or iteration stalled."""
+    """Linear system singular, or its solution misses the residual bound."""
 
 
 class SchemeWarning(UserWarning):
@@ -136,27 +139,16 @@ def interior_mask(grid: Grid, pad: int = 1) -> np.ndarray:
 def _interp_inside(grid: Grid, pts: np.ndarray):
     """Multilinear weights for in-box points: (cols (m, 2^dim), wts)."""
     m = pts.shape[0]
-    i0s, fracs = [], []
+    cols, wts = np.zeros((m, 1), dtype=int), np.ones((m, 1))
     for k in range(grid.dim):
         t = (pts[:, k] - grid.lo[k]) / grid.h[k]
         i0 = np.clip(np.floor(t).astype(int), 0, grid.num[k] - 2)
-        i0s.append(i0)
-        fracs.append(np.clip(t - i0, 0.0, 1.0))
-    if grid.dim == 1:
-        cols = np.stack([i0s[0], i0s[0] + 1], axis=1)
-        wts = np.stack([1.0 - fracs[0], fracs[0]], axis=1)
-        return cols, wts
-    n1 = grid.num[1]
-    cols = np.empty((m, 4), dtype=int)
-    wts = np.empty((m, 4))
-    c = 0
-    for di in (0, 1):
-        wi = fracs[0] if di else 1.0 - fracs[0]
-        for dj in (0, 1):
-            wj = fracs[1] if dj else 1.0 - fracs[1]
-            cols[:, c] = (i0s[0] + di) * n1 + (i0s[1] + dj)
-            wts[:, c] = wi * wj
-            c += 1
+        frac = np.clip(t - i0, 0.0, 1.0)
+        stride = int(np.prod(grid.num[k + 1 :]))
+        corner = stride * (i0[:, None] + np.array([0, 1]))
+        lin = np.stack([1.0 - frac, frac], axis=1)
+        cols = (cols[:, :, None] + corner[:, None, :]).reshape(m, 2 * cols.shape[1])
+        wts = (wts[:, :, None] * lin[:, None, :]).reshape(m, 2 * wts.shape[1])
     return cols, wts
 
 
@@ -212,47 +204,59 @@ class _TailBasis:
             worst = max(worst, float(np.abs(fit - flat).max()))
         return worst
 
-    def exterior_weights(self, pt: np.ndarray):
-        """Flat-index value weights for one out-of-box point."""
+    def value_weights(self, pts: np.ndarray):
+        """Value weights at points (m, dim) as flat (src, cols, wts): multilinear
+        inside the box, the tail extension outside (see exterior_weights)."""
+        inside = self.grid.contains(pts)
+        cols, wts = _interp_inside(self.grid, pts[inside])
+        parts = [(np.repeat(np.nonzero(inside)[0], cols.shape[1]), cols.ravel(), wts.ravel())]
+        out = np.nonzero(~inside)[0]
+        if out.size:
+            src, cols, wts = self.exterior_weights(pts[out])
+            parts.append((out[src], cols, wts))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def exterior_weights(self, pts: np.ndarray):
+        """Value weights for out-of-box points (m, dim), as flat (src, cols, wts).
+
+        The value at pts[s] is the sum of wts * values[cols] over the entries
+        with src == s: the tail fit along the axis of largest excess, and in
+        2-D linear interpolation across it.
+        """
         grid = self.grid
-        pt = np.atleast_1d(np.asarray(pt, float))
-        excess = np.zeros(grid.dim)
-        for k in range(grid.dim):
-            if pt[k] < grid.lo[k]:
-                excess[k] = (grid.lo[k] - pt[k]) / grid.h[k]
-            elif pt[k] > grid.hi[k]:
-                excess[k] = (pt[k] - grid.hi[k]) / grid.h[k]
-        if not np.any(excess > 0):
+        lo, hi, h = (np.asarray(v) for v in (grid.lo, grid.hi, grid.h))
+        excess = np.where(pts < lo, (lo - pts) / h, np.where(pts > hi, (pts - hi) / h, 0.0))
+        if not np.all(excess.max(axis=1) > 0):
             raise ValueError("point is inside the box")
-        axis = int(np.argmax(excess))
-        side = 0 if pt[axis] < grid.lo[axis] else 1
-        w_axis = self.weights(axis, side, pt[axis])[0]
-        sel = self.band[(axis, side)]
-        if grid.dim == 1:
-            return sel.copy(), w_axis
-        tr = 1 - axis
-        tz = float(np.clip(pt[tr], grid.lo[tr], grid.hi[tr]))
-        if tz != pt[tr] and not self._corner_warned:
-            self._corner_warned = True
-            warnings.warn(
-                "corner extrapolation clamps the transverse coordinate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        t = (tz - grid.lo[tr]) / grid.h[tr]
-        j0 = int(np.clip(np.floor(t), 0, grid.num[tr] - 2))
-        th = float(np.clip(t - j0, 0.0, 1.0))
-        n1 = grid.num[1]
-        m = len(sel)
-        cols = np.empty(2 * m, dtype=int)
-        wts = np.empty(2 * m)
-        for r, (jj, wj) in enumerate(((j0, 1.0 - th), (j0 + 1, th))):
-            if axis == 0:
-                cols[r * m : (r + 1) * m] = sel * n1 + jj
-            else:
-                cols[r * m : (r + 1) * m] = jj * n1 + sel
-            wts[r * m : (r + 1) * m] = w_axis * wj
-        return cols, wts
+        axis = np.argmax(excess, axis=1)
+        side = (pts[np.arange(len(pts)), axis] >= lo[axis]).astype(int)
+        strides = [int(np.prod(grid.num[k + 1 :])) for k in range(grid.dim)]
+        srcs, cols, wts = [], [], []
+        for (k, sd), sel in self.band.items():
+            g = np.nonzero((axis == k) & (side == sd))[0]
+            if g.size == 0:
+                continue
+            w_axis = self.weights(k, sd, pts[g, k])
+            across = [(np.zeros(g.size, dtype=int), np.ones(g.size))]
+            if grid.dim == 2:
+                tr = 1 - k
+                tz = np.clip(pts[g, tr], lo[tr], hi[tr])
+                if np.any(tz != pts[g, tr]) and not self._corner_warned:
+                    self._corner_warned = True
+                    warnings.warn(
+                        "corner extrapolation clamps the transverse coordinate",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                t = (tz - lo[tr]) / h[tr]
+                j0 = np.clip(np.floor(t), 0, grid.num[tr] - 2).astype(int)
+                th = np.clip(t - j0, 0.0, 1.0)
+                across = [(j0 * strides[tr], 1.0 - th), ((j0 + 1) * strides[tr], th)]
+            for off, wj in across:
+                srcs.append(np.repeat(g, len(sel)))
+                cols.append((sel[None, :] * strides[k] + off[:, None]).ravel())
+                wts.append((w_axis * wj[:, None]).ravel())
+        return np.concatenate(srcs), np.concatenate(cols), np.concatenate(wts)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +306,8 @@ class ValueField:
     def value(self, x):
         """Evaluate at point(s); scalar in, scalar out."""
         pts, single = self._as_points(x)
-        out = np.empty(pts.shape[0])
-        flat = self.values.ravel()
-        inside = self.grid.contains(pts)
-        if inside.any():
-            cols, wts = _interp_inside(self.grid, pts[inside])
-            out[inside] = np.sum(flat[cols] * wts, axis=1)
-        for i in np.nonzero(~inside)[0]:
-            cols, wts = self._tails.exterior_weights(pts[i])
-            out[i] = flat[cols] @ wts
+        src, cols, wts = self._tails.value_weights(pts)
+        out = np.bincount(src, weights=self.values.ravel()[cols] * wts, minlength=len(pts))
         return float(out[0]) if single else out
 
 
@@ -451,15 +448,6 @@ class FiniteHorizonSolution:
 # evaluation helpers
 
 
-def _resolve_u(prob: HJBProblem, dim: int) -> np.ndarray:
-    if prob.u is None:
-        return np.zeros(dim)
-    u = np.atleast_1d(np.asarray(prob.u, float))
-    if u.shape != (dim,):
-        raise ValueError("u has wrong dimension for this grid")
-    return u
-
-
 def _x_for_eval(grid: Grid, pts: np.ndarray):
     return pts[:, 0] if grid.dim == 1 else pts
 
@@ -473,322 +461,6 @@ def _eval_xa(fn, x_batch, a, m: int) -> np.ndarray:
     return out.reshape(m)
 
 
-def _eval_xa_scalar(fn, grid: Grid, x: np.ndarray, a) -> float:
-    if not callable(fn):
-        return float(fn)
-    xb = np.asarray([x[0]]) if grid.dim == 1 else x.reshape(1, 2)
-    return float(np.asarray(fn(xb, a), float).reshape(-1)[0])
-
-
-def _node_action(prob: HJBProblem, pol: PolicyTable, i: int, x: np.ndarray) -> Action:
-    j = int(pol.action_index[i])
-    if prob.mode == "list":
-        if j >= len(prob.actions):
-            raise ValueError("policy index outside the declared action set")
-        entry = prob.actions[j]
-        if isinstance(entry, Action):
-            return entry
-        a = entry(float(x[0]) if len(x) == 1 else x.copy())
-        if not isinstance(a, Action):
-            raise TypeError("action callables must return an Action")
-        return a
-    if j >= len(prob.sigma_nu_pairs):
-        raise ValueError("policy index outside the declared family")
-    sigma, nu = prob.sigma_nu_pairs[j]
-    return Action(sigma=sigma, nu=nu, mu=pol.mu[i])
-
-
-def _diffusion_matrix(a: Action) -> np.ndarray:
-    D = a.sigma @ a.sigma.T
-    small = getattr(a.nu, "small_jump_cov", None)
-    if small is not None:
-        D = D + np.atleast_2d(np.asarray(small, float))
-    return D
-
-
-def _check_cost_bounds(prob: HJBProblem, qvec: np.ndarray, fvec: np.ndarray):
-    if fvec.min() < -1e-12 * max(1.0, np.abs(fvec).max()):
-        raise ValueError("running cost must be nonnegative")
-    if qvec.min() < prob.delta_q - 1e-9 or qvec.max() > prob.b_q + 1e-9:
-        raise ValueError(
-            f"discount left its declared bounds: range [{qvec.min():.6g}, "
-            f"{qvec.max():.6g}] vs [{prob.delta_q:.6g}, {prob.b_q:.6g}]"
-        )
-
-
-# ---------------------------------------------------------------------------
-# assembly
-
-
-def _assemble_operator(prob: HJBProblem, pol: PolicyTable, grid: Grid, tails: _TailBasis):
-    """Discrete generator rows L plus discount/cost vectors for a policy."""
-    n = grid.n_nodes
-    pts = grid.nodes()
-    u = _resolve_u(prob, grid.dim)
-    h = grid.h
-    shape = grid.shape
-    multi = np.unravel_index(np.arange(n), shape)
-    rows, cols, vals = [], [], []
-    qvec = np.empty(n)
-    fvec = np.empty(n)
-    nonmono = 0
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    def add_point(i, pt, coeff):
-        if bool(grid.contains(pt.reshape(1, -1))[0]):
-            cc, ww = _interp_inside(grid, pt.reshape(1, -1))
-            for c, w in zip(cc[0], ww[0]):
-                if w != 0.0:
-                    add(i, int(c), coeff * w)
-        else:
-            cc, ww = tails.exterior_weights(pt)
-            for c, w in zip(cc, ww):
-                if w != 0.0:
-                    add(i, int(c), coeff * w)
-
-    def add_axis_neighbor(i, k, step, coeff):
-        ik = multi[k][i] + step
-        if 0 <= ik < shape[k]:
-            if grid.dim == 1:
-                add(i, ik, coeff)
-            else:
-                j = (ik, multi[1][i]) if k == 0 else (multi[0][i], ik)
-                add(i, j[0] * shape[1] + j[1], coeff)
-        else:
-            ghost = pts[i].copy()
-            ghost[k] += step * h[k]
-            add_point(i, ghost, coeff)
-
-    for i in range(n):
-        x = pts[i]
-        a = _node_action(prob, pol, i, x)
-        D = _diffusion_matrix(a)
-        nu_pts, nu_w = _support_points(a.nu)
-        mass = float(nu_w.sum())
-        m1 = nu_w @ nu_pts if len(nu_w) else np.zeros(grid.dim)
-        b = u + a.mu - m1
-        diag = 0.0
-        for k in range(grid.dim):
-            c2 = 0.5 * D[k, k] / h[k] ** 2
-            if c2 > 0.0:
-                add_axis_neighbor(i, k, +1, c2)
-                add_axis_neighbor(i, k, -1, c2)
-                diag -= 2.0 * c2
-            bk = b[k]
-            if bk > 0.0:
-                add_axis_neighbor(i, k, +1, bk / h[k])
-                diag -= bk / h[k]
-            elif bk < 0.0:
-                add_axis_neighbor(i, k, -1, -bk / h[k])
-                diag -= -bk / h[k]
-        if grid.dim == 2 and D[0, 1] != 0.0:
-            c12 = D[0, 1] / (4.0 * h[0] * h[1])
-            nonmono += 1
-            for s0, s1 in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                pt = x.copy()
-                pt[0] += s0 * h[0]
-                pt[1] += s1 * h[1]
-                add_point(i, pt, c12 if s0 == s1 else -c12)
-        if mass > 0.0:
-            for y, w in zip(nu_pts, nu_w):
-                if w > 0.0:
-                    add_point(i, x + y, w)
-            diag -= mass
-        add(i, i, diag)
-        qvec[i] = _eval_xa_scalar(prob.q, grid, x, a)
-        fvec[i] = _eval_xa_scalar(prob.f, grid, x, a)
-
-    _check_cost_bounds(prob, qvec, fvec)
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if nonmono:
-        warnings.warn(
-            f"{nonmono} rows carry the mixed-sign cross-derivative stencil "
-            "(non-monotone discretization)",
-            SchemeWarning,
-            stacklevel=2,
-        )
-    return L, qvec, fvec
-
-
-def _solve_linear(M: sp.csr_matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
-    n = rhs.shape[0]
-    scale = max(1.0, float(np.abs(rhs).max()))
-    if n <= DENSE_NODE_LIMIT:
-        Md = M.toarray()
-        try:
-            phi = np.linalg.solve(Md, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"singular system ({exc}); condition estimate {np.linalg.cond(Md):.3e}"
-            ) from exc
-        resid = float(np.abs(Md @ phi - rhs).max())
-        if not np.isfinite(resid) or resid > max(tol, 1e-9) * scale:
-            raise SolverError(
-                f"ill-conditioned system: residual {resid:.3e}, "
-                f"condition estimate {np.linalg.cond(Md):.3e}"
-            )
-        return phi
-    # stationary Richardson sweep with the discount-dominant diagonal
-    d = M.diagonal()
-    if np.any(d <= 0.0):
-        raise SolverError("nonpositive diagonal in the implicit system")
-    phi = rhs / d
-    for _ in range(20000):
-        r = rhs - M @ phi
-        if np.abs(r).max() <= max(tol, 1e-10) * scale:
-            return phi
-        phi = phi + r / d
-    raise SolverError(
-        "Richardson iteration stalled; the action family may break diagonal dominance"
-    )
-
-
-def policy_evaluation(pol: PolicyTable, prob: HJBProblem, grid: Grid, tol: float = 1e-8) -> ValueField:
-    """Solve the linear system of the fixed policy: (q - L) phi = f."""
-    if not pol.grid.matches(grid):
-        raise ValueError("policy and grid do not match")
-    tails = _TailBasis(grid, prob.q_growth)
-    L, qvec, fvec = _assemble_operator(prob, pol, grid, tails)
-    M = (sp.diags(qvec) - L).tocsr()
-    phi = _solve_linear(M, fvec, tol)
-    resid = float(np.abs(M @ phi - fvec).max())
-    log.debug("policy evaluation: %d nodes, linear residual %.3e", len(fvec), resid)
-    return ValueField(grid=grid, values=phi.reshape(grid.shape), q_growth=prob.q_growth)
-
-
-# ---------------------------------------------------------------------------
-# improvement
-
-
-def _stencil_arrays(phi: ValueField):
-    """Forward/backward/second differences (and the cross stencil in 2-D),
-    with ghost layers taken from the tail extension."""
-    grid = phi.grid
-    vals = phi.values
-    tails = phi._tails
-    if grid.dim == 1:
-        n = grid.num[0]
-        P = np.empty(n + 2)
-        P[1:-1] = vals
-        P[0] = tails.weights(0, 0, grid.lo[0] - grid.h[0])[0] @ vals[tails.band[(0, 0)]]
-        P[-1] = tails.weights(0, 1, grid.hi[0] + grid.h[0])[0] @ vals[tails.band[(0, 1)]]
-        h0 = grid.h[0]
-        fwd = (P[2:] - P[1:-1]) / h0
-        bwd = (P[1:-1] - P[:-2]) / h0
-        sec = (P[2:] - 2.0 * P[1:-1] + P[:-2]) / h0**2
-        return {"fwd": [fwd], "bwd": [bwd], "sec": [sec], "cross": None}
-    n0, n1 = grid.num
-    P = np.empty((n0 + 2, n1 + 2))
-    P[1:-1, 1:-1] = vals
-    for side, row in ((0, 0), (1, n0 + 1)):
-        coord = grid.lo[0] - grid.h[0] if side == 0 else grid.hi[0] + grid.h[0]
-        w = tails.weights(0, side, coord)[0]
-        P[row, 1:-1] = w @ vals[tails.band[(0, side)], :]
-    for side, col in ((0, 0), (1, n1 + 1)):
-        coord = grid.lo[1] - grid.h[1] if side == 0 else grid.hi[1] + grid.h[1]
-        w = tails.weights(1, side, coord)[0]
-        # extend whole padded columns so the cross stencil sees corner ghosts
-        P[1:-1, col] = vals[:, tails.band[(1, side)]] @ w
-        P[0, col] = P[0, 1:-1][tails.band[(1, side)]] @ w
-        P[-1, col] = P[-1, 1:-1][tails.band[(1, side)]] @ w
-    h0, h1 = grid.h
-    C = P[1:-1, 1:-1]
-    out = {
-        "fwd": [(P[2:, 1:-1] - C) / h0, (P[1:-1, 2:] - C) / h1],
-        "bwd": [(C - P[:-2, 1:-1]) / h0, (C - P[1:-1, :-2]) / h1],
-        "sec": [
-            (P[2:, 1:-1] - 2.0 * C + P[:-2, 1:-1]) / h0**2,
-            (P[1:-1, 2:] - 2.0 * C + P[1:-1, :-2]) / h1**2,
-        ],
-        "cross": (P[2:, 2:] + P[:-2, :-2] - P[2:, :-2] - P[:-2, 2:]) / (4.0 * h0 * h1),
-    }
-    return out
-
-
-def _jump_values(phi: ValueField, pts: np.ndarray, nu) -> np.ndarray:
-    """(n,) array of integral phi(x + y) - mass * phi(x) ... without the phi(x)
-    part; returns sum_k w_k phi(x_i + y_k) and the total mass separately."""
-    nu_pts, nu_w = _support_points(nu)
-    n = pts.shape[0]
-    if len(nu_w) == 0:
-        return np.zeros(n), 0.0
-    dest = (pts[:, None, :] + nu_pts[None, :, :]).reshape(-1, pts.shape[1])
-    vals = phi.value(dest if phi.grid.dim == 2 else dest[:, 0]).reshape(n, len(nu_w))
-    return vals @ nu_w, float(nu_w.sum())
-
-
-def _candidate_integrand_constant(phi, prob, grid, st, pts, phi_flat, a: Action):
-    u = _resolve_u(prob, grid.dim)
-    D = _diffusion_matrix(a)
-    nu_pts, nu_w = _support_points(a.nu)
-    m1 = nu_w @ nu_pts if len(nu_w) else np.zeros(grid.dim)
-    jump_in, mass = _jump_values(phi, pts, a.nu)
-    b = u + a.mu - m1
-    total = jump_in - mass * phi_flat
-    for k in range(grid.dim):
-        total = total + 0.5 * D[k, k] * st["sec"][k].ravel()
-        bk = b[k]
-        if bk > 0.0:
-            total = total + bk * st["fwd"][k].ravel()
-        elif bk < 0.0:
-            total = total + bk * st["bwd"][k].ravel()
-    if grid.dim == 2 and D[0, 1] != 0.0:
-        total = total + D[0, 1] * st["cross"].ravel()
-    xb = _x_for_eval(grid, pts)
-    qv = _eval_xa(prob.q, xb, a, len(pts))
-    fv = _eval_xa(prob.f, xb, a, len(pts))
-    return total - qv * phi_flat + fv
-
-
-def _integrand_callable_entry(phi, prob, grid, st, pts, phi_flat, entry):
-    n = pts.shape[0]
-    u = _resolve_u(prob, grid.dim)
-    out = np.empty(n)
-    dest_chunks, dest_w, dest_row = [], [], []
-    local = np.empty(n)
-    sec = [s.ravel() for s in st["sec"]]
-    fwd = [s.ravel() for s in st["fwd"]]
-    bwd = [s.ravel() for s in st["bwd"]]
-    cross = st["cross"].ravel() if st["cross"] is not None else None
-    for i in range(n):
-        x = pts[i]
-        a = entry(float(x[0]) if grid.dim == 1 else x.copy())
-        D = _diffusion_matrix(a)
-        nu_pts, nu_w = _support_points(a.nu)
-        mass = float(nu_w.sum())
-        m1 = nu_w @ nu_pts if len(nu_w) else np.zeros(grid.dim)
-        b = u + a.mu - m1
-        acc = -mass * phi_flat[i]
-        for k in range(grid.dim):
-            acc += 0.5 * D[k, k] * sec[k][i]
-            bk = b[k]
-            if bk > 0.0:
-                acc += bk * fwd[k][i]
-            elif bk < 0.0:
-                acc += bk * bwd[k][i]
-        if grid.dim == 2 and D[0, 1] != 0.0:
-            acc += D[0, 1] * cross[i]
-        if len(nu_w):
-            dest_chunks.append(x[None, :] + nu_pts)
-            dest_w.append(nu_w)
-            dest_row.append(np.full(len(nu_w), i))
-        local[i] = acc
-        out[i] = -_eval_xa_scalar(prob.q, grid, x, a) * phi_flat[i] + _eval_xa_scalar(
-            prob.f, grid, x, a
-        )
-    if dest_chunks:
-        dest = np.concatenate(dest_chunks, axis=0)
-        wts = np.concatenate(dest_w)
-        rows = np.concatenate(dest_row)
-        vals = phi.value(dest if grid.dim == 2 else dest[:, 0])
-        local += np.bincount(rows, weights=wts * vals, minlength=n)
-    return local + out
-
-
 def _lattice_combos(lat: tuple):
     mesh = np.meshgrid(*lat, indexing="ij")
     combos = np.stack([m.ravel() for m in mesh], axis=1)
@@ -796,136 +468,307 @@ def _lattice_combos(lat: tuple):
     return combos, shape
 
 
-def _refine_mu(prob, grid, st, pts, phi_flat, base, sigma, nu, m1, Iall, lat, best_flat):
-    """One per-axis quadratic pass around the per-node lattice argmin."""
-    combos, lshape = _lattice_combos(lat)
-    n = pts.shape[0]
-    u = _resolve_u(prob, grid.dim)
-    cmulti = np.unravel_index(best_flat, lshape)
-    strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
-    mu_ref = combos[best_flat].copy()
-    I_best = Iall[np.arange(n), best_flat]
-    moved = np.zeros(n, dtype=bool)
-    for r, ax in enumerate(lat):
-        j = cmulti[r]
-        inner = (j > 0) & (j < len(ax) - 1)
-        if not inner.any():
-            continue
-        rows = np.nonzero(inner)[0]
-        flat0 = best_flat[rows]
-        I_m = Iall[rows, flat0 - strides[r]]
-        I_0 = Iall[rows, flat0]
-        I_p = Iall[rows, flat0 + strides[r]]
-        denom = I_p - 2.0 * I_0 + I_m
-        step = ax[1] - ax[0]
-        ok = denom > 1e-300
-        off = np.zeros(len(rows))
-        off[ok] = np.clip(0.5 * (I_m[ok] - I_p[ok]) / denom[ok] * step, -step, step)
-        use = ok & (off != 0.0)
-        mu_ref[rows[use], r] += off[use]
-        moved[rows[use]] = True
-    # accept the vertex only where the exact integrand agrees it is better
-    fwd = [s.ravel() for s in st["fwd"]]
-    bwd = [s.ravel() for s in st["bwd"]]
-    for i in np.nonzero(moved)[0]:
-        x = pts[i]
-        mu_i = mu_ref[i]
-        a = Action(sigma=sigma, nu=nu, mu=mu_i)
-        b = u + mu_i - m1
-        acc = base[i]
-        for k in range(grid.dim):
-            bk = b[k]
-            if bk > 0.0:
-                acc += bk * fwd[k][i]
-            elif bk < 0.0:
-                acc += bk * bwd[k][i]
-        val = (
-            acc
-            - _eval_xa_scalar(prob.q, grid, x, a) * phi_flat[i]
-            + _eval_xa_scalar(prob.f, grid, x, a)
+def _lattice_origin(lat: tuple) -> np.ndarray:
+    """The drift-lattice point nearest zero, where product-mode iteration starts."""
+    combos, _ = _lattice_combos(lat)
+    return combos[int(np.argmin(np.linalg.norm(combos, axis=1)))]
+
+
+# ---------------------------------------------------------------------------
+# the discrete generator
+
+
+def _neighbour_matrix(grid: Grid, tails: _TailBasis, k: int, step: int) -> sp.csr_matrix:
+    """The sparse map phi -> phi(x + step h_k e_k) on the nodes.
+
+    Rows of boundary nodes hold the tail-extension weights of the ghost node.
+    """
+    n, nk = grid.n_nodes, grid.num[k]
+    idx = np.arange(n).reshape(grid.shape)
+    inner = np.take(idx, np.arange(nk - 1) + (step < 0), axis=k).ravel()
+    edge = np.take(idx, nk - 1 if step > 0 else 0, axis=k).ravel()
+    ghost = grid.nodes()[edge]
+    ghost[:, k] += step * grid.h[k]
+    src, cols, wts = tails.exterior_weights(ghost)
+    rows = np.concatenate([inner, edge[src]])
+    cols = np.concatenate([inner + step * int(np.prod(grid.num[k + 1 :])), cols])
+    vals = np.concatenate([np.ones(inner.size), wts])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@dataclass
+class _Candidate:
+    """One list entry or (sigma, nu) pair, resolved at every node."""
+
+    K: sp.csr_matrix  # diffusion, cross-derivative and jump rows
+    mu: np.ndarray  # (n, dim) drift; zero for product pairs, whose drift the policy sets
+    m1: np.ndarray  # (n, dim) jump compensator, the first moment of nu
+    cross: np.ndarray  # (n,) rows carrying the mixed-sign cross-derivative stencil
+    q: np.ndarray  # discount and running cost; list entries only
+    f: np.ndarray
+
+
+class _Generator:
+    """The discrete generator of one problem on one grid, built once per solve.
+
+    The grid gets one-sided difference matrices D+_k and D-_k and second
+    differences S_k; every candidate gets one sparse matrix K of its
+    diffusion, cross-derivative and jump parts. Callable list entries are
+    called once per node here. Evaluation selects each node's K row and adds
+    the drift as diag(b+) D+ + diag(b-) D-; improvement applies the same
+    matrices to phi.
+    """
+
+    def __init__(self, prob: HJBProblem, grid: Grid):
+        self.prob, self.grid = prob, grid
+        self.tails = _TailBasis(grid, prob.q_growth)
+        self.pts = grid.nodes()
+        self.x = _x_for_eval(grid, self.pts)
+        self.u = np.zeros(grid.dim) if prob.u is None else np.atleast_1d(np.asarray(prob.u, float))
+        if self.u.shape != (grid.dim,):
+            raise ValueError("u has wrong dimension for this grid")
+        eye = sp.identity(grid.n_nodes, format="csr")
+        self.Dp, self.Dm, self.S = [], [], []
+        for k, h in enumerate(grid.h):
+            Gp, Gm = (_neighbour_matrix(grid, self.tails, k, step) for step in (1, -1))
+            self.Dp.append((Gp - eye) / h)
+            self.Dm.append((eye - Gm) / h)
+            self.S.append((Gp - 2.0 * eye + Gm) / h**2)
+        every = np.arange(grid.n_nodes)
+        if prob.mode == "product":
+            zero = np.zeros(grid.dim)
+            self.cands = [
+                self._candidate([(every, Action(sigma=sigma, nu=nu, mu=zero))], costs=False)
+                for sigma, nu in prob.sigma_nu_pairs
+            ]
+            return
+        self.cands = []
+        for entry in prob.actions:
+            if isinstance(entry, Action):
+                groups = [(every, entry)]
+            else:
+                groups = [
+                    (every[i : i + 1], entry(float(x[0]) if grid.dim == 1 else x.copy()))
+                    for i, x in enumerate(self.pts)
+                ]
+                if not all(isinstance(a, Action) for _, a in groups):
+                    raise TypeError("action callables must return an Action")
+            self.cands.append(self._candidate(groups, costs=True))
+
+    def _candidate(self, groups, costs: bool) -> _Candidate:
+        """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
+        grid, n, dim = self.grid, self.grid.n_nodes, self.grid.dim
+        c2, c12, mass = np.zeros((n, dim)), np.zeros(n), np.zeros(n)
+        mu, m1 = np.zeros((n, dim)), np.zeros((n, dim))
+        qvec, fvec = (np.empty(n), np.empty(n)) if costs else (None, None)
+        rows, dest, coef = [np.zeros(0, int)], [np.zeros((0, dim))], [np.zeros(0)]
+        for idx, a in groups:
+            D = a.sigma @ a.sigma.T
+            if getattr(a.nu, "small_jump_cov", None) is not None:
+                D = D + np.atleast_2d(np.asarray(a.nu.small_jump_cov, float))
+            y, w = _support_points(a.nu)
+            c2[idx] = 0.5 * np.diag(D)
+            if dim == 2:
+                c12[idx] = D[0, 1] / (4.0 * grid.h[0] * grid.h[1])
+            mu[idx] = a.mu
+            if costs:
+                qvec[idx] = _eval_xa(self.prob.q, self.x[idx], a, len(idx))
+                fvec[idx] = _eval_xa(self.prob.f, self.x[idx], a, len(idx))
+            if len(w):
+                mass[idx] = w.sum()
+                m1[idx] = w @ y
+                y, w = y[w > 0.0], w[w > 0.0]
+                rows.append(np.repeat(idx, len(w)))
+                dest.append((self.pts[idx, None, :] + y[None, :, :]).reshape(-1, dim))
+                coef.append(np.tile(w, len(idx)))
+        cross = c12 != 0.0
+        rc = np.nonzero(cross)[0]
+        for s0, s1 in ((1, 1), (-1, -1), (1, -1), (-1, 1)) if rc.size else ():
+            rows.append(rc)
+            dest.append(self.pts[rc] + np.array([s0 * grid.h[0], s1 * grid.h[1]]))
+            coef.append(c12[rc] if s0 == s1 else -c12[rc])
+        # jump and cross-derivative destinations, read through the field's value weights
+        src, cols, wts = self.tails.value_weights(np.concatenate(dest))
+        vals = np.concatenate(coef)[src] * wts
+        keep = vals != 0.0
+        rows = np.concatenate(rows)[src][keep]
+        K = sp.csr_matrix((vals[keep], (rows, cols[keep])), shape=(n, n)) - sp.diags(mass)
+        for k in range(dim):
+            K = K + sp.diags(c2[:, k]) @ self.S[k]
+        return _Candidate(K=K.tocsr(), mu=mu, m1=m1, cross=cross, q=qvec, f=fvec)
+
+    def _drift(self, b, dp, dm):
+        """sum_k b+_k D+_k phi + b-_k D-_k phi, from the applied differences."""
+        return sum(
+            np.maximum(b[..., k], 0.0) * dp[k] + np.minimum(b[..., k], 0.0) * dm[k]
+            for k in range(self.grid.dim)
         )
-        if val <= I_best[i]:
-            I_best[i] = val
-        else:
-            mu_ref[i] = combos[best_flat[i]]
-    return mu_ref, I_best
+
+    def _pair_costs(self, s: int, mu: np.ndarray, nodes: np.ndarray):
+        """q and f at ``nodes`` under pair s with per-node drifts, one call per distinct drift."""
+        sigma, nu = self.prob.sigma_nu_pairs[s]
+        qv, fv = np.empty(len(nodes)), np.empty(len(nodes))
+        uniq, inv = np.unique(mu, axis=0, return_inverse=True)
+        inv = inv.ravel()
+        parts = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+        for m, part in zip(uniq, parts):
+            a = Action(sigma=sigma, nu=nu, mu=m)
+            qv[part] = _eval_xa(self.prob.q, self.x[nodes[part]], a, len(part))
+            fv[part] = _eval_xa(self.prob.f, self.x[nodes[part]], a, len(part))
+        return qv, fv
+
+    def operator(self, pol: PolicyTable):
+        """Generator rows L plus discount/cost vectors for a fixed policy."""
+        if not pol.grid.matches(self.grid):
+            raise ValueError("policy and grid do not match")
+        idx = pol.action_index
+        if idx.max() >= len(self.cands):
+            raise ValueError("policy index outside the declared action set")
+        product = self.prob.mode == "product"
+        n, dim = self.grid.n_nodes, self.grid.dim
+        L = sp.csr_matrix((n, n))
+        mu, m1, cross = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n, dtype=bool)
+        qvec, fvec = np.empty(n), np.empty(n)
+        for j, cand in enumerate(self.cands):
+            rows = idx == j
+            L = L + sp.diags(rows.astype(float)) @ cand.K
+            r = np.nonzero(rows)[0]
+            mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
+            if product:
+                qvec[r], fvec[r] = self._pair_costs(j, mu[r], r)
+            else:
+                qvec[r], fvec[r] = cand.q[r], cand.f[r]
+        prob = self.prob
+        if fvec.min() < -1e-12 * max(1.0, np.abs(fvec).max()):
+            raise ValueError("running cost must be nonnegative")
+        if qvec.min() < prob.delta_q - 1e-9 or qvec.max() > prob.b_q + 1e-9:
+            raise ValueError(
+                f"discount left its declared bounds: range [{qvec.min():.6g}, "
+                f"{qvec.max():.6g}] vs [{prob.delta_q:.6g}, {prob.b_q:.6g}]"
+            )
+        b = self.u + mu - m1
+        for k in range(dim):
+            L = L + sp.diags(np.maximum(b[:, k], 0.0)) @ self.Dp[k]
+            L = L + sp.diags(np.minimum(b[:, k], 0.0)) @ self.Dm[k]
+        L = L.tocsr()
+        L.eliminate_zeros()
+        if cross.any():
+            warnings.warn(
+                f"{int(cross.sum())} rows carry the mixed-sign cross-derivative stencil "
+                "(non-monotone discretization)",
+                SchemeWarning,
+                stacklevel=3,
+            )
+        return L, qvec, fvec
+
+    def evaluate(self, pol: PolicyTable, tol: float) -> ValueField:
+        """Solve (q - L) phi = f for the policy's rows."""
+        L, qvec, fvec = self.operator(pol)
+        phi = _factorise(sp.diags(qvec) - L, tol)(fvec)
+        return ValueField(
+            grid=self.grid, values=phi.reshape(self.grid.shape), q_growth=self.prob.q_growth
+        )
+
+    def improve(self, phi: np.ndarray):
+        """Per-node argmin of L^a phi - q phi + f over the family; ties go to the lowest index.
+
+        Returns (best integrand values, PolicyTable).
+        """
+        n, dim, product = self.grid.n_nodes, self.grid.dim, self.prob.mode == "product"
+        dp = [D @ phi for D in self.Dp]
+        dm = [D @ phi for D in self.Dm]
+        best, best_idx, best_mu = np.full(n, np.inf), np.zeros(n, dtype=int), np.zeros((n, dim))
+        for j, cand in enumerate(self.cands):
+            if product:
+                mu, I = self._best_drift(j, phi, dp, dm)
+            else:
+                mu = cand.mu
+                drift = self._drift(self.u + mu - cand.m1, dp, dm)
+                I = cand.K @ phi + drift - cand.q * phi + cand.f
+            upd = I < best
+            best[upd], best_idx[upd], best_mu[upd] = I[upd], j, mu[upd]
+        pol = PolicyTable(grid=self.grid, action_index=best_idx, mu=best_mu if product else None)
+        return best, pol
+
+    def _best_drift(self, s: int, phi, dp, dm):
+        """Drift and integrand per node for pair s: the lattice argmin, then one
+        per-axis quadratic pass kept where the exact integrand agrees it is better."""
+        sigma, nu = self.prob.sigma_nu_pairs[s]
+        cand, n = self.cands[s], self.grid.n_nodes
+        lat = self.prob.mu_lattice
+        combos, lshape = _lattice_combos(lat)
+        base = cand.K @ phi
+        Iall = np.empty((n, combos.shape[0]))
+        for c, mu in enumerate(combos):
+            a = Action(sigma=sigma, nu=nu, mu=mu)
+            qv = _eval_xa(self.prob.q, self.x, a, n)
+            fv = _eval_xa(self.prob.f, self.x, a, n)
+            Iall[:, c] = base + self._drift(self.u + mu - cand.m1, dp, dm) - qv * phi + fv
+        best_flat = np.argmin(Iall, axis=1)
+        cmulti = np.unravel_index(best_flat, lshape)
+        strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
+        mu_ref = combos[best_flat].copy()
+        I_best = Iall[np.arange(n), best_flat]
+        for r, ax in enumerate(lat):
+            j = cmulti[r]
+            rows = np.nonzero((j > 0) & (j < len(ax) - 1))[0]
+            flat0 = best_flat[rows]
+            I_m = Iall[rows, flat0 - strides[r]]
+            I_0 = Iall[rows, flat0]
+            I_p = Iall[rows, flat0 + strides[r]]
+            denom = I_p - 2.0 * I_0 + I_m
+            step = ax[1] - ax[0]
+            ok = denom > 1e-300
+            off = np.zeros(len(rows))
+            off[ok] = np.clip(0.5 * (I_m[ok] - I_p[ok]) / denom[ok] * step, -step, step)
+            use = ok & (off != 0.0)
+            mu_ref[rows[use], r] += off[use]
+        i = np.nonzero(np.any(mu_ref != combos[best_flat], axis=1))[0]
+        dp, dm = [d[i] for d in dp], [d[i] for d in dm]
+        drift = self._drift(self.u + mu_ref[i] - cand.m1[i], dp, dm)
+        qv, fv = self._pair_costs(s, mu_ref[i], i)
+        val = base[i] + drift - qv * phi[i] + fv
+        better = val <= I_best[i]
+        I_best[i[better]] = val[better]
+        mu_ref[i[~better]] = combos[best_flat[i[~better]]]
+        return mu_ref, I_best
+
+
+def _factorise(M: sp.spmatrix, tol: float):
+    """Sparse LU of M; returns solve(rhs), which checks the residual against tol."""
+    M = M.tocsc()
+    try:
+        lu = splu(M)
+    except RuntimeError as exc:
+        raise SolverError(f"singular system: {exc}") from exc
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        phi = lu.solve(rhs)
+        resid = float(np.abs(M @ phi - rhs).max())
+        scale = max(1.0, float(np.abs(rhs).max()))
+        if not np.isfinite(resid) or resid > max(tol, 1e-9) * scale:
+            raise SolverError(f"sparse LU solve missed the residual bound: residual {resid:.3e}")
+        log.debug("sparse LU solve: %d unknowns, residual %.3e", len(rhs), resid)
+        return phi
+
+    return solve
+
+
+def policy_evaluation(pol: PolicyTable, prob: HJBProblem, grid: Grid, tol: float = 1e-8) -> ValueField:
+    """Solve the linear system of the fixed policy, (q - L) phi = f, by sparse LU."""
+    return _Generator(prob, grid).evaluate(pol, tol)
 
 
 def _best_candidates(phi: ValueField, prob: HJBProblem, grid: Grid):
-    """Per-node argmin of the discrete integrand over the declared family.
-
-    Returns (best integrand values, PolicyTable).
-    """
-    if prob.mode == "list" and len(prob.actions) == 0:
-        raise ValueError("empty action set")
+    """Per-node argmin of the discrete integrand; returns (best values, PolicyTable)."""
     if not phi.grid.matches(grid):
         raise ValueError("field and grid do not match")
-    st = _stencil_arrays(phi)
-    pts = grid.nodes()
-    phi_flat = phi.values.ravel()
-    n = grid.n_nodes
-
-    if prob.mode == "list":
-        best = np.full(n, np.inf)
-        best_idx = np.zeros(n, dtype=int)
-        for j, entry in enumerate(prob.actions):
-            if isinstance(entry, Action):
-                I = _candidate_integrand_constant(phi, prob, grid, st, pts, phi_flat, entry)
-            else:
-                I = _integrand_callable_entry(phi, prob, grid, st, pts, phi_flat, entry)
-            upd = I < best
-            best[upd] = I[upd]
-            best_idx[upd] = j
-        return best, PolicyTable(grid=grid, action_index=best_idx)
-
-    lat = prob.mu_lattice
-    combos, _ = _lattice_combos(lat)
-    u = _resolve_u(prob, grid.dim)
-    best = np.full(n, np.inf)
-    best_idx = np.zeros(n, dtype=int)
-    best_mu = np.zeros((n, grid.dim))
-    xb = _x_for_eval(grid, pts)
-    for s, (sigma, nu) in enumerate(prob.sigma_nu_pairs):
-        a_probe = Action(sigma=sigma, nu=nu, mu=combos[0])
-        D = _diffusion_matrix(a_probe)
-        nu_pts, nu_w = _support_points(nu)
-        m1 = nu_w @ nu_pts if len(nu_w) else np.zeros(grid.dim)
-        jump_in, mass = _jump_values(phi, pts, nu)
-        base = jump_in - mass * phi_flat
-        for k in range(grid.dim):
-            base = base + 0.5 * D[k, k] * st["sec"][k].ravel()
-        if grid.dim == 2 and D[0, 1] != 0.0:
-            base = base + D[0, 1] * st["cross"].ravel()
-        Iall = np.empty((n, combos.shape[0]))
-        for c in range(combos.shape[0]):
-            mu = combos[c]
-            a = Action(sigma=sigma, nu=nu, mu=mu)
-            b = u + mu - m1
-            drift = np.zeros(n)
-            for k in range(grid.dim):
-                bk = b[k]
-                if bk > 0.0:
-                    drift = drift + bk * st["fwd"][k].ravel()
-                elif bk < 0.0:
-                    drift = drift + bk * st["bwd"][k].ravel()
-            qv = _eval_xa(prob.q, xb, a, n)
-            fv = _eval_xa(prob.f, xb, a, n)
-            Iall[:, c] = base + drift - qv * phi_flat + fv
-        lat_best = np.argmin(Iall, axis=1)
-        mu_ref, I_ref = _refine_mu(
-            prob, grid, st, pts, phi_flat, base, sigma, nu, m1, Iall, lat, lat_best
-        )
-        upd = I_ref < best
-        best[upd] = I_ref[upd]
-        best_idx[upd] = s
-        best_mu[upd] = mu_ref[upd]
-    return best, PolicyTable(grid=grid, action_index=best_idx, mu=best_mu)
+    return _Generator(prob, grid).improve(phi.values.ravel())
 
 
 def policy_improvement(phi: ValueField, prob: HJBProblem, grid: Grid) -> PolicyTable:
     """Pointwise argmin of the discrete integrand; ties go to the lowest index."""
-    _, pol = _best_candidates(phi, prob, grid)
-    return pol
+    return _best_candidates(phi, prob, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -938,25 +781,20 @@ def solve_stationary(prob: HJBProblem, grid: Grid, tol: float = 1e-8, max_iters:
     Returns (ValueField, PolicyTable, ConvergenceReport); non-convergence is
     reported, not raised, so partial results stay inspectable.
     """
-    if prob.mode == "list":
-        pol = PolicyTable(grid=grid, action_index=np.zeros(grid.n_nodes, dtype=int))
-    else:
-        combos, _ = _lattice_combos(prob.mu_lattice)
-        j0 = int(np.argmin(np.linalg.norm(combos, axis=1)))
-        pol = PolicyTable(
-            grid=grid,
-            action_index=np.zeros(grid.n_nodes, dtype=int),
-            mu=np.tile(combos[j0], (grid.n_nodes, 1)),
-        )
+    gen = _Generator(prob, grid)
+    n = grid.n_nodes
+    mu0 = None if prob.mode == "list" else np.tile(_lattice_origin(prob.mu_lattice), (n, 1))
+    pol = PolicyTable(grid=grid, action_index=np.zeros(n, dtype=int), mu=mu0)
     deltas = []
     max_increase = 0.0
     phi_prev = None
     converged = False
     messages = []
     it = 0
-    phi = None
+    phi = best = None
     for it in range(1, max_iters + 1):
-        phi = policy_evaluation(pol, prob, grid, tol=min(tol, 1e-8))
+        phi = gen.evaluate(pol, tol=min(tol, 1e-8))
+        best = None
         if phi_prev is not None:
             diff = phi.values - phi_prev.values
             deltas.append(float(np.abs(diff).max()))
@@ -964,16 +802,17 @@ def solve_stationary(prob: HJBProblem, grid: Grid, tol: float = 1e-8, max_iters:
             if deltas[-1] <= tol:
                 converged = True
                 break
-        best, pol_new = _best_candidates(phi, prob, grid)
-        if pol_new.same_as(pol):
-            converged = True
-            break
+        best, pol_new = gen.improve(phi.values.ravel())
+        converged = pol_new.same_as(pol)
         pol = pol_new
+        if converged:
+            break
         phi_prev = phi
     if not converged:
         messages.append(f"policy iteration did not converge in {max_iters} sweeps")
         log.warning("%s", messages[-1])
-    best, pol = _best_candidates(phi, prob, grid)
+    if best is None:
+        best, pol = gen.improve(phi.values.ravel())
     inner = interior_mask(grid)
     residual = float(np.abs(best[inner]).max()) if inner.any() else float(np.abs(best).max())
     report = ConvergenceReport(
@@ -1023,37 +862,20 @@ def solve_finite_horizon(
     if T <= 0.0 or n_steps < 1:
         raise ValueError("need T > 0 and n_steps >= 1")
     dt = T / n_steps
-    n = grid.n_nodes
     values = np.empty((n_steps + 1,) + grid.shape)
     values[n_steps] = _terminal_values(h, grid)
-    tails = _TailBasis(grid, prob.q_growth)
+    gen = _Generator(prob, grid)
+    eye = sp.identity(grid.n_nodes, format="csr")
     pol_prev = None
-    lu = None
-    M_iter = None
-    E = W = fvec = None
     for m in range(n_steps - 1, -1, -1):
-        phi_next = ValueField(grid=grid, values=values[m + 1], q_growth=prob.q_growth)
-        pol = policy_improvement(phi_next, prob, grid)
-        if pol_prev is None or not pol.same_as(pol_prev):
-            L, qvec, fvec = _assemble_operator(prob, pol, grid, tails)
-            M = (sp.identity(n, format="csr") - dt * L).tocsr()
+        _, pol = gen.improve(values[m + 1].ravel())
+        if not pol.same_as(pol_prev):
+            L, qvec, fvec = gen.operator(pol)
+            solve = _factorise(eye - dt * L, tol)
             E = np.exp(-qvec * dt)
             W = (1.0 - E) / qvec
-            if n <= DENSE_NODE_LIMIT:
-                lu = lu_factor(M.toarray())
-                M_iter = None
-            else:
-                lu = None
-                M_iter = M
             pol_prev = pol
-        rhs = E * values[m + 1].ravel() + W * fvec
-        if lu is not None:
-            sol = lu_solve(lu, rhs)
-        else:
-            sol = _solve_linear(M_iter, rhs, tol)
-        if not np.all(np.isfinite(sol)):
-            raise SolverError("finite-horizon step produced non-finite values")
-        values[m] = sol.reshape(grid.shape)
+        values[m] = solve(E * values[m + 1].ravel() + W * fvec).reshape(grid.shape)
     times = np.linspace(0.0, T, n_steps + 1)
     return FiniteHorizonSolution(times=times, values=values, grid=grid, q_growth=prob.q_growth)
 
@@ -1070,13 +892,8 @@ class DppReport:
 
 
 def _default_probes(grid: Grid):
-    qs = (0.25, 0.5, 0.75)
-    if grid.dim == 1:
-        w = grid.hi[0] - grid.lo[0]
-        return [np.array([grid.lo[0] + f * w]) for f in qs]
-    w0 = grid.hi[0] - grid.lo[0]
-    w1 = grid.hi[1] - grid.lo[1]
-    return [np.array([grid.lo[0] + f * w0, grid.lo[1] + f * w1]) for f in qs]
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    return [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
 
 
 def _policy_specs(prob: HJBProblem, dyn):
@@ -1088,42 +905,27 @@ def _policy_specs(prob: HJBProblem, dyn):
             else:
                 specs.append(dyn.PolicyFieldSpec.from_action_callable(entry))
         return specs
-    combos, _ = _lattice_combos(prob.mu_lattice)
-    j0 = int(np.argmin(np.linalg.norm(combos, axis=1)))
+    mu0 = _lattice_origin(prob.mu_lattice)
     for sigma, nu in prob.sigma_nu_pairs:
-        specs.append(dyn.PolicyFieldSpec.constant(Action(sigma=sigma, nu=nu, mu=combos[j0])))
+        specs.append(dyn.PolicyFieldSpec.constant(Action(sigma=sigma, nu=nu, mu=mu0)))
     return specs
 
 
 def _cost_adapters(prob: HJBProblem, spec, grid: Grid):
     """State-only cost/discount callables for a fixed policy spec."""
 
-    def resolve(X):
-        return spec.action_at(X)
+    def adapter(fn):
+        def at(X):
+            acts = spec.action_at(X)
+            if isinstance(acts, Action):
+                return _eval_xa(fn, _x_for_eval(grid, X), acts, len(X))
+            return np.array(
+                [_eval_xa(fn, _x_for_eval(grid, X[i : i + 1]), a, 1)[0] for i, a in enumerate(acts)]
+            )
 
-    def f_fn(X):
-        acts = resolve(X)
-        if isinstance(acts, Action):
-            return _eval_xa(prob.f, X[:, 0] if grid.dim == 1 else X, acts, len(X))
-        return np.array(
-            [
-                _eval_xa_scalar(prob.f, grid, X[i], acts[i])
-                for i in range(len(X))
-            ]
-        )
+        return at
 
-    def q_fn(X):
-        acts = resolve(X)
-        if isinstance(acts, Action):
-            return _eval_xa(prob.q, X[:, 0] if grid.dim == 1 else X, acts, len(X))
-        return np.array(
-            [
-                _eval_xa_scalar(prob.q, grid, X[i], acts[i])
-                for i in range(len(X))
-            ]
-        )
-
-    return f_fn, q_fn
+    return adapter(prob.f), adapter(prob.q)
 
 
 def dpp_report(

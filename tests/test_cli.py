@@ -14,7 +14,7 @@ tmp dir.  Frozen references:
   over n paths is Poisson(2n), checked at 3 standard errors.
 
 Exit codes under test: 0 success, 1 input error, 2 non-convergence with
-partial artifacts, 3 verification failure.
+partial artifacts or a failed linear solve, 3 verification failure.
 """
 
 import hashlib
@@ -98,6 +98,22 @@ def test_solve_nonconvergence_exits_2_with_partial_result(tmp_path):
     assert (tmp_path / "value.csv").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
+
+
+def test_solver_error_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    from jumpctl import cli
+    from jumpctl.hjb import SolverError
+
+    def failing(*args, **kwargs):
+        raise SolverError("sparse LU solve missed the residual bound")
+
+    monkeypatch.setattr(cli, "solve_stationary", failing)
+    code = main(["solve", "--config", _bundled("lq_1d.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["jumpctl: numerical failure: sparse LU solve missed "
+                                        "the residual bound"]
 
 
 def test_solve_finite_pure_discount(tmp_path):

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from jumpctl.generator import AnalyticField, hjb_integrand
+from jumpctl.generator import AnalyticField, GeneratorScheme, hjb_integrand
 from jumpctl.hjb import (
-    DENSE_NODE_LIMIT,
     ConvergenceReport,
     Grid,
     HJBProblem,
@@ -14,9 +14,9 @@ from jumpctl.hjb import (
     SchemeWarning,
     SolverError,
     ValueField,
-    _assemble_operator,
     _best_candidates,
-    _TailBasis,
+    _factorise,
+    _Generator,
     dpp_residual,
     interior_mask,
     policy_evaluation,
@@ -255,6 +255,15 @@ def test_evaluation_lq_feedback_matches_closed_form():
     assert err.max() / np.abs(sol.value(x[keep].reshape(-1, 1))).max() < 1e-2
 
 
+def test_sparse_lu_failures_raise_solver_error():
+    with pytest.raises(SolverError, match="singular"):
+        _factorise(sp.csr_matrix((3, 3)), 1e-8)
+    solve = _factorise(sp.identity(3, format="csr"), 1e-8)
+    assert np.array_equal(solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    with pytest.raises(SolverError, match="residual"):
+        solve(np.array([1.0, np.nan, 3.0]))
+
+
 def test_scheme_warning_on_correlated_diffusion():
     g = Grid.regular([-1.0, -1.0], [1.0, 1.0], [16, 16])
     act = Action(sigma=np.array([[1.0, 0.5], [0.0, 1.0]]), nu=ZeroMeasure(2), mu=[0.0, 0.0])
@@ -281,6 +290,17 @@ def test_assembly_agrees_with_generator_module():
     x = g.axes[0][i]
     want = hjb_integrand(act, fld, x, f_val=x**2, q_val=1.0)
     assert best[i] == pytest.approx(want, abs=1e-9)
+    # a solved grid field as the generator's input: the diffusion-only value
+    # x^2 + 1, read through the field's own interpolation; central differences
+    # of step h are exact on its node values
+    brown = singleton_problem(lambda x, a: x**2, 1.0)
+    pol = PolicyTable(grid=g, action_index=np.zeros(g.n_nodes, dtype=int))
+    solved = policy_evaluation(pol, brown, g)
+    best, _ = _best_candidates(solved, prob, g)
+    want = hjb_integrand(act, solved, np.array([x]), f_val=x**2, q_val=1.0,
+                         scheme=GeneratorScheme(fd_step=g.h[0]))
+    assert want == pytest.approx(0.75, abs=1e-6)  # L(x^2 + 1) - (x^2 + 1) + x^2 at 0
+    assert best[i] == pytest.approx(want, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +346,50 @@ def test_improvement_lq_drift_near_feedback():
     assert np.abs(pol.mu[inner, 0] - target[inner]).max() <= cell
 
 
+def atoms_2d_problem():
+    # the benchmark's 2-D LQ family: a pure diffusion and a smaller diffusion
+    # with two atoms, over a 13 x 13 drift lattice
+    pairs = (
+        (np.eye(2), ZeroMeasure(2)),
+        (0.5 * np.eye(2), AtomicMeasure(2, [[0.5, 0.0], [0.0, -0.5]], [1.0, 1.0])),
+    )
+    prob = HJBProblem(
+        f=lambda x, a: np.sum(x**2, axis=1) + float(a.mu @ a.mu), q=3.0, delta_q=3.0, b_q=3.0,
+        sigma_nu_pairs=pairs, mu_lattice=(np.linspace(-3.0, 3.0, 13),) * 2, q_growth=2,
+    )
+    return prob, pairs
+
+
+def _list_case():
+    g = Grid.regular(-6.0, 6.0, 121)
+    x = g.axes[0]
+    return example1_problem(), g, x**2 / 2.0 + 0.5 + 0.1 * np.sin(3.0 * x)
+
+
+def _product_case():
+    g = Grid.regular(-6.0, 6.0, 121)
+    x = g.axes[0]
+    return lq_product_problem(), g, B_HAT * x**2 + B_HAT / 3.0 + 0.05 * np.cos(2.0 * x)
+
+
+def _product_2d_case():
+    g = Grid.regular([-3.0, -3.0], [3.0, 3.0], [21, 21])
+    X = g.nodes()
+    return atoms_2d_problem()[0], g, 2.0 + np.cos(1.5 * X[:, 0]) + 0.3 * X[:, 1] ** 2
+
+
+@pytest.mark.parametrize("case", [_list_case, _product_case, _product_2d_case])
+def test_improvement_matches_evaluation_operator(case):
+    # one discrete generator: the minimised integrand is L_pol phi - q phi + f
+    # with the rows policy evaluation assembles for the chosen policy
+    prob, g, phi = case()
+    gen = _Generator(prob, g)
+    best, pol = gen.improve(phi)
+    L, qvec, fvec = gen.operator(pol)
+    assert np.abs(best - (L @ phi - qvec * phi + fvec)).max() <= 1e-12
+    assert len(np.unique(pol.action_index)) == prob.n_candidates  # rows of every candidate
+
+
 # ---------------------------------------------------------------------------
 # stationary solves
 
@@ -353,6 +417,44 @@ def test_stationary_lq_matches_closed_form():
     assert rep.max_pointwise_increase <= 1e-8 * max(1.0, np.abs(phi.values).max())
 
 
+def _lq_1d_error(num):
+    sol = solve_lq(LQSpec(lam=1.0, theta=1.0, q=3.0,
+                          dispersion_candidates=[(1.0, ZeroMeasure(1))]))
+    g = Grid.regular(-6.0, 6.0, num)
+    phi, _, rep = solve_stationary(lq_product_problem(lattice=np.linspace(-4.0, 4.0, 41)), g)
+    assert rep.converged
+    x = g.axes[0]
+    keep = np.abs(x) <= 2.0
+    err = np.abs(phi.values[keep] - sol.value(x[keep].reshape(-1, 1))).max()
+    return err, rep
+
+
+def test_lq_refinement_is_first_order_and_monotone():
+    # first order in h against the Riccati value, up to 6,401 nodes
+    errs = []
+    for num in (401, 1601, 6401):
+        err, rep = _lq_1d_error(num)
+        assert rep.max_pointwise_increase <= 1e-10  # Howard's iterates decrease
+        errs.append(err)
+    orders = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(4.0)
+    assert np.all(orders >= 0.9), (errs, orders)
+
+
+def test_solves_past_2048_nodes():
+    err, _ = _lq_1d_error(2049)
+    assert err < 1e-3
+    prob, pairs = atoms_2d_problem()
+    g = Grid.regular([-3.0, -3.0], [3.0, 3.0], [61, 61])
+    phi, _, rep = solve_stationary(prob, g)
+    assert rep.converged
+    sol = solve_lq(LQSpec(lam=np.eye(2), theta=np.eye(2), q=3.0, dispersion_candidates=pairs))
+    X = g.nodes()
+    keep = np.max(np.abs(X), axis=1) <= 1.5
+    ref = sol.value(X[keep])
+    rel = np.max(np.abs(phi.values.ravel()[keep] - ref) / np.maximum(1.0, np.abs(ref)))
+    assert rel < 5e-2
+
+
 def test_stationary_example1_exact_on_quadratic():
     g = Grid.regular(-6.0, 6.0, 241)
     prob = example1_problem()
@@ -368,6 +470,7 @@ def test_stationary_example1_exact_on_quadratic():
     psi_excess = x**2 / 2.0  # psi(x) - psi(0)
     must_jump = psi_excess > tol_sel
     assert np.all(pol.action_index[must_jump] == 1)
+    assert rep.max_pointwise_increase <= 1e-10  # Howard's iterates decrease
 
 
 def test_stationary_residual_sign():
@@ -428,9 +531,7 @@ def test_finite_horizon_one_step_identity():
     hvals = g.axes[0] ** 2
     sol = solve_finite_horizon(prob, h=hvals, T=0.25, n_steps=1, grid=g)
     pol = PolicyTable(grid=g, action_index=np.zeros(g.n_nodes, dtype=int))
-    from jumpctl.hjb import _TailBasis as TB
-
-    L, qvec, fvec = _assemble_operator(prob, pol, g, TB(g, prob.q_growth))
+    L, qvec, fvec = _Generator(prob, g).operator(pol)
     lhs = (np.eye(g.n_nodes) - 0.25 * L.toarray()) @ sol.values[0].ravel()
     rhs = np.exp(-1.5 * 0.25) * hvals
     assert np.abs(lhs - rhs).max() < 1e-10
