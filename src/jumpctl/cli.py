@@ -11,7 +11,8 @@ Commands
 Shared flags: ``--config PATH`` (JSON; see ``configs/config.schema.json``
 next to this module for the published format), ``--out DIR``, ``--seed U64``
 (overrides the config seed), ``--threads N`` (global worker budget for the
-linear-algebra backends), ``--tol REAL`` (overrides the config tolerance).
+linear-algebra backends, applied through threadpoolctl; without it a warning
+says the budget had no effect), ``--tol REAL`` (overrides the config tolerance).
 ``JUMPCTL_LOG`` in {error, warn, info, debug} selects the log level.
 
 Artifacts are deterministic: every file embeds the config digest, the
@@ -1048,7 +1049,10 @@ def _apply_thread_budget(n: int):
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        log.debug("threadpoolctl not installed; thread budget set via environment only")
+        log.warning(
+            "--threads %d not applied: threadpoolctl is not installed, and the BLAS "
+            "numpy has already loaded keeps its own thread count", n
+        )
         return None
     return threadpool_limits(limits=n)
 

@@ -46,7 +46,9 @@ class GeneratorScheme:
     """Numerical knobs for generator evaluation.
 
     fd_step: finite-difference step; None applies max(1e-5, 1e-7 |x_i|)
-        componentwise, the usual truncation/rounding balance.
+        componentwise, the usual truncation/rounding balance, for analytic
+        fields and the grid spacing per axis for grid fields (a smaller step
+        would difference the interpolant across its kink at a node).
     small_jump_split: radius below which the jump integrand is replaced by
         its exact second-order Taylor surrogate (1/2) y^T Hess g y, avoiding
         cancellation for tiny jumps. None disables the split for analytic
@@ -114,9 +116,12 @@ def _field_value(g, x):
     return np.array([_scalar(g.value(row)) for row in x])
 
 
-def _fd_steps(x, scheme):
+def _fd_steps(g, x, scheme):
     if scheme.fd_step is not None:
         return np.full(x.shape, scheme.fd_step)
+    grid = getattr(g, "grid", None)
+    if grid is not None:
+        return np.asarray(grid.h, float)
     return np.maximum(1e-5, 1e-7 * np.abs(x))
 
 
@@ -124,7 +129,7 @@ def _gradient(g, x, scheme):
     grad = getattr(g, "grad", None)
     if callable(grad):
         return np.atleast_1d(np.asarray(grad(x), float))
-    h = _fd_steps(x, scheme)
+    h = _fd_steps(g, x, scheme)
     n = x.shape[0]
     pts = np.repeat(x[None, :], 2 * n, axis=0)
     for i in range(n):
@@ -138,7 +143,7 @@ def _hessian(g, x, scheme):
     hess = getattr(g, "hess", None)
     if callable(hess):
         return np.atleast_2d(np.asarray(hess(x), float))
-    h = _fd_steps(x, scheme)
+    h = _fd_steps(g, x, scheme)
     n = x.shape[0]
     out = np.empty((n, n))
     f0 = _field_value(g, x)

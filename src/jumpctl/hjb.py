@@ -11,7 +11,9 @@ functions of polynomial growth; the same extension weights serve both the
 matrix assembly and point evaluation, so the solve and the readout agree.
 
 Each candidate's operator is built once per solve as sparse matrices,
-shared by policy evaluation and improvement. Every linear system, stationary
+shared by policy evaluation and improvement; q and f are evaluated once per
+chosen (node, action), as improvement hands its values at the chosen actions
+to the evaluation of that policy. Every linear system, stationary
 or one implicit time step, is solved by one sparse LU factorisation
 (``scipy.sparse.linalg.splu``) with a residual check.
 """
@@ -516,7 +518,8 @@ class _Generator:
     diffusion, cross-derivative and jump parts. Callable list entries are
     called once per node here. Evaluation selects each node's K row and adds
     the drift as diag(b+) D+ + diag(b-) D-; improvement applies the same
-    matrices to phi.
+    matrices to phi and returns q/f at the actions it chose, which the
+    evaluation of that policy takes instead of calling q and f again.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -617,8 +620,12 @@ class _Generator:
             fv[part] = _eval_xa(self.prob.f, self.x[nodes[part]], a, len(part))
         return qv, fv
 
-    def operator(self, pol: PolicyTable):
-        """Generator rows L plus discount/cost vectors for a fixed policy."""
+    def operator(self, pol: PolicyTable, costs=None):
+        """Generator rows L plus discount/cost vectors for a fixed policy.
+
+        ``costs``, the (q, f) that improvement returned with ``pol``, stands in
+        for evaluating q and f again; the bounds checks run either way.
+        """
         if not pol.grid.matches(self.grid):
             raise ValueError("policy and grid do not match")
         idx = pol.action_index
@@ -628,15 +635,15 @@ class _Generator:
         n, dim = self.grid.n_nodes, self.grid.dim
         L = sp.csr_matrix((n, n))
         mu, m1, cross = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n, dtype=bool)
-        qvec, fvec = np.empty(n), np.empty(n)
+        qvec, fvec = (np.empty(n), np.empty(n)) if costs is None else costs
         for j, cand in enumerate(self.cands):
             rows = idx == j
             L = L + sp.diags(rows.astype(float)) @ cand.K
             r = np.nonzero(rows)[0]
             mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
-            if product:
+            if costs is None and product:
                 qvec[r], fvec[r] = self._pair_costs(j, mu[r], r)
-            else:
+            elif costs is None:
                 qvec[r], fvec[r] = cand.q[r], cand.f[r]
         prob = self.prob
         if fvec.min() < -1e-12 * max(1.0, np.abs(fvec).max()):
@@ -661,9 +668,9 @@ class _Generator:
             )
         return L, qvec, fvec
 
-    def evaluate(self, pol: PolicyTable, tol: float) -> ValueField:
+    def evaluate(self, pol: PolicyTable, tol: float, costs=None) -> ValueField:
         """Solve (q - L) phi = f for the policy's rows."""
-        L, qvec, fvec = self.operator(pol)
+        L, qvec, fvec = self.operator(pol, costs)
         phi = _factorise(sp.diags(qvec) - L, tol)(fvec)
         return ValueField(
             grid=self.grid, values=phi.reshape(self.grid.shape), q_growth=self.prob.q_growth
@@ -672,26 +679,29 @@ class _Generator:
     def improve(self, phi: np.ndarray):
         """Per-node argmin of L^a phi - q phi + f over the family; ties go to the lowest index.
 
-        Returns (best integrand values, PolicyTable).
+        Returns (best integrand values, PolicyTable, (q, f) at the chosen actions);
+        q/f stay NaN at nodes where no candidate gave a finite integrand.
         """
         n, dim, product = self.grid.n_nodes, self.grid.dim, self.prob.mode == "product"
         dp = [D @ phi for D in self.Dp]
         dm = [D @ phi for D in self.Dm]
         best, best_idx, best_mu = np.full(n, np.inf), np.zeros(n, dtype=int), np.zeros((n, dim))
+        best_q, best_f = np.full(n, np.nan), np.full(n, np.nan)
         for j, cand in enumerate(self.cands):
             if product:
-                mu, I = self._best_drift(j, phi, dp, dm)
+                mu, I, q, f = self._best_drift(j, phi, dp, dm)
             else:
-                mu = cand.mu
+                mu, q, f = cand.mu, cand.q, cand.f
                 drift = self._drift(self.u + mu - cand.m1, dp, dm)
-                I = cand.K @ phi + drift - cand.q * phi + cand.f
+                I = cand.K @ phi + drift - q * phi + f
             upd = I < best
             best[upd], best_idx[upd], best_mu[upd] = I[upd], j, mu[upd]
+            best_q[upd], best_f[upd] = q[upd], f[upd]
         pol = PolicyTable(grid=self.grid, action_index=best_idx, mu=best_mu if product else None)
-        return best, pol
+        return best, pol, (best_q, best_f)
 
     def _best_drift(self, s: int, phi, dp, dm):
-        """Drift and integrand per node for pair s: the lattice argmin, then one
+        """Drift, integrand, q and f per node for pair s: the lattice argmin, then one
         per-axis quadratic pass kept where the exact integrand agrees it is better."""
         sigma, nu = self.prob.sigma_nu_pairs[s]
         cand, n = self.cands[s], self.grid.n_nodes
@@ -699,16 +709,19 @@ class _Generator:
         combos, lshape = _lattice_combos(lat)
         base = cand.K @ phi
         Iall = np.empty((n, combos.shape[0]))
+        I_best, q_best, f_best = np.full((3, n), np.nan)
+        best_flat = np.zeros(n, dtype=int)
         for c, mu in enumerate(combos):
             a = Action(sigma=sigma, nu=nu, mu=mu)
             qv = _eval_xa(self.prob.q, self.x, a, n)
             fv = _eval_xa(self.prob.f, self.x, a, n)
-            Iall[:, c] = base + self._drift(self.u + mu - cand.m1, dp, dm) - qv * phi + fv
-        best_flat = np.argmin(Iall, axis=1)
+            Iall[:, c] = I = base + self._drift(self.u + mu - cand.m1, dp, dm) - qv * phi + fv
+            # running argmin, the first minimum wins; q/f ride along instead of an (n, lattice) copy
+            upd = (I < I_best) | (c == 0)
+            I_best[upd], best_flat[upd], q_best[upd], f_best[upd] = I[upd], c, qv[upd], fv[upd]
         cmulti = np.unravel_index(best_flat, lshape)
         strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
         mu_ref = combos[best_flat].copy()
-        I_best = Iall[np.arange(n), best_flat]
         for r, ax in enumerate(lat):
             j = cmulti[r]
             rows = np.nonzero((j > 0) & (j < len(ax) - 1))[0]
@@ -729,9 +742,10 @@ class _Generator:
         qv, fv = self._pair_costs(s, mu_ref[i], i)
         val = base[i] + drift - qv * phi[i] + fv
         better = val <= I_best[i]
-        I_best[i[better]] = val[better]
+        b = i[better]
+        I_best[b], q_best[b], f_best[b] = val[better], qv[better], fv[better]
         mu_ref[i[~better]] = combos[best_flat[i[~better]]]
-        return mu_ref, I_best
+        return mu_ref, I_best, q_best, f_best
 
 
 def _factorise(M: sp.spmatrix, tol: float):
@@ -763,7 +777,7 @@ def _best_candidates(phi: ValueField, prob: HJBProblem, grid: Grid):
     """Per-node argmin of the discrete integrand; returns (best values, PolicyTable)."""
     if not phi.grid.matches(grid):
         raise ValueError("field and grid do not match")
-    return _Generator(prob, grid).improve(phi.values.ravel())
+    return _Generator(prob, grid).improve(phi.values.ravel())[:2]
 
 
 def policy_improvement(phi: ValueField, prob: HJBProblem, grid: Grid) -> PolicyTable:
@@ -791,9 +805,9 @@ def solve_stationary(prob: HJBProblem, grid: Grid, tol: float = 1e-8, max_iters:
     converged = False
     messages = []
     it = 0
-    phi = best = None
+    phi = best = costs = None
     for it in range(1, max_iters + 1):
-        phi = gen.evaluate(pol, tol=min(tol, 1e-8))
+        phi = gen.evaluate(pol, tol=min(tol, 1e-8), costs=costs)
         best = None
         if phi_prev is not None:
             diff = phi.values - phi_prev.values
@@ -802,7 +816,7 @@ def solve_stationary(prob: HJBProblem, grid: Grid, tol: float = 1e-8, max_iters:
             if deltas[-1] <= tol:
                 converged = True
                 break
-        best, pol_new = gen.improve(phi.values.ravel())
+        best, pol_new, costs = gen.improve(phi.values.ravel())
         converged = pol_new.same_as(pol)
         pol = pol_new
         if converged:
@@ -812,7 +826,7 @@ def solve_stationary(prob: HJBProblem, grid: Grid, tol: float = 1e-8, max_iters:
         messages.append(f"policy iteration did not converge in {max_iters} sweeps")
         log.warning("%s", messages[-1])
     if best is None:
-        best, pol = gen.improve(phi.values.ravel())
+        best, pol, _ = gen.improve(phi.values.ravel())
     inner = interior_mask(grid)
     residual = float(np.abs(best[inner]).max()) if inner.any() else float(np.abs(best).max())
     report = ConvergenceReport(
@@ -868,9 +882,9 @@ def solve_finite_horizon(
     eye = sp.identity(grid.n_nodes, format="csr")
     pol_prev = None
     for m in range(n_steps - 1, -1, -1):
-        _, pol = gen.improve(values[m + 1].ravel())
+        _, pol, costs = gen.improve(values[m + 1].ravel())
         if not pol.same_as(pol_prev):
-            L, qvec, fvec = gen.operator(pol)
+            L, qvec, fvec = gen.operator(pol, costs)
             solve = _factorise(eye - dt * L, tol)
             E = np.exp(-qvec * dt)
             W = (1.0 - E) / qvec

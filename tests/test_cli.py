@@ -18,7 +18,11 @@ partial artifacts or a failed linear solve, 3 verification failure.
 """
 
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,8 +311,23 @@ def test_verify_unknown_test_name(tmp_path, capsys):
 
 
 def test_threads_flag_is_accepted(tmp_path):
-    code = main(["example", "3", "--out", str(tmp_path), "--threads", "2"])
-    assert code == 0
+    # without threadpoolctl the budget cannot reach the BLAS numpy has loaded:
+    # the run says so on stderr, and its artifacts match a run without the flag
+    env = dict(os.environ, PYTHONPATH=str(Path(jumpctl.__file__).resolve().parents[1]),
+               JUMPCTL_LOG="warn")
+    runs = {}
+    for name, extra in (("plain", []), ("threads", ["--threads", "2"])):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "jumpctl", "example", "3", "--out", str(out), *extra],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = (proc.stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    if importlib.util.find_spec("threadpoolctl") is None:
+        assert "--threads 2 not applied" in runs["threads"][0]
+    assert "--threads" not in runs["plain"][0]
+    assert runs["threads"][1] == runs["plain"][1]
 
 
 def test_version_flag_prints_version(capsys):

@@ -13,6 +13,7 @@ from jumpctl.generator import (
     jump_term,
     local_term,
 )
+from jumpctl.hjb import Grid, ValueField
 from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure, second_moment_matrix
 
 
@@ -160,6 +161,16 @@ def test_hjb_integrand_zero_field_zero_cost():
     assert hjb_integrand(a, zero, x=0.5, f_val=0.0, q_val=2.0) == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+def test_hjb_integrand_on_grid_field_default_scheme():
+    # a grid field's default difference step is its spacing: a 1e-5 step at
+    # the node x = 0.3 would difference the interpolant across its kink
+    g = Grid.regular(-2.0, 2.0, 41)
+    phi = ValueField(grid=g, values=g.axes[0] ** 2 + 1.0, q_growth=2)
+    a = Action(sigma=1.0, nu=AtomicMeasure(dim=1, locations=[[0.5]], masses=[1.0]), mu=0.5)
+    # drift 0.5 * 0.6 + diffusion 1 + jump 0.25 - phi 1.09 + f 0.09
+    assert hjb_integrand(a, phi, x=0.3, f_val=0.09, q_val=1.0) == pytest.approx(0.55, abs=1e-9)
 
 
 # ---------------------------------------------------------------- properties

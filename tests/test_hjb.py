@@ -384,10 +384,53 @@ def test_improvement_matches_evaluation_operator(case):
     # with the rows policy evaluation assembles for the chosen policy
     prob, g, phi = case()
     gen = _Generator(prob, g)
-    best, pol = gen.improve(phi)
+    best, pol, _ = gen.improve(phi)
     L, qvec, fvec = gen.operator(pol)
     assert np.abs(best - (L @ phi - qvec * phi + fvec)).max() <= 1e-12
     assert len(np.unique(pol.action_index)) == prob.n_candidates  # rows of every candidate
+
+
+@pytest.mark.parametrize("case", [_list_case, _product_case, _product_2d_case])
+def test_improvement_costs_equal_recomputed_ones(case):
+    # the q/f that improvement hands to evaluation are exactly the ones
+    # evaluation computes from the policy alone
+    prob, g, phi = case()
+    gen = _Generator(prob, g)
+    _, pol, costs = gen.improve(phi)
+    (Ls, qs, fs), (Lr, qr, fr) = gen.operator(pol, costs), gen.operator(pol)
+    assert np.array_equal(qs, qr) and np.array_equal(fs, fr)
+    assert np.array_equal(Ls.indptr, Lr.indptr) and np.array_equal(Ls.indices, Lr.indices)
+    assert np.array_equal(Ls.data, Lr.data)
+
+
+class CountingCost:
+    """f(x, a) = x^2 + mu^2, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x, a):
+        self.calls += 1
+        return x**2 + float(a.mu[0]) ** 2
+
+
+def test_running_cost_called_once_per_chosen_action():
+    # improvement calls f once per lattice point and once per refined drift;
+    # evaluation reuses those values instead of calling f at the same drifts
+    g = Grid.regular(-3.0, 3.0, 41)
+    lattice = np.linspace(-2.0, 2.0, 9)
+    f = CountingCost()
+    prob = HJBProblem(
+        f=f, q=3.0, delta_q=3.0, b_q=3.0,
+        sigma_nu_pairs=((1.0, ZeroMeasure(1)),), mu_lattice=lattice, q_growth=2,
+    )
+    per_sweep = g.n_nodes + lattice.size
+    solve_finite_horizon(prob, h=g.axes[0] ** 2, T=1.0, n_steps=20, grid=g)
+    assert 0 < f.calls <= 20 * per_sweep
+    f.calls = 0
+    _, _, rep = solve_stationary(prob, g)
+    assert rep.converged
+    assert 0 < f.calls <= 1 + rep.iterations * per_sweep  # plus the initial evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +578,18 @@ def test_finite_horizon_one_step_identity():
     lhs = (np.eye(g.n_nodes) - 0.25 * L.toarray()) @ sol.values[0].ravel()
     rhs = np.exp(-1.5 * 0.25) * hvals
     assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_finite_horizon_correlated_2d_warns():
+    # known defect, pinned rather than hidden: a correlated diffusion makes
+    # I - dt L non-monotone and this instance diverges (842.7 at the origin
+    # against a stationary 1.89); the SchemeWarning is its only signal until
+    # a monotone wide stencil replaces the cross-derivative rows
+    g = Grid.regular([-2.0, -2.0], [2.0, 2.0], [21, 21])
+    act = Action(sigma=np.array([[1.0, 0.3], [0.0, 1.0]]), nu=ZeroMeasure(2), mu=np.zeros(2))
+    prob = singleton_problem(lambda x, a: np.sum(x**2, axis=1), 1.0, action=act)
+    with pytest.warns(SchemeWarning):
+        solve_finite_horizon(prob, h=0.0, T=2.0, n_steps=20, grid=g)
 
 
 def test_finite_horizon_approaches_stationary():
