@@ -22,7 +22,9 @@ rerun with identical inputs reproduces identical bytes.  CSV files carry a
 single ``#``-prefixed JSON provenance line before the column header.
 
 Exit codes (stable contract): 0 success, 1 input error (config parse or
-schema violations are reported with a path to the offending field),
+schema violations are reported with a path to the offending field; an
+output directory or artifact that cannot be written is reported as
+``jumpctl: cannot write output: ...``),
 2 numerical non-convergence (partial artifacts are still written),
 3 verification failure.
 """
@@ -505,24 +507,45 @@ class RunConfig:
         }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+_CSV_BLOCK_ROWS = 1 << 14
+
+
+def _csv_cells(block: np.ndarray, spec: str):
+    """One column block as (row-format field, values for it).
+
+    A block whose values repeat (path ids, snapshot times, a discount
+    integral shared by all paths) formats each distinct bit pattern once and
+    hands the rows strings; otherwise the values go to ``spec`` directly.
+    """
+    keys, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
+    if 2 * keys.size > block.size:
+        return spec, block.tolist()
+    cells = np.array([spec % v for v in keys.view(block.dtype).tolist()], dtype=object)
+    return "%s", cells[inverse].tolist()
 
 
 def _write_csv(path: Path, provenance: dict, columns: list) -> None:
-    """``columns`` is a list of (name, 1-D array) pairs of equal length."""
+    """``columns`` is a list of (name, 1-D array) pairs of equal length.
+
+    Integer columns render as ``%d`` and every other column (floats, and
+    booleans as 1/0) as ``%.17g``, which round-trips doubles exactly.  Rows
+    are formatted and written in blocks, so the file never exists as one
+    string in memory.
+    """
     names = [name for name, _ in columns]
     header = dict(provenance)
     header["columns"] = names
     arrays = [np.asarray(col) for _, col in columns]
+    specs = ["%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays]
     m = arrays[0].shape[0]
-    cells = [[_fmt(a[i]) for a in arrays] for i in range(m)]
-    lines = ["# " + json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    lines.append(",".join(names))
-    lines.extend(",".join(row) for row in cells)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, m, _CSV_BLOCK_ROWS):
+            fields, values = zip(*(_csv_cells(a[lo:lo + _CSV_BLOCK_ROWS], spec)
+                                   for a, spec in zip(arrays, specs)))
+            row_fmt = ",".join(fields) + "\n"
+            fh.write("".join([row_fmt % row for row in zip(*values)]))
     log.info("wrote %s (%d rows)", path, m)
 
 
@@ -1143,6 +1166,10 @@ def main(argv=None) -> int:
     except (ex.BracketError, np.linalg.LinAlgError, SolverError) as exc:
         print(f"jumpctl: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # config reads raise ConfigError, so this is --out or an artifact in it
+        print(f"jumpctl: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,16 @@ Four policy shapes are supported.  Constant actions, linear drift feedback
 with constant (sigma, nu), and jump-to-origin policies are simulated fully
 vectorized across paths; arbitrary ``x -> Action`` callables fall back to a
 per-path loop and are only suitable for small ensembles.
+
+The vectorised shapes step in place: state-independent terms and the
+validated jump law are resolved once per run, and every step writes into
+preallocated buffers, with results bit for bit equal to the plain
+left-to-right update.  The per-step random draws come in a fixed order --
+``standard_normal((n, dim))``, then ``poisson`` for the thinning clock, then
+``binomial`` only when the clock rate exceeds the jump rate, then the jump
+sizes (a categorical ``choice``, plus a ``uniform`` jitter for density
+cells).  That order is part of the frozen-seed contract: a given seed
+reproduces every bundle array and artifact bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ from .measures import (
     AtomicMeasure,
     JumpMeasure,
     ZeroMeasure,
+    _check_support,
+    _draw_jumps,
+    _sampling_law,
     _support_points,
     big_jump_mean,
     first_moment,
@@ -377,16 +390,60 @@ def _state_fn(fn, n: int):
     return wrapped
 
 
-class _StepModel:
-    """Per-step kinematics resolved from the policy, vectorized over paths."""
+def _bh_rate(policy: PolicyFieldSpec, u: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """u + mu - big_jump_mean(nu) on a state batch: the truncated-drift density.
 
-    def __init__(self, policy: PolicyFieldSpec, dim: int, n: int, u: np.ndarray):
+    For the state-dependent shapes, linear feedback and jump to origin.
+    """
+    if policy.kind == "linear":
+        big = big_jump_mean(policy.nu) if total_mass(policy.nu) > 0 else np.zeros(X.shape[1])
+        return u + (policy.offset - X @ policy.gain.T) - big
+    small = (np.linalg.norm(X, axis=1) <= 1.0)[:, None]
+    return u - policy.rate * X * small
+
+
+def _matmul_into(A: np.ndarray, BT: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = A @ BT``, bit for bit.
+
+    With one column, matmul sums a single product onto 0.0, so it equals
+    ``A * b + 0.0`` (the addition turns a -0.0 product into 0.0); that form
+    is about ten times faster for a (n, 1) batch.
+    """
+    if BT.shape == (1, 1):
+        np.multiply(A, BT[0, 0], out=out)
+        out += 0.0
+        return out
+    return np.matmul(A, BT, out=out)
+
+
+class _StepModel:
+    """Per-run kinematics of a vectorised policy shape, stepped in place.
+
+    Everything that does not depend on the state (``sigma^T``, ``sigma^T
+    sigma dt``, ``m1 dt``, ``m2 dt``, the thinning clock, the validated jump
+    law and, for constant actions, the drift and B^h increments) is resolved
+    once per run; :meth:`step` then advances the ensemble in preallocated
+    buffers.  The result is bit for bit that of the plain update
+    ``X = X + drift * dt + dW + disp`` evaluated left to right: where the
+    form differs (the one-column matmul, a skipped ``- 0.0``) the two are
+    identities, noted where they are used.  The random draws per step are
+    always ``standard_normal((n, dim))``, ``poisson``, ``binomial`` (only when
+    the clock exceeds the jump rate), then the jump sizes.
+    """
+
+    def __init__(self, policy: PolicyFieldSpec, dim: int, n: int, u: np.ndarray,
+                 dt: float, declared: Optional[float]):
         self.policy = policy
+        self.kind = kind = policy.kind
         self.dim = dim
-        self.n = n
         self.u = u
-        kind = policy.kind
-        if kind in ("constant", "linear"):
+        self.dt = dt
+        if kind == "jump_origin":
+            self.sigma = policy.sigma
+            if self.sigma.shape != (dim, dim):
+                raise ValueError("jump-to-origin sigma does not match state dim")
+            self.mass = policy.rate
+        else:
             if kind == "constant":
                 a = policy.action
                 self.sigma = np.asarray(a.sigma, dtype=float)
@@ -395,50 +452,141 @@ class _StepModel:
             else:
                 self.sigma = policy.sigma
                 self.nu = policy.nu
-                self.mu_const = None
             if self.sigma.shape != (dim, dim):
                 raise ValueError(
                     f"policy sigma shape {self.sigma.shape} does not match state dim {dim}"
                 )
+            # once per run, not per step: malformed support fails before any draw
+            _check_support(self.nu)
             self.mass = total_mass(self.nu)
             self.m1 = first_moment(self.nu) if self.mass > 0 else np.zeros(dim)
             self.big_mean = big_jump_mean(self.nu) if self.mass > 0 else np.zeros(dim)
-            self.m2 = (
-                float(np.trace(second_moment_matrix(self.nu))) if self.mass > 0 else 0.0
-            )
-        elif kind == "jump_origin":
-            self.sigma = policy.sigma
-            if self.sigma.shape != (dim, dim):
-                raise ValueError("jump-to-origin sigma does not match state dim")
-            self.mass = policy.rate
+            m2 = float(np.trace(second_moment_matrix(self.nu))) if self.mass > 0 else 0.0
+            self.law = _sampling_law(self.nu) if self.mass > 0 else None
+            self.m1_dt = self.m1 * dt
+            self.m2_dt = m2 * dt
+        self.jumps = self.mass > 0.0
+
+        self.sigT = self.sigma.T
+        self.cov_dt = (self.sigma.T @ self.sigma) * dt
+        self.sqdt = np.sqrt(dt)
+        self.paths = np.arange(n)
+        self.xi = np.empty((n, dim))
+        self.dWc = np.empty((n, dim))
+        self.disp = np.empty((n, dim))
+        if self.jumps:
+            lam = max(declared or 0.0, self.mass)
+            self.lam_dt = lam * dt
+            self.p_acc = self.mass / lam
+            self.thin = self.p_acc < 1.0 - 1e-15
+        if kind == "constant":
+            self.drift_dt = (u + self.mu_const - self.m1) * dt
+            self.bh_dt = (u + self.mu_const - self.big_mean) * dt
+        elif kind == "linear":
+            self.gainT = policy.gain.T
+            self.umu = np.empty((n, dim))
+            self.drift_dt = np.empty((n, dim))
+            self.bh_dt = np.empty((n, dim)) if self.jumps else self.drift_dt
         else:
-            self.sigma = None
-            self.mass = None  # state dependent; resolved per step
+            self.bh_dt = np.empty((n, dim))
+            self.drift_dt = u * dt
+            self.m1_dt = np.empty((n, dim))
+            self.rsq = np.empty(n)
+            self.r = np.empty(n)
+            self.g_inc = np.empty(n)
 
-    def drift_eff(self, X):
-        """u + mu - m1(nu) on the batch (the compensated total drift)."""
-        if self.policy.kind == "constant":
-            return self.u + self.mu_const - self.m1
-        if self.policy.kind == "linear":
-            mus = self.policy.offset - X @ self.policy.gain.T
-            return self.u + mus - self.m1
-        if self.policy.kind == "jump_origin":
-            # mu = -rate x equals the compensator; they cancel exactly
-            return np.broadcast_to(self.u, X.shape)
-        raise RuntimeError("callable policies use the slow path")
+    def step(self, X, Wc, Xd, Bh, G_int, rng):
+        """Advance every path by one Euler step in place.
 
-    def bh_rate(self, X):
-        """u + mu - big_jump_mean(nu): the truncated-drift density."""
-        if self.policy.kind == "constant":
-            return np.broadcast_to(self.u + self.mu_const - self.big_mean, X.shape)
-        if self.policy.kind == "linear":
-            mus = self.policy.offset - X @ self.policy.gain.T
-            return self.u + mus - self.big_mean
-        if self.policy.kind == "jump_origin":
-            r = np.linalg.norm(X, axis=1)
-            small = (r <= 1.0)[:, None]
-            return self.u - self.policy.rate * X * small
-        raise RuntimeError("callable policies use the slow path")
+        Returns (sizes, rows, accepted) for the jumps taken in this step, or
+        None when there were none.
+        """
+        if self.kind == "linear":
+            # u + mu(x) once per step; drift and B^h differ only by their means
+            _matmul_into(X, self.gainT, self.umu)
+            np.subtract(self.policy.offset, self.umu, out=self.umu)
+            np.add(self.u, self.umu, out=self.umu)
+            if self.jumps:
+                np.subtract(self.umu, self.m1, out=self.drift_dt)
+                self.drift_dt *= self.dt
+                np.subtract(self.umu, self.big_mean, out=self.bh_dt)
+                self.bh_dt *= self.dt
+            else:
+                # m1 and the big-jump mean are +0.0 and x - 0.0 == x, so the
+                # drift and B^h increments are one and the same array
+                np.multiply(self.umu, self.dt, out=self.drift_dt)
+        elif self.kind == "jump_origin":
+            np.multiply(X, X, out=self.disp)
+            if self.dim == 1:
+                self.rsq[:] = self.disp[:, 0]
+            else:
+                np.add.reduce(self.disp, axis=1, out=self.rsq)
+            np.sqrt(self.rsq, out=self.r)
+            rate = self.policy.rate
+            np.multiply(X, rate, out=self.bh_dt)
+            self.bh_dt *= (self.r <= 1.0)[:, None]
+            np.subtract(self.u, self.bh_dt, out=self.bh_dt)
+            self.bh_dt *= self.dt
+
+        rng.standard_normal(out=self.xi)
+        dWc = self.dWc
+        _matmul_into(self.xi, self.sigT, dWc)
+        dWc *= self.sqdt
+
+        jumps = None
+        if self.jumps:
+            counts = rng.poisson(self.lam_dt, X.shape[0])
+            accepted = rng.binomial(counts, self.p_acc) if self.thin else counts
+            if self.kind == "jump_origin":
+                jumps = self._relocate(X, accepted, G_int)
+            else:
+                G_int += self.m2_dt
+                jumps = self._draw(accepted, rng)
+
+        X += self.drift_dt
+        X += dWc
+        # without jumps disp is 0.0, and adding it still turns -0.0 into 0.0
+        X += self.disp if jumps is not None else 0.0
+        Wc += dWc
+        if jumps is not None:
+            self.disp -= self.m1_dt
+            Xd += self.disp
+        elif self.jumps:
+            Xd += 0.0 - self.m1_dt
+        Bh += self.bh_dt
+        return jumps
+
+    def _draw(self, accepted, rng):
+        tot = int(accepted.sum())
+        if not tot:
+            return None
+        sizes = _draw_jumps(self.law, rng, tot)
+        rows = np.repeat(self.paths, accepted)
+        self.disp.fill(0.0)
+        np.add.at(self.disp, rows, sizes)
+        return sizes, rows, accepted
+
+    def _relocate(self, X, accepted, G_int):
+        """Jump-to-origin arrivals, compensator and G increment (before X moves)."""
+        rate, dt = self.policy.rate, self.dt
+        np.multiply(X, -rate, out=self.m1_dt)
+        self.m1_dt *= dt
+        np.multiply(self.rsq, rate, out=self.g_inc)
+        self.g_inc *= dt
+        G_int += self.g_inc
+        # at the origin the jump measure is zero; nothing to relocate
+        jumped = (accepted > 0) & (self.r > 0.0)
+        if not jumped.any():
+            return None
+        sizes = -X[jumped]
+        self.disp.fill(0.0)
+        self.disp[jumped] = sizes
+        return sizes, np.nonzero(jumped)[0], jumped
+
+
+def _path_major(a: np.ndarray) -> np.ndarray:
+    """A (K, n, ...) snapshot store as the C-contiguous (n, K, ...) bundle array."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
 def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBundle:
@@ -471,6 +619,9 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
             "increase store_every or reduce n_paths"
         )
 
+    # with neither f nor q, gamma, the discount and the cost stay exactly
+    # 0, 1 and 0, and the trapezoid steps are skipped
+    costs = f is not None or q is not None
     f_fn = _state_fn(f, n)
     q_fn = _state_fn(q, n)
 
@@ -481,6 +632,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
             f"policy jump rate {cap:g} exceeds the declared thinning bound {declared:g}"
         )
 
+    model = None if per_path_c else _StepModel(policy, dim, n, u, dt, declared)
     rng = np.random.default_rng(cfg.seed)
     X = np.tile(x0, (n, 1))
     gamma = np.zeros(n)
@@ -488,91 +640,73 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     Wc = np.zeros((n, dim))
     Xd = np.zeros((n, dim))
     Bh = np.zeros((n, dim))
-    sup_xc = np.zeros(n)
+    sup_xc = np.zeros(n)  # squared until the loop ends (see running_sup)
     sup_xd = np.zeros(n)
     G_int = np.zeros(n)
     jumps_cum = np.zeros(n, dtype=np.int64)
+    sq = np.empty((n, dim))
+    norm = np.empty(n)
 
-    states_st = np.empty((n, K, dim))
-    gamma_st = np.empty((n, K))
-    cost_st = np.empty((n, K))
-    bh_st = np.empty((n, K, dim))
-    counts_st = np.zeros((n, K), dtype=np.int64)
+    # snapshots are stored time-major, so each one is a contiguous copy;
+    # the bundle gets them path-major (see _path_major)
+    states_st = np.empty((K, n, dim))
+    gamma_st = np.empty((K, n))
+    cost_st = np.empty((K, n))
+    bh_st = np.empty((K, n, dim))
+    counts_st = np.zeros((K, n), dtype=np.int64)
     size_rows, path_rows, time_rows = [], [], []
 
     if per_path_c:
-        C_st = np.zeros((n, K, dim, dim))
+        C_st = np.zeros((K, n, dim, dim))
         C_cum = np.zeros((n, dim, dim))
     else:
         C_st = np.zeros((K, dim, dim))
         C_cum = np.zeros((dim, dim))
 
-    model = _StepModel(policy, dim, n, u) if not per_path_c else None
-
     q_cur = q_fn(X)
     f_cur = f_fn(X)
     disc_cur = np.ones(n)
+    disc_new = np.empty(n)
+    trap = np.empty(n)
 
     def snapshot(j):
-        states_st[:, j, :] = X
-        gamma_st[:, j] = gamma
-        cost_st[:, j] = cost
-        bh_st[:, j, :] = Bh
-        counts_st[:, j] = jumps_cum
-        if per_path_c:
-            C_st[:, j] = C_cum
+        states_st[j] = X
+        gamma_st[j] = gamma
+        cost_st[j] = cost
+        bh_st[j] = Bh
+        counts_st[j] = jumps_cum
+        C_st[j] = C_cum
+
+    def running_sup(sup_sq, V):
+        """sup_sq = max(sup_sq, |V|^2 row-wise).
+
+        |V|^2 is the sum of squares np.linalg.norm(V, axis=1) takes the root
+        of; the root is taken once at the end, which gives the same bits
+        because a correctly rounded sqrt is monotone.
+        """
+        np.multiply(V, V, out=sq)
+        if dim == 1:
+            np.maximum(sup_sq, sq[:, 0], out=sup_sq)
         else:
-            C_st[j] = C_cum
+            np.add.reduce(sq, axis=1, out=norm)
+            np.maximum(sup_sq, norm, out=sup_sq)
 
     snapshot(0)
     check_every = max(1, n_steps // 64)
 
     for k in range(n_steps):
-        if not per_path_c:
-            drift = model.drift_eff(X)
-            bh_inc = model.bh_rate(X) * dt
-            sig = model.sigma
-            xi = rng.standard_normal((n, dim))
-            dWc = (xi @ sig.T) * sqdt
-            disp = np.zeros((n, dim))
-            m1_step = np.zeros((n, dim))
-            if policy.kind in ("constant", "linear") and model.mass > 0.0:
-                lam = max(declared or 0.0, model.mass)
-                counts = rng.poisson(lam * dt, n)
-                p_acc = model.mass / lam
-                accepted = (
-                    counts if p_acc >= 1.0 - 1e-15 else rng.binomial(counts, p_acc)
-                )
-                tot = int(accepted.sum())
-                if tot:
-                    sizes = sample_jumps(model.nu, rng, tot)
-                    rows = np.repeat(np.arange(n), accepted)
-                    np.add.at(disp, rows, sizes)
-                    size_rows.append(sizes)
-                    path_rows.append(rows)
-                    time_rows.append(np.full(tot, (k + 1) * dt))
-                    jumps_cum += accepted
-                m1_step[:] = model.m1
-                G_int += model.m2 * dt
-            elif policy.kind == "jump_origin" and policy.rate > 0.0:
-                lam = max(declared or 0.0, policy.rate)
-                counts = rng.poisson(lam * dt, n)
-                p_acc = policy.rate / lam
-                accepted = (
-                    counts if p_acc >= 1.0 - 1e-15 else rng.binomial(counts, p_acc)
-                )
-                # at the origin the jump measure is zero; nothing to relocate
-                jumped = (accepted > 0) & (np.linalg.norm(X, axis=1) > 0.0)
-                if jumped.any():
-                    disp[jumped] = -X[jumped]
-                    sizes = -X[jumped]
-                    size_rows.append(sizes.copy())
-                    path_rows.append(np.nonzero(jumped)[0])
-                    time_rows.append(np.full(int(jumped.sum()), (k + 1) * dt))
-                    jumps_cum += jumped
-                m1_step = -policy.rate * X
-                G_int += policy.rate * np.sum(X * X, axis=1) * dt
-            C_cum = C_cum + (sig.T @ sig) * dt
+        t_next = (k + 1) * dt
+        if model is not None:
+            jumps = model.step(X, Wc, Xd, Bh, G_int, rng)
+            if jumps is not None:
+                sizes, rows, accepted = jumps
+                size_rows.append(sizes)
+                path_rows.append(rows)
+                time_rows.append(np.full(rows.size, t_next))
+                jumps_cum += accepted
+            C_cum += model.cov_dt
+            if model.jumps:
+                running_sup(sup_xd, Xd)
         else:
             acts = policy.action_at(X)
             drift = np.empty((n, dim))
@@ -610,28 +744,41 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
                         disp[i] = sizes.sum(axis=0)
                         size_rows.append(sizes)
                         path_rows.append(np.full(acc, i))
-                        time_rows.append(np.full(acc, (k + 1) * dt))
+                        time_rows.append(np.full(acc, t_next))
                         jumps_cum[i] += acc
 
-        X = X + drift * dt + dWc + disp
-        Wc += dWc
-        Xd += disp - m1_step * dt
-        Bh += bh_inc
-        np.maximum(sup_xc, np.linalg.norm(Wc, axis=1), out=sup_xc)
-        np.maximum(sup_xd, np.linalg.norm(Xd, axis=1), out=sup_xd)
+            drift *= dt
+            X += drift
+            X += dWc
+            X += disp
+            Wc += dWc
+            Xd += disp - m1_step * dt
+            Bh += bh_inc
+            running_sup(sup_xd, Xd)
+        running_sup(sup_xc, Wc)
 
-        q_new = q_fn(X)
-        f_new = f_fn(X)
-        gamma = gamma + 0.5 * (q_cur + q_new) * dt
-        disc_new = np.exp(-gamma)
-        cost = cost + 0.5 * (disc_cur * f_cur + disc_new * f_new) * dt
-        q_cur, f_cur, disc_cur = q_new, f_new, disc_new
+        if costs:
+            q_new = q_fn(X)
+            f_new = f_fn(X)
+            np.add(q_cur, q_new, out=trap)
+            trap *= 0.5
+            trap *= dt
+            gamma += trap
+            np.negative(gamma, out=disc_new)
+            np.exp(disc_new, out=disc_new)
+            np.multiply(disc_cur, f_cur, out=trap)
+            trap += disc_new * f_new
+            trap *= 0.5
+            trap *= dt
+            cost += trap
+            q_cur, f_cur = q_new, f_new
+            disc_cur, disc_new = disc_new, disc_cur
 
         if (k + 1) % check_every == 0 or k + 1 == n_steps:
             amax = float(np.max(np.abs(X)))
             if not np.isfinite(amax) or amax > _BLOWUP_LIMIT:
                 raise AdmissibilityError(
-                    f"state blow-up at t={(k + 1) * dt:.6g} (|x| ~ {amax:.3e})"
+                    f"state blow-up at t={t_next:.6g} (|x| ~ {amax:.3e})"
                 )
             if policy.growth_K is not None and policy.growth_p is not None:
                 lhs = policy.growth_left(X, policy.growth_p)
@@ -641,13 +788,23 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
                 if np.any(lhs > rhs * (1.0 + 1e-9)):
                     raise AdmissibilityError(
                         "growth certificate violated at "
-                        f"t={(k + 1) * dt:.6g}: max lhs/rhs = "
+                        f"t={t_next:.6g}: max lhs/rhs = "
                         f"{float(np.max(lhs / rhs)):.3g}"
                     )
 
         if (k + 1) in store_pos:
             snapshot(store_pos[k + 1])
 
+    # one store at a time, so at most one extra store is alive
+    states_st = _path_major(states_st)
+    gamma_st = _path_major(gamma_st)
+    cost_st = _path_major(cost_st)
+    bh_st = _path_major(bh_st)
+    counts_st = _path_major(counts_st)
+    if per_path_c:
+        C_st = _path_major(C_st)
+    np.sqrt(sup_xc, out=sup_xc)
+    np.sqrt(sup_xd, out=sup_xd)
     times = np.asarray(store_idx, dtype=float) * dt
     if size_rows:
         jump_sizes = np.concatenate(size_rows, axis=0)
@@ -815,9 +972,8 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
         mids = np.empty_like(bundle.Bh)
         mids[:, 0, :] = 0.0
         if policy.kind in ("linear", "jump_origin"):
-            model = _StepModel(policy, bundle.dim, n, bundle.u)
             rates = np.stack(
-                [model.bh_rate(bundle.states[:, j, :]) for j in range(len(times))],
+                [_bh_rate(policy, bundle.u, bundle.states[:, j, :]) for j in range(len(times))],
                 axis=1,
             )
             dts = np.diff(times)[None, :, None]

@@ -304,6 +304,15 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
     Density cells get a uniform jitter inside the cell so the samples do not
     collapse onto the lattice.
     """
+    return _draw_jumps(_sampling_law(nu), rng, size)
+
+
+def _sampling_law(nu: JumpMeasure):
+    """Validate ``nu`` and normalise it for sampling, once per measure.
+
+    Returns (points, probabilities, jitter half-widths or None); callers that
+    draw repeatedly from one measure pass the result to :func:`_draw_jumps`.
+    """
     _check_support(nu)
     m0 = total_mass(nu)
     if not np.isfinite(m0) or m0 <= 0.0:
@@ -311,10 +320,17 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
             f"sampling needs finite positive total mass, got {m0}"
         )
     pts, w = _support_points(nu)
-    idx = rng.choice(pts.shape[0], size=size, p=w / w.sum())
-    out = pts[idx].copy()
+    half = None
     if isinstance(nu, DensityGridMeasure):
         half = 0.5 * (nu.hi - nu.lo) / np.asarray(nu.shape, dtype=float)
+    return pts, w / w.sum(), half
+
+
+def _draw_jumps(law, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw from a :func:`_sampling_law`: one categorical draw, then the jitter."""
+    pts, prob, half = law
+    out = pts[rng.choice(pts.shape[0], size=size, p=prob)]
+    if half is not None:
         out += rng.uniform(-1.0, 1.0, size=out.shape) * half
     return out
 

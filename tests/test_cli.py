@@ -190,6 +190,71 @@ def test_float_rendering_recovers_doubles_bit_exactly(tmp_path):
     np.testing.assert_array_equal(cols["cost"], bundle.cost_run.ravel())
 
 
+def _write_csv_per_cell(path: Path, provenance: dict, columns: list) -> None:
+    """The writer the block writer replaced: one format call per cell."""
+
+    def fmt(value) -> str:
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    names = [name for name, _ in columns]
+    header = dict(provenance, columns=names)
+    arrays = [np.asarray(col) for _, col in columns]
+    lines = ["# " + json.dumps(header, sort_keys=True, separators=(",", ":")), ",".join(names)]
+    lines.extend(",".join(fmt(a[i]) for a in arrays) for i in range(arrays[0].shape[0]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2**14 - 1, 2**14, 2**14 + 1])
+def test_write_csv_matches_per_cell_format(tmp_path, rows):
+    from jumpctl.cli import _write_csv
+
+    rng = np.random.default_rng(rows)
+    i64 = np.iinfo(np.int64)
+    ints = np.resize(np.array([i64.min, i64.max, 0, -1, 7], dtype=np.int64), rows)
+    uints = np.resize(np.array([np.iinfo(np.uint64).max, 0, 3], dtype=np.uint64), rows)
+    flags = np.resize(np.array([True, False, False]), rows)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1])
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[: min(rows, special.size)] = special[: min(rows, special.size)]
+    # repeated columns are formatted once per distinct value, distinct ones
+    # cell by cell: both paths, with -0.0 and 0.0 repeated in one column
+    columns = [("i", ints), ("u", uints), ("flag", flags), ("x", floats),
+               ("y", floats[::-1].copy()), ("k", np.arange(rows, dtype=np.int64) * 7919 - 3),
+               ("z", np.resize(special, rows))]
+    prov = {"command": "test", "seed": 3}
+    _write_csv(tmp_path / "block.csv", prov, columns)
+    _write_csv_per_cell(tmp_path / "cell.csv", prov, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+# --------------------------------------------------------------- output errors
+
+
+def test_unwritable_out_dir_exits_1_without_traceback(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = main(["simulate", "--config", _bundled("simulate_cp.json"), "--seed", "7",
+                 "--out", str(blocker / "sub")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("jumpctl: cannot write output: ")
+    assert str(blocker / "sub") in lines[0]
+
+
+def test_failed_artifact_write_exits_1(tmp_path, capsys):
+    (tmp_path / "paths.csv").mkdir()  # the artifact path is taken by a directory
+    code = main(["simulate", "--config", _bundled("simulate_cp.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip().splitlines() == [
+        f"jumpctl: cannot write output: [Errno 21] Is a directory: '{tmp_path / 'paths.csv'}'"
+    ]
+
+
 # --------------------------------------------------------------- input errors
 
 

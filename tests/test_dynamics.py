@@ -33,7 +33,7 @@ from jumpctl.dynamics import (
     simulate,
 )
 from jumpctl.lq import LQSpec, solve_lq
-from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure
+from jumpctl.measures import Action, AtomicMeasure, MeasureSupportError, ZeroMeasure
 
 
 def _const(sigma, nu, mu, **kw):
@@ -318,6 +318,82 @@ def test_blowup_guard():
         simulate(pol, cfg)
 
 
+@pytest.mark.parametrize("locations, masses", [
+    ([[0.0]], [1.0]),             # atom at the origin
+    ([[1.0], [-1.0]], [1.0, -0.5]),  # a negative mass, positive total
+    ([[1.0]], [-1.0]),            # negative total mass: no jumps would be drawn
+])
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+def test_malformed_measure_rejected_before_stepping(kind, locations, masses):
+    nu = AtomicMeasure(1, locations=locations, masses=masses)
+    if kind == "constant":
+        pol = _const(0.5, nu, 0.0)
+    else:
+        pol = PolicyFieldSpec.linear_feedback(gain=[[1.0]], offset=0.0, sigma=0.5, nu=nu)
+    cfg = SimConfig(x0=0.0, T=0.5, dt=0.01, n_paths=8, seed=0)
+    with pytest.raises(MeasureSupportError):
+        simulate(pol, cfg)
+
+
+def test_one_column_matmul_is_product_plus_zero():
+    # the 1-D simulator computes x @ s.T as x * s + 0.0; pin that identity,
+    # signed zeros, underflow, overflow and NaN included
+    from jumpctl.dynamics import _matmul_into
+
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((257, 1)) * 10.0 ** rng.integers(-320, 300, (257, 1))
+    x[:9, 0] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -0.3]
+    for s in (0.0, -0.0, 0.6, -1.3, 5e-324, 1e300, np.inf, np.nan):
+        S = np.array([[s]])
+        with np.errstate(all="ignore"):
+            want = x @ S.T
+            got = _matmul_into(x, S.T, np.empty_like(x))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), s
+
+
+def test_negative_zero_start_becomes_positive_zero_after_a_step():
+    # -0.0 in x0 and u: the snapshot at t=0 keeps it, later states are +0.0
+    pol = _const(0.0, ZeroMeasure(1), -0.0)
+    cfg = SimConfig(x0=-0.0, T=0.05, dt=0.01, n_paths=3, seed=0, u=-0.0)
+    b = simulate(pol, cfg)
+    assert np.all(np.signbit(b.states[:, 0]))
+    assert not np.any(np.signbit(b.states[:, 1:]))
+
+
+def _inadmissible_cases():
+    atom2 = AtomicMeasure(1, locations=[[1.0]], masses=[2.0])
+    cfg = lambda **kw: SimConfig(**{"x0": 0.0, "T": 1.0, "dt": 0.1, "n_paths": 4,
+                                    "seed": 0, **kw})
+    return {
+        "rate-linear": (PolicyFieldSpec.linear_feedback([[1.0]], 0.0, 1.0, nu=atom2),
+                        cfg(lambda_max=1.0), "thinning bound"),
+        "rate-jump_origin": (PolicyFieldSpec.jump_to_origin(rate=2.0),
+                             cfg(lambda_max=1.0), "thinning bound"),
+        "rate-callable": (
+            PolicyFieldSpec.from_action_callable(lambda x: Action(0.0, atom2, 0.0)),
+            cfg(lambda_max=1.0), "thinning bound"),
+        "blowup-constant": (_const(0.0, ZeroMeasure(1), 1e10), cfg(), "blow-up"),
+        "blowup-jump_origin": (PolicyFieldSpec.jump_to_origin(rate=0.5, sigma=1e11),
+                               cfg(), "blow-up"),
+        # |sigma|^2 = 9 > 1 * (1 + 0)
+        "growth-constant": (_const(3.0, ZeroMeasure(1), 0.0, growth_K=1.0, growth_p=2.0),
+                            cfg(), "growth certificate"),
+        # (2 * 3)^2 + 1 + 2 * 9 = 55 > 1 * (1 + 9)
+        "growth-jump_origin": (
+            PolicyFieldSpec.jump_to_origin(rate=2.0, growth_K=1.0, growth_p=2.0),
+            cfg(x0=3.0), "growth certificate"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_inadmissible_cases()))
+def test_admissibility_checks_fire_on_every_shape(case):
+    # the tests above cover the constant rate bound and linear feedback's
+    # blow-up and growth checks; each policy shape steps its own code
+    policy, cfg, match = _inadmissible_cases()[case]
+    with pytest.raises(AdmissibilityError, match=match):
+        simulate(policy, cfg)
+
+
 def test_callable_policy_slow_path():
     nu = AtomicMeasure(1, locations=[[1.0]], masses=[0.5])
     act = Action(sigma=1.0, nu=nu, mu=0.2)
@@ -371,3 +447,84 @@ def test_gm_left_side_values():
     lhs = pol.growth_left(np.array([[3.0]]), 2.0)
     # (2*3)^2 + 1 + 2 * 9
     assert lhs[0] == pytest.approx(55.0)
+
+
+# ------------------------------------------------------ frozen-seed contract
+
+_BUNDLE_ARRAYS = ("states", "gamma", "cost_run", "Bh", "C", "jump_counts", "jump_sizes",
+                  "jump_paths", "jump_times", "sup_xc", "sup_xd", "G_int")
+
+
+def _digest_cases():
+    from jumpctl.measures import DensityGridMeasure
+
+    def cfg(**kw):
+        base = dict(x0=0.0, T=0.5, dt=0.01, n_paths=300, seed=2024, store_every=3)
+        base.update(kw)
+        return SimConfig(**base)
+
+    quad = lambda X: np.sum(X * X, axis=1)
+    two_atoms = AtomicMeasure(1, locations=[[0.4], [-1.6]], masses=[1.2, 0.5])
+    atoms_2d = AtomicMeasure(2, locations=[[0.5, -0.2], [-1.3, 0.9]], masses=[0.8, 0.4])
+    density = DensityGridMeasure(dim=1, lo=[0.2], hi=[1.4], shape=(6,),
+                                 values=[0.5, 1.0, 1.5, 1.0, 0.5, 0.25])
+
+    def callable_action(x):
+        return Action(sigma=0.6, nu=AtomicMeasure(1, [[0.7]], [0.9]), mu=-0.5 * x)
+
+    return {
+        "constant_one_atom": (
+            _const(0.5, AtomicMeasure(1, [[1.0]], [1.5]), 0.1), cfg(), None, None),
+        "constant_two_atoms_thinned": (
+            _const(0.3, two_atoms, -0.2), cfg(lambda_max=2.5, u=0.05), None, 0.7),
+        "linear_with_f_q": (
+            PolicyFieldSpec.linear_feedback(gain=[[1.3]], offset=0.2, sigma=0.8,
+                                            nu=AtomicMeasure(1, [[-0.6]], [1.1])),
+            cfg(x0=1.0, u=0.1), quad, lambda X: 1.0 + 0.1 * X[:, 0] ** 2),
+        "jump_to_origin": (
+            PolicyFieldSpec.jump_to_origin(rate=1.5, sigma=0.7, dim=1, growth_K=20.0,
+                                           growth_p=2.0),
+            cfg(x0=2.0, lambda_max=2.0), quad, 0.5),
+        "linear_2d_correlated": (
+            PolicyFieldSpec.linear_feedback(gain=[[1.0, 0.3], [-0.2, 0.8]], offset=[0.1, -0.1],
+                                            sigma=[[0.7, 0.2], [0.1, 0.5]], nu=atoms_2d,
+                                            growth_K=50.0, growth_p=2.0),
+            cfg(x0=[0.5, -0.5], n_paths=200), quad, 1.0),
+        "constant_density_jitter": (
+            _const(0.4, density, 0.0), cfg(), None, None),
+        "callable": (
+            PolicyFieldSpec.from_action_callable(callable_action, rate_bound=1.2),
+            cfg(n_paths=40, lambda_max=1.2), quad, 0.3),
+    }
+
+
+# sha256 over (name, dtype, shape, bytes) of every array in _BUNDLE_ARRAYS, in
+# order, recorded before the vectorised shapes were made to step in place.
+# Float bits depend on numpy's kernels; these were taken with numpy 2.4 on x86-64.
+_FROZEN_DIGESTS = {
+    "callable": "ead33806c16f1afe0e48ec59cd37b7b8273341ff29ebe210f4b73a4d2c63ca47",
+    "constant_density_jitter": "04b0e6c987bf328548de889b34e9758ab51f428c8b06b307b50d528157ef01ab",
+    "constant_one_atom": "7f3ec432da73fc50175c3783c3b1a9c1918c39de2c4b4dd7472a04badc47a919",
+    "constant_two_atoms_thinned":
+        "b02f72ba557bf944e3ead5620a346823c7698c1454ec2814006c4e077ed7162a",
+    "jump_to_origin": "a9fbe3686dfe60143f8960ab4fbfe5c09ec558ea9728c7d1688507fb48f4dfed",
+    "linear_2d_correlated": "a85c480d731124e10c089b65b2c66625f73f69b65a98cbcf8c14342ec3657a41",
+    "linear_with_f_q": "a08cb1495761924045ef630a5928a153f34e25d32cd5508117681812f3d92d31",
+}
+
+
+def _bundle_digest(bundle) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for name in _BUNDLE_ARRAYS:
+        arr = np.ascontiguousarray(getattr(bundle, name))
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_digest_cases()))
+def test_simulate_frozen_seed_digests(case):
+    policy, cfg, f, q = _digest_cases()[case]
+    assert _bundle_digest(simulate(policy, cfg, f=f, q=q)) == _FROZEN_DIGESTS[case]
