@@ -58,6 +58,7 @@ from .measures import (
     MeasureSupportError,
     ZeroMeasure,
     _check_support,
+    jump_to_origin_action,
     total_mass,
 )
 from .verify import _jsonable
@@ -413,30 +414,12 @@ class _CostSpec:
             return None
         if self.kind != "quadratic_control":
             return self._state_part
-        if policy_spec.kind == "linear":
-            gain, offset, theta = policy_spec.gain, policy_spec.offset, self.theta
 
-            def fn(X):
-                mu = offset[None, :] - X @ gain.T
-                return self._state_part(X) + np.einsum("mi,ij,mj->m", mu, theta, mu)
+        def fn(X):
+            mu = policy_spec.drift(X)
+            return self._state_part(X) + np.einsum("mi,ij,mj->m", mu, self.theta, mu)
 
-            return fn
-        if policy_spec.kind == "constant":
-            a = policy_spec.action
-            mu = np.zeros(self.theta.shape[0]) if a.mu is None else np.asarray(a.mu, float)
-            pen = float(mu @ self.theta @ mu)
-            return lambda X: self._state_part(X) + pen
-        if policy_spec.kind == "jump_origin":
-            rate, theta = policy_spec.rate, self.theta
-
-            def fn(X):
-                mu = -rate * X
-                return self._state_part(X) + np.einsum("mi,ij,mj->m", mu, theta, mu)
-
-            return fn
-        raise ConfigError(
-            self.path, "quadratic_control costs need a structured policy (not a raw callable)"
-        )
+        return fn
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -615,7 +598,7 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
             elif builtin == "jump_to_origin":
                 rate = _number(entry, "rate", epath, default=1.0, positive=True)
                 sigma = _sigma_from(entry, "sigma", epath, dim, default=np.zeros((dim, dim)))
-                entries.append(_jump_origin_entry(rate, sigma, dim))
+                entries.append(_jump_origin_entry(rate, sigma))
             else:
                 raise ConfigError(f"{epath}.builtin", f"unknown builtin '{builtin}'")
         if not entries:
@@ -634,20 +617,9 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     return prob, grid, cost
 
 
-def _jump_origin_entry(rate: float, sigma: np.ndarray, dim: int):
+def _jump_origin_entry(rate: float, sigma: np.ndarray):
     """State-dependent relocation action for the list-mode solver."""
-
-    def entry(x):
-        x = np.atleast_1d(np.asarray(x, float))
-        if np.linalg.norm(x) < 1e-12:
-            return Action(sigma=sigma, nu=ZeroMeasure(dim), mu=np.zeros(dim))
-        return Action(
-            sigma=sigma,
-            nu=AtomicMeasure(dim, -x[None, :], np.array([rate])),
-            mu=-rate * x,
-        )
-
-    return entry
+    return lambda x: jump_to_origin_action(x, rate, sigma)
 
 
 def _solve_report(rep, phi, extra=None) -> dict:
@@ -750,9 +722,8 @@ def cmd_simulate(run: RunConfig) -> int:
     cols.append(("cost", bundle.cost_run.ravel()))
     _write_csv(run.out_dir / "paths.csv", prov, cols)
 
-    payload = {"summary": bundle.summary(), "policy": policy.describe()}
-    if sim.record_characteristics:
-        payload["characteristics"] = vars(dyn.characteristics_report(bundle))
+    payload = {"summary": bundle.summary(), "policy": policy.describe(),
+               "characteristics": vars(dyn.characteristics_report(bundle))}
     if lq_sol is not None:
         payload["lq"] = {"B": lq_sol.B, "c": lq_sol.c, "d": lq_sol.d,
                          "Q": lq_sol.Q, "v": lq_sol.v}
@@ -785,7 +756,7 @@ def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
     elif name == "transversality":
         phi = _phi_from(_get(entry, "phi", path, dict), f"{path}.phi", dim, lq_sol)
         window = _number(entry, "window", path, default=0.5, positive=True)
-        rep = ver.transversality_test(policy, phi, sim, q, window=window)
+        rep = ver.transversality_test(shared["bundle"], phi, window=window)
     elif name == "integrability":
         p = _number(entry, "p", path, positive=True)
         rep = ver.h2_integrability_check(shared["bundle"], p)
@@ -827,9 +798,10 @@ def cmd_verify(run: RunConfig) -> int:
         raise ConfigError("$.tests", "needs at least one test entry")
 
     # One shared ensemble serves every test that inspects recorded paths;
-    # the transversality and moment-ratio tests run their own simulations.
+    # the moment-ratio test runs its own simulations across horizons.
     shared = {}
-    if any(_get(t, "name", f"$.tests[{i}]", str) in ("martingale", "integrability")
+    if any(_get(t, "name", f"$.tests[{i}]", str)
+           in ("martingale", "transversality", "integrability")
            for i, t in enumerate(tests)):
         shared["bundle"] = dyn.simulate(
             policy, sim, f=cost.state_fn(policy), q=q if q > 0 else None
@@ -904,7 +876,7 @@ def _example1(run: RunConfig) -> int:
         f=cost.hjb_fn(1), q=q, delta_q=q, b_q=q,
         actions=(
             Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)),
-            _jump_origin_entry(1.0, np.eye(1), 1),
+            _jump_origin_entry(1.0, np.eye(1)),
         ),
         p=2.0, q_growth=max(2, cost.coeffs.size - 1),
     )
@@ -961,7 +933,7 @@ def _example2(run: RunConfig) -> int:
         f=f_with_charge, q=q, delta_q=q, b_q=q,
         actions=(
             Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)),
-            _jump_origin_entry(1.0, np.eye(1), 1),
+            _jump_origin_entry(1.0, np.eye(1)),
         ),
         p=2.0, q_growth=max(2, coeffs.size - 1),
     )

@@ -21,6 +21,10 @@ Four policy shapes are supported.  Constant actions, linear drift feedback
 with constant (sigma, nu), and jump-to-origin policies are simulated fully
 vectorized across paths; arbitrary ``x -> Action`` callables fall back to a
 per-path loop and are only suitable for small ensembles.
+:class:`PolicyFieldSpec` is the one interface to all four: the verifiers
+and the command line ask it for ``action_at``, ``drift``,
+``coefficient_norms`` (|mu|, ||sigma||_F and the jump moment per state),
+``growth_left`` and ``rate_cap`` instead of branching on the shape.
 
 The vectorised shapes step in place: state-independent terms and the
 validated jump law are resolved once per run, and every step writes into
@@ -36,14 +40,13 @@ reproduces every bundle array and artifact bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .measures import (
     Action,
-    AtomicMeasure,
     JumpMeasure,
     ZeroMeasure,
     _check_support,
@@ -52,6 +55,7 @@ from .measures import (
     _support_points,
     big_jump_mean,
     first_moment,
+    jump_to_origin_action,
     moment_functional,
     sample_jumps,
     second_moment_matrix,
@@ -98,18 +102,31 @@ def gm_left_side(a: Action, p: float) -> float:
     """
     mu_term = float(np.linalg.norm(a.mu)) ** p
     sig_term = float(np.linalg.norm(a.sigma)) ** p
-    jump_term = 0.0 if isinstance(a.nu, ZeroMeasure) else moment_functional(a.nu, p)
-    return mu_term + sig_term + jump_term
+    return mu_term + sig_term + moment_functional(a.nu, p)
 
 
 @dataclass(frozen=True, eq=False)
 class PolicyFieldSpec:
     """A stationary Markov policy field x -> action.
 
-    Construct through the classmethods; ``kind`` selects the simulation
-    path.  ``growth_K``/``growth_p`` form an optional growth certificate
-    (claim of membership in the polynomial-growth Markov class); when
-    present the simulator spot-checks it along paths and raises
+    Construct through the classmethods.  This class is the one place that
+    knows the four policy shapes; everything else asks it batched queries
+    on (m, dim) state arrays:
+
+    * :meth:`action_at` -- the actions themselves;
+    * :meth:`drift` -- mu(x) as an (m, dim) array;
+    * :meth:`coefficient_norms` -- |mu(x)|, ||sigma(x)||_F and
+      int |y|^2 v |y|^p nu_x(dy) per row, the terms of the admissibility
+      and growth conditions;
+    * :meth:`growth_left` -- the left side of the growth condition;
+    * :meth:`rate_cap` -- a known bound on the jump rate.
+
+    ``sigma`` is set for every shape but callables, and ``nu`` for the
+    shapes with a state-independent jump measure (constant and linear).
+    ``kind`` labels the shape; the simulator steps each shape its own way.
+    ``growth_K``/``growth_p`` form an optional growth certificate (claim of
+    membership in the polynomial-growth Markov class); when present the
+    simulator spot-checks it along paths and raises
     :class:`AdmissibilityError` on violation.
     """
 
@@ -132,8 +149,8 @@ class PolicyFieldSpec:
         if not isinstance(action, Action):
             raise TypeError("constant policy needs an Action")
         return cls(
-            kind="constant", action=action, growth_K=growth_K,
-            growth_p=growth_p, name=name or "constant",
+            kind="constant", action=action, sigma=action.sigma, nu=action.nu,
+            growth_K=growth_K, growth_p=growth_p, name=name or "constant",
         )
 
     @classmethod
@@ -163,8 +180,9 @@ class PolicyFieldSpec:
         if rate < 0.0:
             raise ValueError("rate must be nonnegative")
         return cls(
-            kind="jump_origin", rate=float(rate), sigma=_as_matrix(sigma, dim),
-            growth_K=growth_K, growth_p=growth_p, name=name or "jump-to-origin",
+            kind="jump_origin", rate=float(rate), rate_bound=float(rate),
+            sigma=_as_matrix(sigma, dim), growth_K=growth_K, growth_p=growth_p,
+            name=name or "jump-to-origin",
         )
 
     @classmethod
@@ -216,55 +234,60 @@ class PolicyFieldSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "constant":
             return self.action
-        if self.kind == "linear":
-            mus = self.offset - X @ self.gain.T
-            return [Action(self.sigma, self.nu, mus[i]) for i in range(len(X))]
         if self.kind == "jump_origin":
-            out = []
-            dim = X.shape[1]
-            for row in X:
-                if np.linalg.norm(row) < 1e-12 or self.rate == 0.0:
-                    out.append(Action(self.sigma, ZeroMeasure(dim), np.zeros(dim)))
-                else:
-                    nu = AtomicMeasure(dim, locations=[-row], masses=[self.rate])
-                    out.append(Action(self.sigma, nu, -self.rate * row))
-            return out
-        return [
-            self.fn(X[i, 0] if X.shape[1] == 1 else X[i].copy())
-            for i in range(len(X))
-        ]
+            return [jump_to_origin_action(row, self.rate, self.sigma) for row in X]
+        if self.kind == "callable":
+            return [
+                self.fn(X[i, 0] if X.shape[1] == 1 else X[i].copy())
+                for i in range(len(X))
+            ]
+        return [Action(self.sigma, self.nu, mu) for mu in self.drift(X)]
 
-    def rate_cap(self) -> Optional[float]:
-        """A known upper bound on the jump rate, if any."""
+    def drift(self, X) -> np.ndarray:
+        """mu(x) on a state batch of shape (m, dim), as an (m, dim) array."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "constant":
-            return total_mass(self.action.nu)
+            return np.tile(self.action.mu, (len(X), 1))
         if self.kind == "linear":
-            return total_mass(self.nu)
+            return self.offset - X @ self.gain.T
         if self.kind == "jump_origin":
-            return self.rate
-        return self.rate_bound
+            return -self.rate * X
+        return np.array([a.mu for a in self.action_at(X)]).reshape(X.shape)
 
-    def describe(self) -> str:
-        return f"{self.name}[{self.kind}]"
+    def coefficient_norms(self, X, p: float):
+        """(|mu(x)|, ||sigma(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row.
+
+        The three terms of the admissibility and growth conditions on a
+        state batch of shape (m, dim), each an (m,) array.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        m = len(X)
+        if self.kind == "callable":
+            rows = [
+                (np.linalg.norm(a.mu), np.linalg.norm(a.sigma), moment_functional(a.nu, p))
+                for a in self.action_at(X)
+            ]
+            return tuple(np.array(rows, dtype=float).reshape(m, 3).T)
+        s = np.full(m, float(np.linalg.norm(self.sigma)))
+        if self.kind == "jump_origin":
+            r = np.linalg.norm(X, axis=1)
+            return self.rate * r, s, self.rate * np.maximum(r**2, r**p)
+        j = np.full(m, moment_functional(self.nu, p))
+        if self.kind == "constant":
+            return np.full(m, float(np.linalg.norm(self.action.mu))), s, j
+        return np.linalg.norm(self.drift(X), axis=1), s, j
 
     def growth_left(self, X, p: float) -> np.ndarray:
         """Vectorized left side of the growth condition on a state batch."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=1)
-        if self.kind == "constant":
-            return np.full(len(X), gm_left_side(self.action, p))
-        if self.kind == "linear":
-            mus = self.offset - X @ self.gain.T
-            base = float(np.linalg.norm(self.sigma)) ** p
-            if not isinstance(self.nu, ZeroMeasure):
-                base += moment_functional(self.nu, p)
-            return np.linalg.norm(mus, axis=1) ** p + base
-        if self.kind == "jump_origin":
-            sig = float(np.linalg.norm(self.sigma)) ** p
-            jump = self.rate * np.maximum(r ** 2, r ** p)
-            return (self.rate * r) ** p + sig + jump
-        acts = self.action_at(X)
-        return np.array([gm_left_side(a, p) for a in acts])
+        d, s, j = self.coefficient_norms(X, p)
+        return d**p + s**p + j
+
+    def rate_cap(self) -> Optional[float]:
+        """A known upper bound on the jump rate, if any."""
+        return total_mass(self.nu) if self.nu is not None else self.rate_bound
+
+    def describe(self) -> str:
+        return f"{self.name}[{self.kind}]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +308,6 @@ class SimConfig:
     n_paths: int
     seed: int
     lambda_max: Optional[float] = None
-    record_characteristics: bool = True
     store_every: int = 1
     u: Optional[np.ndarray] = None
 
@@ -396,8 +418,7 @@ def _bh_rate(policy: PolicyFieldSpec, u: np.ndarray, X: np.ndarray) -> np.ndarra
     For the state-dependent shapes, linear feedback and jump to origin.
     """
     if policy.kind == "linear":
-        big = big_jump_mean(policy.nu) if total_mass(policy.nu) > 0 else np.zeros(X.shape[1])
-        return u + (policy.offset - X @ policy.gain.T) - big
+        return u + policy.drift(X) - big_jump_mean(policy.nu)
     small = (np.linalg.norm(X, axis=1) <= 1.0)[:, None]
     return u - policy.rate * X * small
 
@@ -438,24 +459,15 @@ class _StepModel:
         self.dim = dim
         self.u = u
         self.dt = dt
+        self.sigma = policy.sigma
+        if self.sigma.shape != (dim, dim):
+            raise ValueError(
+                f"policy sigma shape {self.sigma.shape} does not match state dim {dim}"
+            )
         if kind == "jump_origin":
-            self.sigma = policy.sigma
-            if self.sigma.shape != (dim, dim):
-                raise ValueError("jump-to-origin sigma does not match state dim")
             self.mass = policy.rate
         else:
-            if kind == "constant":
-                a = policy.action
-                self.sigma = np.asarray(a.sigma, dtype=float)
-                self.nu = a.nu
-                self.mu_const = np.asarray(a.mu, dtype=float)
-            else:
-                self.sigma = policy.sigma
-                self.nu = policy.nu
-            if self.sigma.shape != (dim, dim):
-                raise ValueError(
-                    f"policy sigma shape {self.sigma.shape} does not match state dim {dim}"
-                )
+            self.nu = policy.nu
             # once per run, not per step: malformed support fails before any draw
             _check_support(self.nu)
             self.mass = total_mass(self.nu)
@@ -480,8 +492,9 @@ class _StepModel:
             self.p_acc = self.mass / lam
             self.thin = self.p_acc < 1.0 - 1e-15
         if kind == "constant":
-            self.drift_dt = (u + self.mu_const - self.m1) * dt
-            self.bh_dt = (u + self.mu_const - self.big_mean) * dt
+            mu = policy.action.mu
+            self.drift_dt = (u + mu - self.m1) * dt
+            self.bh_dt = (u + mu - self.big_mean) * dt
         elif kind == "linear":
             self.gainT = policy.gain.T
             self.umu = np.empty((n, dim))
@@ -952,8 +965,6 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     reconstruction on the snapshot lattice and no histogram prediction is
     made.
     """
-    if not bundle.cfg.record_characteristics:
-        raise ValueError("characteristics were not recorded for this bundle")
     policy = bundle.policy
     times = bundle.times
     T = float(times[-1])
@@ -961,51 +972,38 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     messages = []
 
     if policy.kind == "constant":
-        a = policy.action
-        mass = total_mass(a.nu)
-        rate_vec = bundle.u + np.asarray(a.mu, dtype=float) - (
-            big_jump_mean(a.nu) if mass > 0 else 0.0
-        )
+        rate_vec = bundle.u + policy.action.mu - big_jump_mean(policy.nu)
         pred = times[None, :, None] * rate_vec[None, None, :]
         bh_gap = float(np.max(np.abs(bundle.Bh - pred)))
+    elif policy.kind == "callable":
+        bh_gap = float("nan")
+        messages.append("callable policy: no drift reconstruction")
     else:
-        mids = np.empty_like(bundle.Bh)
-        mids[:, 0, :] = 0.0
-        if policy.kind in ("linear", "jump_origin"):
-            rates = np.stack(
-                [_bh_rate(policy, bundle.u, bundle.states[:, j, :]) for j in range(len(times))],
-                axis=1,
-            )
-            dts = np.diff(times)[None, :, None]
-            mids[:, 1:, :] = np.cumsum(
-                0.5 * (rates[:, :-1, :] + rates[:, 1:, :]) * dts, axis=1
-            )
-            bh_gap = float(np.max(np.abs(bundle.Bh - mids)))
-            messages.append(
-                "state-dependent drift: comparison uses snapshot-lattice trapezoid"
-            )
-        else:
-            bh_gap = float("nan")
-            messages.append("callable policy: no drift reconstruction")
+        rates = np.stack(
+            [_bh_rate(policy, bundle.u, bundle.states[:, j, :]) for j in range(len(times))],
+            axis=1,
+        )
+        mids = np.zeros_like(bundle.Bh)
+        mids[:, 1:, :] = np.cumsum(
+            0.5 * (rates[:, :-1, :] + rates[:, 1:, :]) * np.diff(times)[None, :, None], axis=1
+        )
+        bh_gap = float(np.max(np.abs(bundle.Bh - mids)))
+        messages.append(
+            "state-dependent drift: comparison uses snapshot-lattice trapezoid"
+        )
 
     c_gap = None
     c_total = bundle.C[-1] if not bundle.c_per_path else bundle.C[:, -1]
-    if policy.kind != "callable":
-        sigma = (
-            np.asarray(policy.action.sigma, dtype=float)
-            if policy.kind == "constant"
-            else policy.sigma
-        )
-        c_gap = float(np.max(np.abs(c_total - sigma.T @ sigma * T)))
+    if policy.sigma is not None:
+        c_gap = float(np.max(np.abs(c_total - policy.sigma.T @ policy.sigma * T)))
 
     n_jumps = int(bundle.jump_sizes.shape[0])
     rate_obs = n_jumps / (n * T)
     rate_exp = None
     hist_edges = hist_counts = hist_expected = None
     max_z = None
-    const_nu = policy.kind in ("constant", "linear")
-    if const_nu:
-        nu = policy.action.nu if policy.kind == "constant" else policy.nu
+    nu = policy.nu
+    if nu is not None:
         mass = total_mass(nu)
         rate_exp = mass
         if n_jumps and mass > 0:

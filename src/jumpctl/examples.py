@@ -35,9 +35,7 @@ from scipy.optimize import brentq
 
 from .measures import (
     Action,
-    AtomicMeasure,
-    JumpMeasure,
-    ZeroMeasure,
+    jump_to_origin_action,
     tail_moment,
     total_mass,
 )
@@ -265,11 +263,7 @@ def example1_policy(x: float) -> Action:
     generator) and the diffusion coefficient is one.  At the origin the jump
     is a no-op and the measure degenerates to zero.
     """
-    x = float(x)
-    if abs(x) < 1e-12:
-        return Action(1.0, ZeroMeasure(1), 0.0)
-    nu = AtomicMeasure(1, locations=[[-x]], masses=[1.0])
-    return Action(1.0, nu, -x)
+    return jump_to_origin_action(float(x), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ __all__ = [
     "sample_jump",
     "sample_jumps",
     "validate_action",
+    "jump_to_origin_action",
 ]
 
 
@@ -366,3 +367,18 @@ def validate_action(a: Action, p: float) -> bool:
     if not (np.all(np.isfinite(a.sigma)) and np.all(np.isfinite(a.mu))):
         return False
     return validate_Mp(a.nu, p)
+
+
+def jump_to_origin_action(x, rate: float, sigma) -> Action:
+    """Jump straight to the origin from state ``x`` at ``rate``.
+
+    The jump measure is ``rate * delta_{-x}`` and the drift ``-rate * x``
+    equals its mean, so drift and compensator cancel.  At the origin
+    (|x| < 1e-12) and at rate zero the measure and the drift are zero.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dim = x.size
+    if rate == 0.0 or np.linalg.norm(x) < 1e-12:
+        return Action(sigma, ZeroMeasure(dim), np.zeros(dim))
+    nu = AtomicMeasure(dim, locations=-x[None, :], masses=[rate])
+    return Action(sigma, nu, -rate * x)

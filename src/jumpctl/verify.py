@@ -1,17 +1,20 @@
 """Statistical verifiers for simulated control policies.
 
 Four families of checks, all reporting through :class:`TestReport` with
-3-standard-error decision thresholds:
+3-standard-error decision thresholds.  Every battery but the static audit
+reads a recorded :class:`~jumpctl.dynamics.PathBundle`, so one simulated
+ensemble can serve several of them:
 
 * sub/martingale structure of an accumulated-cost-plus-value series,
   binned by the starting state so drift cannot hide in conditioning;
-* transversality: the discounted value along paths must eventually
-  decrease and fit a decaying exponential whose rate confidence band
-  excludes zero (a sufficient surrogate for the limit condition, not an
-  equivalent one; reports say so);
+* transversality: the discounted value along the recorded paths must
+  eventually decrease and fit a decaying exponential whose rate confidence
+  band excludes zero (a sufficient surrogate for the limit condition, not
+  an equivalent one; reports say so);
 * pathwise integrability of Q_s = |mu_s| + ||sigma_s||^2 +
   int |y|^2 v |y|^p nu_s(dy), the quantity whose finiteness admissibility
-  requires;
+  requires, with the terms from
+  :meth:`~jumpctl.dynamics.PolicyFieldSpec.coefficient_norms`;
 * static growth-certificate audits of a policy field over a probe box.
 
 There is also a Dynkin-formula battery for constant policies (compensated
@@ -28,13 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
-from .measures import (
-    ZeroMeasure,
-    _support_points,
-    moment_functional,
-    tail_moment,
-)
+from .dynamics import PathBundle, PolicyFieldSpec
+from .measures import _support_points, tail_moment
 
 __all__ = [
     "TestReport",
@@ -221,23 +219,22 @@ def _wls_line(t: np.ndarray, y: np.ndarray, var: np.ndarray):
 
 
 def transversality_test(
-    policy: PolicyFieldSpec,
+    bundle: PathBundle,
     phi,
-    cfg: SimConfig,
-    q,
     t_lattice: Optional[np.ndarray] = None,
     window: float = 0.5,
 ) -> TestReport:
-    """Decay test for m(t) = E[e^{-gamma_t} phi(X_t)] under a policy.
+    """Decay test for m(t) = E[e^{-gamma_t} phi(X_t)] along a recorded bundle.
 
-    Over the trailing ``window`` fraction of the lattice the test requires
+    The bundle's discount integral gamma is the one it was simulated with,
+    so the discount rate q goes to :func:`~jumpctl.dynamics.simulate`.  Over
+    the trailing ``window`` fraction of the lattice the test requires
     (a) no consecutive increment significantly positive and (b) a weighted
     log-linear fit m ~ A e^{-rt} whose rate is positive with the 3-SE band
     excluding zero.  This pair of checks is sufficient for the discounted
     value to vanish along the lattice, but not equivalent to the liminf
     statement it stands in for; the report says so.
     """
-    bundle = simulate(policy, cfg, q=q)
     times = bundle.times
     if t_lattice is not None:
         idx = sorted({_nearest_index(times, t) for t in np.asarray(t_lattice, float)})
@@ -319,44 +316,6 @@ def transversality_test(
 # pathwise integrability
 
 
-def _q_components(policy: PolicyFieldSpec, X: np.ndarray, p: float):
-    """(|mu|, ||sigma||_F^2, int |y|^2 v |y|^p nu) on a state batch."""
-    m = len(X)
-    if policy.kind == "constant":
-        a = policy.action
-        jump = 0.0 if isinstance(a.nu, ZeroMeasure) else moment_functional(a.nu, p)
-        return (
-            np.full(m, float(np.linalg.norm(a.mu))),
-            np.full(m, float(np.linalg.norm(a.sigma)) ** 2),
-            np.full(m, jump),
-        )
-    if policy.kind == "linear":
-        mus = policy.offset - X @ policy.gain.T
-        jump = 0.0 if isinstance(policy.nu, ZeroMeasure) else moment_functional(policy.nu, p)
-        return (
-            np.linalg.norm(mus, axis=1),
-            np.full(m, float(np.linalg.norm(policy.sigma)) ** 2),
-            np.full(m, jump),
-        )
-    if policy.kind == "jump_origin":
-        r = np.linalg.norm(X, axis=1)
-        return (
-            policy.rate * r,
-            np.full(m, float(np.linalg.norm(policy.sigma)) ** 2),
-            policy.rate * np.maximum(r**2, r**p),
-        )
-    acts = policy.action_at(X)
-    drift = np.array([float(np.linalg.norm(a.mu)) for a in acts])
-    diff = np.array([float(np.linalg.norm(a.sigma)) ** 2 for a in acts])
-    jump = np.array(
-        [
-            0.0 if isinstance(a.nu, ZeroMeasure) else moment_functional(a.nu, p)
-            for a in acts
-        ]
-    )
-    return drift, diff, jump
-
-
 def h2_integrability_check(bundle: PathBundle, p: float) -> TestReport:
     """Pathwise integral of Q_s on the snapshot lattice, plus its moment.
 
@@ -368,12 +327,9 @@ def h2_integrability_check(bundle: PathBundle, p: float) -> TestReport:
         raise ValueError("the moment order p must be at least 2")
     times = bundle.times
     n, K, dim = bundle.states.shape
-    drift = np.empty((n, K))
-    diff = np.empty((n, K))
-    jump = np.empty((n, K))
-    for j in range(K):
-        d, s2, jm = _q_components(bundle.policy, bundle.states[:, j, :], p)
-        drift[:, j], diff[:, j], jump[:, j] = d, s2, jm
+    parts = [bundle.policy.coefficient_norms(bundle.states[:, j, :], p) for j in range(K)]
+    drift, sig, jump = (np.stack(c, axis=1) for c in zip(*parts))
+    diff = sig**2
     Q = drift + diff + jump
     dts = np.diff(times)
     integral = np.sum(0.5 * (Q[:, :-1] + Q[:, 1:]) * dts[None, :], axis=1)
@@ -462,15 +418,16 @@ def growth_certificate_check(
 # Dynkin battery (constant policies)
 
 
-def _generator_on_batch(action, g, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _generator_on_batch(action, g, X: np.ndarray, vals: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
     """Vectorized L g over a state batch for one constant action.
 
-    Needs ``g`` to expose batch-capable fn/grad/hess (shape conventions of
-    the analytic field type).
+    ``vals`` holds ``g.fn(X)``, already evaluated by the caller.  Needs
+    ``g`` to expose batch-capable fn/grad/hess (shape conventions of the
+    analytic field type).
     """
     grad = np.asarray(g.grad(X), dtype=float)
     hess = np.asarray(g.hess(X), dtype=float)
-    vals = np.asarray(g.fn(X), dtype=float)
     sigma = np.asarray(action.sigma, dtype=float)
     A = sigma @ sigma.T
     out = grad @ (u + np.asarray(action.mu, dtype=float))
@@ -503,7 +460,7 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
         for j in range(K):
             X = bundle.states[:, j, :]
             vals[:, j] = np.asarray(g.fn(X), dtype=float)
-            gen[:, j] = _generator_on_batch(a, g, X, bundle.u)
+            gen[:, j] = _generator_on_batch(a, g, X, vals[:, j], bundle.u)
         integral = np.zeros((n, K))
         integral[:, 1:] = np.cumsum(0.5 * (gen[:, :-1] + gen[:, 1:]) * dts, axis=1)
         M = vals - vals[:, :1] - integral
@@ -551,9 +508,9 @@ def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
     for b in bundles:
         if b.policy.kind != "constant":
             raise ValueError("moment-bound tracking needs constant policies")
-        nu = b.policy.action.nu
+        nu = b.policy.nu
         T = float(b.times[-1])
-        h_term = (0.0 if isinstance(nu, ZeroMeasure) else tail_moment(nu, q)) * T
+        h_term = tail_moment(nu, q) * T
         num = float(np.mean(b.sup_xd**q))
         den = float(np.mean(b.G_int ** (q / 2.0))) + h_term
         if den <= 0.0:

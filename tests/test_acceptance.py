@@ -252,7 +252,7 @@ def test_07_decay_certificate_pass_and_refusal():
     sol = solve_lq(spec)
     policy = PolicyFieldSpec.linear_feedback(sol.Q, sol.v, sol.sigma_hat, nu=sol.nu_hat)
     cfg = SimConfig(x0=1.5, T=3.0, dt=0.005, n_paths=5000, seed=702, store_every=10)
-    rep = transversality_test(policy, _lq_value_fn(sol), cfg, 1.0)
+    rep = transversality_test(simulate(policy, cfg, q=1.0), _lq_value_fn(sol))
     assert rep.passed
     assert rep.statistics["rate"] - 3.0 * rep.statistics["rate_se"] > 0.0
 
@@ -262,7 +262,7 @@ def test_07_decay_certificate_pass_and_refusal():
 
     brownian = PolicyFieldSpec.linear_feedback([[0.0]], [0.0], np.eye(1), nu=ZeroMeasure(1))
     cfg2 = SimConfig(x0=0.0, T=6.0, dt=0.01, n_paths=20_000, seed=33, store_every=30)
-    rep2 = transversality_test(brownian, phi_heavy, cfg2, 1.0)
+    rep2 = transversality_test(simulate(brownian, cfg2, q=1.0), phi_heavy)
     assert not rep2.passed
     assert time.perf_counter() - start < 120.0
 

@@ -372,6 +372,44 @@ def test_verify_unknown_test_name(tmp_path, capsys):
     assert "$.tests[0].name" in capsys.readouterr().err
 
 
+# -------------------------------------------------------- artifact contract
+
+# sha256 of every artifact the bundled configs produce; a refactor must keep
+# them (README "Artifacts and determinism"), and a change that moves numbers
+# must say which ones and by how much before these are re-recorded
+_BUNDLED_DIGESTS = {
+    "lq_1d/policy.csv": "e6066ee63b8039f9ae5231297ff9750512ca0c3f99812f5d229bdc5f0313e557",
+    "lq_1d/report.json": "b9db171106b9a0dc64c4241f6f0c045c4048b18ee10c9050c4d24c7db4f7f26b",
+    "lq_1d/value.csv": "1a5068b953aa1fa02746da4001834f2bc33c9b898a0102e754f1cc29bd9776f6",
+    "finite_lq/report.json": "79fc55fbe7101b1491a71e2ad4ad2e93f048b6ae43b0f1f1784b28069d338ca9",
+    "finite_lq/value.csv": "34579ca9f8299fcfff5d255932651e43a5a9564e59fe9dac3a5a65d956ef4ed2",
+    "example1/report.json": "3eb60de5d910cc0a9bc77c3c8008cc331521c0b5d28cd752f208dd0a55f02e89",
+    "example1/value.csv": "33746bfd620d5d10a618f9bef7ac8abf1202900ac34798cff8d9534b2ba3ece9",
+    "example2/report.json": "535bc902507b9d2a9c0709f933380827f9387ddc8a41d76ec9b2586924b4fd1b",
+    "example2/value.csv": "be2769a1d5a98ed35f887e4533d8d855b21dc60e2febb0754e5e573721f56274",
+    "example3/report.json": "a1a6a3790f841d6a1264471043c5523600d9db4563d38d16dc107734bd081bd4",
+    "example3/value.csv": "00b439fc2ea1b5f17c6ab626b7579b6ab9fc83106a8d525ba7c0082caa12f92c",
+    "simulate_cp/characteristics.json":
+        "8d0c3161708ab954c1e11fcbc6f699aa7ec05d7be00ac9895f67e2fca2eed9f2",
+    "simulate_cp/paths.csv": "caa00568ca20a34d87cf8011a51736197bb1c7b426090f0d84c1150a2143b7fc",
+    "verify_lq/report.json": "e9b7fd4b4863a60c04bd7e42c5ca819c95c509c88435219bb3750855056435a4",
+}
+
+
+def test_bundled_config_artifact_digests(tmp_path):
+    commands = {"lq_1d": ["solve"], "finite_lq": ["solve-finite"],
+                "example1": ["example", "1"], "example2": ["example", "2"],
+                "example3": ["example", "3"], "simulate_cp": ["simulate"],
+                "verify_lq": ["verify"]}
+    digests = {}
+    for name, cmd in commands.items():
+        out = tmp_path / name
+        assert main([*cmd, "--config", _bundled(f"{name}.json"), "--out", str(out)]) == 0
+        for path in out.iterdir():
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == _BUNDLED_DIGESTS
+
+
 # ----------------------------------------------------------------- misc flags
 
 

@@ -33,7 +33,13 @@ from jumpctl.dynamics import (
     simulate,
 )
 from jumpctl.lq import LQSpec, solve_lq
-from jumpctl.measures import Action, AtomicMeasure, MeasureSupportError, ZeroMeasure
+from jumpctl.measures import (
+    Action,
+    AtomicMeasure,
+    MeasureSupportError,
+    ZeroMeasure,
+    moment_functional,
+)
 
 
 def _const(sigma, nu, mu, **kw):
@@ -160,15 +166,6 @@ def test_characteristics_histogram_single_atom():
     assert rep.hist_expected.sum() == pytest.approx(n * 1.0)
     assert rep.max_z is not None and rep.max_z < 3.0
     assert rep.hist_counts.sum() == rep.n_jumps
-
-
-def test_characteristics_need_recording():
-    cfg = SimConfig(
-        x0=0.0, T=0.1, dt=0.01, n_paths=2, seed=0, record_characteristics=False
-    )
-    b = simulate(FROZEN, cfg)
-    with pytest.raises(ValueError, match="record"):
-        characteristics_report(b)
 
 
 def test_jump_to_origin_decay():
@@ -447,6 +444,47 @@ def test_gm_left_side_values():
     lhs = pol.growth_left(np.array([[3.0]]), 2.0)
     # (2*3)^2 + 1 + 2 * 9
     assert lhs[0] == pytest.approx(55.0)
+
+
+def _coefficient_cases():
+    """One policy of each shape in 1-D and 2-D, jump measures with atoms."""
+    cases = {}
+    for dim in (1, 2):
+        sig = np.array([[0.8, 0.3], [-0.2, 1.1]])[:dim, :dim]
+        nu = AtomicMeasure(dim, [[0.5, -1.5][:dim], [-2.0, 0.4][:dim]], [0.7, 0.4])
+        gain = np.array([[1.2, -0.4], [0.3, 0.9]])[:dim, :dim]
+
+        def field(x, dim=dim, sig=sig):
+            x = np.atleast_1d(x)
+            loc = np.full(dim, 1.0 + float(x @ x))
+            return Action(sig * (1.0 + abs(x[0])), AtomicMeasure(dim, [loc], [0.5]), np.sin(x))
+
+        cases[f"constant-{dim}d"] = _const(sig, nu, np.arange(1.0, dim + 1.0))
+        cases[f"linear-{dim}d"] = PolicyFieldSpec.linear_feedback(gain, 0.25, sig, nu=nu)
+        cases[f"jump_origin-{dim}d"] = PolicyFieldSpec.jump_to_origin(1.7, sig, dim=dim)
+        cases[f"callable-{dim}d"] = PolicyFieldSpec.from_action_callable(field)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_coefficient_cases()))
+def test_coefficient_norms_match_actions(case):
+    pol = _coefficient_cases()[case]
+    dim = 1 if case.endswith("1d") else 2
+    X = np.random.default_rng(5).normal(scale=1.5, size=(9, dim))
+    X[0] = 0.0  # the origin, where jump to origin degenerates to the zero measure
+    acts = pol.action_at(X)
+    acts = [acts] * len(X) if isinstance(acts, Action) else acts
+    mu = pol.drift(X)
+    assert mu.shape == X.shape
+    for p in (2.0, 3.0):
+        d, s, j = pol.coefficient_norms(X, p)
+        lhs = pol.growth_left(X, p)
+        for i, a in enumerate(acts):
+            np.testing.assert_allclose(mu[i], a.mu, rtol=1e-13, atol=1e-15)
+            assert d[i] == pytest.approx(np.linalg.norm(a.mu), rel=1e-13, abs=1e-15)
+            assert s[i] == pytest.approx(np.linalg.norm(a.sigma), rel=1e-13)
+            assert j[i] == pytest.approx(moment_functional(a.nu, p), rel=1e-13)
+            assert lhs[i] == pytest.approx(gm_left_side(a, p), rel=1e-13)
 
 
 # ------------------------------------------------------ frozen-seed contract

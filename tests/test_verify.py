@@ -144,7 +144,7 @@ def test_submartingale_flags_undersampled_bins():
 def test_transversality_bounded_phi_exact_rate():
     pol = _const(1.0, ZeroMeasure(1), 0.0)
     cfg = SimConfig(x0=0.0, T=3.0, dt=0.05, n_paths=200, seed=1)
-    rep = transversality_test(pol, lambda X: np.ones(len(X)), cfg, q=0.7)
+    rep = transversality_test(simulate(pol, cfg, q=0.7), lambda X: np.ones(len(X)))
     assert rep.passed
     assert abs(rep.statistics["rate"] - 0.7) < 1e-6
     assert rep.statistics["eventually_decreasing"]
@@ -154,7 +154,7 @@ def test_transversality_bounded_phi_exact_rate():
 def test_transversality_lq_quadratic_passes():
     sol, pol, _ = _lq_setup()
     cfg = SimConfig(x0=1.5, T=3.0, dt=0.005, n_paths=5000, seed=21, store_every=12)
-    rep = transversality_test(pol, lambda X: sol.value(X), cfg, q=1.0)
+    rep = transversality_test(simulate(pol, cfg, q=1.0), lambda X: sol.value(X))
     assert rep.passed
     assert rep.statistics["rate"] > 0.5
 
@@ -170,7 +170,7 @@ def test_transversality_fails_on_exponential_growth():
         return np.exp(np.sqrt(2.0) * x) + x**2 + 1.0
 
     cfg = SimConfig(x0=0.0, T=6.0, dt=0.01, n_paths=20_000, seed=33, store_every=30)
-    rep = transversality_test(pol, phi, cfg, q=1.0)
+    rep = transversality_test(simulate(pol, cfg, q=1.0), phi)
     assert not rep.passed
     assert rep.statistics["max_path_share"] > 0.05
 
