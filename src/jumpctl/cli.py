@@ -351,8 +351,11 @@ class _CostSpec:
     """Running-cost description shared by the solver and simulator commands.
 
     The solver evaluates f(x, a) with x in grid convention ((m,) in one
-    dimension); the simulator wants a state-batch map on (m, dim) arrays and
-    resolves any control penalty through the declared policy.
+    dimension); in product mode it calls the same cost's ``rows(x, sigma, nu,
+    mu)`` instead, with one drift per row, so a sweep makes one call per
+    (sigma, nu) pair and block of lattice columns. The simulator wants a
+    state-batch map on (m, dim) arrays and resolves any control penalty
+    through the declared policy.
     """
 
     def __init__(self, obj, path: str):
@@ -406,6 +409,15 @@ class _CostSpec:
                 out = out + float(mu @ self.theta @ mu)
             return out
 
+        def rows(x_batch, sigma, nu, mu):
+            X = np.asarray(x_batch, float)
+            out = self._state_part(X.reshape(-1, 1) if dim == 1 else X)
+            if self.kind == "quadratic_control":
+                # vecdot of mu @ theta with mu rounds each row as fn's mu @ theta @ mu does
+                out = out + np.vecdot(mu @ self.theta, mu)
+            return out
+
+        fn.rows = rows
         return fn
 
     def state_fn(self, policy_spec):

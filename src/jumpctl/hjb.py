@@ -13,7 +13,9 @@ matrix assembly and point evaluation, so the solve and the readout agree.
 Each candidate's operator is built once per solve as sparse matrices,
 shared by policy evaluation and improvement; q and f are evaluated once per
 chosen (node, action), as improvement hands its values at the chosen actions
-to the evaluation of that policy. Every linear system, stationary
+to the evaluation of that policy. In product mode they are row-batched per
+(sigma, nu) pair: one call per block of drift-lattice columns and one for
+the refined drifts, not one per node. Every linear system, stationary
 or one implicit time step, is solved by one sparse LU factorisation
 (``scipy.sparse.linalg.splu``) with a residual check.
 """
@@ -328,6 +330,10 @@ class HJBProblem:
 
     ``f(x, a)`` and ``q(x, a)`` receive x as an (m,) array in 1-D or an
     (m, 2) array in 2-D and must broadcast to (m,); constants are accepted.
+    In product mode a cost may also offer ``.rows(x, sigma, nu, mu)``, mu of
+    shape (m, dim), returning (m,) with row i equal to
+    ``f(x[i], Action(sigma, nu, mu[i]))``; it is then called once per pair
+    and block of rows, where a plain callable is called once per distinct drift.
     ``delta_q``/``b_q`` are the declared discount bounds, enforced on every
     evaluation.
     """
@@ -463,6 +469,23 @@ def _eval_xa(fn, x_batch, a, m: int) -> np.ndarray:
     return out.reshape(m)
 
 
+def _row_costs(fn):
+    """q or f as rows (x, sigma, nu, mu) -> (m,), mu of shape (m, dim): a constant
+    fills, ``fn.rows`` is used as is, a plain f(x, a) is called per distinct drift."""
+    if not callable(fn):
+        return lambda x, sigma, nu, mu: np.full(len(mu), float(fn))
+
+    def rows(x, sigma, nu, mu):
+        out, order = np.empty(len(mu)), np.lexsort(mu.T[::-1])
+        srt = mu[order]
+        heads = np.flatnonzero(np.any(srt[1:] != srt[:-1], axis=1)) + 1
+        for part in np.split(order, heads) if len(mu) else ():
+            out[part] = _eval_xa(fn, x[part], Action(sigma=sigma, nu=nu, mu=mu[part[0]]), len(part))
+        return out
+
+    return getattr(fn, "rows", rows)
+
+
 def _lattice_combos(lat: tuple):
     mesh = np.meshgrid(*lat, indexing="ij")
     combos = np.stack([m.ravel() for m in mesh], axis=1)
@@ -519,7 +542,9 @@ class _Generator:
     called once per node here. Evaluation selects each node's K row and adds
     the drift as diag(b+) D+ + diag(b-) D-; improvement applies the same
     matrices to phi and returns q/f at the actions it chose, which the
-    evaluation of that policy takes instead of calling q and f again.
+    evaluation of that policy takes instead of calling q and f again. Product
+    costs are resolved once into row functions (see ``_row_costs``), called
+    per pair on (node, drift) rows.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -539,6 +564,7 @@ class _Generator:
             self.S.append((Gp - 2.0 * eye + Gm) / h**2)
         every = np.arange(grid.n_nodes)
         if prob.mode == "product":
+            self.q_rows, self.f_rows = _row_costs(prob.q), _row_costs(prob.f)
             zero = np.zeros(grid.dim)
             self.cands = [
                 self._candidate([(every, Action(sigma=sigma, nu=nu, mu=zero))], costs=False)
@@ -608,17 +634,10 @@ class _Generator:
         )
 
     def _pair_costs(self, s: int, mu: np.ndarray, nodes: np.ndarray):
-        """q and f at ``nodes`` under pair s with per-node drifts, one call per distinct drift."""
+        """q and f under pair s at rows (nodes[i], mu[i]), one row-function call each."""
         sigma, nu = self.prob.sigma_nu_pairs[s]
-        qv, fv = np.empty(len(nodes)), np.empty(len(nodes))
-        uniq, inv = np.unique(mu, axis=0, return_inverse=True)
-        inv = inv.ravel()
-        parts = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
-        for m, part in zip(uniq, parts):
-            a = Action(sigma=sigma, nu=nu, mu=m)
-            qv[part] = _eval_xa(self.prob.q, self.x[nodes[part]], a, len(part))
-            fv[part] = _eval_xa(self.prob.f, self.x[nodes[part]], a, len(part))
-        return qv, fv
+        x = self.x[nodes]
+        return self.q_rows(x, sigma, nu, mu), self.f_rows(x, sigma, nu, mu)
 
     def operator(self, pol: PolicyTable, costs=None):
         """Generator rows L plus discount/cost vectors for a fixed policy.
@@ -703,22 +722,28 @@ class _Generator:
     def _best_drift(self, s: int, phi, dp, dm):
         """Drift, integrand, q and f per node for pair s: the lattice argmin, then one
         per-axis quadratic pass kept where the exact integrand agrees it is better."""
-        sigma, nu = self.prob.sigma_nu_pairs[s]
         cand, n = self.cands[s], self.grid.n_nodes
         lat = self.prob.mu_lattice
         combos, lshape = _lattice_combos(lat)
         base = cand.K @ phi
-        Iall = np.empty((n, combos.shape[0]))
-        I_best, q_best, f_best = np.full((3, n), np.nan)
+        Iall = np.empty((combos.shape[0], n))
+        I_best = q_best = f_best = None
         best_flat = np.zeros(n, dtype=int)
-        for c, mu in enumerate(combos):
-            a = Action(sigma=sigma, nu=nu, mu=mu)
-            qv = _eval_xa(self.prob.q, self.x, a, n)
-            fv = _eval_xa(self.prob.f, self.x, a, n)
-            Iall[:, c] = I = base + self._drift(self.u + mu - cand.m1, dp, dm) - qv * phi + fv
-            # running argmin, the first minimum wins; q/f ride along instead of an (n, lattice) copy
-            upd = (I < I_best) | (c == 0)
-            I_best[upd], best_flat[upd], q_best[upd], f_best[upd] = I[upd], c, qv[upd], fv[upd]
+        # blocks of lattice columns, about 2^15 rows each, keep the temporaries small
+        every, width = np.arange(n), max(1, 2**15 // n)
+        for c0 in range(0, combos.shape[0], width):
+            mus = combos[c0 : c0 + width]
+            costs = self._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(every, len(mus)))
+            qv, fv = (v.reshape(len(mus), n) for v in costs)
+            drift = self._drift(self.u + mus[:, None, :] - cand.m1, dp, dm)
+            Iall[c0 : c0 + len(mus)] = I = base + drift - qv * phi + fv
+            if I_best is None:
+                I_best, q_best, f_best = I[0].copy(), qv[0].copy(), fv[0].copy()
+            # running argmin, the first minimum wins and a NaN never replaces; q/f ride along
+            j = np.argmin(np.where(np.isnan(I), np.inf, I), axis=0)
+            r = np.flatnonzero(I[j, every] < I_best)
+            j = j[r]
+            I_best[r], best_flat[r], q_best[r], f_best[r] = I[j, r], c0 + j, qv[j, r], fv[j, r]
         cmulti = np.unravel_index(best_flat, lshape)
         strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
         mu_ref = combos[best_flat].copy()
@@ -726,9 +751,9 @@ class _Generator:
             j = cmulti[r]
             rows = np.nonzero((j > 0) & (j < len(ax) - 1))[0]
             flat0 = best_flat[rows]
-            I_m = Iall[rows, flat0 - strides[r]]
-            I_0 = Iall[rows, flat0]
-            I_p = Iall[rows, flat0 + strides[r]]
+            I_m = Iall[flat0 - strides[r], rows]
+            I_0 = Iall[flat0, rows]
+            I_p = Iall[flat0 + strides[r], rows]
             denom = I_p - 2.0 * I_0 + I_m
             step = ax[1] - ax[0]
             ok = denom > 1e-300

@@ -410,6 +410,34 @@ def test_bundled_config_artifact_digests(tmp_path):
     assert digests == _BUNDLED_DIGESTS
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_control_penalty_bits(dim):
+    # the solver's row-batched cost must round like the per-call one: vecdot of
+    # mu @ theta with mu matches float(mu @ theta @ mu) bit for bit, where an
+    # einsum or ((mu @ theta) * mu).sum(1) differs in the last ulp on many rows.
+    # lam stays diagonal: the state part's einsum rounds a one-row batch
+    # differently from a longer one when lam has off-diagonal entries
+    from jumpctl.cli import _CostSpec
+    from jumpctl.measures import Action, ZeroMeasure
+
+    rng = np.random.default_rng(12)
+    m = 3000
+    x = rng.standard_normal((m, dim)) * 3.0
+    mu = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-3, 3, (m, 1))
+    mu[:4] = [[0.0] * dim, [-0.0] * dim, [1e-300] * dim, [-2.5] * dim]
+    xb = x[:, 0] if dim == 1 else x
+    general = [[2.7]] if dim == 1 else [[1.0, 0.3], [0.3, 2.0]]
+    lam = [[0.5]] if dim == 1 else [[1.0, 0.0], [0.0, 0.7]]
+    for theta in (np.eye(dim).tolist(), general):
+        fn = _CostSpec({"kind": "quadratic_control", "lam": lam, "theta": theta}, "$.cost").hjb_fn(dim)
+        got = fn.rows(xb, np.eye(dim), ZeroMeasure(dim), mu)
+        want = np.array([
+            fn(xb[i : i + 1], Action(sigma=np.eye(dim), nu=ZeroMeasure(dim), mu=mu[i]))[0]
+            for i in range(m)
+        ])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), theta
+
+
 # ----------------------------------------------------------------- misc flags
 
 

@@ -433,6 +433,124 @@ def test_running_cost_called_once_per_chosen_action():
     assert 0 < f.calls <= 1 + rep.iterations * per_sweep  # plus the initial evaluation
 
 
+class QuadCost:
+    """f = |x|^2 + mu' theta mu, as a plain f(x, a) and as row-batched ``rows``."""
+
+    def __init__(self, theta):
+        self.theta = np.atleast_2d(np.asarray(theta, float))
+        self.calls = self.row_calls = 0
+
+    def __call__(self, x, a):
+        self.calls += 1
+        return (x**2 if x.ndim == 1 else np.sum(x**2, axis=1)) + float(a.mu @ self.theta @ a.mu)
+
+    def rows(self, x, sigma, nu, mu):
+        self.row_calls += 1
+        return (x**2 if x.ndim == 1 else np.sum(x**2, axis=1)) + np.vecdot(mu @ self.theta, mu)
+
+
+class QDiscount:
+    """q = 2 + 1 / (1 + x_0^2 + mu_0^2), within [2, 3], plain and row-batched."""
+
+    def __init__(self):
+        self.calls = self.row_calls = 0
+
+    def __call__(self, x, a):
+        self.calls += 1
+        x0 = x if x.ndim == 1 else x[:, 0]
+        return 2.0 + 1.0 / (1.0 + x0 * x0 + a.mu[0] * a.mu[0])
+
+    def rows(self, x, sigma, nu, mu):
+        self.row_calls += 1
+        x0 = x if x.ndim == 1 else x[:, 0]
+        return 2.0 + 1.0 / (1.0 + x0 * x0 + mu[:, 0] * mu[:, 0])
+
+
+def _row_batched_case(dim):
+    """(grid, theta, callable q?, pairs, lattice): 1-D with a callable q, 2-D with atoms."""
+    if dim == 1:
+        g = Grid.regular(-3.0, 3.0, 61)
+        return g, [[1.5]], True, ((1.0, ZeroMeasure(1)),), (np.linspace(-2.0, 2.0, 17),)
+    g = Grid.regular([-3.0, -3.0], [3.0, 3.0], [21, 21])
+    lattice = (np.linspace(-3.0, 3.0, 13),) * 2
+    return g, [[1.0, 0.3], [0.3, 2.0]], False, atoms_2d_problem()[1], lattice
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_row_batched_cost_matches_per_action_calls(dim):
+    # a cost with .rows solves bit-identically to the same cost as a plain f(x, a);
+    # the solver calls .rows per block of lattice columns and pair, and never f(x, a)
+    g, theta, q_callable, pairs, lattice = _row_batched_case(dim)
+    f, f_twin = QuadCost(theta), QuadCost(theta)
+    q, q_twin = (QDiscount(), QDiscount()) if q_callable else (3.0, 3.0)
+    kw = dict(delta_q=2.0 if q_callable else 3.0, b_q=3.0, sigma_nu_pairs=pairs,
+              mu_lattice=lattice, q_growth=2)
+    batched = HJBProblem(f=f, q=q, **kw)
+    plain = HJBProblem(f=lambda x, a: f_twin(x, a),
+                       q=(lambda x, a: q_twin(x, a)) if q_callable else 3.0, **kw)
+    counted = [f, q] if q_callable else [f]
+    n_lat = int(np.prod([len(ax) for ax in lattice]))
+    blocks = -(-n_lat // max(1, 2**15 // g.n_nodes))
+    assert blocks == (1 if dim == 1 else 3)  # the 2-D case spans three blocks of columns
+    per_sweep = len(pairs) * 2 * blocks
+
+    (phi_b, pol_b, rep), (phi_p, pol_p, _) = solve_stationary(batched, g), solve_stationary(plain, g)
+    assert rep.converged
+    assert np.array_equal(phi_b.values, phi_p.values)
+    assert np.array_equal(pol_b.action_index, pol_p.action_index)
+    assert np.array_equal(pol_b.mu, pol_p.mu)
+    for c in counted:  # the initial evaluation, then at most iterations + 1 sweeps
+        assert c.calls == 0 and 0 < c.row_calls <= len(pairs) + (rep.iterations + 1) * per_sweep
+        c.row_calls = 0
+    sol_b = solve_finite_horizon(batched, h=1.0, T=0.5, n_steps=6, grid=g)
+    sol_p = solve_finite_horizon(plain, h=1.0, T=0.5, n_steps=6, grid=g)
+    assert np.array_equal(sol_b.values, sol_p.values)
+    for c in counted:
+        assert c.calls == 0 and 0 < c.row_calls <= 6 * per_sweep
+    assert f_twin.calls > 0
+
+
+class TableCost:
+    """f read from a (node, lattice column) table on a square grid; the column
+    is given by the signs of the drift."""
+
+    def __init__(self, table, axis):
+        self.table, self.axis = table, axis
+
+    def __call__(self, x, a):
+        return self.rows(x, None, None, np.tile(a.mu, (len(x), 1)))
+
+    def rows(self, x, sigma, nu, mu):
+        i, j = (np.searchsorted(self.axis, x[:, k]) for k in (0, 1))
+        return self.table[i * len(self.axis) + j, 2 * (mu[:, 0] > 0) + (mu[:, 1] > 0)]
+
+
+def test_lattice_argmin_keeps_first_minimum_and_nan_rule():
+    # with phi = 0 the integrand is f itself; a 2 x 2 drift lattice leaves no
+    # room for refinement, and 8,281 nodes split its 4 columns into blocks of
+    # 3 and 1. The choice must follow the per-column running argmin: column 0
+    # seeds it, later columns replace it only when strictly smaller, a NaN
+    # never replaces, and a NaN in column 0 sticks (the node then gets no action).
+    g = Grid.regular([-1.0, -1.0], [1.0, 1.0], [91, 91])
+    rng = np.random.default_rng(3)
+    table = rng.integers(0, 3, (g.n_nodes, 4)).astype(float)
+    table[rng.random(table.shape) < 0.2] = np.nan
+    prob = HJBProblem(f=TableCost(table, g.axes[0]), q=1.0, delta_q=1.0, b_q=1.0,
+                      sigma_nu_pairs=((np.eye(2), ZeroMeasure(2)),),
+                      mu_lattice=([-1.0, 1.0], [-1.0, 1.0]), q_growth=2)
+    best, pol, (_, f_best) = _Generator(prob, g).improve(np.zeros(g.n_nodes))
+    ref, col = np.full(g.n_nodes, np.nan), np.zeros(g.n_nodes, dtype=int)
+    for c in range(4):
+        upd = (table[:, c] < ref) | (c == 0)
+        ref[upd], col[upd] = table[upd, c], c
+    chosen = ~np.isnan(ref)
+    assert 0 < chosen.sum() < g.n_nodes
+    assert np.array_equal(best, np.where(chosen, ref, np.inf))
+    assert np.array_equal(f_best, ref, equal_nan=True)
+    signs = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(pol.mu[chosen], signs[col[chosen]])
+
+
 # ---------------------------------------------------------------------------
 # stationary solves
 
