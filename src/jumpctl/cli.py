@@ -347,6 +347,15 @@ def _sim_config_from(obj, path: str, seed_override) -> dyn.SimConfig:
         raise ConfigError(path, str(exc)) from None
 
 
+def _quadratic_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row-wise x' M x as the left-to-right sum of (x_i M_ij) x_j over (i, j) in
+    row-major order, so a row rounds alike in every batch; np.einsum groups the
+    terms differently for one- and two-row batches."""
+    terms = ((X[:, i] * M[i, j]) * X[:, j] for i in range(M.shape[0]) for j in range(M.shape[1]))
+    first = next(terms)
+    return sum(terms, first)
+
+
 class _CostSpec:
     """Running-cost description shared by the solver and simulator commands.
 
@@ -355,7 +364,9 @@ class _CostSpec:
     mu)`` instead, with one drift per row, so a sweep makes one call per
     (sigma, nu) pair and block of lattice columns. The simulator wants a
     state-batch map on (m, dim) arrays and resolves any control penalty
-    through the declared policy.
+    through the declared policy. Quadratic parts are summed row by row in a
+    fixed order (``_quadratic_rows``), so a state's cost has the same bits in
+    every batch and ``rows`` row i is ``f(x[i], a)`` exactly, for any matrix.
     """
 
     def __init__(self, obj, path: str):
@@ -394,7 +405,7 @@ class _CostSpec:
         M = self.lam if self.kind == "quadratic_control" else self.matrix
         if M.shape[0] != X2d.shape[1]:
             raise ConfigError(self.path, f"cost matrix size {M.shape[0]} != state dimension")
-        return np.einsum("mi,ij,mj->m", X2d, M, X2d)
+        return _quadratic_rows(X2d, M)
 
     def hjb_fn(self, dim: int):
         if self.kind == "zero":
@@ -429,7 +440,7 @@ class _CostSpec:
 
         def fn(X):
             mu = policy_spec.drift(X)
-            return self._state_part(X) + np.einsum("mi,ij,mj->m", mu, self.theta, mu)
+            return self._state_part(X) + _quadratic_rows(mu, self.theta)
 
         return fn
 

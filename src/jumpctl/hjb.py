@@ -11,9 +11,13 @@ functions of polynomial growth; the same extension weights serve both the
 matrix assembly and point evaluation, so the solve and the readout agree.
 
 Each candidate's operator is built once per solve as sparse matrices,
-shared by policy evaluation and improvement; q and f are evaluated once per
-chosen (node, action), as improvement hands its values at the chosen actions
-to the evaluation of that policy. In product mode they are row-batched per
+shared by policy evaluation and improvement. A policy's generator is
+assembled by scattering the candidate rows it selects and the row-scaled
+one-sided differences into one CSR sparsity pattern fixed per solve, with
+the additions, in the order, of the sparse sum of those matrices, so it is
+that sum bit for bit. q and f are evaluated once per chosen (node,
+action), as improvement hands its values at the chosen actions to the
+evaluation of that policy. In product mode they are row-batched per
 (sigma, nu) pair: one call per block of drift-lattice columns and one for
 the refined drifts, not one per node. Every linear system, stationary
 or one implicit time step, is solved by one sparse LU factorisation
@@ -540,7 +544,11 @@ class _Generator:
     differences S_k; every candidate gets one sparse matrix K of its
     diffusion, cross-derivative and jump parts. Callable list entries are
     called once per node here. Evaluation selects each node's K row and adds
-    the drift as diag(b+) D+ + diag(b-) D-; improvement applies the same
+    the drift as diag(b+) D+ + diag(b-) D-. Every entry of every K and D+-_k
+    has a recorded place in one CSR pattern fixed per solve; ``operator``
+    adds the selected K entries, then the row-scaled D+_k and D-_k entries
+    axis by axis, into one data array on it, which are the additions scipy's
+    sparse sum makes. Improvement applies the same
     matrices to phi and returns q/f at the actions it chose, which the
     evaluation of that policy takes instead of calling q and f again. Product
     costs are resolved once into row functions (see ``_row_costs``), called
@@ -570,19 +578,30 @@ class _Generator:
                 self._candidate([(every, Action(sigma=sigma, nu=nu, mu=zero))], costs=False)
                 for sigma, nu in prob.sigma_nu_pairs
             ]
-            return
-        self.cands = []
-        for entry in prob.actions:
-            if isinstance(entry, Action):
-                groups = [(every, entry)]
-            else:
-                groups = [
-                    (every[i : i + 1], entry(float(x[0]) if grid.dim == 1 else x.copy()))
-                    for i, x in enumerate(self.pts)
-                ]
-                if not all(isinstance(a, Action) for _, a in groups):
-                    raise TypeError("action callables must return an Action")
-            self.cands.append(self._candidate(groups, costs=True))
+        else:
+            self.cands = []
+            for entry in prob.actions:
+                if isinstance(entry, Action):
+                    groups = [(every, entry)]
+                else:
+                    groups = [
+                        (every[i : i + 1], entry(float(x[0]) if grid.dim == 1 else x.copy()))
+                        for i, x in enumerate(self.pts)
+                    ]
+                    if not all(isinstance(a, Action) for _, a in groups):
+                        raise TypeError("action callables must return an Action")
+                self.cands.append(self._candidate(groups, costs=True))
+        # one sorted CSR pattern holding every K and D+-_k entry, and where each
+        # matrix's entries land in it, read in stored order: K is never sorted in
+        # place, since its (unsorted, in 2-D) order is the summation order of K @ phi
+        n = grid.n_nodes
+        self.scatter = [c.K for c in self.cands] + [D for pm in zip(self.Dp, self.Dm) for D in pm]
+        starts = np.arange(n, dtype=np.int32 if n * n < 2**31 else np.int64) * n
+        keys = [np.repeat(starts, np.diff(A.indptr)) + A.indices for A in self.scatter]
+        flat = np.unique(np.concatenate(keys))
+        cols, indptr = flat % n, np.searchsorted(flat, np.arange(n + 1) * n)
+        self.pattern = sp.csr_matrix((np.ones(flat.size, bool), cols, indptr), shape=(n, n))
+        self.pos = [np.searchsorted(flat, key).astype(self.pattern.indptr.dtype) for key in keys]
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -652,12 +671,14 @@ class _Generator:
             raise ValueError("policy index outside the declared action set")
         product = self.prob.mode == "product"
         n, dim = self.grid.n_nodes, self.grid.dim
-        L = sp.csr_matrix((n, n))
+        P = self.pattern
+        L = sp.csr_matrix((np.zeros(P.nnz), P.indices.copy(), P.indptr.copy()), shape=P.shape)
         mu, m1, cross = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n, dtype=bool)
         qvec, fvec = (np.empty(n), np.empty(n)) if costs is None else costs
         for j, cand in enumerate(self.cands):
             rows = idx == j
-            L = L + sp.diags(rows.astype(float)) @ cand.K
+            sel = np.repeat(rows, np.diff(cand.K.indptr))
+            L.data[self.pos[j][sel]] += cand.K.data[sel]
             r = np.nonzero(rows)[0]
             mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
             if costs is None and product:
@@ -673,10 +694,9 @@ class _Generator:
                 f"{qvec.max():.6g}] vs [{prob.delta_q:.6g}, {prob.b_q:.6g}]"
             )
         b = self.u + mu - m1
-        for k in range(dim):
-            L = L + sp.diags(np.maximum(b[:, k], 0.0)) @ self.Dp[k]
-            L = L + sp.diags(np.minimum(b[:, k], 0.0)) @ self.Dm[k]
-        L = L.tocsr()
+        scales = [clip(b[:, k], 0.0) for k in range(dim) for clip in (np.maximum, np.minimum)]
+        for D, pos, bk in zip(self.scatter[len(self.cands) :], self.pos[len(self.cands) :], scales):
+            L.data[pos] += np.repeat(bk, np.diff(D.indptr)) * D.data
         L.eliminate_zeros()
         if cross.any():
             warnings.warn(

@@ -414,9 +414,8 @@ def test_bundled_config_artifact_digests(tmp_path):
 def test_batched_control_penalty_bits(dim):
     # the solver's row-batched cost must round like the per-call one: vecdot of
     # mu @ theta with mu matches float(mu @ theta @ mu) bit for bit, where an
-    # einsum or ((mu @ theta) * mu).sum(1) differs in the last ulp on many rows.
-    # lam stays diagonal: the state part's einsum rounds a one-row batch
-    # differently from a longer one when lam has off-diagonal entries
+    # einsum or ((mu @ theta) * mu).sum(1) differs in the last ulp on many rows;
+    # the state part of a one-row call must round like the batch's row as well
     from jumpctl.cli import _CostSpec
     from jumpctl.measures import Action, ZeroMeasure
 
@@ -427,7 +426,7 @@ def test_batched_control_penalty_bits(dim):
     mu[:4] = [[0.0] * dim, [-0.0] * dim, [1e-300] * dim, [-2.5] * dim]
     xb = x[:, 0] if dim == 1 else x
     general = [[2.7]] if dim == 1 else [[1.0, 0.3], [0.3, 2.0]]
-    lam = [[0.5]] if dim == 1 else [[1.0, 0.0], [0.0, 0.7]]
+    lam = [[0.5]] if dim == 1 else [[1.0, -0.2], [-0.2, 0.7]]
     for theta in (np.eye(dim).tolist(), general):
         fn = _CostSpec({"kind": "quadratic_control", "lam": lam, "theta": theta}, "$.cost").hjb_fn(dim)
         got = fn.rows(xb, np.eye(dim), ZeroMeasure(dim), mu)
@@ -436,6 +435,34 @@ def test_batched_control_penalty_bits(dim):
             for i in range(m)
         ])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), theta
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadratic_cost_is_batch_size_invariant(dim):
+    # x' lam x of one state is bitwise the same row of any batch holding it,
+    # in the solver's f(x, a) and in the simulator's cost along a policy; an
+    # einsum sums the 2-D terms in another order for one- and two-row batches
+    from jumpctl.cli import _CostSpec
+    from jumpctl.measures import Action, ZeroMeasure
+
+    class Feedback:
+        def drift(self, X):
+            return -1.3 * X[:, ::-1] + 0.4
+
+    lam = [[2.7]] if dim == 1 else [[1.0, -0.2], [-0.2, 0.7]]
+    theta = [[0.5]] if dim == 1 else [[1.0, 0.3], [0.3, 2.0]]
+    cost = _CostSpec({"kind": "quadratic_control", "lam": lam, "theta": theta}, "$.cost")
+    fn, sim = cost.hjb_fn(dim), cost.state_fn(Feedback())
+    a = Action(sigma=np.eye(dim), nu=ZeroMeasure(dim), mu=np.full(dim, 0.3))
+    rng = np.random.default_rng(21)
+    for m in (1, 2, 3, 17, 2**14 + 1):
+        X = rng.standard_normal((m, dim)) * 3.0
+        xb = X[:, 0] if dim == 1 else X
+        whole, whole_sim = fn(xb, a), sim(X)
+        rows = np.array([fn(xb[i : i + 1], a)[0] for i in range(m)])
+        rows_sim = np.array([sim(X[i : i + 1])[0] for i in range(m)])
+        assert np.array_equal(whole.view(np.int64), rows.view(np.int64)), m
+        assert np.array_equal(whole_sim.view(np.int64), rows_sim.view(np.int64)), m
 
 
 # ----------------------------------------------------------------- misc flags
