@@ -49,7 +49,7 @@ from . import dynamics as dyn
 from . import examples as ex
 from . import verify as ver
 from .hjb import Grid, HJBProblem, SolverError, solve_finite_horizon, solve_stationary
-from .lq import LQSpec, solve_lq
+from .lq import LQSpec, _quadratic_rows, riccati_residual, solve_lq
 from .measures import (
     Action,
     AtomicMeasure,
@@ -345,15 +345,6 @@ def _sim_config_from(obj, path: str, seed_override) -> dyn.SimConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from None
-
-
-def _quadratic_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Row-wise x' M x as the left-to-right sum of (x_i M_ij) x_j over (i, j) in
-    row-major order, so a row rounds alike in every batch; np.einsum groups the
-    terms differently for one- and two-row batches."""
-    terms = ((X[:, i] * M[i, j]) * X[:, j] for i in range(M.shape[0]) for j in range(M.shape[1]))
-    first = next(terms)
-    return sum(terms, first)
 
 
 class _CostSpec:
@@ -1007,12 +998,10 @@ def _example3(run: RunConfig) -> int:
     dim = spec.lam.shape[0]
 
     prov = run.provenance()
-    riccati_residual = float(np.linalg.norm(
-        sol.B @ np.linalg.solve(spec.theta, sol.B) + spec.q * sol.B - spec.lam
-    ))
+    residual = float(np.linalg.norm(riccati_residual(sol.B, spec.lam, spec.theta, spec.q)))
     report = {
         "B": sol.B, "c": sol.c, "d": sol.d, "Q": sol.Q, "v": sol.v, "P": sol.P,
-        "delta_hat": sol.delta_hat, "q": spec.q, "riccati_residual": riccati_residual,
+        "delta_hat": sol.delta_hat, "q": spec.q, "riccati_residual": residual,
         "feedback": "mu(x) = v - Q x",
     }
 

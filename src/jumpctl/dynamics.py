@@ -11,7 +11,7 @@ the compensator drift that makes the jump part a martingale.
 
 Alongside the states the bundle records, per path and on a configurable
 storage lattice, the semimartingale characteristics (truncated drift B^h
-with h(y) = y 1_{|y| <= 1}, continuous covariance C = int sigma^T sigma ds,
+with h(y) = y 1_{|y| <= 1}, continuous covariance C = int sigma sigma^T ds,
 and the full jump history), the discount integral gamma_t = int q ds, the
 running discounted cost, the running suprema of the continuous and
 compensated-jump martingale parts, and the quadratic jump functional
@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .generator import _field_value
 from .measures import (
     Action,
     JumpMeasure,
@@ -440,8 +441,8 @@ def _matmul_into(A: np.ndarray, BT: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _StepModel:
     """Per-run kinematics of a vectorised policy shape, stepped in place.
 
-    Everything that does not depend on the state (``sigma^T``, ``sigma^T
-    sigma dt``, ``m1 dt``, ``m2 dt``, the thinning clock, the validated jump
+    Everything that does not depend on the state (``sigma^T``, ``sigma
+    sigma^T dt``, ``m1 dt``, ``m2 dt``, the thinning clock, the validated jump
     law and, for constant actions, the drift and B^h increments) is resolved
     once per run; :meth:`step` then advances the ensemble in preallocated
     buffers.  The result is bit for bit that of the plain update
@@ -480,7 +481,7 @@ class _StepModel:
         self.jumps = self.mass > 0.0
 
         self.sigT = self.sigma.T
-        self.cov_dt = (self.sigma.T @ self.sigma) * dt
+        self.cov_dt = (self.sigma @ self.sigma.T) * dt
         self.sqdt = np.sqrt(dt)
         self.paths = np.arange(n)
         self.xi = np.empty((n, dim))
@@ -745,7 +746,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
                 bh_inc[i] = (u + mu_i - big_i) * dt
                 dWc[i] = sig_i @ xi[i] * sqdt
                 m1_step[i] = m1_i
-                C_cum[i] += (sig_i.T @ sig_i) * dt
+                C_cum[i] += (sig_i @ sig_i.T) * dt
                 if masses[i] > 0:
                     G_int[i] += float(np.trace(second_moment_matrix(a.nu))) * dt
                     acc = 0
@@ -908,11 +909,7 @@ def bellman_series(phi, bundle: PathBundle, f=None, q=None) -> np.ndarray:
     """
     n, K, dim = bundle.states.shape
     flat = bundle.states.reshape(n * K, dim)
-    if hasattr(phi, "value"):
-        vals = phi.value(flat[:, 0] if dim == 1 else flat)
-    else:
-        vals = np.asarray(phi(flat), dtype=float)
-    vals = np.asarray(vals, dtype=float).reshape(n, K)
+    vals = _field_value(phi, flat).reshape(n, K)
     if not np.all(np.isfinite(vals)):
         raise ValueError("phi evaluated non-finite along recorded paths")
 
@@ -995,7 +992,7 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     c_gap = None
     c_total = bundle.C[-1] if not bundle.c_per_path else bundle.C[:, -1]
     if policy.sigma is not None:
-        c_gap = float(np.max(np.abs(c_total - policy.sigma.T @ policy.sigma * T)))
+        c_gap = float(np.max(np.abs(c_total - policy.sigma @ policy.sigma.T * T)))
 
     n_jumps = int(bundle.jump_sizes.shape[0])
     rate_obs = n_jumps / (n * T)

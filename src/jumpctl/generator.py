@@ -1,4 +1,4 @@
-"""Pointwise evaluation of the controlled nonlocal generator.
+"""Evaluation of the controlled nonlocal generator at a point or on a state batch.
 
 For an action a = (sigma, nu, mu) and a fixed ambient vector u the operator
 acts on a C^2 function g as
@@ -7,14 +7,25 @@ acts on a C^2 function g as
              + (1/2) tr(sigma^T Hess g(x) sigma)
              + integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy).
 
+The public functions take a point of shape (n,) (a scalar in one
+dimension) and return a float, or a batch of shape (m, n) and return (m,).
+A point is evaluated as a batch of one row, and every sum runs within a row
+in a fixed order, so row i of a batch result is bit for bit the call at
+that row's point. The field's values, gradient and Hessian are computed
+once per call and shared by the local and the jump part.
+
 Scalar fields are either analytic callables (optionally with closed-form
-gradient/Hessian; central finite differences otherwise) or grid-backed value
-fields from the PDE solver, which evaluate through interpolation inside
-their box and a fitted polynomial tail outside.
+gradient/Hessian; central finite differences on one stencil per row
+otherwise) or grid-backed value fields from the PDE solver, which evaluate
+through interpolation inside their box and a fitted polynomial tail
+outside. ``_field_value`` is the one rule for reading a field on a batch of
+states; the verifiers and ``dynamics.bellman_series`` read fields through
+it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +59,8 @@ class GeneratorScheme:
     fd_step: finite-difference step; None applies max(1e-5, 1e-7 |x_i|)
         componentwise, the usual truncation/rounding balance, for analytic
         fields and the grid spacing per axis for grid fields (a smaller step
-        would difference the interpolant across its kink at a node).
+        would difference the interpolant across its kink at a node). The
+        step is set per row of a batch.
     small_jump_split: radius below which the jump integrand is replaced by
         its exact second-order Taylor surrogate (1/2) y^T Hess g y, avoiding
         cancellation for tiny jumps. None disables the split for analytic
@@ -84,107 +96,104 @@ class AnalyticField:
         if q_growth is not None:
             self.q_growth = q_growth
 
-    def _guard(self, x):
-        if self.domain is not None:
-            lo, hi = self.domain
-            if np.any(x < lo) or np.any(x > hi):
-                raise DomainError(f"evaluation outside domain box at {x}")
-
     def value(self, x):
         x = np.asarray(x, float)
-        for row in np.atleast_2d(x):
-            self._guard(row)
+        if self.domain is not None:
+            lo, hi = self.domain
+            out = np.any((x < lo) | (x > hi), axis=-1)
+            if np.any(out):
+                bad = np.atleast_2d(x)[np.argmax(out)]
+                raise DomainError(f"evaluation outside domain box at {bad}")
         return self.fn(x)
 
 
-def _scalar(v) -> float:
-    """The one value of a scalar or size-1 result (a 1-D grid field returns shape (1,))."""
-    return float(np.asarray(v, float).reshape(()))
-
-
-def _field_value(g, x):
-    """Evaluate a field at (n,) or batch (m, n) points, tolerating scalar-only fns."""
-    x = np.asarray(x, float)
-    if x.ndim <= 1:
-        return _scalar(g.value(x))
+def _rows(fn, X, shape=()):
+    """fn on the rows of X as an (m, *shape) array: one call on the whole batch
+    when it succeeds with m * prod(shape) elements, else one call per row (a
+    function of one point at a time fails or misshapes on a batch)."""
+    m = X.shape[0]
     try:
-        vals = np.asarray(g.value(x), float)
-        if vals.shape == (x.shape[0],):
-            return vals
-    except Exception:
+        out = np.asarray(fn(X), float)
+        if out.size == m * math.prod(shape):
+            return out.reshape((m,) + shape)
+    except DomainError:
+        raise
+    except (TypeError, ValueError, IndexError):
         pass
-    return np.array([_scalar(g.value(row)) for row in x])
+    return np.array([np.asarray(fn(row), float).reshape(shape) for row in X]).reshape((m,) + shape)
 
 
-def _fd_steps(g, x, scheme):
+def _field_value(g, X):
+    """A field on the rows of an (m, n) batch, as (m,): ``g.value`` if present,
+    else ``g.fn``, else g itself."""
+    read = getattr(g, "value", None) or getattr(g, "fn", None) or g
+    return _rows(read, np.asarray(X, float))
+
+
+def _fd_steps(g, X, scheme):
     if scheme.fd_step is not None:
-        return np.full(x.shape, scheme.fd_step)
+        return np.full(X.shape, scheme.fd_step)
     grid = getattr(g, "grid", None)
     if grid is not None:
-        return np.asarray(grid.h, float)
-    return np.maximum(1e-5, 1e-7 * np.abs(x))
+        return np.broadcast_to(np.asarray(grid.h, float), X.shape)
+    return np.maximum(1e-5, 1e-7 * np.abs(X))
 
 
-def _gradient(g, x, scheme):
-    grad = getattr(g, "grad", None)
-    if callable(grad):
-        return np.atleast_1d(np.asarray(grad(x), float))
-    h = _fd_steps(g, x, scheme)
-    n = x.shape[0]
-    pts = np.repeat(x[None, :], 2 * n, axis=0)
+def _derivatives(g, X, scheme):
+    """g, grad g and Hess g on the rows of X: (m,), (m, n), (m, n, n).
+
+    Analytic derivatives where g has them; otherwise central differences on
+    one stencil per row (x +- h_i e_i, then x +- h_i e_i +- h_j e_j for i < j).
+    """
+    m, n = X.shape
+    g0 = _field_value(g, X)
+    grad, hess = getattr(g, "grad", None), getattr(g, "hess", None)
+    grad = _rows(grad, X, (n,)) if callable(grad) else None
+    hess = _rows(hess, X, (n, n)) if callable(hess) else None
+    if grad is not None and hess is not None:
+        return g0, grad, hess
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    signs = np.zeros((2 * n + 4 * len(pairs), n))
     for i in range(n):
-        pts[2 * i, i] += h[i]
-        pts[2 * i + 1, i] -= h[i]
-    vals = _field_value(g, pts)
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
+        signs[2 * i : 2 * i + 2, i] = (1.0, -1.0)
+    for k, (i, j) in enumerate(pairs):
+        signs[2 * n + 4 * k : 2 * n + 4 * k + 4, [i, j]] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    h = _fd_steps(g, X, scheme)
+    v = _field_value(g, (X[:, None, :] + signs * h[:, None, :]).reshape(-1, n)).reshape(m, -1)
+    if grad is None:
+        grad = (v[:, 0 : 2 * n : 2] - v[:, 1 : 2 * n : 2]) / (2.0 * h)
+    if hess is None:
+        hess = np.empty((m, n, n))
+        for i in range(n):
+            hess[:, i, i] = (v[:, 2 * i] - 2.0 * g0 + v[:, 2 * i + 1]) / h[:, i] ** 2
+        for k, (i, j) in enumerate(pairs):
+            pp, pm, mp, mm = v[:, 2 * n + 4 * k : 2 * n + 4 * k + 4].T
+            hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4.0 * h[:, i] * h[:, j])
+    return g0, grad, hess
 
 
-def _hessian(g, x, scheme):
-    hess = getattr(g, "hess", None)
-    if callable(hess):
-        return np.atleast_2d(np.asarray(hess(x), float))
-    h = _fd_steps(g, x, scheme)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    f0 = _field_value(g, x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        out[i, i] = (
-            _field_value(g, x + ei) - 2.0 * f0 + _field_value(g, x - ei)
-        ) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            out[i, j] = out[j, i] = (
-                _field_value(g, x + ei + ej)
-                - _field_value(g, x + ei - ej)
-                - _field_value(g, x - ei + ej)
-                + _field_value(g, x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return out
-
-
-def _as_point(x, n=None):
+def _as_point(x, n):
     x = np.atleast_1d(np.asarray(x, float))
-    if n is not None and x.shape != (n,):
+    if x.shape != (n,):
         raise ValueError(f"point shape {x.shape} does not match dimension {n}")
     return x
 
 
-def local_term(mu, sigma, g, x, u=None, scheme=None) -> float:
-    """(u + mu) . grad g(x) + (1/2) tr(sigma^T Hess g(x) sigma)."""
-    scheme = scheme or _DEFAULT_SCHEME
-    x = _as_point(x)
-    n = x.shape[0]
+def _lsum(P):
+    """P summed over its last axis from left to right: each row rounds alike in
+    every batch, which matmul, einsum and .sum do not promise."""
+    return sum((P[..., i] for i in range(1, P.shape[-1])), P[..., 0])
+
+
+def _local(mu, sigma, u, grad, hess):
+    m, n = grad.shape
     mu = _as_point(mu, n)
     u = np.zeros(n) if u is None else _as_point(u, n)
     sigma = np.asarray(sigma, float)
     if sigma.ndim == 0:
         sigma = sigma.reshape(1, 1)
-    grad = _gradient(g, x, scheme)
-    hess = _hessian(g, x, scheme)
-    return float((u + mu) @ grad + 0.5 * np.trace(sigma.T @ hess @ sigma))
+    # tr(sigma^T H sigma) is the sum of the entries of H * (sigma sigma^T)
+    return _lsum(grad * (u + mu)) + 0.5 * _lsum((hess * (sigma @ sigma.T)).reshape(m, -1))
 
 
 def _effective_split(g, scheme):
@@ -196,58 +205,87 @@ def _effective_split(g, scheme):
     return 0.0
 
 
-def jump_term(nu: JumpMeasure, g, x, scheme=None) -> float:
+def _jump_law(nu: JumpMeasure, g, scheme):
+    """Support points and weights of nu after its checks; None for no jumps."""
+    if nu is None or isinstance(nu, ZeroMeasure):
+        return None
+    _check_support(nu)
+    q_growth = getattr(g, "q_growth", None)
+    if scheme.ambient_p is not None and q_growth is not None and q_growth > scheme.ambient_p:
+        raise GrowthError(
+            f"field growth degree {q_growth} exceeds ambient moment order {scheme.ambient_p}"
+        )
+    return _support_points(nu)
+
+
+def _generator(g, X, scheme, local=None, nu=None, u=None):
+    """g on the batch X, and the sum of the local part (local = (mu, sigma))
+    and of each jump's term, added left to right in support order.
+
+    Jumps with |y| above the small-jump split use the raw difference
+    g(x+y) - g(x) - y . grad g(x), the others the Taylor surrogate
+    (1/2) y^T Hess g(x) y.
+    """
+    law = _jump_law(nu, g, scheme)
+    g0, grad, hess = _derivatives(g, X, scheme)
+    out = np.zeros(len(X)) if local is None else _local(*local, u, grad, hess)
+    if law is None:
+        return g0, out
+    pts, w = law
+    m, n = X.shape
+    far = np.linalg.norm(pts, axis=1) > _effective_split(g, scheme)
+    terms = np.empty((m, len(w)))
+    yf, yn = pts[far], pts[~far]
+    if len(yf):
+        vals = _field_value(g, (X[:, None, :] + yf).reshape(-1, n)).reshape(m, -1)
+        terms[:, far] = w[far] * (vals - g0[:, None] - _lsum(grad[:, None, :] * yf))
+    if len(yn):
+        quad = _lsum((hess[:, None] * (yn[:, :, None] * yn[:, None, :])).reshape(m, len(yn), -1))
+        terms[:, ~far] = w[~far] * (0.5 * quad)
+    if not np.isfinite(terms).all():
+        raise ArithmeticError("jump integral did not evaluate finite")
+    for k in range(len(w)):
+        out = out + terms[:, k]
+    return g0, out
+
+
+def _batch(x):
+    """x as an (m, n) batch, and whether it was one point."""
+    x = np.asarray(x, float)
+    return np.atleast_2d(x), x.ndim < 2
+
+
+def _result(out, point):
+    return float(out[0]) if point else out
+
+
+def local_term(mu, sigma, g, x, u=None, scheme=None):
+    """(u + mu) . grad g(x) + (1/2) tr(sigma^T Hess g(x) sigma)."""
+    X, point = _batch(x)
+    return _result(_generator(g, X, scheme or _DEFAULT_SCHEME, (mu, sigma), u=u)[1], point)
+
+
+def jump_term(nu: JumpMeasure, g, x, scheme=None):
     """integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy).
 
     Exact for atomic measures (finite sum); midpoint quadrature for density
     measures. Jumps with |y| below the small-jump split use the Taylor
     surrogate (1/2) y^T Hess g(x) y instead of the raw difference.
     """
-    scheme = scheme or _DEFAULT_SCHEME
-    x = _as_point(x)
+    X, point = _batch(x)
     if isinstance(nu, ZeroMeasure):
-        return 0.0
-    _check_support(nu)
-    q_growth = getattr(g, "q_growth", None)
-    if (
-        scheme.ambient_p is not None
-        and q_growth is not None
-        and q_growth > scheme.ambient_p
-    ):
-        raise GrowthError(
-            f"field growth degree {q_growth} exceeds ambient moment order {scheme.ambient_p}"
-        )
-    pts, w = _support_points(nu)
-    grad = _gradient(g, x, scheme)
-    delta = _effective_split(g, scheme)
-    norms = np.linalg.norm(pts, axis=1)
-    far = norms > delta
-    total = 0.0
-    if np.any(far):
-        yf, wf = pts[far], w[far]
-        vals = _field_value(g, x[None, :] + yf)
-        g0 = _field_value(g, x)
-        total += float(np.sum(wf * (vals - g0 - yf @ grad)))
-    if np.any(~far):
-        yn, wn = pts[~far], w[~far]
-        hess = _hessian(g, x, scheme)
-        quad = 0.5 * np.einsum("ki,ij,kj->k", yn, hess, yn)
-        total += float(np.sum(wn * quad))
-    if not np.isfinite(total):
-        raise ArithmeticError("jump integral did not evaluate finite")
-    return total
+        return _result(np.zeros(len(X)), point)
+    return _result(_generator(g, X, scheme or _DEFAULT_SCHEME, nu=nu)[1], point)
 
 
-def apply_generator(a: Action, g, x, u=None, scheme=None) -> float:
+def apply_generator(a: Action, g, x, u=None, scheme=None):
     """L^a g(x): local transport/diffusion part plus the compensated jump part."""
-    return local_term(a.mu, a.sigma, g, x, u=u, scheme=scheme) + jump_term(
-        a.nu, g, x, scheme=scheme
-    )
+    X, point = _batch(x)
+    return _result(_generator(g, X, scheme or _DEFAULT_SCHEME, (a.mu, a.sigma), a.nu, u)[1], point)
 
 
-def hjb_integrand(a: Action, phi, x, f_val: float, q_val: float, u=None, scheme=None) -> float:
+def hjb_integrand(a: Action, phi, x, f_val, q_val, u=None, scheme=None):
     """L^a phi(x) - q(x, a) phi(x) + f(x, a), the quantity minimised over actions."""
-    x = _as_point(x)
-    return apply_generator(a, phi, x, u=u, scheme=scheme) - q_val * _field_value(
-        phi, x
-    ) + f_val
+    X, point = _batch(x)
+    g0, gen = _generator(phi, X, scheme or _DEFAULT_SCHEME, (a.mu, a.sigma), a.nu, u)
+    return _result(gen - q_val * g0 + f_val, point)

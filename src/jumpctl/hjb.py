@@ -21,7 +21,9 @@ evaluation of that policy. In product mode they are row-batched per
 (sigma, nu) pair: one call per block of drift-lattice columns and one for
 the refined drifts, not one per node. Every linear system, stationary
 or one implicit time step, is solved by one sparse LU factorisation
-(``scipy.sparse.linalg.splu``) with a residual check.
+(``scipy.sparse.linalg.splu``) with a residual check. The module does no
+Monte Carlo: the simulated dynamic-programming check of a solved field
+lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ __all__ = [
     "policy_improvement",
     "solve_stationary",
     "solve_finite_horizon",
-    "dpp_residual",
-    "dpp_report",
     "interior_mask",
 ]
 
@@ -937,121 +937,3 @@ def solve_finite_horizon(
         values[m] = solve(E * values[m + 1].ravel() + W * fvec).reshape(grid.shape)
     times = np.linspace(0.0, T, n_steps + 1)
     return FiniteHorizonSolution(times=times, values=values, grid=grid, q_growth=prob.q_growth)
-
-
-# ---------------------------------------------------------------------------
-# dynamic-programming residual (Monte Carlo)
-
-
-@dataclass
-class DppReport:
-    residual: float
-    t: float
-    per_probe: list = field(default_factory=list)
-
-
-def _default_probes(grid: Grid):
-    lo, hi = np.array(grid.lo), np.array(grid.hi)
-    return [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
-
-
-def _policy_specs(prob: HJBProblem, dyn):
-    specs = []
-    if prob.mode == "list":
-        for entry in prob.actions:
-            if isinstance(entry, Action):
-                specs.append(dyn.PolicyFieldSpec.constant(entry))
-            else:
-                specs.append(dyn.PolicyFieldSpec.from_action_callable(entry))
-        return specs
-    mu0 = _lattice_origin(prob.mu_lattice)
-    for sigma, nu in prob.sigma_nu_pairs:
-        specs.append(dyn.PolicyFieldSpec.constant(Action(sigma=sigma, nu=nu, mu=mu0)))
-    return specs
-
-
-def _cost_adapters(prob: HJBProblem, spec, grid: Grid):
-    """State-only cost/discount callables for a fixed policy spec."""
-
-    def adapter(fn):
-        def at(X):
-            acts = spec.action_at(X)
-            if isinstance(acts, Action):
-                return _eval_xa(fn, _x_for_eval(grid, X), acts, len(X))
-            return np.array(
-                [_eval_xa(fn, _x_for_eval(grid, X[i : i + 1]), a, 1)[0] for i, a in enumerate(acts)]
-            )
-
-        return at
-
-    return adapter(prob.f), adapter(prob.q)
-
-
-def dpp_report(
-    phi: ValueField,
-    prob: HJBProblem,
-    t: float,
-    n_paths: int,
-    seed: int,
-    policies=None,
-    probe_states=None,
-    dt: float = 1e-2,
-) -> DppReport:
-    """Monte Carlo check of the programming principle at horizon t.
-
-    For each probe state the best trial policy's estimate of
-    E[int_0^t e^{-gamma} f ds + e^{-gamma_t} phi(X_t)] is compared with
-    phi(x); the report aggregates the worst (sup) probe.
-    """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    grid = phi.grid
-    probes = probe_states if probe_states is not None else _default_probes(grid)
-    probes = [np.atleast_1d(np.asarray(p, float)) for p in probes]
-    if t == 0.0:
-        per = [
-            {"probe": p, "estimate": phi.value(p if grid.dim == 2 else p[0]), "se": 0.0,
-             "policy": None, "gap": 0.0}
-            for p in probes
-        ]
-        return DppReport(residual=0.0, t=0.0, per_probe=per)
-    from . import dynamics as dyn
-
-    specs = policies if policies is not None else _policy_specs(prob, dyn)
-    if len(specs) == 0:
-        raise ValueError("no trial policies")
-    per = []
-    worst = -np.inf
-    for pi, p in enumerate(probes):
-        phi_here = phi.value(p if grid.dim == 2 else p[0])
-        best = None
-        for si, spec in enumerate(specs):
-            f_fn, q_fn = _cost_adapters(prob, spec, grid)
-            cfg = dyn.SimConfig(
-                x0=p,
-                T=t,
-                dt=dt,
-                n_paths=n_paths,
-                seed=seed + 7919 * pi + 104729 * si,
-            )
-            bundle = dyn.simulate(spec, cfg, f=f_fn, q=q_fn)
-            disc = np.exp(-bundle.gamma[:, -1])
-            xT = bundle.states[:, -1, :]
-            samples = bundle.cost_disc + disc * phi.value(xT if grid.dim == 2 else xT[:, 0])
-            est = float(samples.mean())
-            se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
-            if best is None or est < best[0]:
-                best = (est, se, si)
-        gap = best[0] - phi_here
-        per.append(
-            {"probe": p, "estimate": best[0], "se": best[1], "policy": best[2], "gap": gap}
-        )
-        worst = max(worst, gap)
-    return DppReport(residual=float(worst), t=float(t), per_probe=per)
-
-
-def dpp_residual(phi, prob, t, n_paths, seed, policies=None, probe_states=None, dt=1e-2) -> float:
-    """Sup over probe states of the best-trial-policy gap; see dpp_report."""
-    return dpp_report(
-        phi, prob, t, n_paths, seed, policies=policies, probe_states=probe_states, dt=dt
-    ).residual

@@ -88,6 +88,15 @@ class LQSpec:
         return self.lam.shape[0]
 
 
+def _quadratic_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row-wise x' M x as the left-to-right sum of (x_i M_ij) x_j over (i, j) in
+    row-major order, so a row rounds alike in every batch; np.einsum groups the
+    terms differently for one- and two-row batches."""
+    terms = ((X[:, i] * M[i, j]) * X[:, j] for i in range(M.shape[0]) for j in range(M.shape[1]))
+    first = next(terms)
+    return sum(terms, first)
+
+
 @dataclass(frozen=True, eq=False)
 class LQSolution:
     """Assembled closed form: V(x) = x^T B x + c . x + d, feedback -Q x + v."""
@@ -106,7 +115,7 @@ class LQSolution:
         x = np.asarray(x, float)
         single = x.ndim <= 1
         pts = np.atleast_2d(x)
-        out = np.einsum("mi,ij,mj->m", pts, self.B, pts) + pts @ self.c + self.d
+        out = _quadratic_rows(pts, self.B) + (pts * self.c).sum(axis=1) + self.d
         return float(out[0]) if single else out
 
     def optimal_action(self, x) -> Action:

@@ -18,21 +18,29 @@ ensemble can serve several of them:
 * static growth-certificate audits of a policy field over a probe box.
 
 There is also a Dynkin-formula battery for constant policies (compensated
-test functions must be centered) and a moment-bound ratio report that
-tracks E[sup |X^d|^q] against its predicted bound across horizons.
+test functions must be centered), with L g from
+:func:`~jumpctl.generator.apply_generator` on each snapshot's state batch,
+a moment-bound ratio report that tracks E[sup |X^d|^q] against its
+predicted bound across horizons, and the Monte Carlo dynamic-programming
+check of a solved value field (:func:`dpp_report`), which compares the
+value at each probe state with the best trial policy's estimate of the
+discounted running cost to a horizon plus the discounted value there.
+Fields are read through the generator module's one rule for a state batch.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PathBundle, PolicyFieldSpec
-from .measures import _support_points, tail_moment
+from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
+from .generator import _field_value, apply_generator
+from .hjb import Grid, HJBProblem, ValueField, _eval_xa, _lattice_origin, _x_for_eval
+from .measures import Action, tail_moment
 
 __all__ = [
     "TestReport",
@@ -42,6 +50,9 @@ __all__ = [
     "growth_certificate_check",
     "dynkin_test",
     "moment_bound_report",
+    "DppReport",
+    "dpp_report",
+    "dpp_residual",
 ]
 
 log = logging.getLogger(__name__)
@@ -100,14 +111,6 @@ def _jsonable(obj):
 
 def _nearest_index(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
-
-
-def _phi_values(phi, X2d: np.ndarray) -> np.ndarray:
-    if hasattr(phi, "value"):
-        out = phi.value(X2d[:, 0] if X2d.shape[1] == 1 else X2d)
-    else:
-        out = phi(X2d)
-    return np.asarray(out, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def transversality_test(
 
     Y = np.empty((n, len(idx)))
     for j, k in enumerate(idx):
-        vals = _phi_values(phi, bundle.states[:, k, :])
+        vals = _field_value(phi, bundle.states[:, k, :])
         Y[:, j] = np.exp(-bundle.gamma[:, k]) * vals
     m = Y.mean(axis=0)
     se = Y.std(axis=0, ddof=1) / np.sqrt(n)
@@ -418,32 +421,13 @@ def growth_certificate_check(
 # Dynkin battery (constant policies)
 
 
-def _generator_on_batch(action, g, X: np.ndarray, vals: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-    """Vectorized L g over a state batch for one constant action.
-
-    ``vals`` holds ``g.fn(X)``, already evaluated by the caller.  Needs
-    ``g`` to expose batch-capable fn/grad/hess (shape conventions of the
-    analytic field type).
-    """
-    grad = np.asarray(g.grad(X), dtype=float)
-    hess = np.asarray(g.hess(X), dtype=float)
-    sigma = np.asarray(action.sigma, dtype=float)
-    A = sigma @ sigma.T
-    out = grad @ (u + np.asarray(action.mu, dtype=float))
-    out = out + 0.5 * np.einsum("nij,ij->n", hess, A)
-    pts, w = _support_points(action.nu)
-    for y, wt in zip(pts, w):
-        out = out + wt * (np.asarray(g.fn(X + y), dtype=float) - vals - grad @ y)
-    return out
-
-
 def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
     """Mean-zero check of g(X_t) - g(x0) - int_0^t L g(X_s) ds.
 
     Constant policies only (the generator is frozen along paths).  For
     each test function and requested time the compensated value must be
-    within 3 SE of zero.  ``fields`` entries need vectorized fn/grad/hess.
+    within 3 SE of zero.  L g is :func:`~jumpctl.generator.apply_generator`
+    on each snapshot's state batch, so ``fields`` are any fields it reads.
     """
     if bundle.policy.kind != "constant":
         raise ValueError("the compensated-value battery needs a constant policy")
@@ -459,8 +443,8 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
         gen = np.empty((n, K))
         for j in range(K):
             X = bundle.states[:, j, :]
-            vals[:, j] = np.asarray(g.fn(X), dtype=float)
-            gen[:, j] = _generator_on_batch(a, g, X, vals[:, j], bundle.u)
+            vals[:, j] = _field_value(g, X)
+            gen[:, j] = apply_generator(a, g, X, u=bundle.u)
         integral = np.zeros((n, K))
         integral[:, 1:] = np.cumsum(0.5 * (gen[:, :-1] + gen[:, 1:]) * dts, axis=1)
         M = vals - vals[:, :1] - integral
@@ -528,3 +512,103 @@ def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
         n_samples=sum(b.n_paths for b in bundles),
         messages=(),
     )
+
+
+# ---------------------------------------------------------------------------
+# dynamic-programming residual (Monte Carlo)
+
+
+@dataclass
+class DppReport:
+    residual: float
+    t: float
+    per_probe: list = field(default_factory=list)
+
+
+def _default_probes(grid: Grid):
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    return [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
+
+
+def _policy_specs(prob: HJBProblem):
+    if prob.mode == "list":
+        return [PolicyFieldSpec.constant(e) if isinstance(e, Action)
+                else PolicyFieldSpec.from_action_callable(e) for e in prob.actions]
+    mu0 = _lattice_origin(prob.mu_lattice)
+    return [PolicyFieldSpec.constant(Action(sigma=sigma, nu=nu, mu=mu0))
+            for sigma, nu in prob.sigma_nu_pairs]
+
+
+def _cost_adapters(prob: HJBProblem, spec, grid: Grid):
+    """State-only cost/discount callables for a fixed policy spec."""
+
+    def adapter(fn):
+        def at(X):
+            acts = spec.action_at(X)
+            if isinstance(acts, Action):
+                return _eval_xa(fn, _x_for_eval(grid, X), acts, len(X))
+            return np.array(
+                [_eval_xa(fn, _x_for_eval(grid, X[i : i + 1]), a, 1)[0] for i, a in enumerate(acts)]
+            )
+
+        return at
+
+    return adapter(prob.f), adapter(prob.q)
+
+
+def dpp_report(
+    phi: ValueField,
+    prob: HJBProblem,
+    t: float,
+    n_paths: int,
+    seed: int,
+    policies=None,
+    probe_states=None,
+    dt: float = 1e-2,
+) -> DppReport:
+    """Monte Carlo check of the programming principle at horizon t.
+
+    For each probe state the best trial policy's estimate of
+    E[int_0^t e^{-gamma} f ds + e^{-gamma_t} phi(X_t)] is compared with
+    phi(x); the report aggregates the worst (sup) probe.
+    """
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    grid = phi.grid
+    probes = probe_states if probe_states is not None else _default_probes(grid)
+    probes = [np.atleast_1d(np.asarray(p, float)) for p in probes]
+    here = _field_value(phi, np.array(probes))
+    if t == 0.0:
+        per = [{"probe": p, "estimate": v, "se": 0.0, "policy": None, "gap": 0.0}
+               for p, v in zip(probes, here)]
+        return DppReport(residual=0.0, t=0.0, per_probe=per)
+    specs = policies if policies is not None else _policy_specs(prob)
+    if len(specs) == 0:
+        raise ValueError("no trial policies")
+    per = []
+    worst = -np.inf
+    for pi, (p, phi_here) in enumerate(zip(probes, here)):
+        best = None
+        for si, spec in enumerate(specs):
+            f_fn, q_fn = _cost_adapters(prob, spec, grid)
+            cfg = SimConfig(x0=p, T=t, dt=dt, n_paths=n_paths, seed=seed + 7919 * pi + 104729 * si)
+            bundle = simulate(spec, cfg, f=f_fn, q=q_fn)
+            disc = np.exp(-bundle.gamma[:, -1])
+            samples = bundle.cost_disc + disc * _field_value(phi, bundle.states[:, -1, :])
+            est = float(samples.mean())
+            se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
+            if best is None or est < best[0]:
+                best = (est, se, si)
+        gap = best[0] - phi_here
+        per.append(
+            {"probe": p, "estimate": best[0], "se": best[1], "policy": best[2], "gap": gap}
+        )
+        worst = max(worst, gap)
+    return DppReport(residual=float(worst), t=float(t), per_probe=per)
+
+
+def dpp_residual(phi, prob, t, n_paths, seed, policies=None, probe_states=None, dt=1e-2) -> float:
+    """Sup over probe states of the best-trial-policy gap; see dpp_report."""
+    return dpp_report(
+        phi, prob, t, n_paths, seed, policies=policies, probe_states=probe_states, dt=dt
+    ).residual

@@ -487,6 +487,26 @@ def test_coefficient_norms_match_actions(case):
             assert lhs[i] == pytest.approx(gm_left_side(a, p), rel=1e-13)
 
 
+def test_second_characteristic_is_sigma_sigma_T():
+    # the increment sigma xi sqrt(dt) has covariance sigma sigma^T dt, so the
+    # recorded C, the report's prediction and Cov(X_T) must all agree on it;
+    # for this non-normal sigma, sigma^T sigma differs by 0.02-0.03 per entry
+    sigma = np.array([[0.7, 0.2], [0.1, 0.5]])
+    want = sigma @ sigma.T
+    b = simulate(_const(sigma, ZeroMeasure(2), [0.0, 0.0]),
+                 SimConfig(x0=[0.0, 0.0], T=1.0, dt=0.05, n_paths=20_000, seed=17,
+                           store_every=20))
+    assert np.allclose(b.C[-1], want, rtol=1e-12, atol=0.0)
+    assert characteristics_report(b).c_gap < 1e-12
+    emp = np.cov(b.states[:, -1, :], rowvar=False)
+    # SE of the (0, 0) entry is 0.53 sqrt(2 / n) = 0.0053; sigma^T sigma is off by 0.033
+    assert np.max(np.abs(emp - want)) < 0.02
+    slow = PolicyFieldSpec.from_action_callable(
+        lambda x: Action(sigma=sigma, nu=ZeroMeasure(2), mu=np.zeros(2)))
+    b = simulate(slow, SimConfig(x0=[0.0, 0.0], T=0.2, dt=0.05, n_paths=5, seed=3))
+    assert np.allclose(b.C[:, -1], 0.2 * want, rtol=1e-12, atol=0.0)
+
+
 # ------------------------------------------------------ frozen-seed contract
 
 _BUNDLE_ARRAYS = ("states", "gamma", "cost_run", "Bh", "C", "jump_counts", "jump_sizes",
@@ -537,8 +557,10 @@ def _digest_cases():
 
 
 # sha256 over (name, dtype, shape, bytes) of every array in _BUNDLE_ARRAYS, in
-# order, recorded before the vectorised shapes were made to step in place.
-# Float bits depend on numpy's kernels; these were taken with numpy 2.4 on x86-64.
+# order, recorded before the vectorised shapes were made to step in place;
+# linear_2d_correlated re-pinned when C became int sigma sigma^T ds (its other
+# eleven arrays kept their bytes). Float bits depend on numpy's kernels; these
+# were taken with numpy 2.4 on x86-64.
 _FROZEN_DIGESTS = {
     "callable": "ead33806c16f1afe0e48ec59cd37b7b8273341ff29ebe210f4b73a4d2c63ca47",
     "constant_density_jitter": "04b0e6c987bf328548de889b34e9758ab51f428c8b06b307b50d528157ef01ab",
@@ -546,7 +568,7 @@ _FROZEN_DIGESTS = {
     "constant_two_atoms_thinned":
         "b02f72ba557bf944e3ead5620a346823c7698c1454ec2814006c4e077ed7162a",
     "jump_to_origin": "a9fbe3686dfe60143f8960ab4fbfe5c09ec558ea9728c7d1688507fb48f4dfed",
-    "linear_2d_correlated": "a85c480d731124e10c089b65b2c66625f73f69b65a98cbcf8c14342ec3657a41",
+    "linear_2d_correlated": "6efae56cc36af537e665f614f51dec3da43ab3a587400676196bb4e770847ac5",
     "linear_with_f_q": "a08cb1495761924045ef630a5928a153f34e25d32cd5508117681812f3d92d31",
 }
 

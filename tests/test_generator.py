@@ -68,6 +68,9 @@ def test_domain_box_enforced():
     g = AnalyticField(fn=lambda x: np.asarray(x)[..., 0] ** 2, domain=([-1.0], [1.0]))
     with pytest.raises(DomainError):
         local_term(0.0, 1.0, g, x=3.0)
+    # the box is checked on the whole batch, so one bad row is enough
+    with pytest.raises(DomainError, match="3"):
+        local_term(0.0, 1.0, g, x=np.array([[0.0], [0.5], [3.0]]))
 
 
 # ----------------------------------------------------------------- jump term
@@ -206,3 +209,58 @@ def test_jump_term_on_quadratics_equals_second_moment_contraction(x, m):
     g = quad_field(0.8, b=-1.0, c=2.0)
     expected = 0.8 * second_moment_matrix(nu)[0, 0]
     assert jump_term(nu, g, x=x) == pytest.approx(expected, rel=1e-10)
+
+
+# ------------------------------------------------------------------ batches
+
+
+def _bits(v):
+    return np.asarray(v, float).view(np.int64)
+
+
+def test_batch_rows_match_point_calls():
+    # a point is a batch of one row and every sum runs within a row, so row i
+    # of a batch is bitwise the call at X[i]; each measure has atoms on both
+    # sides of the small-jump split (Taylor surrogate and raw difference)
+    g1 = Grid.regular(-2.0, 2.0, 41)
+    g2 = Grid.regular([-2.0, -2.0], [2.0, 2.0], [21, 21])
+    n2 = g2.nodes()
+    cases = {
+        "analytic-1d": (quad_field(1.3, b=-0.4, c=0.2), 0.3),
+        "analytic-2d": (AnalyticField(
+            fn=lambda x: np.sin(x[..., 0]) * np.cos(0.5 * x[..., 1]) + x[..., 0] * x[..., 1],
+            grad=lambda x: np.stack([np.cos(x[..., 0]) * np.cos(0.5 * x[..., 1]) + x[..., 1],
+                                     -0.5 * np.sin(x[..., 0]) * np.sin(0.5 * x[..., 1])
+                                     + x[..., 0]], axis=-1),
+            hess=lambda x: np.stack([
+                np.stack([-np.sin(x[..., 0]) * np.cos(0.5 * x[..., 1]),
+                          -0.5 * np.cos(x[..., 0]) * np.sin(0.5 * x[..., 1]) + 1.0], axis=-1),
+                np.stack([-0.5 * np.cos(x[..., 0]) * np.sin(0.5 * x[..., 1]) + 1.0,
+                          -0.25 * np.sin(x[..., 0]) * np.cos(0.5 * x[..., 1])], axis=-1),
+            ], axis=-2)), 0.3),
+        "fd-2d": (AnalyticField(fn=lambda x: np.exp(0.3 * x[..., 0] - 0.2 * x[..., 1] ** 2)),
+                  0.3),
+        "grid-1d": (ValueField(grid=g1, values=np.cos(g1.axes[0]) + g1.axes[0] ** 2), None),
+        "grid-2d": (ValueField(grid=g2, values=np.cos(n2[:, 0]) * (1.0 + n2[:, 1] ** 2)), None),
+    }
+    rng = np.random.default_rng(5)
+    for name, (field, split) in cases.items():
+        dim = 2 if name.endswith("2d") else 1
+        # grid fields split at twice their spacing: 0.2 in 1-D, 0.4 in 2-D
+        near, far = (0.1, 0.6) if split is None else (0.1, 0.8)
+        locs = [[near], [-far]] if dim == 1 else [[near, -0.05], [-far, 0.4]]
+        sigma = 0.7 if dim == 1 else np.array([[0.7, 0.2], [0.1, 0.5]])
+        a = Action(sigma=sigma, nu=AtomicMeasure(dim, locs, [1.2, 0.5]), mu=np.full(dim, 0.3))
+        scheme = GeneratorScheme(small_jump_split=split)
+        u = np.full(dim, -0.1)
+        for m in (1, 2, 17, 64):
+            X = rng.uniform(-1.0, 1.0, size=(m, dim))
+            batch = apply_generator(a, field, X, u=u, scheme=scheme)
+            assert batch.shape == (m,)
+            points = [apply_generator(a, field, x, u=u, scheme=scheme) for x in X]
+            assert all(isinstance(p, float) for p in points)
+            assert np.array_equal(_bits(batch), _bits(points)), (name, m)
+            integrand = hjb_integrand(a, field, X, f_val=0.4, q_val=1.1, u=u, scheme=scheme)
+            rows = [hjb_integrand(a, field, x, f_val=0.4, q_val=1.1, u=u, scheme=scheme)
+                    for x in X]
+            assert np.array_equal(_bits(integrand), _bits(rows)), (name, m)

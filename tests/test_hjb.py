@@ -19,7 +19,6 @@ from jumpctl.hjb import (
     _best_candidates,
     _factorise,
     _Generator,
-    dpp_residual,
     interior_mask,
     policy_evaluation,
     policy_improvement,
@@ -28,6 +27,7 @@ from jumpctl.hjb import (
 )
 from jumpctl.lq import LQSpec, solve_lq
 from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure
+from jumpctl.verify import dpp_report, dpp_residual
 
 B_HAT = (np.sqrt(13.0) - 3.0) / 2.0
 
@@ -862,8 +862,6 @@ def test_dpp_gap_vanishes_on_resolvent():
     # phi = x^2 + 1 is the exact one-action value, so the programming
     # principle holds with equality; the Monte Carlo gap is pure noise
     # plus O(h^2) interpolation of the terminal value.
-    from jumpctl.hjb import dpp_report
-
     g = Grid.regular(-2.0, 2.0, 33)
     prob = singleton_problem(lambda x, a: x**2, 1.0)
     phi = ValueField(grid=g, values=g.axes[0] ** 2 + 1.0, q_growth=2)
@@ -880,7 +878,6 @@ def test_dpp_detects_missing_control():
     # with it in the trial set the gap is noise, without it the gap is
     # strictly positive at probes away from the origin.
     from jumpctl.dynamics import PolicyFieldSpec
-    from jumpctl.hjb import dpp_report
 
     g = Grid.regular(-2.0, 2.0, 33)
     prob = example1_problem()

@@ -188,3 +188,22 @@ def test_optimal_action_carries_selected_pair():
     act = sol.optimal_action(1.5)
     assert act.sigma[0, 0] == 1.0
     assert np.allclose(act.mu, -sol.Q @ np.array([1.5]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_value_is_batch_size_invariant(dim):
+    # V of one state is bitwise the same row of any batch holding it: the
+    # quadratic and the linear term are summed row by row in a fixed order,
+    # where einsum and pts @ c round differently for one- and many-row batches
+    lam = [[2.7]] if dim == 1 else [[1.0, -0.2], [-0.2, 0.7]]
+    theta = [[0.5]] if dim == 1 else [[1.0, 0.3], [0.3, 2.0]]
+    sol = solve_lq(LQSpec(lam=lam, theta=theta, q=3.0, u=np.full(dim, 0.4)))
+    assert dim == 1 or sol.B[0, 1] != 0.0
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 17, 2**14 + 1):
+        X = rng.standard_normal((m, dim)) * 3.0
+        whole = sol.value(X)
+        rows = np.array([sol.value(X[i : i + 1])[0] for i in range(m)])
+        points = np.array([sol.value(X[i]) for i in range(m)])
+        assert np.array_equal(whole.view(np.int64), rows.view(np.int64)), m
+        assert np.array_equal(whole.view(np.int64), points.view(np.int64)), m
