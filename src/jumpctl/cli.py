@@ -8,6 +8,11 @@ Commands
 ``verify``        statistical test batteries against a declared policy
 ``example N``     benchmark problem N in {1, 2, 3} plus a solver cross-check
 
+One builder reads each config shape (measure, (sigma, nu) pair, action,
+policy, grid, cost, test function); ``simulate`` and ``verify`` share one
+preamble; each ``example`` writes its closed form to ``value.csv`` and hands
+one cross-check runner the problem to solve by policy iteration.
+
 Shared flags: ``--config PATH`` (JSON; see ``configs/config.schema.json``
 next to this module for the published format), ``--out DIR``, ``--seed U64``
 (overrides the config seed), ``--threads N`` (global worker budget for the
@@ -26,7 +31,8 @@ schema violations are reported with a path to the offending field; an
 output directory or artifact that cannot be written is reported as
 ``jumpctl: cannot write output: ...``),
 2 numerical non-convergence (partial artifacts are still written),
-3 verification failure.
+3 verification failure (a failed battery test, or an example cross-check
+beyond its tolerance).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -117,31 +124,27 @@ def _number(obj, key, path, default=_MISSING, positive=False):
     return val
 
 
-def _vector(obj, key, path, default=_MISSING):
-    raw = _get(obj, key, path, (list, int, float), default)
-    if raw is default and default is not _MISSING:
-        return raw
-    try:
-        arr = np.atleast_1d(np.asarray(raw, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}", f"not a numeric vector: {exc}") from None
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}.{key}", "must be a finite 1-D numeric array")
-    return arr
-
-
-def _matrix(obj, key, path, default=_MISSING):
+def _array(obj, key, path, default, ndim, what, shape_rule):
     raw = _get(obj, key, path, (list, int, float), default)
     if raw is default and default is not _MISSING:
         return raw
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}", f"not a numeric matrix: {exc}") from None
-    arr = np.atleast_2d(arr)
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}.{key}", "must be a finite matrix (nested row-major lists)")
+        raise ConfigError(f"{path}.{key}", f"not a numeric {what}: {exc}") from None
+    arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key}", shape_rule)
     return arr
+
+
+def _vector(obj, key, path, default=_MISSING):
+    return _array(obj, key, path, default, 1, "vector", "must be a finite 1-D numeric array")
+
+
+def _matrix(obj, key, path, default=_MISSING):
+    return _array(obj, key, path, default, 2, "matrix",
+                  "must be a finite matrix (nested row-major lists)")
 
 
 def _load_json(path: Path) -> tuple[dict, str]:
@@ -228,13 +231,16 @@ def _sigma_from(obj, key, path, dim, default=_MISSING) -> np.ndarray:
     return sig
 
 
-def _action_from(obj, path: str, dim: int) -> Action:
-    sigma = _sigma_from(obj, "sigma", path, dim, default=None)
+def _pair_from(obj, path: str, dim: int, nu_default):
+    """(sigma, nu) of a config entry: sigma defaults to zero, an absent nu to ``nu_default``."""
+    sigma = _sigma_from(obj, "sigma", path, dim, default=np.zeros((dim, dim)))
     nu_cfg = _get(obj, "nu", path, dict, default=None)
-    nu = _measure_from(nu_cfg, f"{path}.nu", dim) if nu_cfg is not None else ZeroMeasure(dim)
+    return sigma, _measure_from(nu_cfg, f"{path}.nu", dim) if nu_cfg is not None else nu_default
+
+
+def _action_from(obj, path: str, dim: int) -> Action:
+    sigma, nu = _pair_from(obj, path, dim, ZeroMeasure(dim))
     mu = _vector(obj, "mu", path, default=None)
-    if sigma is None:
-        sigma = np.zeros((dim, dim))
     if mu is not None and mu.shape != (dim,):
         raise ConfigError(f"{path}.mu", f"drift must have dimension {dim}")
     try:
@@ -256,18 +262,14 @@ def _policy_from(obj, path: str):
         if gain.shape != (dim, dim):
             raise ConfigError(f"{path}.gain", "gain must be a square matrix")
         offset = _vector(obj, "offset", path, default=np.zeros(dim))
-        sigma = _sigma_from(obj, "sigma", path, dim, default=None)
-        nu_cfg = _get(obj, "nu", path, dict, default=None)
-        nu = _measure_from(nu_cfg, f"{path}.nu", dim) if nu_cfg is not None else None
+        sigma, nu = _pair_from(obj, path, dim, None)
         growth = _get(obj, "growth", path, dict, default=None)
         kw = {}
         if growth is not None:
             kw["growth_K"] = _number(growth, "K", f"{path}.growth", positive=True)
             kw["growth_p"] = _number(growth, "p", f"{path}.growth", positive=True)
         try:
-            spec = dyn.PolicyFieldSpec.linear_feedback(
-                gain, offset, sigma if sigma is not None else np.zeros((dim, dim)), nu=nu, **kw
-            )
+            spec = dyn.PolicyFieldSpec.linear_feedback(gain, offset, sigma, nu=nu, **kw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(path, str(exc)) from None
         return spec, None
@@ -277,7 +279,7 @@ def _policy_from(obj, path: str):
         sigma = _sigma_from(obj, "sigma", path, dim, default=np.zeros((dim, dim)))
         return dyn.PolicyFieldSpec.jump_to_origin(rate=rate, sigma=sigma, dim=dim), None
     if kind == "lq_optimal":
-        sol = _lq_solution_from(obj, path)
+        sol = solve_lq(_lq_spec_from(obj, path))
         spec = dyn.PolicyFieldSpec.linear_feedback(
             sol.Q, sol.v, sol.sigma_hat, nu=sol.nu_hat, name="lq-optimal"
         )
@@ -294,22 +296,14 @@ def _lq_spec_from(obj, path: str) -> LQSpec:
     q = _number(obj, "q", path, positive=True)
     dim = lam.shape[0]
     u = _vector(obj, "u", path, default=None)
-    cands = _get(obj, "candidates", path, list, default=[])
-    pairs = []
-    for i, entry in enumerate(cands):
-        cpath = f"{path}.candidates[{i}]"
-        sigma = _sigma_from(entry, "sigma", cpath, dim, default=np.zeros((dim, dim)))
-        nu_cfg = _get(entry, "nu", cpath, dict, default=None)
-        nu = _measure_from(nu_cfg, f"{cpath}.nu", dim) if nu_cfg is not None else ZeroMeasure(dim)
-        pairs.append((sigma, nu))
+    pairs = [
+        _pair_from(entry, f"{path}.candidates[{i}]", dim, ZeroMeasure(dim))
+        for i, entry in enumerate(_get(obj, "candidates", path, list, default=[]))
+    ]
     try:
         return LQSpec(lam=lam, theta=theta, q=q, u=u, dispersion_candidates=tuple(pairs))
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from None
-
-
-def _lq_solution_from(obj, path: str):
-    return solve_lq(_lq_spec_from(obj, path))
 
 
 def _grid_from(obj, path: str) -> Grid:
@@ -583,13 +577,10 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     mode = _get(ac, "mode", apath, str)
     kwargs = {}
     if mode == "product":
-        pairs = []
-        for i, entry in enumerate(_get(ac, "pairs", apath, list)):
-            epath = f"{apath}.pairs[{i}]"
-            sigma = _sigma_from(entry, "sigma", epath, dim, default=np.zeros((dim, dim)))
-            nu_cfg = _get(entry, "nu", epath, dict, default=None)
-            nu = _measure_from(nu_cfg, f"{epath}.nu", dim) if nu_cfg is not None else ZeroMeasure(dim)
-            pairs.append((sigma, nu))
+        pairs = [
+            _pair_from(entry, f"{apath}.pairs[{i}]", dim, ZeroMeasure(dim))
+            for i, entry in enumerate(_get(ac, "pairs", apath, list))
+        ]
         if not pairs:
             raise ConfigError(f"{apath}.pairs", "needs at least one (sigma, nu) entry")
         lat_cfg = _get(ac, "mu_lattice", apath, dict)
@@ -612,7 +603,7 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
             elif builtin == "jump_to_origin":
                 rate = _number(entry, "rate", epath, default=1.0, positive=True)
                 sigma = _sigma_from(entry, "sigma", epath, dim, default=np.zeros((dim, dim)))
-                entries.append(_jump_origin_entry(rate, sigma))
+                entries.append(partial(jump_to_origin_action, rate=rate, sigma=sigma))
             else:
                 raise ConfigError(f"{epath}.builtin", f"unknown builtin '{builtin}'")
         if not entries:
@@ -629,11 +620,6 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(ppath, str(exc)) from None
     return prob, grid, cost
-
-
-def _jump_origin_entry(rate: float, sigma: np.ndarray):
-    """State-dependent relocation action for the list-mode solver."""
-    return lambda x: jump_to_origin_action(x, rate, sigma)
 
 
 def _solve_report(rep, phi, extra=None) -> dict:
@@ -711,7 +697,10 @@ def cmd_solve_finite(run: RunConfig) -> int:
 # simulate / verify
 
 
-def cmd_simulate(run: RunConfig) -> int:
+def _simulation_from(run: RunConfig):
+    """What simulate and verify both read: the policy, its LQ solution, the sim
+    config, the running cost along the policy and the discount (>= 0), plus
+    the artifacts' provenance with the effective seed."""
     cfg = run.config
     policy, lq_sol = _policy_from(_get(cfg, "policy", "$", dict), "$.policy")
     sim = _sim_config_from(_get(cfg, "sim", "$", dict), "$.sim", run.seed)
@@ -719,11 +708,12 @@ def cmd_simulate(run: RunConfig) -> int:
     q = _number(cfg, "discount", "$", default=0.0)
     if q < 0.0:
         raise ConfigError("$.discount", "must be >= 0")
+    return policy, lq_sol, sim, cost.state_fn(policy), q, {**run.provenance(), "seed": sim.seed}
 
-    bundle = dyn.simulate(policy, sim, f=cost.state_fn(policy), q=q if q > 0 else None)
 
-    prov = dict(run.provenance())
-    prov["seed"] = sim.seed
+def cmd_simulate(run: RunConfig) -> int:
+    policy, lq_sol, sim, f, q, prov = _simulation_from(run)
+    bundle = dyn.simulate(policy, sim, f=f, q=q if q > 0 else None)
     n, K, dim = bundle.states.shape
     cols = [
         ("path", np.repeat(np.arange(n), K)),
@@ -802,12 +792,8 @@ def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
 
 
 def cmd_verify(run: RunConfig) -> int:
-    cfg = run.config
-    policy, lq_sol = _policy_from(_get(cfg, "policy", "$", dict), "$.policy")
-    sim = _sim_config_from(_get(cfg, "sim", "$", dict), "$.sim", run.seed)
-    cost = _CostSpec(_get(cfg, "cost", "$", dict, default=None), "$.cost")
-    q = _number(cfg, "discount", "$", default=0.0)
-    tests = _get(cfg, "tests", "$", list)
+    policy, lq_sol, sim, f, q, prov = _simulation_from(run)
+    tests = _get(run.config, "tests", "$", list)
     if not tests:
         raise ConfigError("$.tests", "needs at least one test entry")
 
@@ -817,9 +803,7 @@ def cmd_verify(run: RunConfig) -> int:
     if any(_get(t, "name", f"$.tests[{i}]", str)
            in ("martingale", "transversality", "integrability")
            for i, t in enumerate(tests)):
-        shared["bundle"] = dyn.simulate(
-            policy, sim, f=cost.state_fn(policy), q=q if q > 0 else None
-        )
+        shared["bundle"] = dyn.simulate(policy, sim, f=f, q=q if q > 0 else None)
 
     reports = []
     for i, entry in enumerate(tests):
@@ -827,8 +811,6 @@ def cmd_verify(run: RunConfig) -> int:
         log.info("test %-16s %s", rep.name, "PASS" if rep.passed else "FAIL")
         reports.append(rep)
 
-    prov = dict(run.provenance())
-    prov["seed"] = sim.seed
     all_passed = all(r.passed for r in reports)
     _write_json(
         run.out_dir / "report.json", prov,
@@ -849,120 +831,121 @@ def cmd_verify(run: RunConfig) -> int:
 # benchmark examples with solver cross-checks
 
 
-def _crosscheck_window(grid_axis, phi_vals, reference, window) -> float:
-    mask = (grid_axis >= window[0]) & (grid_axis <= window[1])
-    ref = reference[mask]
-    scale = np.maximum(1.0, np.abs(ref))
-    return float(np.max(np.abs(phi_vals[mask] - ref) / scale))
-
-
-def cmd_example(run: RunConfig, which: int) -> int:
-    cfg = run.config
-    declared = cfg.get("which")
-    if declared is not None and int(declared) != which:
-        raise ConfigError("$.which", f"config is for example {declared}, requested {which}")
-    if which == 1:
-        return _example1(run)
-    if which == 2:
-        return _example2(run)
-    return _example3(run)
-
-
-def _example1(run: RunConfig) -> int:
-    cfg = run.config
-    cost = _CostSpec(_get(cfg, "cost", "$", dict, default={"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
-    if cost.kind != "polynomial":
-        raise ConfigError("$.cost.kind", "example 1 takes a polynomial state cost")
-    q = _number(cfg, "q", "$", default=1.0, positive=True)
-    grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
-
-    psi = ex.example1_psi(cost.coeffs, q, grid)
-    V = ex.example1_value(psi, q)
-    prov = run.provenance()
-    _write_csv(run.out_dir / "value.csv", prov,
-               [("x", grid.axes[0]), ("psi", psi.values), ("value", V.values)])
-
+def _crosscheck_fields(cfg: dict, **defaults) -> dict:
+    """The ``crosscheck`` fields named in ``defaults``, read in that order
+    (a field with an int default is a count), and then ``window``."""
     cc = _get(cfg, "crosscheck", "$", dict, default={})
-    num = int(_number(cc, "num", "$.crosscheck", default=241.0, positive=True))
-    tol_rel = _number(cc, "tol_rel", "$.crosscheck", default=2e-2, positive=True)
-    cgrid = Grid.regular(grid.lo[0], grid.hi[0], num)
-    prob = HJBProblem(
-        f=cost.hjb_fn(1), q=q, delta_q=q, b_q=q,
-        actions=(
-            Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)),
-            _jump_origin_entry(1.0, np.eye(1)),
-        ),
-        p=2.0, q_growth=max(2, cost.coeffs.size - 1),
-    )
-    gphi, gpol, grep = solve_stationary(prob, cgrid, tol=1e-6, max_iters=40)
-    window = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
-    rel = _crosscheck_window(cgrid.axes[0], gphi.values, V.value(cgrid.axes[0]), window)
+    out = {}
+    for key, default in defaults.items():
+        val = _number(cc, key, "$.crosscheck", default=float(default), positive=True)
+        out[key] = int(val) if isinstance(default, int) else val
+    out["window"] = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
+    return out
 
-    report = {
-        "q": q,
-        "cost": cost.describe(),
-        "psi0": float(psi.value(0.0)),
-        "value0": float(V.value(0.0)),
-        "crosscheck": {
-            "max_rel_diff": rel, "tol_rel": tol_rel, "window": window,
-            "num": num, "converged": grep.converged, "iterations": grep.iterations,
-        },
-    }
-    _write_json(run.out_dir / "report.json", prov, report)
-    if not grep.converged:
+
+def _crosscheck(run: RunConfig, report: dict, cc: dict, prob, grid: Grid, reference,
+                tol: float, extra=None) -> int:
+    """Solve ``prob`` on the 1-D ``grid`` by policy iteration and compare it with
+    ``reference``, the closed form on the grid axis, inside ``cc["window"]``.
+
+    Writes ``report`` with the fields ``cc`` and the comparison under
+    ``crosscheck``. Exits 2 if the solve did not converge, and 3 if the
+    largest relative difference exceeds ``cc["tol_rel"]`` or ``extra(grid,
+    policy)``, which returns (report fields, failed), fails.
+    """
+    phi, pol, rep = solve_stationary(prob, grid, tol=tol, max_iters=40)
+    axis = grid.axes[0]
+    mask = (axis >= cc["window"][0]) & (axis <= cc["window"][1])
+    ref = reference[mask]
+    rel = float(np.max(np.abs(phi.values[mask] - ref) / np.maximum(1.0, np.abs(ref))))
+    fields, failed = extra(grid, pol) if extra is not None else ({}, False)
+    report["crosscheck"] = {**cc, **fields, "max_rel_diff": rel,
+                           "converged": rep.converged, "iterations": rep.iterations}
+    _write_json(run.out_dir / "report.json", run.provenance(), report)
+    if not rep.converged:
         log.error("cross-check solver did not converge")
         return 2
-    if rel > tol_rel:
-        log.error("cross-check disagreement %.3e exceeds %.1e", rel, tol_rel)
+    if failed or rel > cc["tol_rel"]:
+        log.error("cross-check disagreement: %s", _jsonable(report["crosscheck"]))
         return 3
     return 0
 
 
+def cmd_example(run: RunConfig, which: int) -> int:
+    declared = _get(run.config, "which", "$", int, default=None)
+    if isinstance(declared, bool):
+        raise ConfigError("$.which", "expected int, got bool")
+    if declared is not None and declared != which:
+        raise ConfigError("$.which", f"config is for example {declared}, requested {which}")
+    return (_example1, _example2, _example3)[which - 1](run)
+
+
+def _polynomial_example(cfg: dict, which: int):
+    """The polynomial state cost and the discount q of examples 1-2."""
+    cost = _CostSpec(_get(cfg, "cost", "$", dict,
+                          default={"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
+    if cost.kind != "polynomial":
+        raise ConfigError("$.cost.kind", f"example {which} takes a polynomial state cost")
+    return cost, _number(cfg, "q", "$", default=1.0, positive=True)
+
+
+def _diffuse_or_jump(f, q: float, coeffs: np.ndarray, grid: Grid, num: int):
+    """Examples 1-2 as a list-mode problem: unit diffusion, with or without a
+    unit-rate jump to the origin, solved on ``num`` nodes over ``grid``."""
+    prob = HJBProblem(
+        f=f, q=q, delta_q=q, b_q=q,
+        actions=(Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)), ex.example1_policy),
+        p=2.0, q_growth=max(2, coeffs.size - 1),
+    )
+    return prob, Grid.regular(grid.lo[0], grid.hi[0], num)
+
+
+def _example1(run: RunConfig) -> int:
+    cfg = run.config
+    cost, q = _polynomial_example(cfg, 1)
+    grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+
+    psi = ex.example1_psi(cost.coeffs, q, grid)
+    V = ex.example1_value(psi, q)
+    _write_csv(run.out_dir / "value.csv", run.provenance(),
+               [("x", grid.axes[0]), ("psi", psi.values), ("value", V.values)])
+
+    cc = _crosscheck_fields(cfg, num=241, tol_rel=2e-2)
+    prob, cgrid = _diffuse_or_jump(cost.hjb_fn(1), q, cost.coeffs, grid, cc["num"])
+    report = {"q": q, "cost": cost.describe(),
+              "psi0": float(psi.value(0.0)), "value0": float(V.value(0.0))}
+    return _crosscheck(run, report, cc, prob, cgrid, V.value(cgrid.axes[0]), 1e-6)
+
+
 def _example2(run: RunConfig) -> int:
     cfg = run.config
-    cost = _CostSpec(_get(cfg, "cost", "$", dict, default={"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
-    if cost.kind != "polynomial":
-        raise ConfigError("$.cost.kind", "example 2 takes a polynomial state cost")
-    q = _number(cfg, "q", "$", default=1.0, positive=True)
+    cost, q = _polynomial_example(cfg, 2)
     kappa = _number(cfg, "kappa", "$", default=1.0, positive=True)
     grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -8.0, "hi": 8.0, "num": 481}), "$.grid")
     tol = run.tol if run.tol is not None else 1e-8
 
     sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid, tol=tol)
-    prov = run.provenance()
-    _write_csv(run.out_dir / "value.csv", prov,
+    _write_csv(run.out_dir / "value.csv", run.provenance(),
                [("x", grid.axes[0]), ("phi", sol.phi.values)])
 
-    cc = _get(cfg, "crosscheck", "$", dict, default={})
-    num = int(_number(cc, "num", "$.crosscheck", default=241.0, positive=True))
-    tol_rel = _number(cc, "tol_rel", "$.crosscheck", default=5e-2, positive=True)
-    tol_cells = _number(cc, "tol_cells", "$.crosscheck", default=2.0, positive=True)
-    cgrid = Grid.regular(grid.lo[0], grid.hi[0], num)
+    cc = _crosscheck_fields(cfg, num=241, tol_rel=5e-2, tol_cells=2.0)
     coeffs = cost.coeffs
 
     def f_with_charge(x, a):
         return npoly.polyval(np.asarray(x, float), coeffs) + kappa * total_mass(a.nu)
 
-    prob = HJBProblem(
-        f=f_with_charge, q=q, delta_q=q, b_q=q,
-        actions=(
-            Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)),
-            _jump_origin_entry(1.0, np.eye(1)),
-        ),
-        p=2.0, q_growth=max(2, coeffs.size - 1),
-    )
-    gphi, gpol, grep = solve_stationary(prob, cgrid, tol=1e-6, max_iters=40)
-    axis = cgrid.axes[0]
-    jumping = gpol.action_index.reshape(-1) == 1
-    pos = axis > 0.0
-    if np.any(jumping & pos):
-        switch_x = float(axis[jumping & pos].min())
-        gap_cells = abs(switch_x - sol.b_hat) / cgrid.h[0]
-    else:
-        switch_x, gap_cells = float("nan"), float("inf")
-    window = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
-    rel = _crosscheck_window(axis, gphi.values, sol.phi.value(axis), window)
+    def switch_gap(cgrid, pol):
+        # the solved policy should start jumping within tol_cells of b_hat
+        axis = cgrid.axes[0]
+        jumping = (pol.action_index.reshape(-1) == 1) & (axis > 0.0)
+        if np.any(jumping):
+            switch_x = float(axis[jumping].min())
+            gap_cells = abs(switch_x - sol.b_hat) / cgrid.h[0]
+        else:
+            switch_x, gap_cells = float("nan"), float("inf")
+        return {"switch_x": switch_x, "gap_cells": gap_cells}, gap_cells > cc["tol_cells"]
 
+    prob, cgrid = _diffuse_or_jump(f_with_charge, q, coeffs, grid, cc["num"])
     report = {
         "b_hat": sol.b_hat,
         "phi0": sol.phi0,
@@ -972,20 +955,9 @@ def _example2(run: RunConfig) -> int:
         "c1_gap": sol.c1_gap,
         "c2_gap": sol.c2_gap,
         "increasing": sol.increasing,
-        "crosscheck": {
-            "max_rel_diff": rel, "tol_rel": tol_rel, "window": window, "num": num,
-            "switch_x": switch_x, "gap_cells": gap_cells, "tol_cells": tol_cells,
-            "converged": grep.converged, "iterations": grep.iterations,
-        },
     }
-    _write_json(run.out_dir / "report.json", prov, report)
-    if not grep.converged:
-        log.error("cross-check solver did not converge")
-        return 2
-    if rel > tol_rel or gap_cells > tol_cells:
-        log.error("cross-check disagreement (rel %.3e, switch gap %.2f cells)", rel, gap_cells)
-        return 3
-    return 0
+    return _crosscheck(run, report, cc, prob, cgrid, sol.phi.value(cgrid.axes[0]), 1e-6,
+                       switch_gap)
 
 
 def _example3(run: RunConfig) -> int:
@@ -995,52 +967,35 @@ def _example3(run: RunConfig) -> int:
     merged = {**defaults, **{k: v for k, v in cfg.items() if k not in ("which",)}}
     spec = _lq_spec_from(merged, "$")
     sol = solve_lq(spec)
-    dim = spec.lam.shape[0]
 
-    prov = run.provenance()
     residual = float(np.linalg.norm(riccati_residual(sol.B, spec.lam, spec.theta, spec.q)))
     report = {
         "B": sol.B, "c": sol.c, "d": sol.d, "Q": sol.Q, "v": sol.v, "P": sol.P,
         "delta_hat": sol.delta_hat, "q": spec.q, "riccati_residual": residual,
         "feedback": "mu(x) = v - Q x",
     }
+    if spec.lam.shape[0] != 1:
+        # the solver cross-check runs in one dimension only
+        _write_json(run.out_dir / "report.json", run.provenance(), report)
+        return 0
 
-    rel = None
-    grep = None
-    if dim == 1:
-        grid = _grid_from(
-            _get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid"
-        )
-        vals = sol.value(grid.axes[0].reshape(-1, 1))
-        _write_csv(run.out_dir / "value.csv", prov, [("x", grid.axes[0]), ("value", vals)])
+    grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+    vals = sol.value(grid.axes[0].reshape(-1, 1))
+    _write_csv(run.out_dir / "value.csv", run.provenance(), [("x", grid.axes[0]), ("value", vals)])
 
-        cc = _get(cfg, "crosscheck", "$", dict, default={})
-        tol_rel = _number(cc, "tol_rel", "$.crosscheck", default=2e-2, positive=True)
-        lat_n = int(_number(cc, "lattice_num", "$.crosscheck", default=41.0, positive=True))
-        cost = _CostSpec({"kind": "quadratic_control", "lam": spec.lam.tolist(),
-                          "theta": spec.theta.tolist()}, "$.crosscheck")
-        pairs = spec.dispersion_candidates or ((np.zeros((1, 1)), ZeroMeasure(1)),)
-        prob = HJBProblem(
-            f=cost.hjb_fn(1), q=spec.q, delta_q=spec.q, b_q=spec.q,
-            sigma_nu_pairs=tuple(pairs),
-            mu_lattice=(np.linspace(-4.0, 4.0, lat_n),),
-            u=spec.u, p=2.0, q_growth=2,
-        )
-        gphi, gpol, grep = solve_stationary(prob, grid, tol=1e-8, max_iters=40)
-        window = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
-        rel = _crosscheck_window(grid.axes[0], gphi.values, vals, window)
-        report["crosscheck"] = {
-            "max_rel_diff": rel, "tol_rel": tol_rel, "window": window,
-            "converged": grep.converged, "iterations": grep.iterations,
-        }
-    _write_json(run.out_dir / "report.json", prov, report)
-    if grep is not None and not grep.converged:
-        log.error("cross-check solver did not converge")
-        return 2
-    if rel is not None and rel > report["crosscheck"]["tol_rel"]:
-        log.error("cross-check disagreement %.3e", rel)
-        return 3
-    return 0
+    cc = _crosscheck_fields(cfg, tol_rel=2e-2, lattice_num=41)
+    # the lattice size shapes the problem, not the comparison, so it is not reported
+    lat_n = cc.pop("lattice_num")
+    cost = _CostSpec({"kind": "quadratic_control", "lam": spec.lam.tolist(),
+                      "theta": spec.theta.tolist()}, "$.crosscheck")
+    pairs = spec.dispersion_candidates or ((np.zeros((1, 1)), ZeroMeasure(1)),)
+    prob = HJBProblem(
+        f=cost.hjb_fn(1), q=spec.q, delta_q=spec.q, b_q=spec.q,
+        sigma_nu_pairs=tuple(pairs),
+        mu_lattice=(np.linspace(-4.0, 4.0, lat_n),),
+        u=spec.u, p=2.0, q_growth=2,
+    )
+    return _crosscheck(run, report, cc, prob, grid, vals, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,9 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEEDS_CONFIG = {"solve", "solve-finite", "simulate", "verify"}
-
-
 def _resolve_config(args) -> tuple[dict, str, str]:
     if args.config is not None:
         obj, digest = _load_json(args.config)
@@ -1129,15 +1081,10 @@ def main(argv=None) -> int:
             command=args.command, config=config, config_sha256=digest,
             config_name=cfg_name, out_dir=args.out, seed=args.seed, tol=args.tol,
         )
-        if args.command == "solve":
-            return cmd_solve(run)
-        if args.command == "solve-finite":
-            return cmd_solve_finite(run)
-        if args.command == "simulate":
-            return cmd_simulate(run)
-        if args.command == "verify":
-            return cmd_verify(run)
-        return cmd_example(run, args.which)
+        commands = {"solve": cmd_solve, "solve-finite": cmd_solve_finite,
+                    "simulate": cmd_simulate, "verify": cmd_verify,
+                    "example": lambda run: cmd_example(run, args.which)}
+        return commands[args.command](run)
     except ConfigError as exc:
         print(f"jumpctl: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,8 @@ ensemble can serve several of them:
 * static growth-certificate audits of a policy field over a probe box.
 
 There is also a Dynkin-formula battery for constant policies (compensated
-test functions must be centered), with L g from
-:func:`~jumpctl.generator.apply_generator` on each snapshot's state batch,
+test functions must be centered), with g and L g from the evaluation
+:func:`~jumpctl.generator.apply_generator` makes on each snapshot's batch,
 a moment-bound ratio report that tracks E[sup |X^d|^q] against its
 predicted bound across horizons, and the Monte Carlo dynamic-programming
 check of a solved value field (:func:`dpp_report`), which compares the
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
-from .generator import _field_value, apply_generator
+from .generator import _DEFAULT_SCHEME, _field_value, _generator
 from .hjb import Grid, HJBProblem, ValueField, _eval_xa, _lattice_origin, _x_for_eval
 from .measures import Action, tail_moment
 
@@ -426,8 +426,9 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
 
     Constant policies only (the generator is frozen along paths).  For
     each test function and requested time the compensated value must be
-    within 3 SE of zero.  L g is :func:`~jumpctl.generator.apply_generator`
-    on each snapshot's state batch, so ``fields`` are any fields it reads.
+    within 3 SE of zero.  g and L g come from one evaluation of the generator
+    per snapshot, the one :func:`~jumpctl.generator.apply_generator` makes on
+    the snapshot's state batch, so ``fields`` are any fields it reads.
     """
     if bundle.policy.kind != "constant":
         raise ValueError("the compensated-value battery needs a constant policy")
@@ -443,8 +444,8 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
         gen = np.empty((n, K))
         for j in range(K):
             X = bundle.states[:, j, :]
-            vals[:, j] = _field_value(g, X)
-            gen[:, j] = apply_generator(a, g, X, u=bundle.u)
+            vals[:, j], gen[:, j] = _generator(g, X, _DEFAULT_SCHEME, (a.mu, a.sigma), a.nu,
+                                               bundle.u)
         integral = np.zeros((n, K))
         integral[:, 1:] = np.cumsum(0.5 * (gen[:, :-1] + gen[:, 1:]) * dts, axis=1)
         M = vals - vals[:, :1] - integral

@@ -304,6 +304,14 @@ def test_example_config_mismatch_is_an_input_error(tmp_path, capsys):
     assert "$.which" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["one", 1.7, True])
+def test_example_which_must_be_an_integer(tmp_path, capsys, which):
+    code = main(["example", "1", "--config", _write_config(tmp_path, {"which": which}),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "$.which" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- examples
 
 
@@ -342,6 +350,26 @@ def test_example_3_emits_riccati_coefficients(tmp_path):
     assert report["crosscheck"]["max_rel_diff"] <= report["crosscheck"]["tol_rel"]
 
 
+@pytest.mark.parametrize("which, field, failed", [
+    (1, "tol_rel", "max_rel_diff"),
+    (2, "tol_rel", "max_rel_diff"),
+    (2, "tol_cells", "gap_cells"),
+    (3, "tol_rel", "max_rel_diff"),
+])
+def test_example_crosscheck_disagreement_exits_3(tmp_path, which, field, failed):
+    cfg = json.loads(Path(_bundled(f"example{which}.json")).read_text())
+    tight = 1e-12 if field == "tol_rel" else 1e-6
+    cfg["crosscheck"][field] = tight
+    code = main(["example", str(which), "--config", _write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert (tmp_path / "value.csv").exists()
+    cc = json.loads((tmp_path / "report.json").read_text())["crosscheck"]
+    assert cc["converged"] is True
+    assert cc[field] == tight
+    assert cc[failed] > tight
+
+
 # --------------------------------------------------------------------- verify
 
 
@@ -362,6 +390,14 @@ def test_verify_failure_exits_3(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_verify_negative_discount_is_an_input_error(tmp_path, capsys):
+    cfg = json.loads(Path(_bundled("verify_lq.json")).read_text())
+    cfg["discount"] = -1
+    code = main(["verify", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert "$.discount" in capsys.readouterr().err
 
 
 def test_verify_unknown_test_name(tmp_path, capsys):
