@@ -106,7 +106,8 @@ def _get(obj: dict, key: str, path: str, kinds=None, default=_MISSING):
             raise ConfigError(f"{path}.{key}", "required field is missing")
         return default
     val = obj[key]
-    if kinds is not None and not isinstance(val, kinds):
+    # bool subclasses int, but JSON true/false is never a number here
+    if kinds is not None and (not isinstance(val, kinds) or isinstance(val, bool)):
         names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
         raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(val).__name__}")
     return val
@@ -128,6 +129,8 @@ def _array(obj, key, path, default, ndim, what, shape_rule):
     raw = _get(obj, key, path, (list, int, float), default)
     if raw is default and default is not _MISSING:
         return raw
+    if _holds_bool(raw):
+        raise ConfigError(f"{path}.{key}", f"not a numeric {what}: it holds a boolean")
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -136,6 +139,10 @@ def _array(obj, key, path, default, ndim, what, shape_rule):
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}.{key}", shape_rule)
     return arr
+
+
+def _holds_bool(v) -> bool:
+    return isinstance(v, bool) or isinstance(v, list) and any(map(_holds_bool, v))
 
 
 def _vector(obj, key, path, default=_MISSING):
@@ -317,12 +324,10 @@ def _grid_from(obj, path: str) -> Grid:
 
 
 def _sim_config_from(obj, path: str, seed_override) -> dyn.SimConfig:
-    seed = obj.get("seed") if isinstance(obj, dict) else None
-    if seed_override is not None:
-        seed = seed_override
+    seed = seed_override if seed_override is not None else _get(obj, "seed", path, int, None)
     if seed is None:
         raise ConfigError(f"{path}.seed", "a seed is required (config field or --seed)")
-    if not isinstance(seed, int) or not 0 <= seed <= _U64_MAX:
+    if not 0 <= seed <= _U64_MAX:
         raise ConfigError(f"{path}.seed", "seed must be an unsigned 64-bit integer")
     try:
         return dyn.SimConfig(
@@ -831,15 +836,19 @@ def cmd_verify(run: RunConfig) -> int:
 # benchmark examples with solver cross-checks
 
 
-def _crosscheck_fields(cfg: dict, **defaults) -> dict:
-    """The ``crosscheck`` fields named in ``defaults``, read in that order
-    (a field with an int default is a count), and then ``window``."""
+def _crosscheck_fields(cfg: dict, grid: Grid, **defaults) -> dict:
+    """The ``crosscheck`` fields named in ``defaults`` (an int default makes a count),
+    then ``window``: [lo, hi] around a node of the solver grid, ``num`` nodes or ``grid``."""
     cc = _get(cfg, "crosscheck", "$", dict, default={})
     out = {}
     for key, default in defaults.items():
         val = _number(cc, key, "$.crosscheck", default=float(default), positive=True)
         out[key] = int(val) if isinstance(default, int) else val
-    out["window"] = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
+    w = out["window"] = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
+    axis = np.linspace(grid.lo[0], grid.hi[0], out.get("num", grid.num[0]))
+    if w.shape != (2,) or not w[0] < w[1] or not np.any((axis >= w[0]) & (axis <= w[1])):
+        raise ConfigError("$.crosscheck.window",
+                          "must be [lo, hi] with lo < hi around at least one solver node")
     return out
 
 
@@ -873,8 +882,6 @@ def _crosscheck(run: RunConfig, report: dict, cc: dict, prob, grid: Grid, refere
 
 def cmd_example(run: RunConfig, which: int) -> int:
     declared = _get(run.config, "which", "$", int, default=None)
-    if isinstance(declared, bool):
-        raise ConfigError("$.which", "expected int, got bool")
     if declared is not None and declared != which:
         raise ConfigError("$.which", f"config is for example {declared}, requested {which}")
     return (_example1, _example2, _example3)[which - 1](run)
@@ -904,13 +911,13 @@ def _example1(run: RunConfig) -> int:
     cfg = run.config
     cost, q = _polynomial_example(cfg, 1)
     grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+    cc = _crosscheck_fields(cfg, grid, num=241, tol_rel=2e-2)
 
     psi = ex.example1_psi(cost.coeffs, q, grid)
     V = ex.example1_value(psi, q)
     _write_csv(run.out_dir / "value.csv", run.provenance(),
                [("x", grid.axes[0]), ("psi", psi.values), ("value", V.values)])
 
-    cc = _crosscheck_fields(cfg, num=241, tol_rel=2e-2)
     prob, cgrid = _diffuse_or_jump(cost.hjb_fn(1), q, cost.coeffs, grid, cc["num"])
     report = {"q": q, "cost": cost.describe(),
               "psi0": float(psi.value(0.0)), "value0": float(V.value(0.0))}
@@ -923,12 +930,12 @@ def _example2(run: RunConfig) -> int:
     kappa = _number(cfg, "kappa", "$", default=1.0, positive=True)
     grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -8.0, "hi": 8.0, "num": 481}), "$.grid")
     tol = run.tol if run.tol is not None else 1e-8
+    cc = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
 
     sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid, tol=tol)
     _write_csv(run.out_dir / "value.csv", run.provenance(),
                [("x", grid.axes[0]), ("phi", sol.phi.values)])
 
-    cc = _crosscheck_fields(cfg, num=241, tol_rel=5e-2, tol_cells=2.0)
     coeffs = cost.coeffs
 
     def f_with_charge(x, a):
@@ -966,6 +973,9 @@ def _example3(run: RunConfig) -> int:
                 "candidates": [{"sigma": [[1.0]], "nu": {"kind": "zero"}}]}
     merged = {**defaults, **{k: v for k, v in cfg.items() if k not in ("which",)}}
     spec = _lq_spec_from(merged, "$")
+    if spec.lam.shape[0] == 1:
+        grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+        cc = _crosscheck_fields(cfg, grid, tol_rel=2e-2, lattice_num=41)
     sol = solve_lq(spec)
 
     residual = float(np.linalg.norm(riccati_residual(sol.B, spec.lam, spec.theta, spec.q)))
@@ -979,11 +989,9 @@ def _example3(run: RunConfig) -> int:
         _write_json(run.out_dir / "report.json", run.provenance(), report)
         return 0
 
-    grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
     vals = sol.value(grid.axes[0].reshape(-1, 1))
     _write_csv(run.out_dir / "value.csv", run.provenance(), [("x", grid.axes[0]), ("value", vals)])
 
-    cc = _crosscheck_fields(cfg, tol_rel=2e-2, lattice_num=41)
     # the lattice size shapes the problem, not the comparison, so it is not reported
     lat_n = cc.pop("lattice_num")
     cost = _CostSpec({"kind": "quadratic_control", "lam": spec.lam.tolist(),

@@ -17,24 +17,25 @@ running discounted cost, the running suprema of the continuous and
 compensated-jump martingale parts, and the quadratic jump functional
 G_T = int int |y|^2 nu_s(dy) ds.  The verification module consumes these.
 
-Four policy shapes are supported.  Constant actions, linear drift feedback
-with constant (sigma, nu), and jump-to-origin policies are simulated fully
-vectorized across paths; arbitrary ``x -> Action`` callables fall back to a
-per-path loop and are only suitable for small ensembles.
-:class:`PolicyFieldSpec` is the one interface to all four: the verifiers
-and the command line ask it for ``action_at``, ``drift``,
-``coefficient_norms`` (|mu|, ||sigma||_F and the jump moment per state),
-``growth_left`` and ``rate_cap`` instead of branching on the shape.
+Four policy shapes are supported, all stepped vectorised across paths by
+one engine: constant actions, linear drift feedback with constant
+(sigma, nu), jump to origin, and row groups -- a batched query giving each
+state its drift and the index of its (sigma, nu) pair, which is how solved
+policy tables and ``x -> Action`` callables step.  :class:`PolicyFieldSpec`
+is the one interface to all four: the verifiers and the command line ask it
+for ``action_at``, ``coefficients``, ``drift``, ``coefficient_norms``
+(|mu|, ||sigma||_F and the jump moment per state), ``growth_left`` and
+``rate_cap`` instead of branching on the shape.
 
-The vectorised shapes step in place: state-independent terms and the
-validated jump law are resolved once per run, and every step writes into
-preallocated buffers, with results bit for bit equal to the plain
-left-to-right update.  The per-step random draws come in a fixed order --
-``standard_normal((n, dim))``, then ``poisson`` for the thinning clock, then
-``binomial`` only when the clock rate exceeds the jump rate, then the jump
-sizes (a categorical ``choice``, plus a ``uniform`` jitter for density
-cells).  That order is part of the frozen-seed contract: a given seed
-reproduces every bundle array and artifact bit for bit.
+State-independent terms and jump laws are resolved once per run (per step
+and pair for row groups), and every step writes into preallocated buffers,
+bit for bit equal to the plain left-to-right update.  The per-step draws
+come in a fixed order -- ``standard_normal((n, dim))``, ``poisson`` for the
+thinning clock, ``binomial`` only when some row's jump rate is below the
+clock's, then the jump sizes (a categorical ``choice``, plus a ``uniform``
+jitter for density cells; pair by pair in group order for row groups).
+That order is part of the frozen-seed contract: a given seed reproduces
+every bundle array and artifact bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .measures import (
     first_moment,
     jump_to_origin_action,
     moment_functional,
-    sample_jumps,
     second_moment_matrix,
     total_mass,
 )
@@ -106,6 +106,14 @@ def gm_left_side(a: Action, p: float) -> float:
     return mu_term + sig_term + moment_functional(a.nu, p)
 
 
+def _grouped(acts, dim: int):
+    """(mu, group, pairs) of per-row Actions; rows holding one Action object share a group."""
+    first = {}
+    group = np.array([first.setdefault(id(a), (len(first), a))[0] for a in acts], dtype=np.intp)
+    mu = np.array([a.mu for a in acts], dtype=float).reshape(len(acts), dim)
+    return mu, group, [(a.sigma, a.nu) for _, a in first.values()]
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyFieldSpec:
     """A stationary Markov policy field x -> action.
@@ -115,6 +123,8 @@ class PolicyFieldSpec:
     on (m, dim) state arrays:
 
     * :meth:`action_at` -- the actions themselves;
+    * :meth:`coefficients` -- each row's drift and the index of its
+      (sigma, nu) pair;
     * :meth:`drift` -- mu(x) as an (m, dim) array;
     * :meth:`coefficient_norms` -- |mu(x)|, ||sigma(x)||_F and
       int |y|^2 v |y|^p nu_x(dy) per row, the terms of the admissibility
@@ -122,9 +132,9 @@ class PolicyFieldSpec:
     * :meth:`growth_left` -- the left side of the growth condition;
     * :meth:`rate_cap` -- a known bound on the jump rate.
 
-    ``sigma`` is set for every shape but callables, and ``nu`` for the
-    shapes with a state-independent jump measure (constant and linear).
-    ``kind`` labels the shape; the simulator steps each shape its own way.
+    ``sigma`` is set for every shape but row groups (``kind="callable"``,
+    whose ``query`` answers :meth:`coefficients`), and ``nu`` for constant
+    and linear.  ``kind`` labels the shape.
     ``growth_K``/``growth_p`` form an optional growth certificate (claim of
     membership in the polynomial-growth Markov class); when present the
     simulator spot-checks it along paths and raises
@@ -138,7 +148,7 @@ class PolicyFieldSpec:
     sigma: Optional[np.ndarray] = None
     nu: Optional[JumpMeasure] = None
     rate: float = 0.0
-    fn: Optional[Callable] = None
+    query: Optional[Callable] = None
     rate_bound: Optional[float] = None
     growth_K: Optional[float] = None
     growth_p: Optional[float] = None
@@ -189,41 +199,43 @@ class PolicyFieldSpec:
     @classmethod
     def from_action_callable(cls, fn, rate_bound=None, growth_K=None,
                              growth_p=None, name=""):
-        """Wrap an arbitrary x -> Action map (per-path loop; small runs only)."""
+        """Wrap an arbitrary x -> Action map, called once per state row.
+
+        Rows that got the same Action object share a row group; every other
+        row is its own group.
+        """
+        def query(X):
+            return _grouped([fn(x[0] if len(x) == 1 else x.copy()) for x in X], X.shape[1])
+
         return cls(
-            kind="callable", fn=fn, rate_bound=rate_bound, growth_K=growth_K,
+            kind="callable", query=query, rate_bound=rate_bound, growth_K=growth_K,
             growth_p=growth_p, name=name or "callable",
         )
 
     @classmethod
     def from_policy_table(cls, table, prob, name=""):
-        """Nearest-node lookup into a solved policy table."""
-        grid = table.grid
+        """Nearest-node lookup (per axis ``rint``, clipped) into a solved table.
 
-        def lookup(x):
-            pt = np.atleast_1d(np.asarray(x, dtype=float))
-            idx = []
-            for k, ax in enumerate(grid.axes):
-                j = int(np.clip(np.rint((pt[k] - ax[0]) / grid.h[k]), 0, ax.size - 1))
-                idx.append(j)
-            flat = idx[0] if grid.dim == 1 else idx[0] * grid.shape[1] + idx[1]
-            if prob.mode == "list":
-                entry = prob.actions[table.action_index[flat]]
-                if isinstance(entry, Action):
-                    return entry
-                return entry(pt[0] if grid.dim == 1 else pt.copy())
-            sigma, nu = prob.sigma_nu_pairs[table.action_index[flat]]
-            return Action(sigma=sigma, nu=nu, mu=table.mu[flat])
+        The row groups are the table's candidates, with the table's drift in
+        product mode; a callable list entry makes each row on it a group.
+        """
+        grid, entries = table.grid, prob.actions
+        lo, h, top = np.array(grid.lo), np.array(grid.h), np.array(grid.shape) - 1
 
-        bound = None
-        if prob.mode == "product":
-            bound = max(total_mass(nu) for _, nu in prob.sigma_nu_pairs)
-        elif all(isinstance(e, Action) for e in prob.actions):
-            bound = max(total_mass(e.nu) for e in prob.actions)
-        return cls(
-            kind="callable", fn=lookup, rate_bound=bound,
-            name=name or "policy-table",
-        )
+        def query(X):
+            idx = np.clip(np.rint((X - lo) / h), 0, top).astype(np.intp)
+            flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+            cand = table.action_index[flat]
+            if prob.mode == "product":
+                return table.mu[flat], cand, prob.sigma_nu_pairs
+            xs = X[:, 0] if grid.dim == 1 else X.copy()
+            return _grouped([entries[c] if isinstance(entries[c], Action) else entries[c](x)
+                             for c, x in zip(cand, xs)], grid.dim)
+
+        # a rate bound is known unless a callable entry sets the measure
+        fixed = [nu for _, nu in prob.sigma_nu_pairs] + [e.nu for e in entries if isinstance(e, Action)]
+        bound = max(map(total_mass, fixed)) if len(fixed) == prob.n_candidates else None
+        return cls(kind="callable", query=query, rate_bound=bound, name=name or "policy-table")
 
     # ------------------------------------------------------------- queries
     def action_at(self, X):
@@ -232,17 +244,21 @@ class PolicyFieldSpec:
         Returns the single Action for constant policies and a list of
         per-row Actions otherwise.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "constant":
             return self.action
-        if self.kind == "jump_origin":
-            return [jump_to_origin_action(row, self.rate, self.sigma) for row in X]
+        mu, group, pairs = self.coefficients(X)
+        return [Action(*pairs[g], m) for g, m in zip(group, mu)]
+
+    def coefficients(self, X):
+        """(mu (m, dim), group (m,), pairs) on a state batch of shape (m, dim):
+        row i has drift ``mu[i]`` and the (sigma, nu) pair ``pairs[group[i]]``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "callable":
-            return [
-                self.fn(X[i, 0] if X.shape[1] == 1 else X[i].copy())
-                for i in range(len(X))
-            ]
-        return [Action(self.sigma, self.nu, mu) for mu in self.drift(X)]
+            return self.query(X)
+        if self.kind == "jump_origin":
+            acts = [jump_to_origin_action(row, self.rate, self.sigma) for row in X]
+            return _grouped(acts, X.shape[1])
+        return self.drift(X), np.zeros(len(X), dtype=np.intp), [(self.sigma, self.nu)]
 
     def drift(self, X) -> np.ndarray:
         """mu(x) on a state batch of shape (m, dim), as an (m, dim) array."""
@@ -253,7 +269,7 @@ class PolicyFieldSpec:
             return self.offset - X @ self.gain.T
         if self.kind == "jump_origin":
             return -self.rate * X
-        return np.array([a.mu for a in self.action_at(X)]).reshape(X.shape)
+        return self.query(X)[0]
 
     def coefficient_norms(self, X, p: float):
         """(|mu(x)|, ||sigma(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row.
@@ -262,21 +278,16 @@ class PolicyFieldSpec:
         state batch of shape (m, dim), each an (m,) array.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = len(X)
-        if self.kind == "callable":
-            rows = [
-                (np.linalg.norm(a.mu), np.linalg.norm(a.sigma), moment_functional(a.nu, p))
-                for a in self.action_at(X)
-            ]
-            return tuple(np.array(rows, dtype=float).reshape(m, 3).T)
-        s = np.full(m, float(np.linalg.norm(self.sigma)))
         if self.kind == "jump_origin":
             r = np.linalg.norm(X, axis=1)
+            s = np.full(len(X), float(np.linalg.norm(self.sigma)))
             return self.rate * r, s, self.rate * np.maximum(r**2, r**p)
-        j = np.full(m, moment_functional(self.nu, p))
-        if self.kind == "constant":
-            return np.full(m, float(np.linalg.norm(self.action.mu))), s, j
-        return np.linalg.norm(self.drift(X), axis=1), s, j
+        mu, group, pairs = self.coefficients(X)
+        s = np.array([np.linalg.norm(sigma) for sigma, _ in pairs])[group]
+        j = np.array([moment_functional(nu, p) for _, nu in pairs])[group]
+        if self.kind == "constant":  # the bits of a 1-D norm, which the row-wise norm can miss
+            return np.full(len(X), float(np.linalg.norm(self.action.mu))), s, j
+        return np.linalg.norm(mu, axis=1), s, j
 
     def growth_left(self, X, p: float) -> np.ndarray:
         """Vectorized left side of the growth condition on a state batch."""
@@ -342,10 +353,11 @@ class PathBundle:
 
     ``states``/``gamma``/``cost_run``/``Bh``/``jump_counts`` have the path
     axis first and the time axis second; ``C`` is shared across paths
-    (shape (K, dim, dim)) unless the policy was a raw callable, in which
-    case it is per path.  ``sup_xc``/``sup_xd`` track the running suprema
-    of the continuous and compensated-jump martingale parts at full step
-    resolution, and ``G_int`` is the terminal quadratic jump functional
+    (shape (K, dim, dim)) unless the policy stepped as row groups, whose
+    sigma varies by row: then it is per path, shape (n, K, dim, dim), and
+    :attr:`c_per_path` is set.  ``sup_xc``/``sup_xd`` track the running
+    suprema of the continuous and compensated-jump martingale parts at full
+    step resolution, and ``G_int`` is the terminal quadratic jump functional
     int_0^T int |y|^2 nu_s(dy) ds per path.
     """
 
@@ -355,7 +367,6 @@ class PathBundle:
     cost_run: np.ndarray
     Bh: np.ndarray
     C: np.ndarray
-    c_per_path: bool
     jump_counts: np.ndarray
     jump_sizes: np.ndarray
     jump_paths: np.ndarray
@@ -378,6 +389,10 @@ class PathBundle:
         return self.states.shape[0]
 
     @property
+    def c_per_path(self) -> bool:
+        return self.C.ndim == 4
+
+    @property
     def dim(self) -> int:
         return self.states.shape[2]
 
@@ -396,7 +411,7 @@ class PathBundle:
         }
 
 
-def _state_fn(fn, n: int):
+def _state_fn(fn):
     """Normalize a state-cost input to a batched (m, dim) -> (m,) callable."""
     if fn is None:
         return lambda X: np.zeros(len(X))
@@ -414,10 +429,8 @@ def _state_fn(fn, n: int):
 
 
 def _bh_rate(policy: PolicyFieldSpec, u: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """u + mu - big_jump_mean(nu) on a state batch: the truncated-drift density.
-
-    For the state-dependent shapes, linear feedback and jump to origin.
-    """
+    """u + mu - big_jump_mean(nu) on a state batch, the truncated-drift
+    density of linear feedback and jump to origin."""
     if policy.kind == "linear":
         return u + policy.drift(X) - big_jump_mean(policy.nu)
     small = (np.linalg.norm(X, axis=1) <= 1.0)[:, None]
@@ -438,8 +451,24 @@ def _matmul_into(A: np.ndarray, BT: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(A, BT, out=out)
 
 
+class _Pair:
+    """A (sigma, nu) pair resolved for stepping; it holds the pair, so the ids keying it stay taken."""
+
+    def __init__(self, sigma, nu, dim: int, dt: float):
+        if sigma.shape != (dim, dim):
+            raise ValueError(f"policy sigma shape {sigma.shape} does not match state dim {dim}")
+        self.sigma, self.nu, self.mass = sigma, nu, total_mass(nu)
+        jumps = self.mass > 0
+        if not jumps:  # malformed support fails before any draw; the moments check it
+            _check_support(nu)
+        self.m1 = first_moment(nu) if jumps else np.zeros(dim)
+        self.big_mean = big_jump_mean(nu) if jumps else np.zeros(dim)
+        self.m2_dt = (float(np.trace(second_moment_matrix(nu))) if jumps else 0.0) * dt
+        self.sigT, self.cov_dt = sigma.T, (sigma @ sigma.T) * dt
+
+
 class _StepModel:
-    """Per-run kinematics of a vectorised policy shape, stepped in place.
+    """Per-run kinematics of a policy shape, stepped in place.
 
     Everything that does not depend on the state (``sigma^T``, ``sigma
     sigma^T dt``, ``m1 dt``, ``m2 dt``, the thinning clock, the validated jump
@@ -448,45 +477,32 @@ class _StepModel:
     buffers.  The result is bit for bit that of the plain update
     ``X = X + drift * dt + dW + disp`` evaluated left to right: where the
     form differs (the one-column matmul, a skipped ``- 0.0``) the two are
-    identities, noted where they are used.  The random draws per step are
-    always ``standard_normal((n, dim))``, ``poisson``, ``binomial`` (only when
-    the clock exceeds the jump rate), then the jump sizes.
+    identities, noted where they are used.  Row groups make one
+    :meth:`PolicyFieldSpec.coefficients` query per step; a :class:`_Pair`
+    seen in the previous step is not resolved again.  The draws per step are
+    ``standard_normal((n, dim))``, ``poisson``, ``binomial`` (only when some
+    row's jump rate is below the clock), then the jump sizes.
     """
 
     def __init__(self, policy: PolicyFieldSpec, dim: int, n: int, u: np.ndarray,
                  dt: float, declared: Optional[float]):
-        self.policy = policy
+        self.policy, self.dim, self.u, self.dt = policy, dim, u, dt
         self.kind = kind = policy.kind
-        self.dim = dim
-        self.u = u
-        self.dt = dt
-        self.sigma = policy.sigma
-        if self.sigma.shape != (dim, dim):
-            raise ValueError(
-                f"policy sigma shape {self.sigma.shape} does not match state dim {dim}"
-            )
+        self.sqdt, self.paths = np.sqrt(dt), np.arange(n)
+        self.xi, self.dWc, self.disp = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
+        if kind == "callable":
+            self.declared, self.seen = declared, {}
+            self.cov_dt = np.zeros((n, dim, dim))
+            return
+        pair = _Pair(policy.sigma, policy.nu or ZeroMeasure(dim), dim, dt)
+        self.sigT, self.cov_dt = pair.sigT, pair.cov_dt
         if kind == "jump_origin":
             self.mass = policy.rate
         else:
-            self.nu = policy.nu
-            # once per run, not per step: malformed support fails before any draw
-            _check_support(self.nu)
-            self.mass = total_mass(self.nu)
-            self.m1 = first_moment(self.nu) if self.mass > 0 else np.zeros(dim)
-            self.big_mean = big_jump_mean(self.nu) if self.mass > 0 else np.zeros(dim)
-            m2 = float(np.trace(second_moment_matrix(self.nu))) if self.mass > 0 else 0.0
-            self.law = _sampling_law(self.nu) if self.mass > 0 else None
-            self.m1_dt = self.m1 * dt
-            self.m2_dt = m2 * dt
+            self.mass, self.m1, self.big_mean = pair.mass, pair.m1, pair.big_mean
+            self.law = _sampling_law(policy.nu) if self.mass > 0 else None
+            self.m1_dt, self.m2_dt = self.m1 * dt, pair.m2_dt
         self.jumps = self.mass > 0.0
-
-        self.sigT = self.sigma.T
-        self.cov_dt = (self.sigma @ self.sigma.T) * dt
-        self.sqdt = np.sqrt(dt)
-        self.paths = np.arange(n)
-        self.xi = np.empty((n, dim))
-        self.dWc = np.empty((n, dim))
-        self.disp = np.empty((n, dim))
         if self.jumps:
             lam = max(declared or 0.0, self.mass)
             self.lam_dt = lam * dt
@@ -505,9 +521,29 @@ class _StepModel:
             self.bh_dt = np.empty((n, dim))
             self.drift_dt = u * dt
             self.m1_dt = np.empty((n, dim))
-            self.rsq = np.empty(n)
-            self.r = np.empty(n)
-            self.g_inc = np.empty(n)
+            self.rsq, self.r, self.g_inc = np.empty(n), np.empty(n), np.empty(n)
+
+    def _resolve(self, X):
+        """Row groups: each row's increments, covariance and clock from its pair."""
+        mu, self.group, pairs = self.policy.coefficients(X)
+        keys = [(id(sigma), id(nu)) for sigma, nu in pairs]
+        seen, self.seen = self.seen, {}
+        for key, (sigma, nu) in zip(keys, pairs):
+            self.seen[key] = self.seen.get(key) or seen.get(key) or _Pair(sigma, nu, self.dim, self.dt)
+        self.pairs = [self.seen[key] for key in keys]
+        rows = lambda name: np.array([getattr(p, name) for p in self.pairs])[self.group]
+        mass, m1, big, self.m2_dt, self.sigT, self.cov_dt = map(
+            rows, ("mass", "m1", "big_mean", "m2_dt", "sigT", "cov_dt"))
+        top = float(mass.max())
+        if self.declared is not None and top > self.declared * (1.0 + 1e-9):
+            raise AdmissibilityError(
+                f"jump rate {top:g} exceeded the declared thinning bound {self.declared:g}")
+        lam = max(self.declared or 0.0, top)
+        self.jumps, self.lam_dt, self.p_acc = lam > 0.0, lam * self.dt, mass / (lam or 1.0)
+        self.thin = bool(np.any(self.p_acc < 1.0 - 1e-15))
+        self.m1_dt = m1 * self.dt
+        self.drift_dt = (self.u + mu - m1) * self.dt
+        self.bh_dt = (self.u + mu - big) * self.dt
 
     def step(self, X, Wc, Xd, Bh, G_int, rng):
         """Advance every path by one Euler step in place.
@@ -541,10 +577,15 @@ class _StepModel:
             self.bh_dt *= (self.r <= 1.0)[:, None]
             np.subtract(self.u, self.bh_dt, out=self.bh_dt)
             self.bh_dt *= self.dt
+        elif self.kind == "callable":
+            self._resolve(X)
 
         rng.standard_normal(out=self.xi)
         dWc = self.dWc
-        _matmul_into(self.xi, self.sigT, dWc)
+        if self.kind == "callable":
+            np.einsum("ij,ijk->ik", self.xi, self.sigT, out=dWc)
+        else:
+            _matmul_into(self.xi, self.sigT, dWc)
         dWc *= self.sqdt
 
         jumps = None
@@ -571,11 +612,18 @@ class _StepModel:
         return jumps
 
     def _draw(self, accepted, rng):
+        """Jump sizes in row order; row groups draw pair by pair in group order."""
         tot = int(accepted.sum())
         if not tot:
             return None
-        sizes = _draw_jumps(self.law, rng, tot)
         rows = np.repeat(self.paths, accepted)
+        if self.kind == "callable":
+            sizes, of = np.empty((tot, self.dim)), self.group[rows]
+            for g in np.unique(of):
+                sel = of == g
+                sizes[sel] = _draw_jumps(_sampling_law(self.pairs[g].nu), rng, int(np.count_nonzero(sel)))
+        else:
+            sizes = _draw_jumps(self.law, rng, tot)
         self.disp.fill(0.0)
         np.add.at(self.disp, rows, sizes)
         return sizes, rows, accepted
@@ -611,22 +659,20 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     default to zero.  The discount integral uses the trapezoid rule at full
     step resolution, as does the discounted-cost integral.
     """
-    x0 = cfg.x0
+    x0, n = cfg.x0, cfg.n_paths
     dim = x0.size
-    n = cfg.n_paths
     u = cfg.u if cfg.u is not None else np.zeros(dim)
 
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     dt = cfg.T / n_steps
-    sqdt = np.sqrt(dt)
     store_idx = list(range(0, n_steps + 1, cfg.store_every))
     if store_idx[-1] != n_steps:
         store_idx.append(n_steps)
     store_pos = {s: j for j, s in enumerate(store_idx)}
     K = len(store_idx)
 
-    per_path_c = policy.kind == "callable"
-    est_bytes = 8 * n * K * (2 * dim + 3 + (dim * dim if per_path_c else 0))
+    # C is per path for row groups
+    est_bytes = 8 * n * K * (2 * dim + 3 + (dim * dim if policy.kind == "callable" else 0))
     if est_bytes > 4e9:
         raise ValueError(
             f"snapshot storage would need ~{est_bytes / 1e9:.1f} GB; "
@@ -636,8 +682,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     # with neither f nor q, gamma, the discount and the cost stay exactly
     # 0, 1 and 0, and the trapezoid steps are skipped
     costs = f is not None or q is not None
-    f_fn = _state_fn(f, n)
-    q_fn = _state_fn(q, n)
+    f_fn, q_fn = _state_fn(f), _state_fn(q)
 
     declared = cfg.lambda_max
     cap = policy.rate_cap()
@@ -646,7 +691,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
             f"policy jump rate {cap:g} exceeds the declared thinning bound {declared:g}"
         )
 
-    model = None if per_path_c else _StepModel(policy, dim, n, u, dt, declared)
+    model = _StepModel(policy, dim, n, u, dt, declared)
     rng = np.random.default_rng(cfg.seed)
     X = np.tile(x0, (n, 1))
     gamma = np.zeros(n)
@@ -670,12 +715,8 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     counts_st = np.zeros((K, n), dtype=np.int64)
     size_rows, path_rows, time_rows = [], [], []
 
-    if per_path_c:
-        C_st = np.zeros((K, n, dim, dim))
-        C_cum = np.zeros((n, dim, dim))
-    else:
-        C_st = np.zeros((K, dim, dim))
-        C_cum = np.zeros((dim, dim))
+    C_cum = np.zeros_like(model.cov_dt)
+    C_st = np.zeros((K,) + C_cum.shape)
 
     q_cur = q_fn(X)
     f_cur = f_fn(X)
@@ -710,64 +751,15 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        if model is not None:
-            jumps = model.step(X, Wc, Xd, Bh, G_int, rng)
-            if jumps is not None:
-                sizes, rows, accepted = jumps
-                size_rows.append(sizes)
-                path_rows.append(rows)
-                time_rows.append(np.full(rows.size, t_next))
-                jumps_cum += accepted
-            C_cum += model.cov_dt
-            if model.jumps:
-                running_sup(sup_xd, Xd)
-        else:
-            acts = policy.action_at(X)
-            drift = np.empty((n, dim))
-            bh_inc = np.empty((n, dim))
-            dWc = np.empty((n, dim))
-            disp = np.zeros((n, dim))
-            m1_step = np.zeros((n, dim))
-            masses = np.array([total_mass(a.nu) for a in acts])
-            if declared is not None and masses.max(initial=0.0) > declared * (1.0 + 1e-9):
-                raise AdmissibilityError(
-                    "jump rate exceeded the declared thinning bound at "
-                    f"t={k * dt:.6g}"
-                )
-            lam = max(declared or 0.0, float(masses.max(initial=0.0)))
-            counts = rng.poisson(lam * dt, n) if lam > 0.0 else np.zeros(n, dtype=int)
-            xi = rng.standard_normal((n, dim))
-            for i, a in enumerate(acts):
-                sig_i = np.asarray(a.sigma, dtype=float)
-                mu_i = np.asarray(a.mu, dtype=float)
-                m1_i = first_moment(a.nu) if masses[i] > 0 else np.zeros(dim)
-                big_i = big_jump_mean(a.nu) if masses[i] > 0 else np.zeros(dim)
-                drift[i] = u + mu_i - m1_i
-                bh_inc[i] = (u + mu_i - big_i) * dt
-                dWc[i] = sig_i @ xi[i] * sqdt
-                m1_step[i] = m1_i
-                C_cum[i] += (sig_i @ sig_i.T) * dt
-                if masses[i] > 0:
-                    G_int[i] += float(np.trace(second_moment_matrix(a.nu))) * dt
-                    acc = 0
-                    for _ in range(counts[i]):
-                        if rng.random() <= masses[i] / lam:
-                            acc += 1
-                    if acc:
-                        sizes = sample_jumps(a.nu, rng, acc)
-                        disp[i] = sizes.sum(axis=0)
-                        size_rows.append(sizes)
-                        path_rows.append(np.full(acc, i))
-                        time_rows.append(np.full(acc, t_next))
-                        jumps_cum[i] += acc
-
-            drift *= dt
-            X += drift
-            X += dWc
-            X += disp
-            Wc += dWc
-            Xd += disp - m1_step * dt
-            Bh += bh_inc
+        jumps = model.step(X, Wc, Xd, Bh, G_int, rng)
+        if jumps is not None:
+            sizes, rows, accepted = jumps
+            size_rows.append(sizes)
+            path_rows.append(rows)
+            time_rows.append(np.full(rows.size, t_next))
+            jumps_cum += accepted
+        C_cum += model.cov_dt
+        if model.jumps:
             running_sup(sup_xd, Xd)
         running_sup(sup_xc, Wc)
 
@@ -815,19 +807,14 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     cost_st = _path_major(cost_st)
     bh_st = _path_major(bh_st)
     counts_st = _path_major(counts_st)
-    if per_path_c:
+    if C_st.ndim == 4:
         C_st = _path_major(C_st)
     np.sqrt(sup_xc, out=sup_xc)
     np.sqrt(sup_xd, out=sup_xd)
     times = np.asarray(store_idx, dtype=float) * dt
-    if size_rows:
-        jump_sizes = np.concatenate(size_rows, axis=0)
-        jump_paths = np.concatenate(path_rows).astype(np.int64)
-        jump_times = np.concatenate(time_rows)
-    else:
-        jump_sizes = np.zeros((0, dim))
-        jump_paths = np.zeros(0, dtype=np.int64)
-        jump_times = np.zeros(0)
+    jump_sizes = np.concatenate(size_rows or [np.zeros((0, dim))], axis=0)
+    jump_paths = np.concatenate(path_rows or [np.zeros(0)]).astype(np.int64)
+    jump_times = np.concatenate(time_rows or [np.zeros(0)])
 
     log.debug(
         "simulated %d paths x %d steps (%s), %d jumps",
@@ -840,7 +827,6 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
         cost_run=cost_st,
         Bh=bh_st,
         C=C_st,
-        c_per_path=per_path_c,
         jump_counts=counts_st,
         jump_sizes=jump_sizes,
         jump_paths=jump_paths,
@@ -917,8 +903,7 @@ def bellman_series(phi, bundle: PathBundle, f=None, q=None) -> np.ndarray:
         gamma = bundle.gamma
         cost = bundle.cost_run
     else:
-        f_fn = _state_fn(f, n)
-        q_fn = _state_fn(q, n)
+        f_fn, q_fn = _state_fn(f), _state_fn(q)
         qv = np.empty((n, K))
         fv = np.empty((n, K))
         for j in range(K):
@@ -989,10 +974,9 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
             "state-dependent drift: comparison uses snapshot-lattice trapezoid"
         )
 
-    c_gap = None
-    c_total = bundle.C[-1] if not bundle.c_per_path else bundle.C[:, -1]
-    if policy.sigma is not None:
-        c_gap = float(np.max(np.abs(c_total - policy.sigma @ policy.sigma.T * T)))
+    c_total = bundle.C[:, -1] if bundle.c_per_path else bundle.C[-1]
+    c_gap = None if policy.sigma is None else float(
+        np.max(np.abs(c_total - policy.sigma @ policy.sigma.T * T)))
 
     n_jumps = int(bundle.jump_sizes.shape[0])
     rate_obs = n_jumps / (n * T)

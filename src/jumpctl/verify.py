@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
 from .generator import _DEFAULT_SCHEME, _field_value, _generator
-from .hjb import Grid, HJBProblem, ValueField, _eval_xa, _lattice_origin, _x_for_eval
+from .hjb import Grid, HJBProblem, ValueField, _lattice_origin, _row_costs, _x_for_eval
 from .measures import Action, tail_moment
 
 __all__ = [
@@ -541,16 +541,20 @@ def _policy_specs(prob: HJBProblem):
 
 
 def _cost_adapters(prob: HJBProblem, spec, grid: Grid):
-    """State-only cost/discount callables for a fixed policy spec."""
+    """State-only cost/discount callables for a fixed policy spec: one call of
+    the problem's row costs per (sigma, nu) group of each state batch."""
 
     def adapter(fn):
+        if not callable(fn):
+            return float(fn)
+        rows = _row_costs(fn)
+
         def at(X):
-            acts = spec.action_at(X)
-            if isinstance(acts, Action):
-                return _eval_xa(fn, _x_for_eval(grid, X), acts, len(X))
-            return np.array(
-                [_eval_xa(fn, _x_for_eval(grid, X[i : i + 1]), a, 1)[0] for i, a in enumerate(acts)]
-            )
+            mu, group, pairs = spec.coefficients(X)
+            x, out, order = _x_for_eval(grid, X), np.empty(len(X)), np.argsort(group, kind="stable")
+            for part in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+                out[part] = rows(x[part], *pairs[group[part[0]]], mu[part])
+            return out
 
         return at
 

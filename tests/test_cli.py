@@ -312,6 +312,47 @@ def test_example_which_must_be_an_integer(tmp_path, capsys, which):
     assert "$.which" in capsys.readouterr().err
 
 
+_BOOL_FIELDS = [("n_paths", True), ("seed", True), ("x0", [True])]
+
+
+@pytest.mark.parametrize("field, value", _BOOL_FIELDS, ids=[f for f, _ in _BOOL_FIELDS])
+def test_booleans_are_not_numbers(tmp_path, capsys, field, value):
+    cfg = json.loads(Path(_bundled("simulate_cp.json")).read_text())
+    cfg["sim"][field] = value
+    code = main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert f"$.sim.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [[0.5], [10.0, 11.0]])
+def test_example_crosscheck_window_is_checked(tmp_path, capsys, window):
+    # a window must be [lo, hi] around a solver node; [10, 11] is beyond the grid
+    cfg = json.loads(Path(_bundled("example1.json")).read_text())
+    cfg["crosscheck"]["window"] = window
+    code = main(["example", "1", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "$.crosscheck.window" in err and "Traceback" not in err
+    assert not (tmp_path / "value.csv").exists()
+
+
+def test_bundled_configs_match_the_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
+    names = sorted(p.name for p in CONFIG_DIR.glob("*.json") if p.name != "config.schema.json")
+    assert len(names) == 7
+    for name in names:
+        schema.validate(json.loads(Path(_bundled(name)).read_text()))
+    # the inputs the parser rejects above are schema errors too, except the
+    # window beyond the grid: the schema cannot see the grid
+    mutations = [("simulate_cp.json", "sim", f, v) for f, v in _BOOL_FIELDS]
+    mutations.append(("example1.json", "crosscheck", "window", [0.5]))
+    for name, section, field, value in mutations:
+        cfg = json.loads(Path(_bundled(name)).read_text())
+        cfg[section][field] = value
+        assert not schema.is_valid(cfg), (name, field, value)
+
+
 # ------------------------------------------------------------------- examples
 
 

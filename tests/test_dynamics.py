@@ -39,6 +39,7 @@ from jumpctl.measures import (
     MeasureSupportError,
     ZeroMeasure,
     moment_functional,
+    total_mass,
 )
 
 
@@ -392,19 +393,83 @@ def test_admissibility_checks_fire_on_every_shape(case):
 
 
 def test_callable_policy_slow_path():
+    # a callable that returns one Action everywhere is one row group, and one
+    # group makes the constant shape's draws and arithmetic, bit for bit
     nu = AtomicMeasure(1, locations=[[1.0]], masses=[0.5])
     act = Action(sigma=1.0, nu=nu, mu=0.2)
     fast = PolicyFieldSpec.constant(act)
     slow = PolicyFieldSpec.from_action_callable(lambda x: act)
-    mk = lambda s: SimConfig(x0=0.0, T=0.5, dt=0.01, n_paths=400, seed=s)
-    bf = simulate(fast, mk(8))
-    bs = simulate(slow, mk(8))
-    # different RNG consumption pattern: compare distributions, not bits
-    comb = np.sqrt(bf.states[:, -1, 0].var() / 400 + bs.states[:, -1, 0].var() / 400)
-    assert abs(bf.states[:, -1, 0].mean() - bs.states[:, -1, 0].mean()) < 4 * comb
+    for lam in (None, 0.9):  # the clock at the jump rate, then above it (thinned)
+        cfg = SimConfig(x0=0.0, T=0.5, dt=0.01, n_paths=400, seed=8, lambda_max=lam)
+        bf, bs = simulate(fast, cfg), simulate(slow, cfg)
+        for name in _BUNDLE_ARRAYS:
+            if name != "C":
+                assert np.array_equal(getattr(bf, name), getattr(bs, name)), name
     assert bs.c_per_path and bs.C.shape == (400, bs.times.size, 1, 1)
     assert np.allclose(bs.C[:, -1, 0, 0], 0.5)
-    assert slow.action_at(np.array([[3.0]]))[0] is act
+    mu, group, pairs = slow.coefficients(np.array([[3.0], [-1.0]]))
+    assert mu[:, 0].tolist() == [0.2, 0.2] and group.tolist() == [0, 0]
+    assert pairs[0][0].tolist() == [[1.0]] and pairs[0][1].masses.tolist() == [0.5]
+    a = slow.action_at(np.array([[3.0]]))[0]
+    assert a.mu.tolist() == [0.2] and a.sigma.tolist() == [[1.0]]
+    assert a.nu.locations.tolist() == [[1.0]] and a.nu.masses.tolist() == [0.5]
+
+
+def test_solved_tables_step_as_row_groups():
+    from functools import partial
+
+    from jumpctl.hjb import Grid, HJBProblem, PolicyTable, solve_stationary
+    from jumpctl.measures import jump_to_origin_action
+
+    n, T = 2000, 1.0
+    # product LQ table: the solved drift is the Riccati feedback v - Q x on the
+    # nodes, so X_T has the Ornstein-Uhlenbeck moments of that feedback
+    sol, _, _ = _lq_setup()
+    grid = Grid.regular(-4.0, 4.0, 161)
+    prob = HJBProblem(f=lambda x, a: x**2 + float(a.mu @ a.mu), q=1.0, delta_q=1.0, b_q=1.0,
+                      sigma_nu_pairs=((1.0, ZeroMeasure(1)),),
+                      mu_lattice=np.linspace(-4.0, 4.0, 41))
+    _, table, rep = solve_stationary(prob, grid)
+    assert rep.converged
+    b = simulate(PolicyFieldSpec.from_policy_table(table, prob),
+                 SimConfig(x0=1.0, T=T, dt=0.01, n_paths=n, seed=31))
+    k, v = float(sol.Q[0, 0]), float(sol.v[0])
+    mean = np.exp(-k * T) + v / k * (1.0 - np.exp(-k * T))
+    var = (1.0 - np.exp(-2.0 * k * T)) / (2.0 * k)
+    xT = b.states[:, -1, 0]
+    assert abs(xT.mean() - mean) < 4 * np.sqrt(var / n)
+    assert abs(xT.var(ddof=1) - var) < 4 * var * np.sqrt(2.0 / (n - 1))
+    assert np.allclose(b.C[:, -1, 0, 0], T, rtol=1e-12)
+
+    # list table: jump to origin at rate r on x >= 1.5, and two Actions with
+    # the same sigma on the rest: a compensated symmetric compound Poisson
+    # action around the origin, where relocated paths land, and a drift on
+    # x < -2.  A path from x0 = 3 is still out at T with probability
+    # exp(-r T), and then X_T = 3 + s_out W_T.  Each row on the callable
+    # entry is its own group, so this ensemble is kept small.
+    n, T, r, s_out, s_in = 600, 0.5, 2.0, 0.05, 0.2
+    still = Action(sigma=s_in, nu=AtomicMeasure(1, [[0.2], [-0.2]], [0.25, 0.25]), mu=0.0)
+    drift_up = Action(sigma=s_in, nu=ZeroMeasure(1), mu=1.0)
+    relocate = partial(jump_to_origin_action, rate=r, sigma=s_out)
+    prob = HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0,
+                      actions=(still, drift_up, relocate))
+    x = grid.axes[0]
+    table = PolicyTable(grid=grid, action_index=np.where(x >= 1.5, 2, np.where(x < -2.0, 1, 0)))
+    b = simulate(PolicyFieldSpec.from_policy_table(table, prob),
+                 SimConfig(x0=3.0, T=T, dt=0.025, n_paths=n, seed=32))
+    xT = b.states[:, -1, 0]
+    out = xT > 1.5
+    p_out = np.exp(-r * T)
+    assert abs(out.mean() - p_out) < 4 * np.sqrt(p_out * (1.0 - p_out) / n)
+    assert abs(xT[out].mean() - 3.0) < 4 * s_out * np.sqrt(T / out.sum())
+    # jumps are recorded in time order, so a path's first one is its
+    # relocation; C grows at s_out^2 until then and at s_in^2 after
+    paths, first = np.unique(b.jump_paths, return_index=True)
+    assert np.allclose(b.jump_sizes[first, 0], -3.0, atol=0.5)
+    tau = np.full(n, T)
+    tau[paths] = b.jump_times[first]
+    want = s_out**2 * tau + s_in**2 * (T - tau)
+    assert np.allclose(b.C[:, -1, 0, 0], want, rtol=1e-10, atol=0.0)
 
 
 def test_config_validation():
@@ -430,8 +495,16 @@ def test_policy_table_lookup():
     idx = np.where(grid.axes[0] < 0.0, 0, 1)  # switch at the origin node
     table = PolicyTable(grid=grid, action_index=idx)
     pol = PolicyFieldSpec.from_policy_table(table, prob)
-    assert pol.fn(-0.9) is a0
-    assert pol.fn(0.3) is a1
+    # each row takes the nearest node (h = 1/8, the origin is node 8),
+    # clipped to the grid; the groups are the table's candidates
+    X = np.array([[-0.9], [0.3], [-0.07], [-0.06], [-5.0], [5.0]])
+    mu, group, pairs = pol.coefficients(X)
+    assert mu[:, 0].tolist() == [0.0, -1.0, 0.0, -1.0, 0.0, -1.0]
+    assert [total_mass(pairs[g][1]) for g in group] == [0.0, 0.7, 0.0, 0.7, 0.0, 0.7]
+    assert group.tolist() == [0, 1, 0, 1, 0, 1]
+    acts = pol.action_at(X[:2])
+    assert acts[1].mu.tolist() == [-1.0] and acts[1].sigma.tolist() == [[1.0]]
+    assert acts[1].nu.masses.tolist() == [0.7] and isinstance(acts[0].nu, ZeroMeasure)
     assert pol.rate_cap() == pytest.approx(0.7)
 
 
@@ -559,10 +632,12 @@ def _digest_cases():
 # sha256 over (name, dtype, shape, bytes) of every array in _BUNDLE_ARRAYS, in
 # order, recorded before the vectorised shapes were made to step in place;
 # linear_2d_correlated re-pinned when C became int sigma sigma^T ds (its other
-# eleven arrays kept their bytes). Float bits depend on numpy's kernels; these
-# were taken with numpy 2.4 on x86-64.
+# eleven arrays kept their bytes), and callable when callables began to step
+# as row groups, with the vectorised shapes' draw order (it had drawn poisson,
+# then standard_normal, then one uniform per arrival). Float bits depend on
+# numpy's kernels; these were taken with numpy 2.4 on x86-64.
 _FROZEN_DIGESTS = {
-    "callable": "ead33806c16f1afe0e48ec59cd37b7b8273341ff29ebe210f4b73a4d2c63ca47",
+    "callable": "f78ca2ec357eb89c3c3f01050eca706748cdf900b57fcdb60ea1fe150bf86b5c",
     "constant_density_jitter": "04b0e6c987bf328548de889b34e9758ab51f428c8b06b307b50d528157ef01ab",
     "constant_one_atom": "7f3ec432da73fc50175c3783c3b1a9c1918c39de2c4b4dd7472a04badc47a919",
     "constant_two_atoms_thinned":

@@ -206,7 +206,7 @@ def _fake_bundle(states, policy):
     zeros = np.zeros((n, K))
     return PathBundle(
         times=times, states=states, gamma=zeros.copy(), cost_run=zeros.copy(),
-        Bh=np.zeros((n, K, dim)), C=np.zeros((K, dim, dim)), c_per_path=False,
+        Bh=np.zeros((n, K, dim)), C=np.zeros((K, dim, dim)),
         jump_counts=np.zeros((n, K), dtype=np.int64),
         jump_sizes=np.zeros((0, dim)), jump_paths=np.zeros(0, dtype=np.int64),
         jump_times=np.zeros(0), sup_xc=np.zeros(n), sup_xd=np.zeros(n),
