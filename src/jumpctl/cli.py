@@ -836,20 +836,22 @@ def cmd_verify(run: RunConfig) -> int:
 # benchmark examples with solver cross-checks
 
 
-def _crosscheck_fields(cfg: dict, grid: Grid, **defaults) -> dict:
-    """The ``crosscheck`` fields named in ``defaults`` (an int default makes a count),
-    then ``window``: [lo, hi] around a node of the solver grid, ``num`` nodes or ``grid``."""
+def _crosscheck_fields(cfg: dict, grid: Grid, **defaults):
+    """The ``crosscheck`` fields named in ``defaults`` (an int default makes a
+    count), the solver grid (``num`` nodes over ``grid`` when ``num`` is one of
+    them, else ``grid``), and then ``window``: [lo, hi] around a solver node."""
     cc = _get(cfg, "crosscheck", "$", dict, default={})
     out = {}
     for key, default in defaults.items():
         val = _number(cc, key, "$.crosscheck", default=float(default), positive=True)
         out[key] = int(val) if isinstance(default, int) else val
+    cgrid = Grid.regular(grid.lo[0], grid.hi[0], out["num"]) if "num" in out else grid
     w = out["window"] = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
-    axis = np.linspace(grid.lo[0], grid.hi[0], out.get("num", grid.num[0]))
+    axis = cgrid.axes[0]
     if w.shape != (2,) or not w[0] < w[1] or not np.any((axis >= w[0]) & (axis <= w[1])):
         raise ConfigError("$.crosscheck.window",
                           "must be [lo, hi] with lo < hi around at least one solver node")
-    return out
+    return out, cgrid
 
 
 def _crosscheck(run: RunConfig, report: dict, cc: dict, prob, grid: Grid, reference,
@@ -896,29 +898,28 @@ def _polynomial_example(cfg: dict, which: int):
     return cost, _number(cfg, "q", "$", default=1.0, positive=True)
 
 
-def _diffuse_or_jump(f, q: float, coeffs: np.ndarray, grid: Grid, num: int):
+def _diffuse_or_jump(f, q: float, coeffs: np.ndarray) -> HJBProblem:
     """Examples 1-2 as a list-mode problem: unit diffusion, with or without a
-    unit-rate jump to the origin, solved on ``num`` nodes over ``grid``."""
-    prob = HJBProblem(
+    unit-rate jump to the origin."""
+    return HJBProblem(
         f=f, q=q, delta_q=q, b_q=q,
         actions=(Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)), ex.example1_policy),
         p=2.0, q_growth=max(2, coeffs.size - 1),
     )
-    return prob, Grid.regular(grid.lo[0], grid.hi[0], num)
 
 
 def _example1(run: RunConfig) -> int:
     cfg = run.config
     cost, q = _polynomial_example(cfg, 1)
     grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
-    cc = _crosscheck_fields(cfg, grid, num=241, tol_rel=2e-2)
+    cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=2e-2)
 
     psi = ex.example1_psi(cost.coeffs, q, grid)
     V = ex.example1_value(psi, q)
     _write_csv(run.out_dir / "value.csv", run.provenance(),
                [("x", grid.axes[0]), ("psi", psi.values), ("value", V.values)])
 
-    prob, cgrid = _diffuse_or_jump(cost.hjb_fn(1), q, cost.coeffs, grid, cc["num"])
+    prob = _diffuse_or_jump(cost.hjb_fn(1), q, cost.coeffs)
     report = {"q": q, "cost": cost.describe(),
               "psi0": float(psi.value(0.0)), "value0": float(V.value(0.0))}
     return _crosscheck(run, report, cc, prob, cgrid, V.value(cgrid.axes[0]), 1e-6)
@@ -930,7 +931,7 @@ def _example2(run: RunConfig) -> int:
     kappa = _number(cfg, "kappa", "$", default=1.0, positive=True)
     grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -8.0, "hi": 8.0, "num": 481}), "$.grid")
     tol = run.tol if run.tol is not None else 1e-8
-    cc = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
+    cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
 
     sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid, tol=tol)
     _write_csv(run.out_dir / "value.csv", run.provenance(),
@@ -952,7 +953,7 @@ def _example2(run: RunConfig) -> int:
             switch_x, gap_cells = float("nan"), float("inf")
         return {"switch_x": switch_x, "gap_cells": gap_cells}, gap_cells > cc["tol_cells"]
 
-    prob, cgrid = _diffuse_or_jump(f_with_charge, q, coeffs, grid, cc["num"])
+    prob = _diffuse_or_jump(f_with_charge, q, coeffs)
     report = {
         "b_hat": sol.b_hat,
         "phi0": sol.phi0,
@@ -973,9 +974,10 @@ def _example3(run: RunConfig) -> int:
                 "candidates": [{"sigma": [[1.0]], "nu": {"kind": "zero"}}]}
     merged = {**defaults, **{k: v for k, v in cfg.items() if k not in ("which",)}}
     spec = _lq_spec_from(merged, "$")
-    if spec.lam.shape[0] == 1:
+    one_d = spec.lam.shape[0] == 1  # the solver cross-check runs in one dimension only
+    if one_d:
         grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
-        cc = _crosscheck_fields(cfg, grid, tol_rel=2e-2, lattice_num=41)
+        cc, grid = _crosscheck_fields(cfg, grid, tol_rel=2e-2, lattice_num=41)
     sol = solve_lq(spec)
 
     residual = float(np.linalg.norm(riccati_residual(sol.B, spec.lam, spec.theta, spec.q)))
@@ -984,8 +986,7 @@ def _example3(run: RunConfig) -> int:
         "delta_hat": sol.delta_hat, "q": spec.q, "riccati_residual": residual,
         "feedback": "mu(x) = v - Q x",
     }
-    if spec.lam.shape[0] != 1:
-        # the solver cross-check runs in one dimension only
+    if not one_d:
         _write_json(run.out_dir / "report.json", run.provenance(), report)
         return 0
 

@@ -23,9 +23,9 @@ one engine: constant actions, linear drift feedback with constant
 state its drift and the index of its (sigma, nu) pair, which is how solved
 policy tables and ``x -> Action`` callables step.  :class:`PolicyFieldSpec`
 is the one interface to all four: the verifiers and the command line ask it
-for ``action_at``, ``coefficients``, ``drift``, ``coefficient_norms``
-(|mu|, ||sigma||_F and the jump moment per state), ``growth_left`` and
-``rate_cap`` instead of branching on the shape.
+for ``coefficients``, ``drift``, ``coefficient_norms`` (|mu|, ||sigma||_F
+and the jump moment per state), ``growth_left`` and ``rate_cap`` instead
+of branching on the shape.
 
 State-independent terms and jump laws are resolved once per run (per step
 and pair for row groups), and every step writes into preallocated buffers,
@@ -122,7 +122,6 @@ class PolicyFieldSpec:
     knows the four policy shapes; everything else asks it batched queries
     on (m, dim) state arrays:
 
-    * :meth:`action_at` -- the actions themselves;
     * :meth:`coefficients` -- each row's drift and the index of its
       (sigma, nu) pair;
     * :meth:`drift` -- mu(x) as an (m, dim) array;
@@ -238,17 +237,6 @@ class PolicyFieldSpec:
         return cls(kind="callable", query=query, rate_bound=bound, name=name or "policy-table")
 
     # ------------------------------------------------------------- queries
-    def action_at(self, X):
-        """Resolve the policy on a state batch of shape (m, dim).
-
-        Returns the single Action for constant policies and a list of
-        per-row Actions otherwise.
-        """
-        if self.kind == "constant":
-            return self.action
-        mu, group, pairs = self.coefficients(X)
-        return [Action(*pairs[g], m) for g, m in zip(group, mu)]
-
     def coefficients(self, X):
         """(mu (m, dim), group (m,), pairs) on a state batch of shape (m, dim):
         row i has drift ``mu[i]`` and the (sigma, nu) pair ``pairs[group[i]]``."""
@@ -459,8 +447,8 @@ class _Pair:
             raise ValueError(f"policy sigma shape {sigma.shape} does not match state dim {dim}")
         self.sigma, self.nu, self.mass = sigma, nu, total_mass(nu)
         jumps = self.mass > 0
-        if not jumps:  # malformed support fails before any draw; the moments check it
-            _check_support(nu)
+        # the support is validated before any draw: by the sampling law, or here
+        self.law = _sampling_law(nu) if jumps else _check_support(nu)
         self.m1 = first_moment(nu) if jumps else np.zeros(dim)
         self.big_mean = big_jump_mean(nu) if jumps else np.zeros(dim)
         self.m2_dt = (float(np.trace(second_moment_matrix(nu))) if jumps else 0.0) * dt
@@ -499,8 +487,7 @@ class _StepModel:
         if kind == "jump_origin":
             self.mass = policy.rate
         else:
-            self.mass, self.m1, self.big_mean = pair.mass, pair.m1, pair.big_mean
-            self.law = _sampling_law(policy.nu) if self.mass > 0 else None
+            self.mass, self.m1, self.big_mean, self.law = pair.mass, pair.m1, pair.big_mean, pair.law
             self.m1_dt, self.m2_dt = self.m1 * dt, pair.m2_dt
         self.jumps = self.mass > 0.0
         if self.jumps:
@@ -621,7 +608,7 @@ class _StepModel:
             sizes, of = np.empty((tot, self.dim)), self.group[rows]
             for g in np.unique(of):
                 sel = of == g
-                sizes[sel] = _draw_jumps(_sampling_law(self.pairs[g].nu), rng, int(np.count_nonzero(sel)))
+                sizes[sel] = _draw_jumps(self.pairs[g].law, rng, int(np.count_nonzero(sel)))
         else:
             sizes = _draw_jumps(self.law, rng, tot)
         self.disp.fill(0.0)

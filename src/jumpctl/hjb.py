@@ -480,8 +480,6 @@ def _row_costs(fn):
         return lambda x, sigma, nu, mu: np.full(len(mu), float(fn))
 
     def rows(x, sigma, nu, mu):
-        if len(mu) == 1:
-            return _eval_xa(fn, x, Action(sigma=sigma, nu=nu, mu=mu[0]), 1)
         out, order = np.empty(len(mu)), np.lexsort(mu.T[::-1])
         srt = mu[order]
         heads = np.flatnonzero(np.any(srt[1:] != srt[:-1], axis=1)) + 1

@@ -192,11 +192,12 @@ def test_jump_to_origin_decay():
 
 def test_jump_to_origin_action_field():
     pol = PolicyFieldSpec.jump_to_origin(rate=2.0, sigma=1.0, dim=1)
-    acts = pol.action_at(np.array([[0.0], [1.5]]))
-    assert isinstance(acts[0].nu, ZeroMeasure)
-    assert acts[1].nu.locations[0, 0] == -1.5
-    assert acts[1].nu.masses[0] == 2.0
-    assert acts[1].mu[0] == -3.0
+    mu, group, pairs = pol.coefficients(np.array([[0.0], [1.5]]))
+    nu0, nu1 = (pairs[g][1] for g in group)
+    assert isinstance(nu0, ZeroMeasure)
+    assert nu1.locations[0, 0] == -1.5
+    assert nu1.masses[0] == 2.0
+    assert mu[1, 0] == -3.0
     assert pol.rate_cap() == 2.0
 
 
@@ -210,8 +211,7 @@ def test_linear_feedback_ou_moments():
     var_t = 0.5 * (1.0 - np.exp(-4.0))
     assert abs(xT.mean() - mean_t) < 3 * np.sqrt(var_t / n)
     assert abs(xT.var(ddof=1) - var_t) / var_t < 0.05
-    acts = pol.action_at(np.array([[0.5], [-2.0]]))
-    assert acts[0].mu[0] == -0.5 and acts[1].mu[0] == 2.0
+    assert pol.drift(np.array([[0.5], [-2.0]]))[:, 0].tolist() == [-0.5, 2.0]
 
 
 def _lq_setup():
@@ -410,9 +410,7 @@ def test_callable_policy_slow_path():
     mu, group, pairs = slow.coefficients(np.array([[3.0], [-1.0]]))
     assert mu[:, 0].tolist() == [0.2, 0.2] and group.tolist() == [0, 0]
     assert pairs[0][0].tolist() == [[1.0]] and pairs[0][1].masses.tolist() == [0.5]
-    a = slow.action_at(np.array([[3.0]]))[0]
-    assert a.mu.tolist() == [0.2] and a.sigma.tolist() == [[1.0]]
-    assert a.nu.locations.tolist() == [[1.0]] and a.nu.masses.tolist() == [0.5]
+    assert pairs[0][1].locations.tolist() == [[1.0]]
 
 
 def test_solved_tables_step_as_row_groups():
@@ -502,9 +500,9 @@ def test_policy_table_lookup():
     assert mu[:, 0].tolist() == [0.0, -1.0, 0.0, -1.0, 0.0, -1.0]
     assert [total_mass(pairs[g][1]) for g in group] == [0.0, 0.7, 0.0, 0.7, 0.0, 0.7]
     assert group.tolist() == [0, 1, 0, 1, 0, 1]
-    acts = pol.action_at(X[:2])
-    assert acts[1].mu.tolist() == [-1.0] and acts[1].sigma.tolist() == [[1.0]]
-    assert acts[1].nu.masses.tolist() == [0.7] and isinstance(acts[0].nu, ZeroMeasure)
+    (_, nu0), (sig1, nu1) = (pairs[g] for g in group[:2])
+    assert sig1.tolist() == [[1.0]] and nu1.masses.tolist() == [0.7]
+    assert isinstance(nu0, ZeroMeasure)
     assert pol.rate_cap() == pytest.approx(0.7)
 
 
@@ -545,8 +543,8 @@ def test_coefficient_norms_match_actions(case):
     dim = 1 if case.endswith("1d") else 2
     X = np.random.default_rng(5).normal(scale=1.5, size=(9, dim))
     X[0] = 0.0  # the origin, where jump to origin degenerates to the zero measure
-    acts = pol.action_at(X)
-    acts = [acts] * len(X) if isinstance(acts, Action) else acts
+    rows, group, pairs = pol.coefficients(X)
+    acts = [Action(*pairs[g], m) for g, m in zip(group, rows)]
     mu = pol.drift(X)
     assert mu.shape == X.shape
     for p in (2.0, 3.0):
