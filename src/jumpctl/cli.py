@@ -64,7 +64,7 @@ from .measures import (
     JumpMeasure,
     MeasureSupportError,
     ZeroMeasure,
-    _check_support,
+    _support_points,
     jump_to_origin_action,
     total_mass,
 )
@@ -129,15 +129,20 @@ def _array(obj, key, path, default, ndim, what, shape_rule):
     raw = _get(obj, key, path, (list, int, float), default)
     if raw is default and default is not _MISSING:
         return raw
+    return _numeric(raw, f"{path}.{key}", ndim, what, shape_rule)
+
+
+def _numeric(raw, where, ndim, what, shape_rule):
+    """A finite float array of ``ndim`` dimensions read from the JSON value at ``where``."""
     if _holds_bool(raw):
-        raise ConfigError(f"{path}.{key}", f"not a numeric {what}: it holds a boolean")
+        raise ConfigError(where, f"not a numeric {what}: it holds a boolean")
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}", f"not a numeric {what}: {exc}") from None
+        raise ConfigError(where, f"not a numeric {what}: {exc}") from None
     arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}.{key}", shape_rule)
+        raise ConfigError(where, shape_rule)
     return arr
 
 
@@ -196,10 +201,11 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
         for i, pair in enumerate(atoms):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ConfigError(f"{path}.atoms[{i}]", "expected a [location, mass] pair")
-            loc = np.atleast_1d(np.asarray(pair[0], dtype=float))
+            loc = _numeric(pair[0], f"{path}.atoms[{i}]", 1, "location", "must be a finite vector")
             if loc.shape != (dim,):
                 raise ConfigError(f"{path}.atoms[{i}]", f"location must have dimension {dim}")
-            if not isinstance(pair[1], (int, float)) or not np.isfinite(pair[1]) or pair[1] < 0:
+            if isinstance(pair[1], bool) or not isinstance(pair[1], (int, float)) \
+                    or not 0 <= pair[1] < np.inf:
                 raise ConfigError(f"{path}.atoms[{i}]", "mass must be a finite number >= 0")
             locs.append(loc)
             masses.append(float(pair[1]))
@@ -221,7 +227,7 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
     else:
         raise ConfigError(f"{path}.kind", f"unknown measure kind '{kind}' (zero/atomic/density)")
     try:
-        _check_support(nu)
+        _support_points(nu)
     except MeasureSupportError as exc:
         raise ConfigError(path, str(exc)) from None
     return nu
@@ -750,9 +756,10 @@ def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
         pairs_raw = _get(entry, "pairs", path, list)
         pairs = []
         for j, pr in enumerate(pairs_raw):
-            if not (isinstance(pr, list) and len(pr) == 2):
-                raise ConfigError(f"{path}.pairs[{j}]", "expected an [s, t] pair")
-            pairs.append((float(pr[0]), float(pr[1])))
+            st = _numeric(pr, f"{path}.pairs[{j}]", 1, "pair", "expected an [s, t] pair")
+            if st.shape != (2,) or not st[0] < st[1]:
+                raise ConfigError(f"{path}.pairs[{j}]", "expected an [s, t] pair with s < t")
+            pairs.append((float(st[0]), float(st[1])))
         n_bins = int(_number(entry, "n_bins", path, default=8.0, positive=True))
         bundle = shared["bundle"]
         own_cost = _get(entry, "cost", path, dict, default=None)
@@ -770,10 +777,7 @@ def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
         p = _number(entry, "p", path, positive=True)
         rep = ver.h2_integrability_check(shared["bundle"], p)
     elif name == "growth":
-        box_raw = _get(entry, "box", path, list)
-        box = np.asarray(box_raw, dtype=float)
-        if box.ndim == 1:
-            box = box[None, :]
+        box = _matrix(entry, "box", path)
         if box.shape != (dim, 2):
             raise ConfigError(f"{path}.box", f"expected {dim} [lo, hi] pairs")
         K = _number(entry, "K", path, positive=True)

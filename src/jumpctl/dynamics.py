@@ -51,7 +51,6 @@ from .measures import (
     Action,
     JumpMeasure,
     ZeroMeasure,
-    _check_support,
     _draw_jumps,
     _sampling_law,
     _support_points,
@@ -445,10 +444,10 @@ class _Pair:
     def __init__(self, sigma, nu, dim: int, dt: float):
         if sigma.shape != (dim, dim):
             raise ValueError(f"policy sigma shape {sigma.shape} does not match state dim {dim}")
+        # total_mass reads the support, so a malformed one raises here, before any draw
         self.sigma, self.nu, self.mass = sigma, nu, total_mass(nu)
         jumps = self.mass > 0
-        # the support is validated before any draw: by the sampling law, or here
-        self.law = _sampling_law(nu) if jumps else _check_support(nu)
+        self.law = _sampling_law(nu) if jumps else None
         self.m1 = first_moment(nu) if jumps else np.zeros(dim)
         self.big_mean = big_jump_mean(nu) if jumps else np.zeros(dim)
         self.m2_dt = (float(np.trace(second_moment_matrix(nu))) if jumps else 0.0) * dt

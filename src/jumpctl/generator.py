@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Action, JumpMeasure, ZeroMeasure, _check_support, _support_points
+from .measures import Action, JumpMeasure, ZeroMeasure, _support_points
 
 __all__ = [
     "AnalyticField",
@@ -206,16 +206,16 @@ def _effective_split(g, scheme):
 
 
 def _jump_law(nu: JumpMeasure, g, scheme):
-    """Support points and weights of nu after its checks; None for no jumps."""
+    """Validated support points and weights of nu once its growth check passes; None for no jumps."""
     if nu is None or isinstance(nu, ZeroMeasure):
         return None
-    _check_support(nu)
+    law = _support_points(nu)
     q_growth = getattr(g, "q_growth", None)
     if scheme.ambient_p is not None and q_growth is not None and q_growth > scheme.ambient_p:
         raise GrowthError(
             f"field growth degree {q_growth} exceeds ambient moment order {scheme.ambient_p}"
         )
-    return _support_points(nu)
+    return law
 
 
 def _generator(g, X, scheme, local=None, nu=None, u=None):

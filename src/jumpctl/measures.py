@@ -10,6 +10,10 @@ class of order p means the functional
 
 is finite; that functional, the second-moment matrix, the total mass and a
 sampler are the primitives every other module consumes.
+
+Each reads the measure through :func:`_support_points`, the one place that
+checks a support: the first read validates it and keeps it on the measure,
+whose arrays are read-only copies; a malformed one raises on every read.
 """
 
 from __future__ import annotations
@@ -85,18 +89,19 @@ class AtomicMeasure(JumpMeasure):
     """Finitely many atoms: sum of mass_k * delta at location y_k.
 
     locations has shape (k, dim), masses shape (k,). Moment integrals are
-    exact sums. Construction normalises shapes but defers support checks to
-    the operations so that a malformed object can still be inspected.
+    exact sums. Construction copies the arrays read-only, but defers the
+    support check to its first read so a malformed object can be inspected.
     """
 
     locations: np.ndarray = field(default=None)
     masses: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        locs = np.atleast_2d(np.asarray(self.locations, dtype=float))
+        locs = np.array(self.locations, dtype=float, ndmin=2)
         if locs.shape[0] == 1 and locs.shape[1] != self.dim and locs.size % self.dim == 0:
             locs = locs.reshape(-1, self.dim)
-        masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
+        masses = np.array(self.masses, dtype=float, ndmin=1)
+        locs.flags.writeable = masses.flags.writeable = False
         if locs.shape != (masses.shape[0], self.dim):
             raise ValueError(
                 f"atomic measure shapes inconsistent: locations {locs.shape}, "
@@ -129,10 +134,10 @@ class DensityGridMeasure(JumpMeasure):
     small_jump_cov: np.ndarray | None = None
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo, hi = np.array(self.lo, dtype=float, ndmin=1), np.array(self.hi, dtype=float, ndmin=1)
         shape = tuple(int(s) for s in np.atleast_1d(self.shape))
-        vals = np.asarray(self.values, dtype=float).reshape(shape)
+        vals = np.array(self.values, dtype=float).reshape(shape)
+        lo.flags.writeable = hi.flags.writeable = vals.flags.writeable = False
         if lo.shape != (self.dim,) or hi.shape != (self.dim,) or len(shape) != self.dim:
             raise ValueError("density grid box/shape inconsistent with dim")
         if np.any(hi <= lo):
@@ -159,33 +164,35 @@ class DensityGridMeasure(JumpMeasure):
 
 
 def _support_points(nu: JumpMeasure):
-    """Return (points (k, n), weights (k,)) of the discrete representation."""
+    """Return the validated (points (k, n), weights (k,)) of the discrete representation.
+
+    The first read checks the support and keeps it, read-only, on the measure
+    for later reads; a malformed one is not kept and raises on every read.
+    """
+    if getattr(nu, "_support", None) is not None:
+        return nu._support
     if isinstance(nu, ZeroMeasure):
-        return np.zeros((0, nu.dim)), np.zeros(0)
-    if isinstance(nu, AtomicMeasure):
-        return nu.locations, nu.masses
-    if isinstance(nu, DensityGridMeasure):
+        pts, w = np.zeros((0, nu.dim)), np.zeros(0)
+    elif isinstance(nu, AtomicMeasure):
+        pts, w = nu.locations, nu.masses
+    elif isinstance(nu, DensityGridMeasure):
         pts = nu.cell_midpoints()
         w = nu.values.ravel() * nu.cell_volume()
         if nu.eps > 0.0:
             keep = np.linalg.norm(pts, axis=1) > nu.eps
             pts, w = pts[keep], w[keep]
-        return pts, w
-    raise TypeError(f"not a JumpMeasure: {type(nu).__name__}")
-
-
-def _check_support(nu: JumpMeasure) -> None:
-    pts, w = _support_points(nu)
-    if not np.all(np.isfinite(pts)):
+        pts.flags.writeable = w.flags.writeable = False
+    else:
+        raise TypeError(f"not a JumpMeasure: {type(nu).__name__}")
+    if not np.isfinite(pts).all():
         raise MeasureSupportError("measure support contains non-finite points")
-    if np.any(~np.isfinite(w)) or np.any(w < 0.0):
+    if not ((0.0 <= w) & (w < np.inf)).all():
         raise MeasureSupportError("masses/density values must be finite and >= 0")
-    if pts.shape[0]:
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms == 0.0):
-            raise MeasureSupportError(
-                "measure support must exclude the origin (atom or cell midpoint at 0)"
-            )
+    # np.linalg.norm(y) is 0 exactly where every y_i * y_i is
+    if not (pts * pts).any(axis=1).all():
+        raise MeasureSupportError("measure support must exclude the origin (atom or cell midpoint at 0)")
+    object.__setattr__(nu, "_support", (pts, w))
+    return nu._support
 
 
 def _integrate(nu: JumpMeasure, integrand) -> np.ndarray:
@@ -206,23 +213,21 @@ def _integrate(nu: JumpMeasure, integrand) -> np.ndarray:
 def validate_Mp(nu: JumpMeasure, p: float) -> bool:
     """True iff the order-p moment functional evaluates finite.
 
-    Raises MeasureSupportError for malformed support; that is not the same
-    as returning False. p below 2 is rejected outright.
+    The functional reads the support, so a malformed one raises
+    MeasureSupportError; that is not the same as returning False. p below 2
+    is rejected outright.
     """
     if p < 2.0:
         raise ValueError(f"moment order p must be >= 2, got {p}")
-    _check_support(nu)
-    if isinstance(nu, ZeroMeasure):
-        return True
     try:
-        return bool(np.isfinite(moment_functional(nu, p)))
+        moment_functional(nu, p)
     except DivergenceError:
         return False
+    return True
 
 
 def moment_functional(nu: JumpMeasure, p: float) -> float:
     """integral of max(|y|^2, |y|^p) nu(dy), exact for atoms, quadrature for densities."""
-    _check_support(nu)
     with np.errstate(over="ignore"):
         out = _integrate(
             nu,
@@ -238,7 +243,6 @@ def moment_functional(nu: JumpMeasure, p: float) -> float:
 
 def second_moment_matrix(nu: JumpMeasure) -> np.ndarray:
     """Matrix with entries integral of y_i y_j nu(dy); symmetric PSD."""
-    _check_support(nu)
     m = _integrate(nu, lambda pts: pts[:, :, None] * pts[:, None, :])
     if not np.all(np.isfinite(m)):
         raise DivergenceError("second moment matrix did not evaluate finite")
@@ -247,13 +251,11 @@ def second_moment_matrix(nu: JumpMeasure) -> np.ndarray:
 
 def first_moment(nu: JumpMeasure) -> np.ndarray:
     """integral of y nu(dy); the compensator drift of the fully compensated form."""
-    _check_support(nu)
     return _integrate(nu, lambda pts: pts)
 
 
 def tail_moment(nu: JumpMeasure, p: float, radius: float = 1.0) -> float:
     """integral over |y| > radius of |y|^p nu(dy)."""
-    _check_support(nu)
 
     def f(pts):
         r = np.linalg.norm(pts, axis=1)
@@ -264,7 +266,6 @@ def tail_moment(nu: JumpMeasure, p: float, radius: float = 1.0) -> float:
 
 def big_jump_mean(nu: JumpMeasure, radius: float = 1.0) -> np.ndarray:
     """integral over |y| > radius of y nu(dy), i.e. the mean lost to truncation."""
-    _check_support(nu)
 
     def f(pts):
         r = np.linalg.norm(pts, axis=1)
@@ -280,8 +281,6 @@ def total_mass(nu: JumpMeasure) -> float:
     integrable or non-integrable singularity between midpoints; the
     quadrature value is returned with a warning in that case.
     """
-    if isinstance(nu, ZeroMeasure):
-        return 0.0
     if isinstance(nu, DensityGridMeasure) and nu.eps == 0.0:
         if np.all(nu.lo <= 0.0) and np.all(nu.hi >= 0.0):
             warnings.warn(
@@ -309,21 +308,18 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
 
 
 def _sampling_law(nu: JumpMeasure):
-    """Validate ``nu`` and normalise it for sampling, once per measure.
+    """Normalise ``nu`` for sampling, once per measure.
 
     Returns (points, probabilities, jitter half-widths or None); callers that
     draw repeatedly from one measure pass the result to :func:`_draw_jumps`.
     """
-    _check_support(nu)
     m0 = total_mass(nu)
     if not np.isfinite(m0) or m0 <= 0.0:
         raise UnsupportedMeasureError(
             f"sampling needs finite positive total mass, got {m0}"
         )
     pts, w = _support_points(nu)
-    half = None
-    if isinstance(nu, DensityGridMeasure):
-        half = 0.5 * (nu.hi - nu.lo) / np.asarray(nu.shape, dtype=float)
+    half = 0.5 * (nu.hi - nu.lo) / nu.shape if isinstance(nu, DensityGridMeasure) else None
     return pts, w / w.sum(), half
 
 
@@ -364,9 +360,8 @@ class Action:
 
 def validate_action(a: Action, p: float) -> bool:
     """Finite entries plus measure membership in the ambient moment class."""
-    if not (np.all(np.isfinite(a.sigma)) and np.all(np.isfinite(a.mu))):
-        return False
-    return validate_Mp(a.nu, p)
+    finite = bool(np.all(np.isfinite(a.sigma)) and np.all(np.isfinite(a.mu)))
+    return finite and validate_Mp(a.nu, p)
 
 
 def jump_to_origin_action(x, rate: float, sigma) -> Action:

@@ -324,6 +324,45 @@ def test_booleans_are_not_numbers(tmp_path, capsys, field, value):
     assert f"$.sim.{field}" in capsys.readouterr().err
 
 
+# fields the parser reads by hand rather than through _get: (config, test entry
+# or None, key path, value, the field path the error names)
+_HAND_READ_BOOLS = [
+    ("simulate_cp.json", None, ("policy", "nu", "atoms", 0, 1), True, "$.policy.nu.atoms[0]"),
+    ("simulate_cp.json", None, ("policy", "nu", "atoms", 0, 0), [True], "$.policy.nu.atoms[0]"),
+    ("verify_lq.json", 0, ("pairs", 0), [True, 1.0], "$.tests[0].pairs[0]"),
+    ("verify_lq.json", 3, ("box",), [[True, 6.0]], "$.tests[0].box"),
+]
+
+
+def _mutated(name, test, keys, value):
+    cfg = json.loads(Path(_bundled(name)).read_text())
+    if test is not None:
+        cfg["tests"] = [cfg["tests"][test]]
+    node = cfg["tests"][0] if test is not None else cfg
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("name, test, keys, value, where", _HAND_READ_BOOLS,
+                         ids=["atom_mass", "atom_location", "verify_pair", "growth_box"])
+def test_hand_read_booleans_are_not_numbers(tmp_path, capsys, name, test, keys, value, where):
+    cfg = _mutated(name, test, keys, value)
+    command = "verify" if test is not None else "simulate"
+    code = main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+def test_hand_read_booleans_are_schema_errors():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
+    for name, test, keys, value, _ in _HAND_READ_BOOLS:
+        assert not schema.is_valid(_mutated(name, test, keys, value)), (name, keys)
+
+
 @pytest.mark.parametrize("window", [[0.5], [10.0, 11.0]])
 def test_example_crosscheck_window_is_checked(tmp_path, capsys, window):
     # a window must be [lo, hi] around a solver node; [10, 11] is beyond the grid

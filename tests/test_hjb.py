@@ -26,7 +26,7 @@ from jumpctl.hjb import (
     solve_stationary,
 )
 from jumpctl.lq import LQSpec, solve_lq
-from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure
+from jumpctl.measures import Action, AtomicMeasure, MeasureSupportError, ZeroMeasure
 from jumpctl.verify import dpp_report, dpp_residual
 
 B_HAT = (np.sqrt(13.0) - 3.0) / 2.0
@@ -744,6 +744,25 @@ def test_stationary_nonconvergence_reported():
     assert not rep.converged
     assert rep.messages
     assert np.all(np.isfinite(phi.values))
+
+
+_BAD_ATOMS = {"negative_mass": ([[0.5]], [-1.0]), "origin_atom": ([[0.0]], [1.0]),
+              "nan_location": ([[np.nan]], [1.0])}
+
+
+@pytest.mark.parametrize("entry", ["action", "callable"])
+@pytest.mark.parametrize("bad", sorted(_BAD_ATOMS))
+def test_list_mode_rejects_malformed_measures(bad, entry):
+    # a list entry's measure is read through the validated support, so a
+    # malformed one stops the solve instead of entering the operator
+    locations, masses = _BAD_ATOMS[bad]
+    action = Action(sigma=1.0, nu=AtomicMeasure(1, locations, masses), mu=0.0)
+    prob = HJBProblem(
+        f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0,
+        actions=(brownian_action(), action if entry == "action" else lambda x: action),
+    )
+    with pytest.raises(MeasureSupportError):
+        solve_stationary(prob, Grid.regular(-3.0, 3.0, 61))
 
 
 def test_solved_field_tail_is_polynomial():

@@ -10,6 +10,7 @@ from jumpctl.measures import (
     MeasureSupportError,
     UnsupportedMeasureError,
     ZeroMeasure,
+    _support_points,
     first_moment,
     moment_functional,
     sample_jump,
@@ -57,6 +58,39 @@ def test_negative_mass_is_structural_error():
 def test_p_below_two_rejected():
     with pytest.raises(ValueError):
         validate_Mp(ZeroMeasure(dim=1), 1.5)
+
+
+def test_measure_arrays_are_read_only_copies():
+    locs, masses = np.array([[1.0], [-2.0]]), np.array([0.5, 1.0])
+    lo, hi, values = np.array([0.5]), np.array([1.5]), np.ones(8)
+    atoms = AtomicMeasure(dim=1, locations=locs, masses=masses)
+    density = DensityGridMeasure(dim=1, lo=lo, hi=hi, shape=(8,), values=values)
+    # the caller's arrays stay writable, and writing them leaves the measures alone
+    for a in (locs, masses, lo, hi, values):
+        a *= -1.0
+    assert np.array_equal(atoms.locations, [[1.0], [-2.0]])
+    assert np.array_equal(atoms.masses, [0.5, 1.0])
+    assert density.lo[0] == 0.5 and density.hi[0] == 1.5 and np.all(density.values == 1.0)
+    # the measures' own arrays, and the support read from them, reject a write
+    for a in (atoms.locations, atoms.masses, density.lo, density.hi, density.values,
+              *_support_points(atoms), *_support_points(density)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_support_is_checked_once_and_kept_only_when_valid():
+    for nu in (ZeroMeasure(dim=2), AtomicMeasure(dim=1, locations=[[2.0]], masses=[1.0]),
+               uniform_density_1d(-1.0, 1.0, 1.0, n_cells=6, eps=0.2)):
+        first = _support_points(nu)
+        assert _support_points(nu) is first
+    for nu in (AtomicMeasure(dim=1, locations=[[0.0]], masses=[1.0]),
+               AtomicMeasure(dim=1, locations=[[1.0]], masses=[-0.5]),
+               AtomicMeasure(dim=1, locations=[[np.nan]], masses=[1.0]),
+               uniform_density_1d(0.5, 1.5, -1.0, n_cells=6)):
+        for read in (_support_points, _support_points, total_mass, first_moment,
+                     second_moment_matrix, lambda m: validate_Mp(m, 2.0)):
+            with pytest.raises(MeasureSupportError):
+                read(nu)
 
 
 # ------------------------------------------------------------------- moments
