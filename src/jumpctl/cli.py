@@ -133,15 +133,17 @@ def _array(obj, key, path, default, ndim, what, shape_rule):
 
 
 def _numeric(raw, where, ndim, what, shape_rule):
-    """A finite float array of ``ndim`` dimensions read from the JSON value at ``where``."""
+    """A finite float array read from the JSON value at ``where``: of ``ndim``
+    dimensions, or of any shape when ``ndim`` is None."""
     if _holds_bool(raw):
         raise ConfigError(where, f"not a numeric {what}: it holds a boolean")
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(where, f"not a numeric {what}: {exc}") from None
-    arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
-    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+    if ndim is not None:
+        arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
+    if ndim not in (None, arr.ndim) or not np.all(np.isfinite(arr)):
         raise ConfigError(where, shape_rule)
     return arr
 
@@ -213,13 +215,16 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
     elif kind == "density":
         lo = _vector(obj, "lo", path)
         hi = _vector(obj, "hi", path)
-        shape = _vector(obj, "shape", path).astype(int)
-        values = _get(obj, "values", path, list)
+        shape = _vector(obj, "shape", path)
+        if not np.all((shape >= 1) & (shape == np.floor(shape))):
+            raise ConfigError(f"{path}.shape", "must hold positive integers")
+        values = _numeric(_get(obj, "values", path, list), f"{path}.values", None, "array",
+                          "must be a finite numeric array, row-major over shape")
         eps = _number(obj, "eps", path, default=0.0)
         cov = _matrix(obj, "small_jump_cov", path, default=None)
         try:
             nu = DensityGridMeasure(
-                dim, lo, hi, tuple(shape), np.asarray(values, dtype=float),
+                dim, lo, hi, tuple(shape.astype(int)), values,
                 eps=eps, small_jump_cov=cov,
             )
         except (TypeError, ValueError) as exc:
@@ -746,6 +751,13 @@ def cmd_simulate(run: RunConfig) -> int:
     return 0
 
 
+def _horizons(entry, path) -> list:
+    hs = _vector(entry, "horizons", path, default=np.array([1.0, 2.0, 4.0]))
+    if not hs.size or np.any(hs <= 0.0):
+        raise ConfigError(f"{path}.horizons", "must be a non-empty list of positive times")
+    return [float(h) for h in hs]
+
+
 def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
     path = f"$.tests[{i}]"
     name = _get(entry, "name", path, str)
@@ -785,11 +797,7 @@ def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
         rep = ver.growth_certificate_check(policy, (box[:, 0], box[:, 1]), K, p)
     elif name == "moment_ratio":
         qm = _number(entry, "q", path, positive=True)
-        horizons = _vector(entry, "horizons", path, default=np.array([1.0, 2.0, 4.0]))
-        bundles = [
-            dyn.simulate(policy, replace(sim, T=float(h), seed=sim.seed + k))
-            for k, h in enumerate(horizons)
-        ]
+        bundles = [shared["run"].until(h) for h in _horizons(entry, path)]
         rep = ver.moment_bound_report(bundles, qm)
     else:
         raise ConfigError(
@@ -806,13 +814,19 @@ def cmd_verify(run: RunConfig) -> int:
     if not tests:
         raise ConfigError("$.tests", "needs at least one test entry")
 
-    # One shared ensemble serves every test that inspects recorded paths;
-    # the moment-ratio test runs its own simulations across horizons.
+    # One ensemble at sim.seed serves every test that reads recorded paths.
+    # It runs to the largest of T and the moment-ratio horizons, marked at
+    # each: the other tests read its prefix to T ("bundle"), each horizon its
+    # prefix to that horizon. Without horizons it is the run to T.
+    names = [_get(t, "name", f"$.tests[{i}]", str) for i, t in enumerate(tests)]
+    reads_paths = any(n in ("martingale", "transversality", "integrability") for n in names)
+    ends = [h for i, (t, n) in enumerate(zip(tests, names)) if n == "moment_ratio"
+            for h in _horizons(t, f"$.tests[{i}]")] + ([sim.T] if reads_paths else [])
     shared = {}
-    if any(_get(t, "name", f"$.tests[{i}]", str)
-           in ("martingale", "transversality", "integrability")
-           for i, t in enumerate(tests)):
-        shared["bundle"] = dyn.simulate(policy, sim, f=f, q=q if q > 0 else None)
+    if ends:
+        costs = dict(f=f, q=q if q > 0 else None) if reads_paths else {}
+        run_ = shared["run"] = dyn.simulate(policy, replace(sim, T=max(ends)), marks=ends, **costs)
+        shared["bundle"] = run_.until(sim.T) if reads_paths else None
 
     reports = []
     for i, entry in enumerate(tests):

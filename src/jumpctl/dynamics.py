@@ -41,7 +41,7 @@ every bundle array and artifact bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -345,7 +345,9 @@ class PathBundle:
     :attr:`c_per_path` is set.  ``sup_xc``/``sup_xd`` track the running
     suprema of the continuous and compensated-jump martingale parts at full
     step resolution, and ``G_int`` is the terminal quadratic jump functional
-    int_0^T int |y|^2 nu_s(dy) ds per path.
+    int_0^T int |y|^2 nu_s(dy) ds per path.  ``marks`` maps each mark time
+    given to :func:`simulate` to its snapshot index and the suprema and
+    ``G_int`` kept there, which :meth:`until` reads.
     """
 
     times: np.ndarray
@@ -365,6 +367,7 @@ class PathBundle:
     cfg: SimConfig
     u: np.ndarray
     dt_eff: float
+    marks: dict = field(default_factory=dict)
 
     @property
     def cost_disc(self) -> np.ndarray:
@@ -382,6 +385,43 @@ class PathBundle:
     @property
     def dim(self) -> int:
         return self.states.shape[2]
+
+    def until(self, t: float) -> "PathBundle":
+        """The run up to ``t``, a mark of :func:`simulate` or ``cfg.T``.
+
+        Every draw is made step by step in a fixed order, so when a run to
+        ``t`` at the same seed has this run's step size, this is its bundle
+        bit for bit.  Otherwise ``t`` stands for the nearest step of this run
+        and ``times[-1]`` is that step's time.
+        """
+        if t == self.cfg.T:
+            j, sup_xc, sup_xd, G_int = len(self.times) - 1, self.sup_xc, self.sup_xd, self.G_int
+        elif t in self.marks:
+            j, sup_xc, sup_xd, G_int = self.marks[t]
+        else:
+            raise ValueError(f"t={t:g} is neither a mark of this run nor its horizon")
+        upto = lambda a: np.ascontiguousarray(a[:, : j + 1])
+        nj = int(np.searchsorted(self.jump_times, self.times[j], side="right"))
+        return PathBundle(
+            times=self.times[: j + 1],
+            states=upto(self.states),
+            gamma=upto(self.gamma),
+            cost_run=upto(self.cost_run),
+            Bh=upto(self.Bh),
+            C=upto(self.C) if self.c_per_path else self.C[: j + 1],
+            jump_counts=upto(self.jump_counts),
+            jump_sizes=self.jump_sizes[:nj],
+            jump_paths=self.jump_paths[:nj],
+            jump_times=self.jump_times[:nj],
+            sup_xc=sup_xc,
+            sup_xd=sup_xd,
+            G_int=G_int,
+            policy=self.policy,
+            cfg=replace(self.cfg, T=t),
+            u=self.u,
+            dt_eff=self.dt_eff,
+            marks={s: m for s, m in self.marks.items() if s <= t},
+        )
 
     def summary(self) -> dict:
         xT = self.states[:, -1, :]
@@ -637,13 +677,16 @@ def _path_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
-def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBundle:
+def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) -> PathBundle:
     """Run the Euler thinning scheme and record the path bundle.
 
     ``f`` and ``q`` are state-batch callables (m, dim) -> (m,) (or scalars)
     giving the running cost and discount rate along the chosen policy; both
     default to zero.  The discount integral uses the trapezoid rule at full
-    step resolution, as does the discounted-cost integral.
+    step resolution, as does the discounted-cost integral.  ``marks`` are
+    times in (0, T] at which the running suprema and ``G_int`` are kept too;
+    each stands for the nearest Euler step, which joins the snapshot
+    lattice, and :meth:`PathBundle.until` reads the run up to it.
     """
     x0, n = cfg.x0, cfg.n_paths
     dim = x0.size
@@ -651,9 +694,12 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
 
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     dt = cfg.T / n_steps
-    store_idx = list(range(0, n_steps + 1, cfg.store_every))
-    if store_idx[-1] != n_steps:
-        store_idx.append(n_steps)
+    mark_step = {}
+    for t in map(float, marks):
+        if not 0.0 < t <= cfg.T:
+            raise ValueError(f"mark {t:g} must lie in (0, T]")
+        mark_step[t] = min(n_steps, max(1, int(round(t / dt))))
+    store_idx = sorted({*range(0, n_steps + 1, cfg.store_every), n_steps, *mark_step.values()})
     store_pos = {s: j for j, s in enumerate(store_idx)}
     K = len(store_idx)
 
@@ -700,6 +746,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     bh_st = np.empty((K, n, dim))
     counts_st = np.zeros((K, n), dtype=np.int64)
     size_rows, path_rows, time_rows = [], [], []
+    kept = {s: None for s in mark_step.values()}  # step -> (sup_xc, sup_xd, G_int) there
 
     C_cum = np.zeros_like(model.cov_dt)
     C_st = np.zeros((K,) + C_cum.shape)
@@ -786,6 +833,8 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
 
         if (k + 1) in store_pos:
             snapshot(store_pos[k + 1])
+            if (k + 1) in kept:
+                kept[k + 1] = (sup_xc.copy(), sup_xd.copy(), G_int.copy())
 
     # one store at a time, so at most one extra store is alive
     states_st = _path_major(states_st)
@@ -795,8 +844,8 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
     counts_st = _path_major(counts_st)
     if C_st.ndim == 4:
         C_st = _path_major(C_st)
-    np.sqrt(sup_xc, out=sup_xc)
-    np.sqrt(sup_xd, out=sup_xd)
+    for sup in [sup_xc, sup_xd] + [a for xc, xd, _ in kept.values() for a in (xc, xd)]:
+        np.sqrt(sup, out=sup)
     times = np.asarray(store_idx, dtype=float) * dt
     jump_sizes = np.concatenate(size_rows or [np.zeros((0, dim))], axis=0)
     jump_paths = np.concatenate(path_rows or [np.zeros(0)]).astype(np.int64)
@@ -824,6 +873,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None) -> PathBun
         cfg=cfg,
         u=u,
         dt_eff=dt,
+        marks={t: (store_pos[s], *kept[s]) for t, s in mark_step.items()},
     )
 
 

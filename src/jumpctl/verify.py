@@ -484,8 +484,12 @@ def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
     Every bundle must use a constant action so that the quadratic and
     big-jump functionals have closed forms.  The bound's denominator is
     E[G_T^{q/2}] + E[H_T]; the test checks the ratio stays within a factor
-    2 of the first bundle's value.
+    2 of the first bundle's value.  ``n_samples`` counts (path, horizon)
+    pairs, the paths of every bundle added up, whether or not the bundles
+    are prefixes of one run.
     """
+    if not bundles:
+        raise ValueError("moment-bound tracking needs at least one bundle")
     if q < 2.0:
         raise ValueError("the moment order q must be at least 2")
     rows = []

@@ -30,6 +30,7 @@ import pytest
 
 import jumpctl
 from jumpctl.cli import main
+from jumpctl.measures import Action, AtomicMeasure
 
 B_HAT = (np.sqrt(13.0) - 3.0) / 2.0
 CONFIG_DIR = Path(jumpctl.__file__).parent / "configs"
@@ -324,11 +325,18 @@ def test_booleans_are_not_numbers(tmp_path, capsys, field, value):
     assert f"$.sim.{field}" in capsys.readouterr().err
 
 
+_DENSITY_NU = {"kind": "density", "lo": [0.5], "hi": [1.5], "shape": [4],
+               "values": [1.0, 1.0, 1.0, 1.0]}
+
 # fields the parser reads by hand rather than through _get: (config, test entry
 # or None, key path, value, the field path the error names)
 _HAND_READ_BOOLS = [
     ("simulate_cp.json", None, ("policy", "nu", "atoms", 0, 1), True, "$.policy.nu.atoms[0]"),
     ("simulate_cp.json", None, ("policy", "nu", "atoms", 0, 0), [True], "$.policy.nu.atoms[0]"),
+    ("simulate_cp.json", None, ("policy", "nu"), {**_DENSITY_NU, "values": [True, 1.0, 1.0, 1.0]},
+     "$.policy.nu.values"),
+    ("simulate_cp.json", None, ("policy", "nu"),
+     {**_DENSITY_NU, "values": [[True], [1.0], [1.0], [1.0]]}, "$.policy.nu.values"),
     ("verify_lq.json", 0, ("pairs", 0), [True, 1.0], "$.tests[0].pairs[0]"),
     ("verify_lq.json", 3, ("box",), [[True, 6.0]], "$.tests[0].box"),
 ]
@@ -346,7 +354,8 @@ def _mutated(name, test, keys, value):
 
 
 @pytest.mark.parametrize("name, test, keys, value, where", _HAND_READ_BOOLS,
-                         ids=["atom_mass", "atom_location", "verify_pair", "growth_box"])
+                         ids=["atom_mass", "atom_location", "density_value", "nested_density_value",
+                              "verify_pair", "growth_box"])
 def test_hand_read_booleans_are_not_numbers(tmp_path, capsys, name, test, keys, value, where):
     cfg = _mutated(name, test, keys, value)
     command = "verify" if test is not None else "simulate"
@@ -361,6 +370,19 @@ def test_hand_read_booleans_are_schema_errors():
     schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
     for name, test, keys, value, _ in _HAND_READ_BOOLS:
         assert not schema.is_valid(_mutated(name, test, keys, value)), (name, keys)
+
+
+@pytest.mark.parametrize("shape", [[4.6], [0]], ids=["fractional", "zero"])
+def test_density_shape_must_hold_positive_integers(tmp_path, capsys, shape):
+    cfg = _mutated("simulate_cp.json", None, ("policy", "nu"), {**_DENSITY_NU, "shape": shape})
+    code = main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "$.policy.nu.shape" in err and "Traceback" not in err
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
+    assert not schema.is_valid(cfg)
+    assert schema.is_valid(_mutated("simulate_cp.json", None, ("policy", "nu"), _DENSITY_NU))
 
 
 @pytest.mark.parametrize("window", [[0.5], [10.0, 11.0]])
@@ -486,6 +508,53 @@ def test_verify_unknown_test_name(tmp_path, capsys):
     code = main(["verify", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert code == 1
     assert "$.tests[0].name" in capsys.readouterr().err
+
+
+def _moment_config(**test):
+    return {
+        "policy": {"kind": "constant", "dim": 1, "sigma": [[0.6]],
+                   "nu": {"kind": "atomic", "atoms": [[[1.5], 0.8]]}, "mu": [0.0]},
+        "sim": {"x0": [0.0], "T": 1.0, "dt": 0.01, "n_paths": 400, "seed": 7, "store_every": 5},
+        "tests": [{"name": "moment_ratio", "q": 2.0, **test}, {"name": "integrability", "p": 2.0}],
+    }
+
+
+def test_verify_reads_every_horizon_from_one_ensemble(tmp_path, monkeypatch):
+    import jumpctl.dynamics as dyn
+    from jumpctl import verify as ver
+
+    cfg = _moment_config(horizons=[1.0, 2.0, 4.0])
+    simulate, calls = dyn.simulate, []
+    monkeypatch.setattr(dyn, "simulate", lambda *a, **kw: calls.append(a) or simulate(*a, **kw))
+    code = main(["verify", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 0 and len(calls) == 1
+    moment, integrability = json.loads((tmp_path / "report.json").read_text())["tests"]
+    assert [row["T"] for row in moment["statistics"]["rows"]] == [1.0, 2.0, 4.0]
+
+    # the shared ensemble and the first horizon are both the run to T = 1 at
+    # the config's seed
+    policy = dyn.PolicyFieldSpec.constant(Action(sigma=0.6, nu=AtomicMeasure(1, [[1.5]], [0.8]),
+                                                 mu=0.0))
+    alone = simulate(policy, dyn.SimConfig(x0=0.0, T=1.0, dt=0.01, n_paths=400, seed=7,
+                                           store_every=5))
+    want = json.loads(ver.h2_integrability_check(alone, 2.0).to_json())["statistics"]
+    assert integrability["statistics"] == want
+    row = json.loads(ver.moment_bound_report([alone], 2.0).to_json())["statistics"]["rows"][0]
+    assert moment["statistics"]["rows"][0] == row
+
+
+@pytest.mark.parametrize("horizons", [[], [-1.0], [0.0, 1.0], [1.0, float("inf")]],
+                         ids=["empty", "negative", "zero", "infinite"])
+def test_moment_ratio_horizons_are_checked(tmp_path, capsys, horizons):
+    cfg = _moment_config(horizons=horizons)
+    code = main(["verify", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "$.tests[0].horizons" in err and "Traceback" not in err
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
+    if np.all(np.isfinite(horizons)):  # JSON has no infinity for the schema to see
+        assert not schema.is_valid(cfg)
 
 
 # -------------------------------------------------------- artifact contract

@@ -661,3 +661,44 @@ def _bundle_digest(bundle) -> str:
 def test_simulate_frozen_seed_digests(case):
     policy, cfg, f, q = _digest_cases()[case]
     assert _bundle_digest(simulate(policy, cfg, f=f, q=q)) == _FROZEN_DIGESTS[case]
+
+
+def test_until_is_the_shorter_run():
+    # every shape draws step by step in a fixed order, so a run to T = 4 with
+    # a mark at 1 holds the run to T = 1 at the same seed as its prefix; the
+    # step sizes agree (1/100 and 4/400 are one double)
+    from dataclasses import replace
+    from functools import partial
+
+    from jumpctl.hjb import Grid, HJBProblem, PolicyTable
+    from jumpctl.measures import jump_to_origin_action
+
+    quad = lambda X: np.sum(X * X, axis=1)
+    grid = Grid.regular(-4.0, 4.0, 81)
+    prob = HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0, actions=(
+        Action(sigma=0.3, nu=AtomicMeasure(1, [[0.4], [-0.4]], [0.5, 0.5]), mu=-0.5),
+        partial(jump_to_origin_action, rate=1.5, sigma=0.2)))
+    table = PolicyTable(grid=grid, action_index=(grid.axes[0] >= 1.0).astype(np.intp))
+    cases = {**_digest_cases(), "policy_table": (
+        PolicyFieldSpec.from_policy_table(table, prob),
+        SimConfig(x0=2.0, T=0.5, dt=0.01, n_paths=60, seed=5, store_every=3), None, None)}
+    for name, (policy, cfg, f, q) in cases.items():
+        f, q = f or quad, q or 0.5
+        short = simulate(policy, replace(cfg, T=1.0), f=f, q=q)
+        prefix = simulate(policy, replace(cfg, T=4.0), f=f, q=q, marks=[1.0]).until(1.0)
+        for arr in _BUNDLE_ARRAYS + ("times",):
+            a, b = getattr(prefix, arr), getattr(short, arr)
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, arr)
+            assert a.tobytes() == b.tobytes(), (name, arr)
+        assert prefix.dt_eff == short.dt_eff and prefix.cfg.T == 1.0
+    # the frozen-seed digests above pin the runs without marks
+
+    # a mark between steps stands for the nearest one, which joins the lattice
+    b = simulate(FROZEN, SimConfig(x0=0.0, T=1.0, dt=0.1, n_paths=3, seed=0, store_every=4),
+                 marks=[0.52])
+    assert np.allclose(b.times, [0.0, 0.4, 0.5, 0.8, 1.0])
+    assert b.until(0.52).times[-1] == b.times[2] and b.until(1.0).states.shape == (3, 5, 1)
+    with pytest.raises(ValueError, match="neither a mark"):
+        b.until(0.6)
+    with pytest.raises(ValueError, match=r"\(0, T\]"):
+        simulate(FROZEN, SimConfig(x0=0.0, T=1.0, dt=0.1, n_paths=3, seed=0), marks=[1.5])

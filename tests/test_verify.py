@@ -318,3 +318,5 @@ def test_moment_bound_input_validation():
         moment_bound_report([b], q=1.0)
     with pytest.raises(ValueError, match="jump activity"):
         moment_bound_report([b], q=2.0)
+    with pytest.raises(ValueError, match="at least one bundle"):
+        moment_bound_report([], q=2.0)
