@@ -41,6 +41,7 @@ every bundle array and artifact bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -253,7 +254,7 @@ class PolicyFieldSpec:
         if self.kind == "constant":
             return np.tile(self.action.mu, (len(X), 1))
         if self.kind == "linear":
-            return self.offset - X @ self.gain.T
+            return self.offset - _matmul_into(X, self.gain.T, np.empty(X.shape))
         if self.kind == "jump_origin":
             return -self.rate * X
         return self.query(X)[0]
@@ -478,6 +479,88 @@ def _matmul_into(A: np.ndarray, BT: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(A, BT, out=out)
 
 
+def _chains(u: np.ndarray, floor: float):
+    """The nonzero draws of the multiplication method in a block of uniforms.
+
+    A draw reads uniforms until their running product is <= ``floor``
+    (e^{-lam}); ``u[0]`` starts one.  A uniform <= ``floor`` ends its draw,
+    so a draw with arrivals starts at a uniform above it, a candidate, and a
+    candidate whose next uniform is not one has exactly one arrival (the
+    product is at most that next uniform).  Only runs of adjacent candidates
+    are walked one product at a time.  Returns ``(starts, counts, end)``:
+    the block positions and counts of the draws with arrivals that end in
+    the block, and the position where an unfinished draw starts (``u.size``
+    when none is left open).
+    """
+    m = end = u.size
+    idx = (u > floor).nonzero()[0]
+    adj = idx[1:] - idx[:-1] == 1  # idx[k] and idx[k + 1] are neighbours
+    if not adj.any():
+        if idx.size and idx[-1] == m - 1:
+            end, idx = m - 1, idx[:-1]
+        return idx, np.ones(idx.size, dtype=np.int64), end
+    after = np.zeros(idx.size + 1, dtype=bool)
+    after[1:-1] = adj
+    left, right = after[:-1], after[1:]  # idx[k] has a candidate before it / after it
+    starts = idx[~(left | right)]
+    if starts.size and starts[-1] == m - 1:
+        end, starts = m - 1, starts[:-1]
+    walked, walked_counts = [], []
+    for s, stop in zip(idx[right & ~left].tolist(), (idx[left & ~right] + 1).tolist()):
+        base = s
+        seg = u[base:stop + 1].tolist()
+        while s < stop:
+            prod, j = seg[s - base], s + 1
+            while j < m:
+                prod *= seg[j - base]
+                if prod <= floor:
+                    break
+                j += 1
+            if j == m:
+                end = s
+                break
+            walked.append(s)
+            walked_counts.append(j - s)
+            s = j + 1
+    counts = np.concatenate([np.ones(starts.size, dtype=np.int64), walked_counts]).astype(np.int64)
+    starts = np.concatenate([starts, walked]).astype(np.intp)
+    order = np.argsort(starts)
+    return starts[order], counts[order], end
+
+
+def _arrivals(rng: np.random.Generator, lam: float, n: int):
+    """``(rows, counts)`` of the nonzero entries of ``rng.poisson(lam, n)``, lam > 0.
+
+    ``rng`` is left in the state that call leaves it in.  Below lam = 10
+    numpy draws each count by the multiplication method (Knuth, TAOCP vol. 2
+    3.4.1), so the counts are read from one block of ``rng.random`` draws,
+    bit for bit; from lam = 10 on it uses PTRS, and ``rng.poisson`` itself
+    is called.  When the block runs short, each unfinished draw needs at
+    least one more uniform, so exactly that many are drawn and the
+    generator never runs ahead of ``rng.poisson``.
+    """
+    if lam >= 10.0:
+        counts = rng.poisson(lam, n)
+        rows = np.flatnonzero(counts)
+        return rows, counts[rows]
+    floor = math.exp(-lam)
+    rows, counts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
+    u, done = rng.random(n), 0  # u[0] starts the draw of path `done`
+    while True:
+        starts, cnt, end = _chains(u, floor)
+        if cnt.size:
+            # a draw with c arrivals reads c uniforms after its first, so a
+            # start's path is its position less the arrivals before it
+            arrived = cnt.cumsum()
+            rows.append(starts + done - (arrived - cnt))
+            counts.append(cnt)
+            done -= int(arrived[-1])
+        done += end
+        if done == n:
+            return np.concatenate(rows), np.concatenate(counts)
+        u = np.concatenate([u[end:], rng.random(n - done)])
+
+
 class _Pair:
     """A (sigma, nu) pair resolved for stepping; it holds the pair, so the ids keying it stay taken."""
 
@@ -507,15 +590,19 @@ class _StepModel:
     identities, noted where they are used.  Row groups make one
     :meth:`PolicyFieldSpec.coefficients` query per step; a :class:`_Pair`
     seen in the previous step is not resolved again.  The draws per step are
-    ``standard_normal((n, dim))``, ``poisson``, ``binomial`` (only when some
-    row's jump rate is below the clock), then the jump sizes.
+    ``standard_normal((n, dim))``, ``poisson`` for the clock, ``binomial``
+    (only when some row's jump rate is below the clock), then the jump
+    sizes.  The clock's counts come from one block of uniforms (see
+    :func:`_arrivals`) and are bitwise ``Generator.poisson`` for
+    lambda dt < 10; thinning and the jump bookkeeping touch only the rows
+    that had arrivals.
     """
 
     def __init__(self, policy: PolicyFieldSpec, dim: int, n: int, u: np.ndarray,
                  dt: float, declared: Optional[float]):
         self.policy, self.dim, self.u, self.dt = policy, dim, u, dt
         self.kind = kind = policy.kind
-        self.sqdt, self.paths = np.sqrt(dt), np.arange(n)
+        self.sqdt = np.sqrt(dt)
         self.xi, self.dWc, self.disp = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
         if kind == "callable":
             self.declared, self.seen = declared, {}
@@ -574,8 +661,9 @@ class _StepModel:
     def step(self, X, Wc, Xd, Bh, G_int, rng):
         """Advance every path by one Euler step in place.
 
-        Returns (sizes, rows, accepted) for the jumps taken in this step, or
-        None when there were none.
+        Returns (sizes, paths, rows, counts) for the jumps taken in this
+        step, or None when there were none: each jump's size and path, and
+        the rows that jumped with their jump counts.
         """
         if self.kind == "linear":
             # u + mu(x) once per step; drift and B^h differ only by their means
@@ -616,13 +704,19 @@ class _StepModel:
 
         jumps = None
         if self.jumps:
-            counts = rng.poisson(self.lam_dt, X.shape[0])
-            accepted = rng.binomial(counts, self.p_acc) if self.thin else counts
+            rows, counts = _arrivals(rng, self.lam_dt, X.shape[0])
+            if self.thin:
+                # binomial draws nothing for a zero count, so thinning only the
+                # arrival rows keeps the bits of thinning every row
+                p = self.p_acc if np.ndim(self.p_acc) == 0 else self.p_acc[rows]
+                counts = rng.binomial(counts, p)
+                kept = counts > 0
+                rows, counts = rows[kept], counts[kept]
             if self.kind == "jump_origin":
-                jumps = self._relocate(X, accepted, G_int)
+                jumps = self._relocate(X, rows, G_int)
             else:
                 G_int += self.m2_dt
-                jumps = self._draw(accepted, rng)
+                jumps = self._draw(rows, counts, rng)
 
         X += self.drift_dt
         X += dWc
@@ -637,25 +731,25 @@ class _StepModel:
         Bh += self.bh_dt
         return jumps
 
-    def _draw(self, accepted, rng):
-        """Jump sizes in row order; row groups draw pair by pair in group order."""
-        tot = int(accepted.sum())
-        if not tot:
+    def _draw(self, rows, counts, rng):
+        """Jump sizes for ``counts`` jumps on each of ``rows`` (ascending), in
+        row order; row groups draw pair by pair in group order."""
+        if not rows.size:
             return None
-        rows = np.repeat(self.paths, accepted)
+        paths = np.repeat(rows, counts)
         if self.kind == "callable":
-            sizes, of = np.empty((tot, self.dim)), self.group[rows]
+            sizes, of = np.empty((paths.size, self.dim)), self.group[paths]
             for g in np.unique(of):
                 sel = of == g
                 sizes[sel] = _draw_jumps(self.pairs[g].law, rng, int(np.count_nonzero(sel)))
         else:
-            sizes = _draw_jumps(self.law, rng, tot)
+            sizes = _draw_jumps(self.law, rng, paths.size)
         self.disp.fill(0.0)
-        np.add.at(self.disp, rows, sizes)
-        return sizes, rows, accepted
+        np.add.at(self.disp, paths, sizes)
+        return sizes, paths, rows, counts
 
-    def _relocate(self, X, accepted, G_int):
-        """Jump-to-origin arrivals, compensator and G increment (before X moves)."""
+    def _relocate(self, X, rows, G_int):
+        """Jump-to-origin arrivals on ``rows``, compensator and G increment (before X moves)."""
         rate, dt = self.policy.rate, self.dt
         np.multiply(X, -rate, out=self.m1_dt)
         self.m1_dt *= dt
@@ -663,13 +757,14 @@ class _StepModel:
         self.g_inc *= dt
         G_int += self.g_inc
         # at the origin the jump measure is zero; nothing to relocate
-        jumped = (accepted > 0) & (self.r > 0.0)
-        if not jumped.any():
+        rows = rows[self.r[rows] > 0.0]
+        if not rows.size:
             return None
-        sizes = -X[jumped]
+        sizes = -X[rows]
         self.disp.fill(0.0)
-        self.disp[jumped] = sizes
-        return sizes, np.nonzero(jumped)[0], jumped
+        self.disp[rows] = sizes
+        # arrivals within one step coalesce into one relocation
+        return sizes, rows, rows, 1
 
 
 def _path_major(a: np.ndarray) -> np.ndarray:
@@ -786,11 +881,11 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
         t_next = (k + 1) * dt
         jumps = model.step(X, Wc, Xd, Bh, G_int, rng)
         if jumps is not None:
-            sizes, rows, accepted = jumps
+            sizes, paths, rows, counts = jumps
             size_rows.append(sizes)
-            path_rows.append(rows)
-            time_rows.append(np.full(rows.size, t_next))
-            jumps_cum += accepted
+            path_rows.append(paths)
+            time_rows.append(np.full(paths.size, t_next))
+            jumps_cum[rows] += counts
         C_cum += model.cov_dt
         if model.jumps:
             running_sup(sup_xd, Xd)

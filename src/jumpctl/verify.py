@@ -440,21 +440,21 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
     results = []
     all_ok = True
     for gi, g in enumerate(fields):
-        vals = np.empty((n, K))
-        gen = np.empty((n, K))
+        # time-major (K, n), so each snapshot writes and each check reads one contiguous row
+        vals = np.empty((K, n))
+        gen = np.empty((K, n))
         for j in range(K):
             X = bundle.states[:, j, :]
-            vals[:, j], gen[:, j] = _generator(g, X, _DEFAULT_SCHEME, (a.mu, a.sigma), a.nu,
-                                               bundle.u)
-        integral = np.zeros((n, K))
-        integral[:, 1:] = np.cumsum(0.5 * (gen[:, :-1] + gen[:, 1:]) * dts, axis=1)
-        M = vals - vals[:, :1] - integral
+            vals[j], gen[j] = _generator(g, X, _DEFAULT_SCHEME, (a.mu, a.sigma), a.nu, bundle.u)
+        integral = np.zeros((K, n))
+        integral[1:] = np.cumsum(0.5 * (gen[:-1] + gen[1:]) * dts[:, None], axis=0)
+        M = vals - vals[:1] - integral
         for t in t_points:
             j = _nearest_index(times, t)
             if j == 0:
                 continue
-            mean = float(M[:, j].mean())
-            se = float(M[:, j].std(ddof=1) / np.sqrt(n))
+            mean = float(M[j].mean())
+            se = float(M[j].std(ddof=1) / np.sqrt(n))
             ok = abs(mean) <= Z_THRESHOLD * se if se > 0 else mean == 0.0
             all_ok &= ok
             results.append(

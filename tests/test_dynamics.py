@@ -702,3 +702,32 @@ def test_until_is_the_shorter_run():
         b.until(0.6)
     with pytest.raises(ValueError, match=r"\(0, T\]"):
         simulate(FROZEN, SimConfig(x0=0.0, T=1.0, dt=0.1, n_paths=3, seed=0), marks=[1.5])
+
+
+def test_arrival_counts_are_numpy_poisson():
+    # the thinning clock's counts are read from uniform blocks; they must be
+    # numpy's Poisson draws bit for bit, with the generator left where
+    # rng.poisson leaves it (the frozen digests above use only 300 paths)
+    from jumpctl.dynamics import _arrivals, _chains
+
+    # adjacent candidates (> floor): 0.6 * 0.7 <= 0.5, so the draw at 0 has one
+    # arrival and the candidate at 1 ends it; the run at 3 reads 0.9 * 0.6 > 0.5,
+    # then * 0.3 <= 0.5 (two arrivals); the block ends inside the draw at 7
+    starts, counts, end = _chains(np.array([0.6, 0.7, 0.1, 0.9, 0.6, 0.3, 0.2, 0.8]), 0.5)
+    assert starts.tolist() == [0, 3] and counts.tolist() == [1, 2] and end == 7
+
+    # lam = 9.5 reads about 10 uniforms per draw, so the block grows many
+    # times; from lam = 10 on numpy uses PTRS and so does _arrivals
+    for lam in (1e-6, 1e-3, 0.0016, 0.002, 0.05, 0.3, 1.0, 3.0, 9.5, 12.0):
+        for n in (1, 7, 1000, 20_000):
+            for seed in range(30):
+                ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = ref.poisson(lam, n)
+                rows, counts = _arrivals(rng, lam, n)
+                assert np.array_equal(rows, np.flatnonzero(want)), (lam, n, seed)
+                assert np.array_equal(counts, want[rows]), (lam, n, seed)
+                # binomial draws nothing for a zero count: thinning the arrival
+                # rows is thinning every row
+                p = np.random.default_rng(seed + 100).random(n)
+                assert np.array_equal(rng.binomial(counts, p[rows]), ref.binomial(want, p)[rows])
+                assert rng.random() == ref.random(), (lam, n, seed)

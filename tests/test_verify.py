@@ -290,6 +290,23 @@ def test_dynkin_battery_constant_action():
     assert len(rep.statistics["checks"]) == 6
     assert all(abs(c["z"]) <= 3.0 for c in rep.statistics["checks"])
 
+    # the battery stores time-major; its statistics are bitwise those of the
+    # path-major (n, K) arrays filled one column per snapshot
+    from jumpctl.generator import _DEFAULT_SCHEME, _generator
+
+    a, (n, K, _), checks = pol.action, b.states.shape, iter(rep.statistics["checks"])
+    for g in (_Bump(2.0), _Bump(3.0)):
+        vals, gen = np.empty((n, K)), np.empty((n, K))
+        for j in range(K):
+            vals[:, j], gen[:, j] = _generator(g, b.states[:, j, :], _DEFAULT_SCHEME,
+                                               (a.mu, a.sigma), a.nu, b.u)
+        integral = np.zeros((n, K))
+        integral[:, 1:] = np.cumsum(0.5 * (gen[:, :-1] + gen[:, 1:]) * np.diff(b.times), axis=1)
+        M = vals - vals[:, :1] - integral
+        for t in (0.25, 0.5, 1.0):
+            col, c = M[:, int(np.argmin(np.abs(b.times - t)))], next(checks)
+            assert c["mean"] == float(col.mean()) and c["se"] == float(col.std(ddof=1) / np.sqrt(n))
+
 
 def test_dynkin_needs_constant_policy():
     pol = PolicyFieldSpec.linear_feedback(gain=[[1.0]], offset=0.0, sigma=1.0)
