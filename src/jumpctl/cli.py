@@ -13,6 +13,14 @@ policy, grid, cost, test function); ``simulate`` and ``verify`` share one
 preamble; each ``example`` writes its closed form to ``value.csv`` and hands
 one cross-check runner the problem to solve by policy iteration.
 
+Every config value, list items included, goes through one typed reader,
+``_get(obj, key, path, kind)``: ``kind`` is a JSON type or a numeric kind of
+``_KINDS`` (number, positive, count, vector, counts, matrix, ...), which
+holds each kind's rule and message. JSON booleans are never numbers, and a
+count is a whole number >= 1 (``2000.0`` reads as 2000). A value that breaks
+its kind exits 1 naming its ``$.`` path; ``verify`` reads all its tests
+before it simulates.
+
 Shared flags: ``--config PATH`` (JSON; see ``configs/config.schema.json``
 next to this module for the published format), ``--out DIR``, ``--seed U64``
 (overrides the config seed), ``--threads N`` (global worker budget for the
@@ -98,67 +106,80 @@ class ConfigError(ValueError):
 _MISSING = object()
 
 
-def _get(obj: dict, key: str, path: str, kinds=None, default=_MISSING):
+def _whole(a):
+    return (a >= 1.0) & (a == np.floor(a))
+
+
+# numeric kinds: dimensions (None: any), the rule every entry keeps, and what
+# a value must be; counts come back as ints, everything else as floats
+_KINDS = {
+    "number": (0, None, "a finite number"),
+    "positive": (0, lambda a: a > 0.0, "a finite number > 0"),
+    "nonnegative": (0, lambda a: a >= 0.0, "a finite number >= 0"),
+    "count": (0, _whole, "a whole number >= 1"),
+    "vector": (1, None, "a non-empty finite 1-D numeric array"),
+    "positives": (1, lambda a: a > 0.0, "a non-empty 1-D array of finite numbers > 0"),
+    "counts": (1, _whole, "a non-empty 1-D array of whole numbers >= 1"),
+    "matrix": (2, None, "a non-empty finite matrix (nested row-major lists)"),
+    "array": (None, None, "a non-empty finite numeric array"),
+}
+
+
+def _numeric_leaves(v) -> bool:
+    # bool subclasses int, but JSON true/false is never a number here
+    if isinstance(v, list):
+        return all(map(_numeric_leaves, v))
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read(val, where: str, kind):
+    """The JSON value ``val`` at ``where``, read as ``kind``.
+
+    ``kind`` is a type (``str``, ``dict``, ``list``, ``int``) the value must
+    be an instance of, returned as it is, or a name in ``_KINDS``: a scalar
+    kind gives a float (an int for ``count``), an array kind a float array
+    (an int array for ``counts``). A scalar reads as a vector or matrix of
+    one entry.
+    """
+    if isinstance(kind, type):
+        if isinstance(val, kind) and not isinstance(val, bool):
+            return val
+        raise ConfigError(where, f"expected {kind.__name__}, got {type(val).__name__}")
+    ndim, rule, what = _KINDS[kind]
+    try:
+        arr = np.asarray(val, dtype=float) if _numeric_leaves(val) else None
+    except (ValueError, OverflowError):  # ragged lists, integers beyond a double
+        arr = None
+    if arr is not None and ndim:
+        arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
+    if arr is None or ndim not in (None, arr.ndim) or not arr.size \
+            or not np.all(np.isfinite(arr)) or rule is not None and not np.all(rule(arr)):
+        raise ConfigError(where, f"must be {what}")
+    if rule is _whole:
+        arr = arr.astype(int)
+    return arr if arr.ndim else arr.item()
+
+
+def _get(obj: dict, key: str, path: str, kind, default=_MISSING):
+    """``obj[key]`` read as ``kind`` (see :func:`_read`), named ``path.key`` in
+    errors. A missing key gives ``default``, read like a value unless None."""
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
     if key not in obj:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}", "required field is missing")
-        return default
-    val = obj[key]
-    # bool subclasses int, but JSON true/false is never a number here
-    if kinds is not None and (not isinstance(val, kinds) or isinstance(val, bool)):
-        names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(val).__name__}")
-    return val
+        if default is None:
+            return None
+    return _read(obj.get(key, default), f"{path}.{key}", kind)
 
 
-def _number(obj, key, path, default=_MISSING, positive=False):
-    val = _get(obj, key, path, (int, float), default)
-    if val is default and default is not _MISSING:
-        return val
-    val = float(val)
-    if not np.isfinite(val):
-        raise ConfigError(f"{path}.{key}", "must be finite")
-    if positive and val <= 0.0:
-        raise ConfigError(f"{path}.{key}", "must be > 0")
-    return val
-
-
-def _array(obj, key, path, default, ndim, what, shape_rule):
-    raw = _get(obj, key, path, (list, int, float), default)
-    if raw is default and default is not _MISSING:
-        return raw
-    return _numeric(raw, f"{path}.{key}", ndim, what, shape_rule)
-
-
-def _numeric(raw, where, ndim, what, shape_rule):
-    """A finite float array read from the JSON value at ``where``: of ``ndim``
-    dimensions, or of any shape when ``ndim`` is None."""
-    if _holds_bool(raw):
-        raise ConfigError(where, f"not a numeric {what}: it holds a boolean")
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a TypeError or ValueError it raises becomes a
+    ConfigError at ``path``."""
     try:
-        arr = np.asarray(raw, dtype=float)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(where, f"not a numeric {what}: {exc}") from None
-    if ndim is not None:
-        arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
-    if ndim not in (None, arr.ndim) or not np.all(np.isfinite(arr)):
-        raise ConfigError(where, shape_rule)
-    return arr
-
-
-def _holds_bool(v) -> bool:
-    return isinstance(v, bool) or isinstance(v, list) and any(map(_holds_bool, v))
-
-
-def _vector(obj, key, path, default=_MISSING):
-    return _array(obj, key, path, default, 1, "vector", "must be a finite 1-D numeric array")
-
-
-def _matrix(obj, key, path, default=_MISSING):
-    return _array(obj, key, path, default, 2, "matrix",
-                  "must be a finite matrix (nested row-major lists)")
+        raise ConfigError(path, str(exc)) from None
 
 
 def _load_json(path: Path) -> tuple[dict, str]:
@@ -201,34 +222,24 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
             raise ConfigError(f"{path}.atoms", "needs at least one [location, mass] pair")
         locs, masses = [], []
         for i, pair in enumerate(atoms):
+            where = f"{path}.atoms[{i}]"
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"{path}.atoms[{i}]", "expected a [location, mass] pair")
-            loc = _numeric(pair[0], f"{path}.atoms[{i}]", 1, "location", "must be a finite vector")
-            if loc.shape != (dim,):
-                raise ConfigError(f"{path}.atoms[{i}]", f"location must have dimension {dim}")
-            if isinstance(pair[1], bool) or not isinstance(pair[1], (int, float)) \
-                    or not 0 <= pair[1] < np.inf:
-                raise ConfigError(f"{path}.atoms[{i}]", "mass must be a finite number >= 0")
-            locs.append(loc)
-            masses.append(float(pair[1]))
+                raise ConfigError(where, "expected a [location, mass] pair")
+            locs.append(_read(pair[0], f"{where}[0]", "vector"))
+            if locs[-1].shape != (dim,):
+                raise ConfigError(f"{where}[0]", f"location must have dimension {dim}")
+            masses.append(_read(pair[1], f"{where}[1]", "nonnegative"))
         nu = AtomicMeasure(dim, np.asarray(locs), np.asarray(masses))
     elif kind == "density":
-        lo = _vector(obj, "lo", path)
-        hi = _vector(obj, "hi", path)
-        shape = _vector(obj, "shape", path)
-        if not np.all((shape >= 1) & (shape == np.floor(shape))):
-            raise ConfigError(f"{path}.shape", "must hold positive integers")
-        values = _numeric(_get(obj, "values", path, list), f"{path}.values", None, "array",
-                          "must be a finite numeric array, row-major over shape")
-        eps = _number(obj, "eps", path, default=0.0)
-        cov = _matrix(obj, "small_jump_cov", path, default=None)
-        try:
-            nu = DensityGridMeasure(
-                dim, lo, hi, tuple(shape.astype(int)), values,
-                eps=eps, small_jump_cov=cov,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(path, str(exc)) from None
+        nu = _build(
+            path, DensityGridMeasure, dim,
+            lo=_get(obj, "lo", path, "vector"),
+            hi=_get(obj, "hi", path, "vector"),
+            shape=tuple(_get(obj, "shape", path, "counts")),
+            values=_get(obj, "values", path, "array"),
+            eps=_get(obj, "eps", path, "nonnegative", 0.0),
+            small_jump_cov=_get(obj, "small_jump_cov", path, "matrix", None),
+        )
     else:
         raise ConfigError(f"{path}.kind", f"unknown measure kind '{kind}' (zero/atomic/density)")
     try:
@@ -238,63 +249,53 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
     return nu
 
 
-def _sigma_from(obj, key, path, dim, default=_MISSING) -> np.ndarray:
-    sig = _matrix(obj, key, path, default)
-    if sig is default and default is not _MISSING:
-        return sig
+def _sigma_from(obj, path: str, dim: int) -> np.ndarray:
+    """``sigma``, zero by default; a 1x1 matrix stands for a multiple of the identity."""
+    sig = _get(obj, "sigma", path, "matrix", 0.0)
     if sig.shape == (1, 1) and dim > 1:
         sig = sig[0, 0] * np.eye(dim)
     if sig.shape != (dim, dim):
-        raise ConfigError(f"{path}.{key}", f"sigma must be {dim}x{dim}")
+        raise ConfigError(f"{path}.sigma", f"sigma must be {dim}x{dim}")
     return sig
 
 
 def _pair_from(obj, path: str, dim: int, nu_default):
     """(sigma, nu) of a config entry: sigma defaults to zero, an absent nu to ``nu_default``."""
-    sigma = _sigma_from(obj, "sigma", path, dim, default=np.zeros((dim, dim)))
-    nu_cfg = _get(obj, "nu", path, dict, default=None)
+    sigma = _sigma_from(obj, path, dim)
+    nu_cfg = _get(obj, "nu", path, dict, None)
     return sigma, _measure_from(nu_cfg, f"{path}.nu", dim) if nu_cfg is not None else nu_default
 
 
 def _action_from(obj, path: str, dim: int) -> Action:
     sigma, nu = _pair_from(obj, path, dim, ZeroMeasure(dim))
-    mu = _vector(obj, "mu", path, default=None)
-    if mu is not None and mu.shape != (dim,):
+    mu = _get(obj, "mu", path, "vector", [0.0] * dim)
+    if mu.shape != (dim,):
         raise ConfigError(f"{path}.mu", f"drift must have dimension {dim}")
-    try:
-        return Action(sigma=sigma, nu=nu, mu=mu if mu is not None else np.zeros(dim))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _build(path, Action, sigma=sigma, nu=nu, mu=mu)
 
 
 def _policy_from(obj, path: str):
     """Build a simulator policy; returns (PolicyFieldSpec, LQSolution or None)."""
     kind = _get(obj, "kind", path, str)
     if kind == "constant":
-        dim = int(_number(obj, "dim", path, default=1.0, positive=True))
-        act = _action_from(obj, path, dim)
+        act = _action_from(obj, path, _get(obj, "dim", path, "count", 1))
         return dyn.PolicyFieldSpec.constant(act, name=_get(obj, "name", path, str, "constant")), None
     if kind == "linear":
-        gain = _matrix(obj, "gain", path)
+        gain = _get(obj, "gain", path, "matrix")
         dim = gain.shape[0]
         if gain.shape != (dim, dim):
             raise ConfigError(f"{path}.gain", "gain must be a square matrix")
-        offset = _vector(obj, "offset", path, default=np.zeros(dim))
+        offset = _get(obj, "offset", path, "vector", 0.0)
         sigma, nu = _pair_from(obj, path, dim, None)
-        growth = _get(obj, "growth", path, dict, default=None)
-        kw = {}
-        if growth is not None:
-            kw["growth_K"] = _number(growth, "K", f"{path}.growth", positive=True)
-            kw["growth_p"] = _number(growth, "p", f"{path}.growth", positive=True)
-        try:
-            spec = dyn.PolicyFieldSpec.linear_feedback(gain, offset, sigma, nu=nu, **kw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(path, str(exc)) from None
+        growth = _get(obj, "growth", path, dict, None)
+        kw = {} if growth is None else {
+            f"growth_{k}": _get(growth, k, f"{path}.growth", "positive") for k in ("K", "p")}
+        spec = _build(path, dyn.PolicyFieldSpec.linear_feedback, gain, offset, sigma, nu=nu, **kw)
         return spec, None
     if kind == "jump_to_origin":
-        rate = _number(obj, "rate", path, positive=True)
-        dim = int(_number(obj, "dim", path, default=1.0, positive=True))
-        sigma = _sigma_from(obj, "sigma", path, dim, default=np.zeros((dim, dim)))
+        rate = _get(obj, "rate", path, "positive")
+        dim = _get(obj, "dim", path, "count", 1)
+        sigma = _sigma_from(obj, path, dim)
         return dyn.PolicyFieldSpec.jump_to_origin(rate=rate, sigma=sigma, dim=dim), None
     if kind == "lq_optimal":
         sol = solve_lq(_lq_spec_from(obj, path))
@@ -309,29 +310,22 @@ def _policy_from(obj, path: str):
 
 
 def _lq_spec_from(obj, path: str) -> LQSpec:
-    lam = _matrix(obj, "lam", path)
-    theta = _matrix(obj, "theta", path)
-    q = _number(obj, "q", path, positive=True)
+    lam = _get(obj, "lam", path, "matrix")
+    theta = _get(obj, "theta", path, "matrix")
+    q = _get(obj, "q", path, "positive")
     dim = lam.shape[0]
-    u = _vector(obj, "u", path, default=None)
+    u = _get(obj, "u", path, "vector", None)
     pairs = [
         _pair_from(entry, f"{path}.candidates[{i}]", dim, ZeroMeasure(dim))
-        for i, entry in enumerate(_get(obj, "candidates", path, list, default=[]))
+        for i, entry in enumerate(_get(obj, "candidates", path, list, []))
     ]
-    try:
-        return LQSpec(lam=lam, theta=theta, q=q, u=u, dispersion_candidates=tuple(pairs))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _build(path, LQSpec, lam=lam, theta=theta, q=q, u=u, dispersion_candidates=tuple(pairs))
 
 
 def _grid_from(obj, path: str) -> Grid:
-    lo = _vector(obj, "lo", path)
-    hi = _vector(obj, "hi", path)
-    num = _vector(obj, "num", path).astype(int)
-    try:
-        return Grid(lo=tuple(lo), hi=tuple(hi), num=tuple(num))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _build(path, Grid, lo=tuple(_get(obj, "lo", path, "vector")),
+                  hi=tuple(_get(obj, "hi", path, "vector")),
+                  num=tuple(_get(obj, "num", path, "counts")))
 
 
 def _sim_config_from(obj, path: str, seed_override) -> dyn.SimConfig:
@@ -340,21 +334,16 @@ def _sim_config_from(obj, path: str, seed_override) -> dyn.SimConfig:
         raise ConfigError(f"{path}.seed", "a seed is required (config field or --seed)")
     if not 0 <= seed <= _U64_MAX:
         raise ConfigError(f"{path}.seed", "seed must be an unsigned 64-bit integer")
-    try:
-        return dyn.SimConfig(
-            x0=_vector(obj, "x0", path),
-            T=_number(obj, "T", path, positive=True),
-            dt=_number(obj, "dt", path, positive=True),
-            n_paths=int(_number(obj, "n_paths", path, positive=True)),
-            seed=seed,
-            lambda_max=_number(obj, "lambda_max", path, default=None),
-            store_every=int(_number(obj, "store_every", path, default=1.0, positive=True)),
-            u=_vector(obj, "u", path, default=None),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _build(
+        path, dyn.SimConfig, seed=seed,
+        x0=_get(obj, "x0", path, "vector"),
+        T=_get(obj, "T", path, "positive"),
+        dt=_get(obj, "dt", path, "positive"),
+        n_paths=_get(obj, "n_paths", path, "count"),
+        lambda_max=_get(obj, "lambda_max", path, "positive", None),
+        store_every=_get(obj, "store_every", path, "count", 1),
+        u=_get(obj, "u", path, "vector", None),
+    )
 
 
 class _CostSpec:
@@ -379,14 +368,12 @@ class _CostSpec:
         if self.kind == "zero":
             pass
         elif self.kind == "polynomial":
-            self.coeffs = _vector(obj, "coeffs", path)
-            if self.coeffs.size == 0:
-                raise ConfigError(f"{path}.coeffs", "needs at least one coefficient")
+            self.coeffs = _get(obj, "coeffs", path, "vector")
         elif self.kind == "quadratic_form":
-            self.matrix = _matrix(obj, "matrix", path)
+            self.matrix = _get(obj, "matrix", path, "matrix")
         elif self.kind == "quadratic_control":
-            self.lam = _matrix(obj, "lam", path)
-            self.theta = _matrix(obj, "theta", path)
+            self.lam = _get(obj, "lam", path, "matrix")
+            self.theta = _get(obj, "theta", path, "matrix")
             if self.lam.shape != self.theta.shape or self.lam.shape[0] != self.lam.shape[1]:
                 raise ConfigError(path, "lam and theta must be square matrices of equal size")
         else:
@@ -465,14 +452,14 @@ def _phi_from(obj, path: str, dim: int, lq_sol=None):
     """
     kind = _get(obj, "kind", path, str)
     if kind == "polynomial":
-        coeffs = _vector(obj, "coeffs", path)
+        coeffs = _get(obj, "coeffs", path, "vector")
         if dim != 1:
             raise ConfigError(path, "polynomial test functions are one-dimensional")
         return lambda X: npoly.polyval(np.asarray(X, float).reshape(-1, 1)[:, 0], coeffs)
     if kind == "poly_plus_exp":
-        coeffs = _vector(obj, "coeffs", path)
-        a = _number(obj, "exp_coef", path)
-        r = _number(obj, "exp_rate", path)
+        coeffs = _get(obj, "coeffs", path, "vector")
+        a = _get(obj, "exp_coef", path, "number")
+        r = _get(obj, "exp_rate", path, "number")
         if dim != 1:
             raise ConfigError(path, "poly_plus_exp test functions are one-dimensional")
 
@@ -579,14 +566,14 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     ppath = f"{path}.problem"
     grid = _grid_from(_get(pc, "grid", ppath, dict), f"{ppath}.grid")
     dim = grid.dim
-    q = _number(pc, "q", ppath, positive=True)
-    bounds = _vector(pc, "q_bounds", ppath, default=np.array([q, q]))
+    q = _get(pc, "q", ppath, "positive")
+    bounds = _get(pc, "q_bounds", ppath, "vector", [q, q])
     if bounds.shape != (2,):
         raise ConfigError(f"{ppath}.q_bounds", "expected [delta_q, b_q]")
-    cost = _CostSpec(_get(pc, "cost", ppath, dict, default=None), f"{ppath}.cost")
-    u = _vector(pc, "u", ppath, default=None)
-    p = _number(pc, "p", ppath, default=2.0, positive=True)
-    q_growth = int(_number(pc, "q_growth", ppath, default=2.0, positive=True))
+    cost = _CostSpec(_get(pc, "cost", ppath, dict, None), f"{ppath}.cost")
+    u = _get(pc, "u", ppath, "vector", None)
+    p = _get(pc, "p", ppath, "positive", 2.0)
+    q_growth = _get(pc, "q_growth", ppath, "count", 2)
 
     ac = _get(pc, "actions", ppath, dict)
     apath = f"{ppath}.actions"
@@ -599,27 +586,26 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
         ]
         if not pairs:
             raise ConfigError(f"{apath}.pairs", "needs at least one (sigma, nu) entry")
-        lat_cfg = _get(ac, "mu_lattice", apath, dict)
-        lo = _vector(lat_cfg, "lo", f"{apath}.mu_lattice")
-        hi = _vector(lat_cfg, "hi", f"{apath}.mu_lattice")
-        num = _vector(lat_cfg, "num", f"{apath}.mu_lattice").astype(int)
+        lat_cfg, lpath = _get(ac, "mu_lattice", apath, dict), f"{apath}.mu_lattice"
+        lo, hi = _get(lat_cfg, "lo", lpath, "vector"), _get(lat_cfg, "hi", lpath, "vector")
+        num = _get(lat_cfg, "num", lpath, "counts")
         if not (lo.size == hi.size == num.size):
-            raise ConfigError(f"{apath}.mu_lattice", "lo/hi/num must agree in length")
+            raise ConfigError(lpath, "lo/hi/num must agree in length")
         if lo.size == 1 and dim > 1:
             lo, hi, num = np.repeat(lo, dim), np.repeat(hi, dim), np.repeat(num, dim)
-        lattice = tuple(np.linspace(a, b, int(n)) for a, b, n in zip(lo, hi, num))
+        lattice = tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, num))
         kwargs.update(sigma_nu_pairs=tuple(pairs), mu_lattice=lattice)
     elif mode == "list":
         entries = []
         for i, entry in enumerate(_get(ac, "entries", apath, list)):
             epath = f"{apath}.entries[{i}]"
-            builtin = _get(entry, "builtin", epath, str, default=None)
+            builtin = _get(entry, "builtin", epath, str, None)
             if builtin is None:
                 entries.append(_action_from(entry, epath, dim))
             elif builtin == "jump_to_origin":
-                rate = _number(entry, "rate", epath, default=1.0, positive=True)
-                sigma = _sigma_from(entry, "sigma", epath, dim, default=np.zeros((dim, dim)))
-                entries.append(partial(jump_to_origin_action, rate=rate, sigma=sigma))
+                rate = _get(entry, "rate", epath, "positive", 1.0)
+                entries.append(partial(jump_to_origin_action, rate=rate,
+                                       sigma=_sigma_from(entry, epath, dim)))
             else:
                 raise ConfigError(f"{epath}.builtin", f"unknown builtin '{builtin}'")
         if not entries:
@@ -628,13 +614,8 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     else:
         raise ConfigError(f"{apath}.mode", f"unknown action mode '{mode}' (product/list)")
 
-    try:
-        prob = HJBProblem(
-            f=cost.hjb_fn(dim), q=q, delta_q=float(bounds[0]), b_q=float(bounds[1]),
-            u=u, p=p, q_growth=q_growth, **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(ppath, str(exc)) from None
+    prob = _build(ppath, HJBProblem, f=cost.hjb_fn(dim), q=q, delta_q=float(bounds[0]),
+                  b_q=float(bounds[1]), u=u, p=p, q_growth=q_growth, **kwargs)
     return prob, grid, cost
 
 
@@ -655,8 +636,8 @@ def _solve_report(rep, phi, extra=None) -> dict:
 
 def cmd_solve(run: RunConfig) -> int:
     prob, grid, _ = _problem_from(run.config, "$")
-    tol = run.tol if run.tol is not None else _number(run.config, "tol", "$", default=1e-8, positive=True)
-    max_iters = int(_number(run.config, "max_iters", "$", default=60.0, positive=True))
+    tol = run.tol if run.tol is not None else _get(run.config, "tol", "$", "positive", 1e-8)
+    max_iters = _get(run.config, "max_iters", "$", "count", 60)
     phi, pol, rep = solve_stationary(prob, grid, tol=tol, max_iters=max_iters)
 
     prov = run.provenance()
@@ -681,9 +662,9 @@ def cmd_solve(run: RunConfig) -> int:
 def cmd_solve_finite(run: RunConfig) -> int:
     prob, grid, _ = _problem_from(run.config, "$")
     hz = _get(run.config, "horizon", "$", dict)
-    T = _number(hz, "T", "$.horizon", positive=True)
-    n_steps = int(_number(hz, "n_steps", "$.horizon", positive=True))
-    terminal = _CostSpec(_get(hz, "terminal", "$.horizon", dict, default=None), "$.horizon.terminal")
+    T = _get(hz, "T", "$.horizon", "positive")
+    n_steps = _get(hz, "n_steps", "$.horizon", "count")
+    terminal = _CostSpec(_get(hz, "terminal", "$.horizon", dict, None), "$.horizon.terminal")
     if terminal.kind == "quadratic_control":
         raise ConfigError("$.horizon.terminal.kind", "terminal payoffs depend on the state only")
     tol = run.tol if run.tol is not None else 1e-10
@@ -720,10 +701,8 @@ def _simulation_from(run: RunConfig):
     cfg = run.config
     policy, lq_sol = _policy_from(_get(cfg, "policy", "$", dict), "$.policy")
     sim = _sim_config_from(_get(cfg, "sim", "$", dict), "$.sim", run.seed)
-    cost = _CostSpec(_get(cfg, "cost", "$", dict, default=None), "$.cost")
-    q = _number(cfg, "discount", "$", default=0.0)
-    if q < 0.0:
-        raise ConfigError("$.discount", "must be >= 0")
+    cost = _CostSpec(_get(cfg, "cost", "$", dict, None), "$.cost")
+    q = _get(cfg, "discount", "$", "nonnegative", 0.0)
     return policy, lq_sol, sim, cost.state_fn(policy), q, {**run.provenance(), "seed": sim.seed}
 
 
@@ -751,61 +730,59 @@ def cmd_simulate(run: RunConfig) -> int:
     return 0
 
 
-def _horizons(entry, path) -> list:
-    hs = _vector(entry, "horizons", path, default=np.array([1.0, 2.0, 4.0]))
-    if not hs.size or np.any(hs <= 0.0):
-        raise ConfigError(f"{path}.horizons", "must be a non-empty list of positive times")
-    return [float(h) for h in hs]
+def _test_from(entry, path: str, policy, lq_sol, dim: int, q: float):
+    """One verify test, read in full before any path is simulated.
 
-
-def _verify_one(entry, i, policy, lq_sol, sim, q, shared) -> ver.TestReport:
-    path = f"$.tests[{i}]"
+    Returns its name, the moment-ratio horizons it reads (else none) and a
+    function of the shared runs that gives its report.
+    """
     name = _get(entry, "name", path, str)
-    dim = sim.x0.size
-    if name == "martingale":
+    if name in ("martingale", "transversality"):
         phi = _phi_from(_get(entry, "phi", path, dict), f"{path}.phi", dim, lq_sol)
-        mode = _get(entry, "mode", path, str, default="martingale")
-        pairs_raw = _get(entry, "pairs", path, list)
+    if name == "martingale":
+        mode = _get(entry, "mode", path, str, "martingale")
+        if mode not in ("sub", "martingale"):
+            raise ConfigError(f"{path}.mode", f"unknown mode '{mode}' (sub/martingale)")
         pairs = []
-        for j, pr in enumerate(pairs_raw):
-            st = _numeric(pr, f"{path}.pairs[{j}]", 1, "pair", "expected an [s, t] pair")
+        for j, pr in enumerate(_get(entry, "pairs", path, list)):
+            st = _read(pr, f"{path}.pairs[{j}]", "vector")
             if st.shape != (2,) or not st[0] < st[1]:
                 raise ConfigError(f"{path}.pairs[{j}]", "expected an [s, t] pair with s < t")
             pairs.append((float(st[0]), float(st[1])))
-        n_bins = int(_number(entry, "n_bins", path, default=8.0, positive=True))
-        bundle = shared["bundle"]
-        own_cost = _get(entry, "cost", path, dict, default=None)
-        if own_cost is not None:
-            cost = _CostSpec(own_cost, f"{path}.cost")
-            S = dyn.bellman_series(phi, bundle, f=cost.state_fn(policy), q=q)
-        else:
-            S = dyn.bellman_series(phi, bundle)
-        rep = ver.submartingale_test(S, bundle, pairs, n_bins=n_bins, mode=mode)
-    elif name == "transversality":
-        phi = _phi_from(_get(entry, "phi", path, dict), f"{path}.phi", dim, lq_sol)
-        window = _number(entry, "window", path, default=0.5, positive=True)
-        rep = ver.transversality_test(shared["bundle"], phi, window=window)
-    elif name == "integrability":
-        p = _number(entry, "p", path, positive=True)
-        rep = ver.h2_integrability_check(shared["bundle"], p)
-    elif name == "growth":
-        box = _matrix(entry, "box", path)
+        n_bins = _get(entry, "n_bins", path, "count", 8)
+        own_cost = _get(entry, "cost", path, dict, None)
+        costs = {} if own_cost is None else dict(
+            f=_CostSpec(own_cost, f"{path}.cost").state_fn(policy), q=q)
+
+        def run(shared):
+            S = dyn.bellman_series(phi, shared["bundle"], **costs)
+            return ver.submartingale_test(S, shared["bundle"], pairs, n_bins=n_bins, mode=mode)
+
+        return name, [], run
+    if name == "transversality":
+        window = _get(entry, "window", path, "positive", 0.5)
+        return name, [], lambda shared: ver.transversality_test(shared["bundle"], phi, window=window)
+    if name == "integrability":
+        p = _get(entry, "p", path, "positive")
+        return name, [], lambda shared: ver.h2_integrability_check(shared["bundle"], p)
+    if name == "growth":
+        box = _get(entry, "box", path, "matrix")
         if box.shape != (dim, 2):
             raise ConfigError(f"{path}.box", f"expected {dim} [lo, hi] pairs")
-        K = _number(entry, "K", path, positive=True)
-        p = _number(entry, "p", path, positive=True)
-        rep = ver.growth_certificate_check(policy, (box[:, 0], box[:, 1]), K, p)
-    elif name == "moment_ratio":
-        qm = _number(entry, "q", path, positive=True)
-        bundles = [shared["run"].until(h) for h in _horizons(entry, path)]
-        rep = ver.moment_bound_report(bundles, qm)
-    else:
-        raise ConfigError(
-            f"{path}.name",
-            f"unknown test '{name}' "
-            "(martingale/transversality/integrability/growth/moment_ratio)",
-        )
-    return rep
+        K = _get(entry, "K", path, "positive")
+        p = _get(entry, "p", path, "positive")
+        return name, [], lambda shared: ver.growth_certificate_check(
+            policy, (box[:, 0], box[:, 1]), K, p)
+    if name == "moment_ratio":
+        qm = _get(entry, "q", path, "positive")
+        horizons = _get(entry, "horizons", path, "positives", [1.0, 2.0, 4.0]).tolist()
+        return name, horizons, lambda shared: ver.moment_bound_report(
+            [shared["run"].until(h) for h in horizons], qm)
+    raise ConfigError(
+        f"{path}.name",
+        f"unknown test '{name}' "
+        "(martingale/transversality/integrability/growth/moment_ratio)",
+    )
 
 
 def cmd_verify(run: RunConfig) -> int:
@@ -813,15 +790,15 @@ def cmd_verify(run: RunConfig) -> int:
     tests = _get(run.config, "tests", "$", list)
     if not tests:
         raise ConfigError("$.tests", "needs at least one test entry")
+    tests = [_test_from(t, f"$.tests[{i}]", policy, lq_sol, sim.x0.size, q)
+             for i, t in enumerate(tests)]
 
     # One ensemble at sim.seed serves every test that reads recorded paths.
     # It runs to the largest of T and the moment-ratio horizons, marked at
     # each: the other tests read its prefix to T ("bundle"), each horizon its
     # prefix to that horizon. Without horizons it is the run to T.
-    names = [_get(t, "name", f"$.tests[{i}]", str) for i, t in enumerate(tests)]
-    reads_paths = any(n in ("martingale", "transversality", "integrability") for n in names)
-    ends = [h for i, (t, n) in enumerate(zip(tests, names)) if n == "moment_ratio"
-            for h in _horizons(t, f"$.tests[{i}]")] + ([sim.T] if reads_paths else [])
+    reads_paths = any(n in ("martingale", "transversality", "integrability") for n, _, _ in tests)
+    ends = [h for _, hs, _ in tests for h in hs] + ([sim.T] if reads_paths else [])
     shared = {}
     if ends:
         costs = dict(f=f, q=q if q > 0 else None) if reads_paths else {}
@@ -829,8 +806,8 @@ def cmd_verify(run: RunConfig) -> int:
         shared["bundle"] = run_.until(sim.T) if reads_paths else None
 
     reports = []
-    for i, entry in enumerate(tests):
-        rep = _verify_one(entry, i, policy, lq_sol, sim, q, shared)
+    for _, _, test in tests:
+        rep = test(shared)
         log.info("test %-16s %s", rep.name, "PASS" if rep.passed else "FAIL")
         reports.append(rep)
 
@@ -858,13 +835,12 @@ def _crosscheck_fields(cfg: dict, grid: Grid, **defaults):
     """The ``crosscheck`` fields named in ``defaults`` (an int default makes a
     count), the solver grid (``num`` nodes over ``grid`` when ``num`` is one of
     them, else ``grid``), and then ``window``: [lo, hi] around a solver node."""
-    cc = _get(cfg, "crosscheck", "$", dict, default={})
-    out = {}
-    for key, default in defaults.items():
-        val = _number(cc, key, "$.crosscheck", default=float(default), positive=True)
-        out[key] = int(val) if isinstance(default, int) else val
-    cgrid = Grid.regular(grid.lo[0], grid.hi[0], out["num"]) if "num" in out else grid
-    w = out["window"] = _vector(cc, "window", "$.crosscheck", default=np.array([-2.0, 2.0]))
+    cc = _get(cfg, "crosscheck", "$", dict, {})
+    out = {key: _get(cc, key, "$.crosscheck", "count" if isinstance(d, int) else "positive", d)
+           for key, d in defaults.items()}
+    cgrid = grid if "num" not in out else _build(
+        "$.crosscheck.num", Grid.regular, grid.lo[0], grid.hi[0], out["num"])
+    w = out["window"] = _get(cc, "window", "$.crosscheck", "vector", [-2.0, 2.0])
     axis = cgrid.axes[0]
     if w.shape != (2,) or not w[0] < w[1] or not np.any((axis >= w[0]) & (axis <= w[1])):
         raise ConfigError("$.crosscheck.window",
@@ -901,7 +877,7 @@ def _crosscheck(run: RunConfig, report: dict, cc: dict, prob, grid: Grid, refere
 
 
 def cmd_example(run: RunConfig, which: int) -> int:
-    declared = _get(run.config, "which", "$", int, default=None)
+    declared = _get(run.config, "which", "$", int, None)
     if declared is not None and declared != which:
         raise ConfigError("$.which", f"config is for example {declared}, requested {which}")
     return (_example1, _example2, _example3)[which - 1](run)
@@ -910,10 +886,10 @@ def cmd_example(run: RunConfig, which: int) -> int:
 def _polynomial_example(cfg: dict, which: int):
     """The polynomial state cost and the discount q of examples 1-2."""
     cost = _CostSpec(_get(cfg, "cost", "$", dict,
-                          default={"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
+                          {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
     if cost.kind != "polynomial":
         raise ConfigError("$.cost.kind", f"example {which} takes a polynomial state cost")
-    return cost, _number(cfg, "q", "$", default=1.0, positive=True)
+    return cost, _get(cfg, "q", "$", "positive", 1.0)
 
 
 def _diffuse_or_jump(f, q: float, coeffs: np.ndarray) -> HJBProblem:
@@ -929,7 +905,7 @@ def _diffuse_or_jump(f, q: float, coeffs: np.ndarray) -> HJBProblem:
 def _example1(run: RunConfig) -> int:
     cfg = run.config
     cost, q = _polynomial_example(cfg, 1)
-    grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+    grid = _grid_from(_get(cfg, "grid", "$", dict, {"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
     cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=2e-2)
 
     psi = ex.example1_psi(cost.coeffs, q, grid)
@@ -946,8 +922,8 @@ def _example1(run: RunConfig) -> int:
 def _example2(run: RunConfig) -> int:
     cfg = run.config
     cost, q = _polynomial_example(cfg, 2)
-    kappa = _number(cfg, "kappa", "$", default=1.0, positive=True)
-    grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -8.0, "hi": 8.0, "num": 481}), "$.grid")
+    kappa = _get(cfg, "kappa", "$", "positive", 1.0)
+    grid = _grid_from(_get(cfg, "grid", "$", dict, {"lo": -8.0, "hi": 8.0, "num": 481}), "$.grid")
     tol = run.tol if run.tol is not None else 1e-8
     cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
 
@@ -994,7 +970,7 @@ def _example3(run: RunConfig) -> int:
     spec = _lq_spec_from(merged, "$")
     one_d = spec.lam.shape[0] == 1  # the solver cross-check runs in one dimension only
     if one_d:
-        grid = _grid_from(_get(cfg, "grid", "$", dict, default={"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+        grid = _grid_from(_get(cfg, "grid", "$", dict, {"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
         cc, grid = _crosscheck_fields(cfg, grid, tol_rel=2e-2, lattice_num=41)
     sol = solve_lq(spec)
 

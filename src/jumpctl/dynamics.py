@@ -339,8 +339,8 @@ class SimConfig:
 class PathBundle:
     """Recorded ensemble of controlled paths on the snapshot lattice.
 
-    ``states``/``gamma``/``cost_run``/``Bh``/``jump_counts`` have the path
-    axis first and the time axis second; ``C`` is shared across paths
+    ``states``/``gamma``/``cost_run``/``Bh`` have the path axis first and
+    the time axis second; ``C`` is shared across paths
     (shape (K, dim, dim)) unless the policy stepped as row groups, whose
     sigma varies by row: then it is per path, shape (n, K, dim, dim), and
     :attr:`c_per_path` is set.  ``sup_xc``/``sup_xd`` track the running
@@ -348,7 +348,9 @@ class PathBundle:
     step resolution, and ``G_int`` is the terminal quadratic jump functional
     int_0^T int |y|^2 nu_s(dy) ds per path.  ``marks`` maps each mark time
     given to :func:`simulate` to its snapshot index and the suprema and
-    ``G_int`` kept there, which :meth:`until` reads.
+    ``G_int`` kept there, which :meth:`until` reads.  The jump history
+    (``jump_sizes``/``jump_paths``/``jump_times``, one row per jump in time
+    order) is the one record of jumps; :attr:`jump_counts` is derived from it.
     """
 
     times: np.ndarray
@@ -357,7 +359,6 @@ class PathBundle:
     cost_run: np.ndarray
     Bh: np.ndarray
     C: np.ndarray
-    jump_counts: np.ndarray
     jump_sizes: np.ndarray
     jump_paths: np.ndarray
     jump_times: np.ndarray
@@ -387,6 +388,18 @@ class PathBundle:
     def dim(self) -> int:
         return self.states.shape[2]
 
+    @property
+    def jump_counts(self) -> np.ndarray:
+        """Jumps of each path up to each snapshot time, shape (n, K).
+
+        A jump's time is a step time, so it falls in the snapshot interval
+        that ``searchsorted`` gives and counts from that snapshot on.
+        """
+        n, K = self.n_paths, len(self.times)
+        snap = np.searchsorted(self.times, self.jump_times)
+        per_snap = np.bincount(self.jump_paths * K + snap, minlength=n * K).reshape(n, K)
+        return np.cumsum(per_snap, axis=1)
+
     def until(self, t: float) -> "PathBundle":
         """The run up to ``t``, a mark of :func:`simulate` or ``cfg.T``.
 
@@ -410,7 +423,6 @@ class PathBundle:
             cost_run=upto(self.cost_run),
             Bh=upto(self.Bh),
             C=upto(self.C) if self.c_per_path else self.C[: j + 1],
-            jump_counts=upto(self.jump_counts),
             jump_sizes=self.jump_sizes[:nj],
             jump_paths=self.jump_paths[:nj],
             jump_times=self.jump_times[:nj],
@@ -661,9 +673,8 @@ class _StepModel:
     def step(self, X, Wc, Xd, Bh, G_int, rng):
         """Advance every path by one Euler step in place.
 
-        Returns (sizes, paths, rows, counts) for the jumps taken in this
-        step, or None when there were none: each jump's size and path, and
-        the rows that jumped with their jump counts.
+        Returns (sizes, paths) for the jumps taken in this step, each jump's
+        size and path, or None when there were none.
         """
         if self.kind == "linear":
             # u + mu(x) once per step; drift and B^h differ only by their means
@@ -746,7 +757,7 @@ class _StepModel:
             sizes = _draw_jumps(self.law, rng, paths.size)
         self.disp.fill(0.0)
         np.add.at(self.disp, paths, sizes)
-        return sizes, paths, rows, counts
+        return sizes, paths
 
     def _relocate(self, X, rows, G_int):
         """Jump-to-origin arrivals on ``rows``, compensator and G increment (before X moves)."""
@@ -764,7 +775,7 @@ class _StepModel:
         self.disp.fill(0.0)
         self.disp[rows] = sizes
         # arrivals within one step coalesce into one relocation
-        return sizes, rows, rows, 1
+        return sizes, rows
 
 
 def _path_major(a: np.ndarray) -> np.ndarray:
@@ -829,7 +840,6 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     sup_xc = np.zeros(n)  # squared until the loop ends (see running_sup)
     sup_xd = np.zeros(n)
     G_int = np.zeros(n)
-    jumps_cum = np.zeros(n, dtype=np.int64)
     sq = np.empty((n, dim))
     norm = np.empty(n)
 
@@ -839,7 +849,6 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     gamma_st = np.empty((K, n))
     cost_st = np.empty((K, n))
     bh_st = np.empty((K, n, dim))
-    counts_st = np.zeros((K, n), dtype=np.int64)
     size_rows, path_rows, time_rows = [], [], []
     kept = {s: None for s in mark_step.values()}  # step -> (sup_xc, sup_xd, G_int) there
 
@@ -857,7 +866,6 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
         gamma_st[j] = gamma
         cost_st[j] = cost
         bh_st[j] = Bh
-        counts_st[j] = jumps_cum
         C_st[j] = C_cum
 
     def running_sup(sup_sq, V):
@@ -881,11 +889,10 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
         t_next = (k + 1) * dt
         jumps = model.step(X, Wc, Xd, Bh, G_int, rng)
         if jumps is not None:
-            sizes, paths, rows, counts = jumps
+            sizes, paths = jumps
             size_rows.append(sizes)
             path_rows.append(paths)
             time_rows.append(np.full(paths.size, t_next))
-            jumps_cum[rows] += counts
         C_cum += model.cov_dt
         if model.jumps:
             running_sup(sup_xd, Xd)
@@ -936,7 +943,6 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     gamma_st = _path_major(gamma_st)
     cost_st = _path_major(cost_st)
     bh_st = _path_major(bh_st)
-    counts_st = _path_major(counts_st)
     if C_st.ndim == 4:
         C_st = _path_major(C_st)
     for sup in [sup_xc, sup_xd] + [a for xc, xd, _ in kept.values() for a in (xc, xd)]:
@@ -957,7 +963,6 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
         cost_run=cost_st,
         Bh=bh_st,
         C=C_st,
-        jump_counts=counts_st,
         jump_sizes=jump_sizes,
         jump_paths=jump_paths,
         jump_times=jump_times,

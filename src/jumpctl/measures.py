@@ -310,8 +310,9 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
 def _sampling_law(nu: JumpMeasure):
     """Normalise ``nu`` for sampling, once per measure.
 
-    Returns (points, probabilities, jitter half-widths or None); callers that
-    draw repeatedly from one measure pass the result to :func:`_draw_jumps`.
+    Returns (points, cdf, jitter half-widths or None); callers that draw
+    repeatedly from one measure pass the result to :func:`_draw_jumps`.  The
+    cdf is normalised as ``Generator.choice`` normalises ``p``.
     """
     m0 = total_mass(nu)
     if not np.isfinite(m0) or m0 <= 0.0:
@@ -320,13 +321,19 @@ def _sampling_law(nu: JumpMeasure):
         )
     pts, w = _support_points(nu)
     half = 0.5 * (nu.hi - nu.lo) / nu.shape if isinstance(nu, DensityGridMeasure) else None
-    return pts, w / w.sum(), half
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return pts, cdf, half
 
 
 def _draw_jumps(law, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw from a :func:`_sampling_law`: one categorical draw, then the jitter."""
-    pts, prob, half = law
-    out = pts[rng.choice(pts.shape[0], size=size, p=prob)]
+    """Draw from a :func:`_sampling_law`: one categorical draw, then the jitter.
+
+    The categorical draw is bitwise ``rng.choice(len(pts), size, p=prob)``,
+    with the same uniforms consumed, minus the cdf that call rebuilds.
+    """
+    pts, cdf, half = law
+    out = pts[cdf.searchsorted(rng.random(size), side="right")]
     if half is not None:
         out += rng.uniform(-1.0, 1.0, size=out.shape) * half
     return out

@@ -36,6 +36,13 @@ B_HAT = (np.sqrt(13.0) - 3.0) / 2.0
 CONFIG_DIR = Path(jumpctl.__file__).parent / "configs"
 
 
+# the command each bundled config is written for
+_BUNDLED_COMMANDS = {"lq_1d": ["solve"], "finite_lq": ["solve-finite"],
+                     "example1": ["example", "1"], "example2": ["example", "2"],
+                     "example3": ["example", "3"], "simulate_cp": ["simulate"],
+                     "verify_lq": ["verify"]}
+
+
 def _bundled(name: str) -> str:
     return str(CONFIG_DIR / name)
 
@@ -328,8 +335,8 @@ def test_booleans_are_not_numbers(tmp_path, capsys, field, value):
 _DENSITY_NU = {"kind": "density", "lo": [0.5], "hi": [1.5], "shape": [4],
                "values": [1.0, 1.0, 1.0, 1.0]}
 
-# fields the parser reads by hand rather than through _get: (config, test entry
-# or None, key path, value, the field path the error names)
+# list items and nested values, which the reader checks item by item: (config,
+# test entry or None, key path, value, the field path the error names)
 _HAND_READ_BOOLS = [
     ("simulate_cp.json", None, ("policy", "nu", "atoms", 0, 1), True, "$.policy.nu.atoms[0]"),
     ("simulate_cp.json", None, ("policy", "nu", "atoms", 0, 0), [True], "$.policy.nu.atoms[0]"),
@@ -342,15 +349,27 @@ _HAND_READ_BOOLS = [
 ]
 
 
+_DELETE = object()
+
+
+def _set(cfg, keys, value):
+    """``cfg`` with the value at ``keys`` replaced, or deleted for ``_DELETE``."""
+    node = cfg
+    for k in keys[:-1]:
+        node = node[k]
+    if value is _DELETE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return cfg
+
+
 def _mutated(name, test, keys, value):
     cfg = json.loads(Path(_bundled(name)).read_text())
     if test is not None:
         cfg["tests"] = [cfg["tests"][test]]
-    node = cfg["tests"][0] if test is not None else cfg
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = value
-    return cfg
+        keys = ("tests", 0, *keys)
+    return _set(cfg, keys, value)
 
 
 @pytest.mark.parametrize("name, test, keys, value, where", _HAND_READ_BOOLS,
@@ -395,6 +414,90 @@ def test_example_crosscheck_window_is_checked(tmp_path, capsys, window):
     err = capsys.readouterr().err
     assert "$.crosscheck.window" in err and "Traceback" not in err
     assert not (tmp_path / "value.csv").exists()
+
+
+# the field each count mutation targets: (config, key path, the path the error names)
+_COUNT_FIELDS = [
+    ("simulate_cp.json", ("sim", "n_paths"), "$.sim.n_paths"),
+    ("simulate_cp.json", ("sim", "store_every"), "$.sim.store_every"),
+    ("simulate_cp.json", ("policy", "dim"), "$.policy.dim"),
+    ("lq_1d.json", ("max_iters",), "$.max_iters"),
+    ("finite_lq.json", ("horizon", "n_steps"), "$.horizon.n_steps"),
+    ("verify_lq.json", ("tests", 0, "n_bins"), "$.tests[0].n_bins"),
+    ("lq_1d.json", ("problem", "q_growth"), "$.problem.q_growth"),
+    ("lq_1d.json", ("problem", "grid", "num"), "$.problem.grid.num"),
+    ("lq_1d.json", ("problem", "actions", "mu_lattice", "num"),
+     "$.problem.actions.mu_lattice.num"),
+    ("example1.json", ("crosscheck", "num"), "$.crosscheck.num"),
+    ("example3.json", ("crosscheck", "lattice_num"), "$.crosscheck.lattice_num"),
+]
+
+
+@pytest.mark.parametrize("name, keys, where", _COUNT_FIELDS, ids=[w for _, _, w in _COUNT_FIELDS])
+def test_fractional_counts_exit_1_naming_the_field(tmp_path, capsys, name, keys, where):
+    cfg = _set(json.loads(Path(_bundled(name)).read_text()), keys, 2.5)
+    code = main([*_BUNDLED_COMMANDS[name[:-5]], "--config", _write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error at '{where}': must be" in err and "whole number" in err, err
+
+
+def test_whole_floats_read_as_counts(tmp_path):
+    # Draft 7 calls 2000.0 an integer, and so does the reader: the run is the
+    # bundled one, byte for byte
+    cfg = json.loads(Path(_bundled("simulate_cp.json")).read_text())
+    cfg["sim"].update(n_paths=2000.0, store_every=5.0)
+    cfg["policy"]["dim"] = 1.0
+    for out, path in ((tmp_path / "a", _bundled("simulate_cp.json")),
+                      (tmp_path / "b", _write_config(tmp_path, cfg))):
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert (tmp_path / "a" / "paths.csv").read_bytes().split(b"\n", 1)[1] == \
+        (tmp_path / "b" / "paths.csv").read_bytes().split(b"\n", 1)[1]
+
+
+def _leaves(node, keys=()):
+    """(key path, value) of every scalar in a JSON config."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(v, keys + (k,))
+    else:
+        yield keys, node
+
+
+def _field(keys) -> str:
+    """The $. path of the config field a leaf lies in: list indices after the
+    last key are part of the field's value."""
+    keys = list(keys)
+    while isinstance(keys[-1], int):
+        keys.pop()
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def test_schema_rejections_exit_1_with_a_path(tmp_path, capsys):
+    # every scalar of every bundled config becomes true, "x", missing (a
+    # mapping key) and, for an integer, 2.5; each result the schema rejects
+    # must exit 1 naming the mutated field
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
+    rejected, failures = 0, []
+    for name, cmd in _BUNDLED_COMMANDS.items():
+        raw = Path(_bundled(f"{name}.json")).read_text()
+        for keys, value in _leaves(json.loads(raw)):
+            mutations = [True, "x"] + [_DELETE] * isinstance(keys[-1], str) \
+                + [2.5] * (type(value) is int)
+            for mutation in mutations:
+                cfg = _set(json.loads(raw), keys, mutation)
+                if schema.is_valid(cfg):
+                    continue
+                rejected += 1
+                code = main([*cmd, "--config", _write_config(tmp_path, cfg),
+                             "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                if code != 1 or f"config error at '{_field(keys)}" not in err:
+                    failures.append((name, keys, mutation, code, err))
+    assert rejected > 300
+    assert not failures, failures
 
 
 def test_bundled_configs_match_the_schema():
@@ -582,12 +685,8 @@ _BUNDLED_DIGESTS = {
 
 
 def test_bundled_config_artifact_digests(tmp_path):
-    commands = {"lq_1d": ["solve"], "finite_lq": ["solve-finite"],
-                "example1": ["example", "1"], "example2": ["example", "2"],
-                "example3": ["example", "3"], "simulate_cp": ["simulate"],
-                "verify_lq": ["verify"]}
     digests = {}
-    for name, cmd in commands.items():
+    for name, cmd in _BUNDLED_COMMANDS.items():
         out = tmp_path / name
         assert main([*cmd, "--config", _bundled(f"{name}.json"), "--out", str(out)]) == 0
         for path in out.iterdir():

@@ -207,7 +207,6 @@ def _fake_bundle(states, policy):
     return PathBundle(
         times=times, states=states, gamma=zeros.copy(), cost_run=zeros.copy(),
         Bh=np.zeros((n, K, dim)), C=np.zeros((K, dim, dim)),
-        jump_counts=np.zeros((n, K), dtype=np.int64),
         jump_sizes=np.zeros((0, dim)), jump_paths=np.zeros(0, dtype=np.int64),
         jump_times=np.zeros(0), sup_xc=np.zeros(n), sup_xd=np.zeros(n),
         G_int=np.zeros(n), policy=policy, cfg=cfg, u=np.zeros(dim), dt_eff=times[1],
@@ -326,6 +325,23 @@ def test_moment_bound_ratio_stable():
     rep = moment_bound_report(bundles, q=2.0)
     assert rep.passed
     assert all(0.5 <= r <= 2.0 for r in rep.statistics["relative_to_first"])
+
+
+@pytest.mark.parametrize("G_at_4, passed", [(4.0, False), (8.0, True)])
+def test_moment_bound_fails_when_the_ratio_leaves_a_factor_2(G_at_4, passed):
+    # T = 1, 2, 4 with the atom inside the unit ball (H_T = 0), so at q = 2
+    # each ratio is E sup_xd^2 / E G_T: 1/1, 4/4, then 16/4 = 4 (fails) or
+    # 16/8 = 2, the edge of [0.5, 2], which passes; all of it exact in floats
+    from dataclasses import replace
+
+    pol = _const(0.0, AtomicMeasure(1, locations=[[0.5]], masses=[1.0]), 0.0)
+    base = _fake_bundle(np.zeros((4, 3, 1)), pol)
+    bundles = [replace(base, times=base.times * T, sup_xd=np.full(4, sup), G_int=np.full(4, G))
+               for T, sup, G in ((1.0, 1.0, 1.0), (2.0, 2.0, 4.0), (4.0, 4.0, G_at_4))]
+    rep = moment_bound_report(bundles, q=2.0)
+    assert [row["T"] for row in rep.statistics["rows"]] == [1.0, 2.0, 4.0]
+    assert rep.statistics["relative_to_first"] == [1.0, 1.0, 16.0 / G_at_4]
+    assert rep.passed is passed
 
 
 def test_moment_bound_input_validation():
