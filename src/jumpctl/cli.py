@@ -17,9 +17,9 @@ Every config value, list items included, goes through one typed reader,
 ``_get(obj, key, path, kind)``: ``kind`` is a JSON type or a numeric kind of
 ``_KINDS`` (number, positive, count, vector, counts, matrix, ...), which
 holds each kind's rule and message. JSON booleans are never numbers, and a
-count is a whole number >= 1 (``2000.0`` reads as 2000). A value that breaks
-its kind exits 1 naming its ``$.`` path; ``verify`` reads all its tests
-before it simulates.
+count is a whole number from 1 to 2^31 - 1 (``2000.0`` reads as 2000). A
+value that breaks its kind exits 1 naming its ``$.`` path; ``verify`` reads
+all its tests before it simulates.
 
 Shared flags: ``--config PATH`` (JSON; see ``configs/config.schema.json``
 next to this module for the published format), ``--out DIR``, ``--seed U64``
@@ -107,7 +107,8 @@ _MISSING = object()
 
 
 def _whole(a):
-    return (a >= 1.0) & (a == np.floor(a))
+    # at most 2^31 - 1, so a count never wraps when it becomes an int
+    return (a >= 1.0) & (a <= 2**31 - 1) & (a == np.floor(a))
 
 
 # numeric kinds: dimensions (None: any), the rule every entry keeps, and what
@@ -116,10 +117,10 @@ _KINDS = {
     "number": (0, None, "a finite number"),
     "positive": (0, lambda a: a > 0.0, "a finite number > 0"),
     "nonnegative": (0, lambda a: a >= 0.0, "a finite number >= 0"),
-    "count": (0, _whole, "a whole number >= 1"),
+    "count": (0, _whole, "a whole number from 1 to 2^31 - 1"),
     "vector": (1, None, "a non-empty finite 1-D numeric array"),
     "positives": (1, lambda a: a > 0.0, "a non-empty 1-D array of finite numbers > 0"),
-    "counts": (1, _whole, "a non-empty 1-D array of whole numbers >= 1"),
+    "counts": (1, _whole, "a non-empty 1-D array of whole numbers from 1 to 2^31 - 1"),
     "matrix": (2, None, "a non-empty finite matrix (nested row-major lists)"),
     "array": (None, None, "a non-empty finite numeric array"),
 }
@@ -972,6 +973,8 @@ def _example3(run: RunConfig) -> int:
     if one_d:
         grid = _grid_from(_get(cfg, "grid", "$", dict, {"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
         cc, grid = _crosscheck_fields(cfg, grid, tol_rel=2e-2, lattice_num=41)
+        if cc["lattice_num"] < 3:
+            raise ConfigError("$.crosscheck.lattice_num", "must be a whole number >= 3")
     sol = solve_lq(spec)
 
     residual = float(np.linalg.norm(riccati_residual(sol.B, spec.lam, spec.theta, spec.q)))

@@ -320,6 +320,9 @@ class SimConfig:
             raise ValueError("horizon T must be positive")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("step dt must be positive")
+        steps = self.T / self.dt
+        if not (np.isfinite(steps) and round(steps) <= 2**31 - 1):
+            raise ValueError("T / dt must round to at most 2^31 - 1 Euler steps")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.store_every < 1:

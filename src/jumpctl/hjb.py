@@ -13,17 +13,21 @@ matrix assembly and point evaluation, so the solve and the readout agree.
 Each candidate's operator is built once per solve as sparse matrices,
 shared by policy evaluation and improvement. A policy's generator is
 assembled by scattering the candidate rows it selects and the row-scaled
-one-sided differences into one CSR sparsity pattern fixed per solve, with
-the additions, in the order, of the sparse sum of those matrices, so it is
-that sum bit for bit. q and f are evaluated once per chosen (node,
+one-sided differences into one CSC layout fixed per solve, with the
+additions, in the order, of the sparse sum of those matrices, so it is
+that sum bit for bit. The linear system of a policy, q - L for evaluation
+and I - dt L for an implicit time step, is filled straight into that
+layout as a canonical CSC matrix, the bits scipy's sparse difference and
+CSC conversion would give. q and f are evaluated once per chosen (node,
 action), as improvement hands its values at the chosen actions to the
 evaluation of that policy. In product mode they are row-batched per
 (sigma, nu) pair: one call per block of drift-lattice columns and one for
-the refined drifts, not one per node. Every linear system, stationary
-or one implicit time step, is solved by one sparse LU factorisation
-(``scipy.sparse.linalg.splu``) with a residual check. The module does no
-Monte Carlo: the simulated dynamic-programming check of a solved field
-lives in ``verify``.
+the refined drifts, not one per node; when the whole lattice fits in one
+block, that block and its upwind drift parts are tabulated on first use
+and reused by every later sweep or time step. Every linear system is
+solved by one sparse LU factorisation (``scipy.sparse.linalg.splu``) with
+a residual check. The module does no Monte Carlo: the simulated
+dynamic-programming check of a solved field lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -490,6 +494,11 @@ def _row_costs(fn):
     return getattr(fn, "rows", rows)
 
 
+def _upwind(b: np.ndarray) -> list:
+    """[b_0+, b_0-, b_1+, ...]: the positive and negative parts of b (..., dim) per axis."""
+    return [clip(b[..., k], 0.0) for k in range(b.shape[-1]) for clip in (np.maximum, np.minimum)]
+
+
 def _lattice_combos(lat: tuple):
     mesh = np.meshgrid(*lat, indexing="ij")
     combos = np.stack([m.ravel() for m in mesh], axis=1)
@@ -544,15 +553,17 @@ class _Generator:
     differences S_k; every candidate gets one sparse matrix K of its
     diffusion, cross-derivative and jump parts. Callable list entries are
     called once per node here. Evaluation selects each node's K row and adds
-    the drift as diag(b+) D+ + diag(b-) D-. Every entry of every K and D+-_k
-    has a recorded place in one CSR pattern fixed per solve; ``operator``
-    adds the selected K entries, then the row-scaled D+_k and D-_k entries
-    axis by axis, into one data array on it, which are the additions scipy's
-    sparse sum makes. Improvement applies the same
-    matrices to phi and returns q/f at the actions it chose, which the
-    evaluation of that policy takes instead of calling q and f again. Product
-    costs are resolved once into row functions (see ``_row_costs``), called
-    per pair on (node, drift) rows.
+    the drift as diag(b+) D+ + diag(b-) D-. Every entry of every K and D+-_k,
+    and the diagonal, has a recorded place in one CSC layout (``indices``,
+    ``indptr``) fixed per solve; ``operator`` adds the selected K entries,
+    then the row-scaled D+_k and D-_k entries axis by axis, into one data
+    array on it, which are the additions scipy's sparse sum makes, and
+    ``system`` turns that array into diag(a) - c L for the LU factorisation.
+    Improvement applies the same matrices to phi and returns q/f at the
+    actions it chose, which the evaluation of that policy takes instead of
+    calling q and f again. Product costs are resolved once into row functions
+    (see ``_row_costs``), called per pair on (node, drift) rows; a lattice
+    scan of one block keeps its costs and upwind drift parts per pair.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -573,6 +584,7 @@ class _Generator:
         every = np.arange(grid.n_nodes)
         if prob.mode == "product":
             self.q_rows, self.f_rows = _row_costs(prob.q), _row_costs(prob.f)
+            self.combos, self.lshape = _lattice_combos(prob.mu_lattice)
             zero = np.zeros(grid.dim)
             self.cands = [
                 self._candidate([(every, Action(sigma=sigma, nu=nu, mu=zero))], costs=False)
@@ -591,17 +603,22 @@ class _Generator:
                     if not all(isinstance(a, Action) for _, a in groups):
                         raise TypeError("action callables must return an Action")
                 self.cands.append(self._candidate(groups, costs=True))
-        # one sorted CSR pattern holding every K and D+-_k entry, and where each
-        # matrix's entries land in it, read in stored order: K is never sorted in
-        # place, since its (unsorted, in 2-D) order is the summation order of K @ phi
+        # one CSC layout holding every K and D+-_k entry and the diagonal, and where
+        # each matrix's entries land in it, read in stored order: K is never sorted
+        # in place, since its (unsorted, in 2-D) order is the summation order of K @ phi
         n = grid.n_nodes
         self.scatter = [c.K for c in self.cands] + [D for pm in zip(self.Dp, self.Dm) for D in pm]
-        starts = np.arange(n, dtype=np.int32 if n * n < 2**31 else np.int64) * n
-        keys = [np.repeat(starts, np.diff(A.indptr)) + A.indices for A in self.scatter]
-        flat = np.unique(np.concatenate(keys))
-        cols, indptr = flat % n, np.searchsorted(flat, np.arange(n + 1) * n)
-        self.pattern = sp.csr_matrix((np.ones(flat.size, bool), cols, indptr), shape=(n, n))
-        self.pos = [np.searchsorted(flat, key).astype(self.pattern.indptr.dtype) for key in keys]
+        node, wide = np.arange(n, dtype=np.int32), np.int32 if n * n < 2**31 else np.int64
+        self.row_of = [np.repeat(node, np.diff(A.indptr)) for A in self.scatter]
+        keys = [A.indices.astype(wide) * n + r for A, r in zip(self.scatter, self.row_of)]
+        diag = node.astype(wide) * (n + 1)
+        flat = np.unique(np.concatenate(keys + [diag]))  # column * n + row, in CSC order
+        self.indices = (flat % n).astype(np.int32)
+        self.indptr = np.searchsorted(flat, np.arange(n + 1) * n).astype(np.int32)
+        self.diag = np.searchsorted(flat, diag).astype(np.int32)
+        self.pos = [np.searchsorted(flat, key).astype(np.int32) for key in keys]
+        self.q_const = None if callable(prob.q) else float(prob.q)
+        self.tables = {}
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -645,12 +662,10 @@ class _Generator:
             K = K + sp.diags(c2[:, k]) @ self.S[k]
         return _Candidate(K=K.tocsr(), mu=mu, m1=m1, cross=cross, q=qvec, f=fvec)
 
-    def _drift(self, b, dp, dm):
-        """sum_k b+_k D+_k phi + b-_k D-_k phi, from the applied differences."""
-        return sum(
-            np.maximum(b[..., k], 0.0) * dp[k] + np.minimum(b[..., k], 0.0) * dm[k]
-            for k in range(self.grid.dim)
-        )
+    def _drift(self, parts, dp, dm):
+        """sum_k b+_k D+_k phi + b-_k D-_k phi, from the upwind parts of b and the
+        applied differences."""
+        return sum(parts[2 * k] * dp[k] + parts[2 * k + 1] * dm[k] for k in range(self.grid.dim))
 
     def _pair_costs(self, s: int, mu: np.ndarray, nodes: np.ndarray):
         """q and f under pair s at rows (nodes[i], mu[i]), one row-function call each."""
@@ -658,8 +673,25 @@ class _Generator:
         x = self.x[nodes]
         return self.q_rows(x, sigma, nu, mu), self.f_rows(x, sigma, nu, mu)
 
+    def _lattice_block(self, s: int, mus: np.ndarray):
+        """Upwind parts of the drift, q and f under pair s on the (len(mus), n)
+        block of drift-lattice columns mus; q is None when constant. A block
+        holding the whole lattice is tabulated on first use and read from the
+        table in every later sweep or step."""
+        if s in self.tables:
+            return self.tables[s]
+        n = self.grid.n_nodes
+        costs = self._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(np.arange(n), len(mus)))
+        qv, fv = (v.reshape(len(mus), n) for v in costs)
+        parts = _upwind(self.u + mus[:, None, :] - self.cands[s].m1)
+        out = parts, qv if self.q_const is None else None, fv
+        if len(mus) == len(self.combos):
+            self.tables[s] = out
+        return out
+
     def operator(self, pol: PolicyTable, costs=None):
-        """Generator rows L plus discount/cost vectors for a fixed policy.
+        """Generator entries l for a fixed policy, on the CSC layout (``indices``,
+        ``indptr``), plus discount/cost vectors.
 
         ``costs``, the (q, f) that improvement returned with ``pol``, stands in
         for evaluating q and f again; the bounds checks run either way.
@@ -671,14 +703,13 @@ class _Generator:
             raise ValueError("policy index outside the declared action set")
         product = self.prob.mode == "product"
         n, dim = self.grid.n_nodes, self.grid.dim
-        P = self.pattern
-        L = sp.csr_matrix((np.zeros(P.nnz), P.indices.copy(), P.indptr.copy()), shape=P.shape)
+        l = np.zeros(self.indices.size)
         mu, m1, cross = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n, dtype=bool)
         qvec, fvec = (np.empty(n), np.empty(n)) if costs is None else costs
         for j, cand in enumerate(self.cands):
             rows = idx == j
-            sel = np.repeat(rows, np.diff(cand.K.indptr))
-            L.data[self.pos[j][sel]] += cand.K.data[sel]
+            sel = rows[self.row_of[j]]
+            l[self.pos[j][sel]] += cand.K.data[sel]
             r = np.nonzero(rows)[0]
             mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
             if costs is None and product:
@@ -694,10 +725,9 @@ class _Generator:
                 f"{qvec.max():.6g}] vs [{prob.delta_q:.6g}, {prob.b_q:.6g}]"
             )
         b = self.u + mu - m1
-        scales = [clip(b[:, k], 0.0) for k in range(dim) for clip in (np.maximum, np.minimum)]
-        for D, pos, bk in zip(self.scatter[len(self.cands) :], self.pos[len(self.cands) :], scales):
-            L.data[pos] += np.repeat(bk, np.diff(D.indptr)) * D.data
-        L.eliminate_zeros()
+        j = len(self.cands)
+        for D, pos, row, bk in zip(self.scatter[j:], self.pos[j:], self.row_of[j:], _upwind(b)):
+            l[pos] += bk[row] * D.data
         if cross.any():
             warnings.warn(
                 f"{int(cross.sum())} rows carry the mixed-sign cross-derivative stencil "
@@ -705,12 +735,29 @@ class _Generator:
                 SchemeWarning,
                 stacklevel=3,
             )
-        return L, qvec, fvec
+        return l, qvec, fvec
+
+    def system(self, l: np.ndarray, a, c: float) -> sp.csc_matrix:
+        """diag(a) - c L for the generator entries l, as canonical CSC: the entries,
+        order and bits of scipy's ``(sp.diags(a) - c * L).tocsc()``.
+
+        Each entry is a - c l on the diagonal and 0.0 - c l elsewhere; entries
+        that come out exactly zero are dropped, as scipy's sparse difference does.
+        """
+        v = 0.0 - c * l
+        v[self.diag] = a - c * l[self.diag]
+        indices, indptr = self.indices, self.indptr
+        keep = v != 0.0
+        if not keep.all():
+            kept = np.concatenate((np.zeros(1, np.int32), np.cumsum(keep, dtype=np.int32)))
+            v, indices, indptr = v[keep], indices[keep], kept[indptr]
+        n = self.grid.n_nodes
+        return sp.csc_matrix((v, indices, indptr), shape=(n, n))
 
     def evaluate(self, pol: PolicyTable, tol: float, costs=None) -> ValueField:
         """Solve (q - L) phi = f for the policy's rows."""
-        L, qvec, fvec = self.operator(pol, costs)
-        phi = _factorise(sp.diags(qvec) - L, tol)(fvec)
+        l, qvec, fvec = self.operator(pol, costs)
+        phi = _factorise(self.system(l, qvec, 1.0), tol)(fvec)
         return ValueField(
             grid=self.grid, values=phi.reshape(self.grid.shape), q_growth=self.prob.q_growth
         )
@@ -731,7 +778,7 @@ class _Generator:
                 mu, I, q, f = self._best_drift(j, phi, dp, dm)
             else:
                 mu, q, f = cand.mu, cand.q, cand.f
-                drift = self._drift(self.u + mu - cand.m1, dp, dm)
+                drift = self._drift(_upwind(self.u + mu - cand.m1), dp, dm)
                 I = cand.K @ phi + drift - q * phi + f
             upd = I < best
             best[upd], best_idx[upd], best_mu[upd] = I[upd], j, mu[upd]
@@ -743,8 +790,7 @@ class _Generator:
         """Drift, integrand, q and f per node for pair s: the lattice argmin, then one
         per-axis quadratic pass kept where the exact integrand agrees it is better."""
         cand, n = self.cands[s], self.grid.n_nodes
-        lat = self.prob.mu_lattice
-        combos, lshape = _lattice_combos(lat)
+        lat, combos, lshape = self.prob.mu_lattice, self.combos, self.lshape
         base = cand.K @ phi
         Iall = np.empty((combos.shape[0], n))
         I_best = q_best = f_best = None
@@ -753,17 +799,19 @@ class _Generator:
         every, width = np.arange(n), max(1, 2**15 // n)
         for c0 in range(0, combos.shape[0], width):
             mus = combos[c0 : c0 + width]
-            costs = self._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(every, len(mus)))
-            qv, fv = (v.reshape(len(mus), n) for v in costs)
-            drift = self._drift(self.u + mus[:, None, :] - cand.m1, dp, dm)
-            Iall[c0 : c0 + len(mus)] = I = base + drift - qv * phi + fv
+            parts, qv, fv = self._lattice_block(s, mus)
+            qphi = self.q_const * phi if qv is None else qv * phi
+            Iall[c0 : c0 + len(mus)] = I = base + self._drift(parts, dp, dm) - qphi + fv
             if I_best is None:
-                I_best, q_best, f_best = I[0].copy(), qv[0].copy(), fv[0].copy()
+                I_best, f_best = I[0].copy(), fv[0].copy()
+                q_best = np.full(n, self.q_const) if qv is None else qv[0].copy()
             # running argmin, the first minimum wins and a NaN never replaces; q/f ride along
             j = np.argmin(np.where(np.isnan(I), np.inf, I), axis=0)
             r = np.flatnonzero(I[j, every] < I_best)
             j = j[r]
-            I_best[r], best_flat[r], q_best[r], f_best[r] = I[j, r], c0 + j, qv[j, r], fv[j, r]
+            I_best[r], best_flat[r], f_best[r] = I[j, r], c0 + j, fv[j, r]
+            if qv is not None:
+                q_best[r] = qv[j, r]
         cmulti = np.unravel_index(best_flat, lshape)
         strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
         mu_ref = combos[best_flat].copy()
@@ -783,7 +831,7 @@ class _Generator:
             mu_ref[rows[use], r] += off[use]
         i = np.nonzero(np.any(mu_ref != combos[best_flat], axis=1))[0]
         dp, dm = [d[i] for d in dp], [d[i] for d in dm]
-        drift = self._drift(self.u + mu_ref[i] - cand.m1[i], dp, dm)
+        drift = self._drift(_upwind(self.u + mu_ref[i] - cand.m1[i]), dp, dm)
         qv, fv = self._pair_costs(s, mu_ref[i], i)
         val = base[i] + drift - qv * phi[i] + fv
         better = val <= I_best[i]
@@ -793,9 +841,9 @@ class _Generator:
         return mu_ref, I_best, q_best, f_best
 
 
-def _factorise(M: sp.spmatrix, tol: float):
-    """Sparse LU of M; returns solve(rhs), which checks the residual against tol."""
-    M = M.tocsc()
+def _factorise(M: sp.csc_matrix, tol: float):
+    """Sparse LU of the CSC matrix M; returns solve(rhs), which checks the
+    residual against tol."""
     try:
         lu = splu(M)
     except RuntimeError as exc:
@@ -840,6 +888,8 @@ def solve_stationary(prob: HJBProblem, grid: Grid, tol: float = 1e-8, max_iters:
     Returns (ValueField, PolicyTable, ConvergenceReport); non-convergence is
     reported, not raised, so partial results stay inspectable.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     gen = _Generator(prob, grid)
     n = grid.n_nodes
     mu0 = None if prob.mode == "list" else np.tile(_lattice_origin(prob.mu_lattice), (n, 1))
@@ -924,13 +974,12 @@ def solve_finite_horizon(
     values = np.empty((n_steps + 1,) + grid.shape)
     values[n_steps] = _terminal_values(h, grid)
     gen = _Generator(prob, grid)
-    eye = sp.identity(grid.n_nodes, format="csr")
     pol_prev = None
     for m in range(n_steps - 1, -1, -1):
         _, pol, costs = gen.improve(values[m + 1].ravel())
         if not pol.same_as(pol_prev):
-            L, qvec, fvec = gen.operator(pol, costs)
-            solve = _factorise(eye - dt * L, tol)
+            l, qvec, fvec = gen.operator(pol, costs)
+            solve = _factorise(gen.system(l, 1.0, dt), tol)
             E = np.exp(-qvec * dt)
             W = (1.0 - E) / qvec
             pol_prev = pol

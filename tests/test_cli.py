@@ -443,6 +443,40 @@ def test_fractional_counts_exit_1_naming_the_field(tmp_path, capsys, name, keys,
     assert f"config error at '{where}': must be" in err and "whole number" in err, err
 
 
+@pytest.mark.parametrize("name, keys, where", _COUNT_FIELDS, ids=[w for _, _, w in _COUNT_FIELDS])
+def test_huge_counts_exit_1_naming_the_field(tmp_path, capsys, name, keys, where):
+    # 1e308 is a whole number, but as an int it would wrap to -2^63: a count is
+    # at most 2^31 - 1 (max_iters: 1e308 used to end in an AttributeError traceback)
+    cfg = _set(json.loads(Path(_bundled(name)).read_text()), keys, 1e308)
+    code = main([*_BUNDLED_COMMANDS[name[:-5]], "--config", _write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error at '{where}': must be" in err and "2^31 - 1" in err, err
+    assert "Traceback" not in err
+
+
+def test_example3_lattice_below_the_schema_minimum_exits_1(tmp_path, capsys):
+    # the schema asks for at least 3 drift points; two used to solve and exit 3
+    cfg = json.loads(Path(_bundled("example3.json")).read_text())
+    cfg["crosscheck"]["lattice_num"] = 2
+    code = main(["example", "3", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert "config error at '$.crosscheck.lattice_num'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_step_count_beyond_int32_exits_1(tmp_path, capsys):
+    # sim.T / sim.dt must round to at most 2^31 - 1 steps; T = 1e308 used to
+    # raise an OverflowError out of simulate
+    cfg = json.loads(Path(_bundled("simulate_cp.json")).read_text())
+    cfg["sim"]["T"] = 1e308
+    code = main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error at '$.sim'" in err and "Euler steps" in err and "Traceback" not in err
+
+
 def test_whole_floats_read_as_counts(tmp_path):
     # Draft 7 calls 2000.0 an integer, and so does the reader: the run is the
     # bundled one, byte for byte

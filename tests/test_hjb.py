@@ -259,8 +259,8 @@ def test_evaluation_lq_feedback_matches_closed_form():
 
 def test_sparse_lu_failures_raise_solver_error():
     with pytest.raises(SolverError, match="singular"):
-        _factorise(sp.csr_matrix((3, 3)), 1e-8)
-    solve = _factorise(sp.identity(3, format="csr"), 1e-8)
+        _factorise(sp.csc_matrix((3, 3)), 1e-8)
+    solve = _factorise(sp.identity(3, format="csc"), 1e-8)
     assert np.array_equal(solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
     with pytest.raises(SolverError, match="residual"):
         solve(np.array([1.0, np.nan, 3.0]))
@@ -387,8 +387,8 @@ def test_improvement_matches_evaluation_operator(case):
     prob, g, phi = case()
     gen = _Generator(prob, g)
     best, pol, _ = gen.improve(phi)
-    L, qvec, fvec = gen.operator(pol)
-    assert np.abs(best - (L @ phi - qvec * phi + fvec)).max() <= 1e-12
+    l, qvec, fvec = gen.operator(pol)
+    assert np.abs(best - (_sparse_L(gen, l) @ phi - qvec * phi + fvec)).max() <= 1e-12
     assert len(np.unique(pol.action_index)) == prob.n_candidates  # rows of every candidate
 
 
@@ -399,10 +399,17 @@ def test_improvement_costs_equal_recomputed_ones(case):
     prob, g, phi = case()
     gen = _Generator(prob, g)
     _, pol, costs = gen.improve(phi)
-    (Ls, qs, fs), (Lr, qr, fr) = gen.operator(pol, costs), gen.operator(pol)
+    (ls, qs, fs), (lr, qr, fr) = gen.operator(pol, costs), gen.operator(pol)
     assert np.array_equal(qs, qr) and np.array_equal(fs, fr)
-    assert np.array_equal(Ls.indptr, Lr.indptr) and np.array_equal(Ls.indices, Lr.indices)
-    assert np.array_equal(Ls.data, Lr.data)
+    assert np.array_equal(ls, lr)
+
+
+def _sparse_L(gen, l):
+    """The generator L whose entries ``operator`` returns on the CSC layout."""
+    n = gen.grid.n_nodes
+    L = sp.csc_matrix((l, gen.indices, gen.indptr), shape=(n, n))
+    L.eliminate_zeros()
+    return L
 
 
 def _reference_operator(gen, pol):
@@ -437,6 +444,11 @@ def _correlated_2d_problem():
 
 
 _OPERATOR_CASES = {
+    "pure_drift_1d": lambda: (
+        HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0,
+                   sigma_nu_pairs=((0.0, ZeroMeasure(1)),), mu_lattice=np.linspace(-2.0, 2.0, 9)),
+        Grid.regular(-6.0, 6.0, 121),
+    ),
     "list_1d_jump_origin": lambda: (example1_problem(), Grid.regular(-6.0, 6.0, 121)),
     "product_1d": lambda: (lq_product_problem(), Grid.regular(-6.0, 6.0, 121)),
     "product_2d_atoms": lambda: (atoms_2d_problem()[0], Grid.regular([-3.0, -3.0], [3.0, 3.0], [21, 21])),
@@ -447,8 +459,8 @@ _OPERATOR_CASES = {
 @pytest.mark.filterwarnings("ignore::jumpctl.hjb.SchemeWarning", "ignore:corner extrapolation")
 @pytest.mark.parametrize("case", sorted(_OPERATOR_CASES))
 def test_fixed_pattern_operator_matches_sparse_products(case, monkeypatch):
-    # the operator scatters into one fixed pattern and must give the bits of the
-    # sparse-product sum, down to the CSC matrices the LU factorisation sees
+    # the operator scatters into one fixed layout and must give the bits of the
+    # sparse-product sum
     built = []
     make_candidate = _Generator._candidate
 
@@ -466,21 +478,43 @@ def test_fixed_pattern_operator_matches_sparse_products(case, monkeypatch):
         assert np.array_equal(cand.K.indices, indices) and np.array_equal(cand.K.data, data)
     for pos in gen.pos:  # data[pos] += v drops a repeated position
         assert np.unique(pos).size == pos.size
+    pol = _random_policy(prob, g, len(gen.cands))
+    l, _, _ = gen.operator(pol)
+    assert _sparse_L(gen, l).toarray().tobytes() == _reference_operator(gen, pol).toarray().tobytes()
+
+
+def _random_policy(prob, g, ncand):
+    """Every candidate somewhere, the rest at random; in product mode random drifts,
+    a tenth of them zero."""
     rng = np.random.default_rng(8)
-    n, ncand = g.n_nodes, len(gen.cands)
+    n = g.n_nodes
     idx = np.concatenate([np.arange(ncand), rng.integers(0, ncand, n - ncand)])
     mu = None
     if prob.mode == "product":
         lo, hi = [ax[0] for ax in prob.mu_lattice], [ax[-1] for ax in prob.mu_lattice]
         mu = rng.uniform(lo, hi, (n, g.dim))
         mu[rng.random(n) < 0.1] = 0.0
-    pol = PolicyTable(grid=g, action_index=rng.permutation(idx), mu=mu)
-    L, qvec, _ = gen.operator(pol)
+    return PolicyTable(grid=g, action_index=rng.permutation(idx), mu=mu)
+
+
+@pytest.mark.filterwarnings("ignore::jumpctl.hjb.SchemeWarning", "ignore:corner extrapolation")
+@pytest.mark.parametrize("case", sorted(_OPERATOR_CASES))
+def test_system_matches_the_sparse_route(case):
+    # the evaluation system q - L and the time-step system I - dt L, assembled
+    # straight into CSC, are scipy's sparse differences of the sparse-product L
+    # converted to CSC: the same entries (exact zeros dropped), order and bits
+    prob, g = _OPERATOR_CASES[case]()
+    gen = _Generator(prob, g)
+    pol = _random_policy(prob, g, len(gen.cands))
+    l, qvec, _ = gen.operator(pol)
     ref = _reference_operator(gen, pol)
-    assert L.toarray().tobytes() == ref.toarray().tobytes()
-    eye = sp.identity(n, format="csr")
-    for got, want in ((eye - 0.01 * L, eye - 0.01 * ref), (sp.diags(qvec) - L, sp.diags(qvec) - ref)):
-        got, want = got.tocsc(), want.tocsc()
+    eye = sp.identity(g.n_nodes, format="csr")
+    for got, want in ((gen.system(l, 1.0, 0.01), eye - 0.01 * ref),
+                      (gen.system(l, qvec, 1.0), sp.diags(qvec) - ref)):
+        want = want.tocsc()
+        assert got.format == "csc"
+        if case == "pure_drift_1d":  # the unused upwind side leaves zeros to drop
+            assert got.nnz < l.size
         for part in ("indptr", "indices", "data"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
 
@@ -592,6 +626,42 @@ def test_row_batched_cost_matches_per_action_calls(dim):
     assert f_twin.calls > 0
 
 
+def _count_rows(cost, sizes):
+    """Wrap a product cost's ``rows`` to record the row count of every call."""
+    rows = cost.rows
+
+    def counted(x, sigma, nu, mu):
+        sizes.append(len(mu))
+        return rows(x, sigma, nu, mu)
+
+    cost.rows = counted
+
+
+@pytest.mark.parametrize("n_lat, n_steps, blocks", [(41, 400, 1), (401, 20, 2)])
+def test_lattice_blocks_evaluated_once_per_pair_when_one_block(n_lat, n_steps, blocks):
+    # a lattice scan of one block (41 columns x 101 nodes) evaluates q and f on it
+    # once per pair and solve, and reads them back at every later step; a scan of
+    # two blocks (401 x 101 rows, blocks of 324 and 77 columns) keeps no table
+    # and evaluates each block at every step. The other calls are refinements,
+    # one row per node at most.
+    g = Grid.regular(-3.0, 3.0, 101)
+    f, q = QuadCost([[1.0]]), QDiscount()
+    sizes = {"f": [], "q": []}
+    _count_rows(f, sizes["f"])
+    _count_rows(q, sizes["q"])
+    pairs = ((1.0, ZeroMeasure(1)), (0.5, ZeroMeasure(1)))
+    prob = HJBProblem(f=f, q=q, delta_q=2.0, b_q=3.0, sigma_nu_pairs=pairs,
+                      mu_lattice=np.linspace(-2.0, 2.0, n_lat), q_growth=2)
+    sol = solve_finite_horizon(prob, h=0.0, T=1.0, n_steps=n_steps, grid=g)
+    assert np.all(np.isfinite(sol.values))
+    want = len(pairs) if blocks == 1 else n_steps * blocks * len(pairs)
+    for calls in sizes.values():
+        lattice = [m for m in calls if m > g.n_nodes]
+        assert len(lattice) == want
+        assert sum(lattice) == want // blocks * n_lat * g.n_nodes  # whole-lattice scans
+        assert len(calls) > len(lattice)  # and refinements
+
+
 class TableCost:
     """f read from a (node, lattice column) table on a square grid; the column
     is given by the signs of the drift."""
@@ -635,6 +705,12 @@ def test_lattice_argmin_keeps_first_minimum_and_nan_rule():
 
 # ---------------------------------------------------------------------------
 # stationary solves
+
+
+def test_stationary_needs_a_sweep():
+    g = Grid.regular(-2.0, 2.0, 33)
+    with pytest.raises(ValueError, match="max_iters"):
+        solve_stationary(singleton_problem(lambda x, a: x**2, 1.0), g, max_iters=0)
 
 
 def test_stationary_singleton_equals_evaluation():
@@ -793,7 +869,8 @@ def test_finite_horizon_one_step_identity():
     hvals = g.axes[0] ** 2
     sol = solve_finite_horizon(prob, h=hvals, T=0.25, n_steps=1, grid=g)
     pol = PolicyTable(grid=g, action_index=np.zeros(g.n_nodes, dtype=int))
-    L, qvec, fvec = _Generator(prob, g).operator(pol)
+    gen = _Generator(prob, g)
+    L = _sparse_L(gen, gen.operator(pol)[0])
     lhs = (np.eye(g.n_nodes) - 0.25 * L.toarray()) @ sol.values[0].ravel()
     rhs = np.exp(-1.5 * 0.25) * hvals
     assert np.abs(lhs - rhs).max() < 1e-10
