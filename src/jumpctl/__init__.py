@@ -5,163 +5,44 @@ integro-differential Bellman equations by policy iteration, simulates the
 controlled paths, and statistically verifies the martingale structure that
 characterises optimality. Closed-form benchmark problems (jump-to-origin
 control and quadratic control) ship as exact oracles.
+
+The public names below load with their module on first use (PEP 562), so
+importing the package alone imports none of the modules.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    AdmissibilityError,
-    PathBundle,
-    PayoffEstimate,
-    PolicyFieldSpec,
-    SimConfig,
-    bellman_series,
-    characteristics_report,
-    gm_left_side,
-    payoff_estimate,
-    simulate,
-)
-from .examples import (
-    BoundaryError,
-    BracketError,
-    Example1Spec,
-    Example2Solution,
-    example1_policy,
-    example1_psi,
-    example1_value,
-    example2_free_boundary,
-    example2_phi_b,
-)
-from .generator import (
-    AnalyticField,
-    DomainError,
-    GeneratorScheme,
-    GrowthError,
-    apply_generator,
-    hjb_integrand,
-    jump_term,
-    local_term,
-)
-from .hjb import (
-    ConvergenceReport,
-    FiniteHorizonSolution,
-    Grid,
-    HJBProblem,
-    PolicyTable,
-    SchemeWarning,
-    SolverError,
-    ValueField,
-    interior_mask,
-    policy_evaluation,
-    policy_improvement,
-    solve_finite_horizon,
-    solve_stationary,
-)
-from .lq import (
-    LQSolution,
-    LQSpec,
-    RiccatiSolveError,
-    minimal_dispersion,
-    optimal_feedback,
-    riccati_residual,
-    solve_lq,
-    solve_riccati,
-)
-from .measures import (
-    Action,
-    AtomicMeasure,
-    DensityGridMeasure,
-    JumpMeasure,
-    MeasureSupportError,
-    ZeroMeasure,
-    jump_to_origin_action,
-    moment_functional,
-    sample_jump,
-    second_moment_matrix,
-    total_mass,
-    validate_Mp,
-)
-from .verify import (
-    TestReport,
-    dpp_report,
-    dpp_residual,
-    dynkin_test,
-    growth_certificate_check,
-    h2_integrability_check,
-    moment_bound_report,
-    submartingale_test,
-    transversality_test,
-)
+_EXPORTS = {
+    "dynamics": "AdmissibilityError PathBundle PayoffEstimate PolicyFieldSpec SimConfig "
+                "bellman_series characteristics_report gm_left_side payoff_estimate simulate",
+    "examples": "BoundaryError BracketError Example1Spec Example2Solution example1_policy "
+                "example1_psi example1_value example2_free_boundary example2_phi_b",
+    "generator": "AnalyticField DomainError GeneratorScheme GrowthError apply_generator "
+                 "hjb_integrand jump_term local_term",
+    "hjb": "ConvergenceReport FiniteHorizonSolution Grid HJBProblem PolicyTable SchemeWarning "
+           "SolverError ValueField interior_mask policy_evaluation policy_improvement "
+           "solve_finite_horizon solve_stationary",
+    "lq": "LQSolution LQSpec RiccatiSolveError minimal_dispersion optimal_feedback "
+          "riccati_residual solve_lq solve_riccati",
+    "measures": "Action AtomicMeasure DensityGridMeasure JumpMeasure MeasureSupportError "
+                "RelocationKernel ZeroMeasure jump_to_origin_action moment_functional sample_jump "
+                "second_moment_matrix total_mass validate_Mp",
+    "verify": "TestReport dpp_report dpp_residual dynkin_test growth_certificate_check "
+              "h2_integrability_check moment_bound_report submartingale_test transversality_test",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "Action",
-    "AdmissibilityError",
-    "AnalyticField",
-    "AtomicMeasure",
-    "BoundaryError",
-    "BracketError",
-    "ConvergenceReport",
-    "DensityGridMeasure",
-    "DomainError",
-    "Example1Spec",
-    "Example2Solution",
-    "FiniteHorizonSolution",
-    "GeneratorScheme",
-    "Grid",
-    "GrowthError",
-    "HJBProblem",
-    "JumpMeasure",
-    "LQSolution",
-    "LQSpec",
-    "MeasureSupportError",
-    "PathBundle",
-    "PayoffEstimate",
-    "PolicyFieldSpec",
-    "PolicyTable",
-    "RiccatiSolveError",
-    "SchemeWarning",
-    "SimConfig",
-    "SolverError",
-    "TestReport",
-    "ValueField",
-    "ZeroMeasure",
-    "apply_generator",
-    "bellman_series",
-    "characteristics_report",
-    "dpp_report",
-    "dpp_residual",
-    "dynkin_test",
-    "example1_policy",
-    "example1_psi",
-    "example1_value",
-    "example2_free_boundary",
-    "example2_phi_b",
-    "gm_left_side",
-    "growth_certificate_check",
-    "h2_integrability_check",
-    "hjb_integrand",
-    "interior_mask",
-    "jump_term",
-    "local_term",
-    "minimal_dispersion",
-    "moment_bound_report",
-    "jump_to_origin_action",
-    "moment_functional",
-    "optimal_feedback",
-    "payoff_estimate",
-    "policy_evaluation",
-    "policy_improvement",
-    "riccati_residual",
-    "sample_jump",
-    "second_moment_matrix",
-    "simulate",
-    "solve_finite_horizon",
-    "solve_lq",
-    "solve_riccati",
-    "solve_stationary",
-    "submartingale_test",
-    "total_mass",
-    "transversality_test",
-    "validate_Mp",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -52,7 +52,6 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -69,11 +68,12 @@ from .measures import (
     Action,
     AtomicMeasure,
     DensityGridMeasure,
+    DivergenceError,
     JumpMeasure,
     MeasureSupportError,
+    RelocationKernel,
     ZeroMeasure,
-    _support_points,
-    jump_to_origin_action,
+    moment_functional,
     total_mass,
 )
 from .verify import _jsonable
@@ -243,9 +243,9 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
         )
     else:
         raise ConfigError(f"{path}.kind", f"unknown measure kind '{kind}' (zero/atomic/density)")
-    try:
-        _support_points(nu)
-    except MeasureSupportError as exc:
+    try:  # reads the support, and the second moments every consumer needs
+        moment_functional(nu, 2.0)
+    except (MeasureSupportError, DivergenceError) as exc:
         raise ConfigError(path, str(exc)) from None
     return nu
 
@@ -400,22 +400,20 @@ class _CostSpec:
         if self.kind == "zero":
             return 0.0
 
-        def fn(x_batch, a):
-            X = np.asarray(x_batch, float)
-            X2d = X.reshape(-1, 1) if dim == 1 else X
-            out = self._state_part(X2d)
-            if self.kind == "quadratic_control":
-                mu = np.zeros(dim) if a.mu is None else np.asarray(a.mu, float)
-                out = out + float(mu @ self.theta @ mu)
-            return out
-
         def rows(x_batch, sigma, nu, mu):
-            X = np.asarray(x_batch, float)
-            out = self._state_part(X.reshape(-1, 1) if dim == 1 else X)
+            X = np.asarray(x_batch, float).reshape(-1, dim)
+            out = self._state_part(X)
             if self.kind == "quadratic_control":
-                # vecdot of mu @ theta with mu rounds each row as fn's mu @ theta @ mu does
+                if isinstance(nu, RelocationKernel):  # the drift the action applies
+                    mass, y = nu.at(X)
+                    mu = mu + mass[:, None] * y
+                # vecdot of mu @ theta with mu rounds each row as mu @ theta @ mu does
                 out = out + np.vecdot(mu @ self.theta, mu)
             return out
+
+        def fn(x_batch, a):
+            n = np.size(x_batch) // dim
+            return rows(x_batch, a.sigma, a.nu, np.broadcast_to(a.mu, (n, dim)))
 
         fn.rows = rows
         return fn
@@ -605,8 +603,8 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
                 entries.append(_action_from(entry, epath, dim))
             elif builtin == "jump_to_origin":
                 rate = _get(entry, "rate", epath, "positive", 1.0)
-                entries.append(partial(jump_to_origin_action, rate=rate,
-                                       sigma=_sigma_from(entry, epath, dim)))
+                entries.append(Action(_sigma_from(entry, epath, dim), RelocationKernel(dim, rate),
+                                      np.zeros(dim)))
             else:
                 raise ConfigError(f"{epath}.builtin", f"unknown builtin '{builtin}'")
         if not entries:
@@ -669,8 +667,8 @@ def cmd_solve_finite(run: RunConfig) -> int:
     if terminal.kind == "quadratic_control":
         raise ConfigError("$.horizon.terminal.kind", "terminal payoffs depend on the state only")
     tol = run.tol if run.tol is not None else 1e-10
-    h = terminal.hjb_fn(grid.dim)
-    h_grid = 0.0 if not callable(h) else (lambda xb: h(xb, None))
+    h_grid = 0.0 if terminal.kind == "zero" else (
+        lambda xb: terminal._state_part(np.reshape(xb, (-1, grid.dim))))
     sol = solve_finite_horizon(prob, h_grid, T, n_steps, grid, tol=tol)
 
     prov = run.provenance()
@@ -898,7 +896,8 @@ def _diffuse_or_jump(f, q: float, coeffs: np.ndarray) -> HJBProblem:
     unit-rate jump to the origin."""
     return HJBProblem(
         f=f, q=q, delta_q=q, b_q=q,
-        actions=(Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)), ex.example1_policy),
+        actions=(Action(sigma=np.eye(1), nu=ZeroMeasure(1), mu=np.zeros(1)),
+                 Action(sigma=np.eye(1), nu=RelocationKernel(1, 1.0), mu=np.zeros(1))),
         p=2.0, q_growth=max(2, coeffs.size - 1),
     )
 

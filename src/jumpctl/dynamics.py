@@ -17,15 +17,18 @@ running discounted cost, the running suprema of the continuous and
 compensated-jump martingale parts, and the quadratic jump functional
 G_T = int int |y|^2 nu_s(dy) ds.  The verification module consumes these.
 
-Four policy shapes are supported, all stepped vectorised across paths by
+Three policy shapes are supported, all stepped vectorised across paths by
 one engine: constant actions, linear drift feedback with constant
-(sigma, nu), jump to origin, and row groups -- a batched query giving each
-state its drift and the index of its (sigma, nu) pair, which is how solved
-policy tables and ``x -> Action`` callables step.  :class:`PolicyFieldSpec`
-is the one interface to all four: the verifiers and the command line ask it
-for ``coefficients``, ``drift``, ``coefficient_norms`` (|mu|, ||sigma||_F
-and the jump moment per state), ``growth_left`` and ``rate_cap`` instead
-of branching on the shape.
+(sigma, nu), and row groups -- a batched query giving each state its drift
+and the index of its (sigma, nu) pair, which is how solved policy tables
+and ``x -> Action`` callables step.  A pair whose measure is a
+:class:`~jumpctl.measures.RelocationKernel` (jump to the origin is a
+constant action with one) is read per row, and its jumps relocate the path
+to the kernel's target.  :class:`PolicyFieldSpec` is the one interface to
+all three: the verifiers and the command line ask it for
+``coefficients``, ``drift``, ``coefficient_norms`` (|mu|, ||sigma||_F and
+the jump moment per state), ``growth_left`` and ``rate_cap`` instead of
+branching on the shape.
 
 State-independent terms and jump laws are resolved once per run (per step
 and pair for row groups), and every step writes into preallocated buffers,
@@ -51,13 +54,13 @@ from .generator import _field_value
 from .measures import (
     Action,
     JumpMeasure,
+    RelocationKernel,
     ZeroMeasure,
     _draw_jumps,
     _sampling_law,
     _support_points,
     big_jump_mean,
     first_moment,
-    jump_to_origin_action,
     moment_functional,
     second_moment_matrix,
     total_mass,
@@ -106,6 +109,21 @@ def gm_left_side(a: Action, p: float) -> float:
     return mu_term + sig_term + moment_functional(a.nu, p)
 
 
+def _relocations(X, group, pairs):
+    """(on, mass, y) of the rows whose (sigma, nu) pair has a relocation kernel:
+    ``on`` marks them, and mass and the jump y = target - x are the kernel's
+    there and zero elsewhere; None when no pair has a kernel."""
+    kernels = [(g, nu) for g, (_, nu) in enumerate(pairs) if isinstance(nu, RelocationKernel)]
+    if not kernels:
+        return None
+    on, mass, y = np.zeros(len(X), dtype=bool), np.zeros(len(X)), np.zeros(X.shape)
+    for g, nu in kernels:
+        sel = group == g
+        on[sel] = True
+        mass[sel], y[sel] = nu.at(X[sel])
+    return on, mass, y
+
+
 def _grouped(acts, dim: int):
     """(mu, group, pairs) of per-row Actions; rows holding one Action object share a group."""
     first = {}
@@ -119,21 +137,22 @@ class PolicyFieldSpec:
     """A stationary Markov policy field x -> action.
 
     Construct through the classmethods.  This class is the one place that
-    knows the four policy shapes; everything else asks it batched queries
+    knows the three policy shapes; everything else asks it batched queries
     on (m, dim) state arrays:
 
-    * :meth:`coefficients` -- each row's drift and the index of its
+    * :meth:`coefficients` -- each row's Action drift and the index of its
       (sigma, nu) pair;
-    * :meth:`drift` -- mu(x) as an (m, dim) array;
+    * :meth:`drift` -- the drift applied at x, a relocation kernel's mean
+      included, as an (m, dim) array;
     * :meth:`coefficient_norms` -- |mu(x)|, ||sigma(x)||_F and
       int |y|^2 v |y|^p nu_x(dy) per row, the terms of the admissibility
       and growth conditions;
     * :meth:`growth_left` -- the left side of the growth condition;
     * :meth:`rate_cap` -- a known bound on the jump rate.
 
-    ``sigma`` is set for every shape but row groups (``kind="callable"``,
-    whose ``query`` answers :meth:`coefficients`), and ``nu`` for constant
-    and linear.  ``kind`` labels the shape.
+    ``sigma`` and ``nu`` are set for every shape but row groups
+    (``kind="callable"``, whose ``query`` answers :meth:`coefficients`).
+    ``kind`` labels the shape.
     ``growth_K``/``growth_p`` form an optional growth certificate (claim of
     membership in the polynomial-growth Markov class); when present the
     simulator spot-checks it along paths and raises
@@ -146,7 +165,6 @@ class PolicyFieldSpec:
     offset: Optional[np.ndarray] = None
     sigma: Optional[np.ndarray] = None
     nu: Optional[JumpMeasure] = None
-    rate: float = 0.0
     query: Optional[Callable] = None
     rate_bound: Optional[float] = None
     growth_K: Optional[float] = None
@@ -172,6 +190,8 @@ class PolicyFieldSpec:
         if gain.shape != (dim, dim):
             raise ValueError("gain must be square")
         offset = np.broadcast_to(np.asarray(offset, dtype=float).ravel(), (dim,)).copy()
+        if isinstance(nu, RelocationKernel):
+            raise TypeError("a relocation kernel steps in a constant policy or a row group")
         return cls(
             kind="linear", gain=gain, offset=offset,
             sigma=_as_matrix(sigma, dim), nu=nu if nu is not None else ZeroMeasure(dim),
@@ -181,19 +201,16 @@ class PolicyFieldSpec:
     @classmethod
     def jump_to_origin(cls, rate=1.0, sigma=1.0, dim=1, growth_K=None,
                        growth_p=None, name=""):
-        """Jump straight to the origin at a constant rate.
+        """Jump straight to the origin at a constant rate: the constant action
+        ``Action(sigma, RelocationKernel(dim, rate), 0)``.
 
         The jump measure at state x is ``rate * delta_{-x}`` and the drift
-        equals its mean, so drift and compensator cancel exactly.  Several
-        arrivals within one Euler step coalesce into a single relocation.
+        the action applies is its mean, so drift and compensator cancel
+        exactly.  Several arrivals within one Euler step coalesce into a
+        single relocation.
         """
-        if rate < 0.0:
-            raise ValueError("rate must be nonnegative")
-        return cls(
-            kind="jump_origin", rate=float(rate), rate_bound=float(rate),
-            sigma=_as_matrix(sigma, dim), growth_K=growth_K, growth_p=growth_p,
-            name=name or "jump-to-origin",
-        )
+        action = Action(_as_matrix(sigma, dim), RelocationKernel(dim, rate), np.zeros(dim))
+        return cls.constant(action, growth_K, growth_p, name or "jump-to-origin")
 
     @classmethod
     def from_action_callable(cls, fn, rate_bound=None, growth_K=None,
@@ -239,40 +256,43 @@ class PolicyFieldSpec:
     # ------------------------------------------------------------- queries
     def coefficients(self, X):
         """(mu (m, dim), group (m,), pairs) on a state batch of shape (m, dim):
-        row i has drift ``mu[i]`` and the (sigma, nu) pair ``pairs[group[i]]``."""
+        row i has the Action drift ``mu[i]`` and the (sigma, nu) pair
+        ``pairs[group[i]]``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "callable":
             return self.query(X)
-        if self.kind == "jump_origin":
-            acts = [jump_to_origin_action(row, self.rate, self.sigma) for row in X]
-            return _grouped(acts, X.shape[1])
-        return self.drift(X), np.zeros(len(X), dtype=np.intp), [(self.sigma, self.nu)]
+        if self.kind == "constant":
+            mu = np.tile(self.action.mu, (len(X), 1))
+        else:
+            mu = self.offset - _matmul_into(X, self.gain.T, np.empty(X.shape))
+        return mu, np.zeros(len(X), dtype=np.intp), [(self.sigma, self.nu)]
 
     def drift(self, X) -> np.ndarray:
-        """mu(x) on a state batch of shape (m, dim), as an (m, dim) array."""
+        """The drift applied on a state batch of shape (m, dim), as an (m, dim)
+        array: mu(x), plus a relocation kernel's mean on its rows."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.kind == "constant":
-            return np.tile(self.action.mu, (len(X), 1))
-        if self.kind == "linear":
-            return self.offset - _matmul_into(X, self.gain.T, np.empty(X.shape))
-        if self.kind == "jump_origin":
-            return -self.rate * X
-        return self.query(X)[0]
+        mu, group, pairs = self.coefficients(X)
+        kern = _relocations(X, group, pairs)
+        return mu if kern is None else mu + kern[1][:, None] * kern[2]
 
     def coefficient_norms(self, X, p: float):
-        """(|mu(x)|, ||sigma(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row.
+        """(|mu(x)|, ||sigma(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row, with
+        mu(x) the drift applied.
 
         The three terms of the admissibility and growth conditions on a
         state batch of shape (m, dim), each an (m,) array.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.kind == "jump_origin":
-            r = np.linalg.norm(X, axis=1)
-            s = np.full(len(X), float(np.linalg.norm(self.sigma)))
-            return self.rate * r, s, self.rate * np.maximum(r**2, r**p)
         mu, group, pairs = self.coefficients(X)
         s = np.array([np.linalg.norm(sigma) for sigma, _ in pairs])[group]
-        j = np.array([moment_functional(nu, p) for _, nu in pairs])[group]
+        j = np.array([0.0 if isinstance(nu, RelocationKernel) else moment_functional(nu, p)
+                      for _, nu in pairs])[group]
+        kern = _relocations(X, group, pairs)
+        if kern is not None:  # mass and y are zero off the kernel rows
+            _, mass, y = kern
+            r = np.linalg.norm(y, axis=1)
+            j = j + mass * np.maximum(r**2, r**p)
+            return np.linalg.norm(mu + mass[:, None] * y, axis=1), s, j
         if self.kind == "constant":  # the bits of a 1-D norm, which the row-wise norm can miss
             return np.full(len(X), float(np.linalg.norm(self.action.mu))), s, j
         return np.linalg.norm(mu, axis=1), s, j
@@ -472,12 +492,16 @@ def _state_fn(fn):
 
 
 def _bh_rate(policy: PolicyFieldSpec, u: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """u + mu - big_jump_mean(nu) on a state batch, the truncated-drift
-    density of linear feedback and jump to origin."""
-    if policy.kind == "linear":
-        return u + policy.drift(X) - big_jump_mean(policy.nu)
-    small = (np.linalg.norm(X, axis=1) <= 1.0)[:, None]
-    return u - policy.rate * X * small
+    """u + mu(x) - int_{|y| > 1} y nu_x(dy) on a state batch, mu(x) the drift
+    applied: the truncated-drift density B^h grows at."""
+    mu, group, pairs = policy.coefficients(X)
+    big = np.array([np.zeros(X.shape[1]) if isinstance(nu, RelocationKernel) else big_jump_mean(nu)
+                    for _, nu in pairs])[group]
+    kern = _relocations(X, group, pairs)
+    if kern is None:
+        return u + mu - big
+    _, mass, y = kern  # a kernel's mean less its jumps beyond 1
+    return u + mu + (mass * (np.linalg.norm(y, axis=1) <= 1.0))[:, None] * y - big
 
 
 def _matmul_into(A: np.ndarray, BT: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -582,9 +606,11 @@ class _Pair:
     def __init__(self, sigma, nu, dim: int, dt: float):
         if sigma.shape != (dim, dim):
             raise ValueError(f"policy sigma shape {sigma.shape} does not match state dim {dim}")
-        # total_mass reads the support, so a malformed one raises here, before any draw
+        # total_mass reads the support, so a malformed one raises here, before any draw;
+        # a relocation kernel's mass is its rate, and its moments are read per row
         self.sigma, self.nu, self.mass = sigma, nu, total_mass(nu)
-        jumps = self.mass > 0
+        self.kernel = isinstance(nu, RelocationKernel)
+        jumps = self.mass > 0 and not self.kernel
         self.law = _sampling_law(nu) if jumps else None
         self.m1 = first_moment(nu) if jumps else np.zeros(dim)
         self.big_mean = big_jump_mean(nu) if jumps else np.zeros(dim)
@@ -599,10 +625,11 @@ class _StepModel:
     sigma^T dt``, ``m1 dt``, ``m2 dt``, the thinning clock, the validated jump
     law and, for constant actions, the drift and B^h increments) is resolved
     once per run; :meth:`step` then advances the ensemble in preallocated
-    buffers.  The result is bit for bit that of the plain update
-    ``X = X + drift * dt + dW + disp`` evaluated left to right: where the
-    form differs (the one-column matmul, a skipped ``- 0.0``) the two are
-    identities, noted where they are used.  Row groups make one
+    buffers.  A relocation kernel is read per row at every step, and its
+    arrivals relocate the path in place of a draw.  The result is bit for
+    bit that of the plain update ``X = X + drift * dt + dW + disp``
+    evaluated left to right: where the form differs (the one-column matmul,
+    a skipped ``- 0.0``) the two are identities, noted where they are used.  Row groups make one
     :meth:`PolicyFieldSpec.coefficients` query per step; a :class:`_Pair`
     seen in the previous step is not resolved again.  The draws per step are
     ``standard_normal((n, dim))``, ``poisson`` for the clock, ``binomial``
@@ -623,13 +650,11 @@ class _StepModel:
             self.declared, self.seen = declared, {}
             self.cov_dt = np.zeros((n, dim, dim))
             return
-        pair = _Pair(policy.sigma, policy.nu or ZeroMeasure(dim), dim, dt)
-        self.sigT, self.cov_dt = pair.sigT, pair.cov_dt
-        if kind == "jump_origin":
-            self.mass = policy.rate
-        else:
-            self.mass, self.m1, self.big_mean, self.law = pair.mass, pair.m1, pair.big_mean, pair.law
-            self.m1_dt, self.m2_dt = self.m1 * dt, pair.m2_dt
+        pair = _Pair(policy.sigma, policy.nu, dim, dt)
+        self.sigT, self.cov_dt, self.kernel = pair.sigT, pair.cov_dt, pair.kernel
+        self.mass, self.m1, self.big_mean, self.law = pair.mass, pair.m1, pair.big_mean, pair.law
+        self.m1_dt, self.m2_dt = self.m1 * dt, pair.m2_dt
+        self.group, self.pairs, self.reloc = np.zeros(n, dtype=np.intp), [pair], None
         self.jumps = self.mass > 0.0
         if self.jumps:
             lam = max(declared or 0.0, self.mass)
@@ -637,19 +662,28 @@ class _StepModel:
             self.p_acc = self.mass / lam
             self.thin = self.p_acc < 1.0 - 1e-15
         if kind == "constant":
-            mu = policy.action.mu
-            self.drift_dt = (u + mu - self.m1) * dt
-            self.bh_dt = (u + mu - self.big_mean) * dt
-        elif kind == "linear":
+            # a kernel's pair has m1 = 0: its mean is both drift and compensator,
+            # so u + mu is its net transport
+            self.umu = u + policy.action.mu
+            self.drift_dt = (self.umu - self.m1) * dt
+            self.bh_dt = (self.umu - self.big_mean) * dt
+        else:
             self.gainT = policy.gain.T
             self.umu = np.empty((n, dim))
             self.drift_dt = np.empty((n, dim))
             self.bh_dt = np.empty((n, dim)) if self.jumps else self.drift_dt
-        else:
-            self.bh_dt = np.empty((n, dim))
-            self.drift_dt = u * dt
-            self.m1_dt = np.empty((n, dim))
-            self.rsq, self.r, self.g_inc = np.empty(n), np.empty(n), np.empty(n)
+
+    def _kernel_terms(self, X):
+        """Keep the relocation rows of this step for :meth:`_draw` and return, on
+        the rows of a kernel (zeros elsewhere), its mean, the part of it from
+        jumps up to size 1 and the G increment; None without a kernel."""
+        self.reloc = _relocations(X, self.group, [(p.sigma, p.nu) for p in self.pairs])
+        if self.reloc is None:
+            return None
+        _, mass, y = self.reloc
+        m1 = mass[:, None] * y
+        g_dt = mass * np.add.reduce(y * y, axis=1) * self.dt
+        return m1, m1 * (np.linalg.norm(y, axis=1) <= 1.0)[:, None], g_dt
 
     def _resolve(self, X):
         """Row groups: each row's increments, covariance and clock from its pair."""
@@ -672,6 +706,12 @@ class _StepModel:
         self.m1_dt = m1 * self.dt
         self.drift_dt = (self.u + mu - m1) * self.dt
         self.bh_dt = (self.u + mu - big) * self.dt
+        kern = self._kernel_terms(X)
+        if kern is not None:  # a kernel pair's m1, big-jump mean and m2 are zero
+            m1, small, g_dt = kern
+            self.m1_dt += m1 * self.dt
+            self.bh_dt += small * self.dt
+            self.m2_dt = self.m2_dt + g_dt
 
     def step(self, X, Wc, Xd, Bh, G_int, rng):
         """Advance every path by one Euler step in place.
@@ -693,20 +733,12 @@ class _StepModel:
                 # m1 and the big-jump mean are +0.0 and x - 0.0 == x, so the
                 # drift and B^h increments are one and the same array
                 np.multiply(self.umu, self.dt, out=self.drift_dt)
-        elif self.kind == "jump_origin":
-            np.multiply(X, X, out=self.disp)
-            if self.dim == 1:
-                self.rsq[:] = self.disp[:, 0]
-            else:
-                np.add.reduce(self.disp, axis=1, out=self.rsq)
-            np.sqrt(self.rsq, out=self.r)
-            rate = self.policy.rate
-            np.multiply(X, rate, out=self.bh_dt)
-            self.bh_dt *= (self.r <= 1.0)[:, None]
-            np.subtract(self.u, self.bh_dt, out=self.bh_dt)
-            self.bh_dt *= self.dt
         elif self.kind == "callable":
             self._resolve(X)
+        elif self.kernel:
+            m1, small, self.m2_dt = self._kernel_terms(X)
+            self.m1_dt = m1 * self.dt
+            self.bh_dt = (self.umu + small) * self.dt
 
         rng.standard_normal(out=self.xi)
         dWc = self.dWc
@@ -726,11 +758,8 @@ class _StepModel:
                 counts = rng.binomial(counts, p)
                 kept = counts > 0
                 rows, counts = rows[kept], counts[kept]
-            if self.kind == "jump_origin":
-                jumps = self._relocate(X, rows, G_int)
-            else:
-                G_int += self.m2_dt
-                jumps = self._draw(rows, counts, rng)
+            G_int += self.m2_dt
+            jumps = self._draw(rows, counts, rng)
 
         X += self.drift_dt
         X += dWc
@@ -747,7 +776,13 @@ class _StepModel:
 
     def _draw(self, rows, counts, rng):
         """Jump sizes for ``counts`` jumps on each of ``rows`` (ascending), in
-        row order; row groups draw pair by pair in group order."""
+        row order; row groups draw pair by pair in group order.  A relocation
+        draws nothing: a kernel row's arrivals in one step coalesce into one
+        jump to its target, and a row on its target does not jump."""
+        if self.reloc is not None:
+            on, mass, y = self.reloc
+            counts = np.where(on[rows], mass[rows] > 0.0, counts)
+            rows, counts = rows[counts > 0], counts[counts > 0]
         if not rows.size:
             return None
         paths = np.repeat(rows, counts)
@@ -755,30 +790,15 @@ class _StepModel:
             sizes, of = np.empty((paths.size, self.dim)), self.group[paths]
             for g in np.unique(of):
                 sel = of == g
-                sizes[sel] = _draw_jumps(self.pairs[g].law, rng, int(np.count_nonzero(sel)))
+                sizes[sel] = y[paths[sel]] if self.pairs[g].kernel else \
+                    _draw_jumps(self.pairs[g].law, rng, int(np.count_nonzero(sel)))
+        elif self.kernel:
+            sizes = y[paths]
         else:
             sizes = _draw_jumps(self.law, rng, paths.size)
         self.disp.fill(0.0)
         np.add.at(self.disp, paths, sizes)
         return sizes, paths
-
-    def _relocate(self, X, rows, G_int):
-        """Jump-to-origin arrivals on ``rows``, compensator and G increment (before X moves)."""
-        rate, dt = self.policy.rate, self.dt
-        np.multiply(X, -rate, out=self.m1_dt)
-        self.m1_dt *= dt
-        np.multiply(self.rsq, rate, out=self.g_inc)
-        self.g_inc *= dt
-        G_int += self.g_inc
-        # at the origin the jump measure is zero; nothing to relocate
-        rows = rows[self.r[rows] > 0.0]
-        if not rows.size:
-            return None
-        sizes = -X[rows]
-        self.disp.fill(0.0)
-        self.disp[rows] = sizes
-        # arrivals within one step coalesce into one relocation
-        return sizes, rows
 
 
 def _path_major(a: np.ndarray) -> np.ndarray:
@@ -1079,26 +1099,24 @@ class CharacteristicsReport:
 def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> CharacteristicsReport:
     """Compare recorded characteristics with their predicted forms.
 
-    For constant policies the truncated drift and covariance admit exact
-    closed forms, and the empirical jump-size histogram is compared with
-    the compensator prediction bin by bin (Poisson standard errors).  For
-    state-dependent policies the drift comparison uses a trapezoid
-    reconstruction on the snapshot lattice and no histogram prediction is
-    made.
+    For constant actions with a fixed measure the truncated drift and
+    covariance admit exact closed forms, and the empirical jump-size
+    histogram is compared with the compensator prediction bin by bin
+    (Poisson standard errors).  For state-dependent policies, a relocation
+    kernel's included, the drift comparison uses a trapezoid reconstruction
+    on the snapshot lattice and no histogram prediction is made.
     """
     policy = bundle.policy
     times = bundle.times
     T = float(times[-1])
     n = bundle.n_paths
     messages = []
+    nu = None if isinstance(policy.nu, RelocationKernel) else policy.nu
 
-    if policy.kind == "constant":
+    if policy.kind == "constant" and nu is not None:
         rate_vec = bundle.u + policy.action.mu - big_jump_mean(policy.nu)
         pred = times[None, :, None] * rate_vec[None, None, :]
         bh_gap = float(np.max(np.abs(bundle.Bh - pred)))
-    elif policy.kind == "callable":
-        bh_gap = float("nan")
-        messages.append("callable policy: no drift reconstruction")
     else:
         rates = np.stack(
             [_bh_rate(policy, bundle.u, bundle.states[:, j, :]) for j in range(len(times))],
@@ -1122,7 +1140,6 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     rate_exp = None
     hist_edges = hist_counts = hist_expected = None
     max_z = None
-    nu = policy.nu
     if nu is not None:
         mass = total_mass(nu)
         rate_exp = mass

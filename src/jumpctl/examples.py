@@ -257,7 +257,9 @@ def example1_value(psi: ValueField, q: float) -> ValueField:
 
 
 def example1_policy(x: float) -> Action:
-    """Optimal action at state ``x``: jump to the origin at unit rate.
+    """Optimal action at state ``x``: jump to the origin at unit rate (the
+    per-state form of ``Action(1, RelocationKernel(1, 1.0), 0)``, which the
+    solver and the simulator take).
 
     The drift equals the jump mean (so drift and compensator cancel in the
     generator) and the diffusion coefficient is one.  At the origin the jump

@@ -7,6 +7,9 @@ acts on a C^2 function g as
              + (1/2) tr(sigma^T Hess g(x) sigma)
              + integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy).
 
+A relocation kernel, rate delta_{target - x} at x, adds its mean to mu; its
+integral is rate [g(target) - g(x) - (target - x) . grad g(x)].
+
 The public functions take a point of shape (n,) (a scalar in one
 dimension) and return a float, or a batch of shape (m, n) and return (m,).
 A point is evaluated as a batch of one row, and every sum runs within a row
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Action, JumpMeasure, ZeroMeasure, _support_points
+from .measures import Action, JumpMeasure, RelocationKernel, ZeroMeasure, _support_points
 
 __all__ = [
     "AnalyticField",
@@ -206,10 +209,11 @@ def _effective_split(g, scheme):
 
 
 def _jump_law(nu: JumpMeasure, g, scheme):
-    """Validated support points and weights of nu once its growth check passes; None for no jumps."""
+    """Validated support points and weights of nu (a relocation kernel as it is)
+    once its growth check passes; None for no jumps."""
     if nu is None or isinstance(nu, ZeroMeasure):
         return None
-    law = _support_points(nu)
+    law = nu if isinstance(nu, RelocationKernel) else _support_points(nu)
     q_growth = getattr(g, "q_growth", None)
     if scheme.ambient_p is not None and q_growth is not None and q_growth > scheme.ambient_p:
         raise GrowthError(
@@ -224,27 +228,36 @@ def _generator(g, X, scheme, local=None, nu=None, u=None):
 
     Jumps with |y| above the small-jump split use the raw difference
     g(x+y) - g(x) - y . grad g(x), the others the Taylor surrogate
-    (1/2) y^T Hess g(x) y.
+    (1/2) y^T Hess g(x) y; a relocation kernel's jump, and so the split, is per row.
     """
     law = _jump_law(nu, g, scheme)
     g0, grad, hess = _derivatives(g, X, scheme)
     out = np.zeros(len(X)) if local is None else _local(*local, u, grad, hess)
     if law is None:
         return g0, out
-    pts, w = law
     m, n = X.shape
-    far = np.linalg.norm(pts, axis=1) > _effective_split(g, scheme)
-    terms = np.empty((m, len(w)))
-    yf, yn = pts[far], pts[~far]
-    if len(yf):
-        vals = _field_value(g, (X[:, None, :] + yf).reshape(-1, n)).reshape(m, -1)
-        terms[:, far] = w[far] * (vals - g0[:, None] - _lsum(grad[:, None, :] * yf))
-    if len(yn):
-        quad = _lsum((hess[:, None] * (yn[:, :, None] * yn[:, None, :])).reshape(m, len(yn), -1))
-        terms[:, ~far] = w[~far] * (0.5 * quad)
+    if isinstance(law, RelocationKernel):  # one jump per row, to the target
+        mass, y = law.at(X)
+        if local is not None:  # the kernel's mean is part of the drift applied
+            out = out + _lsum(grad * (mass[:, None] * y))
+        far = np.linalg.norm(y, axis=1) > _effective_split(g, scheme)
+        jump = _field_value(g, law.target[None, :])[0] - g0 - _lsum(grad * y)
+        quad = 0.5 * _lsum((hess * (y[:, :, None] * y[:, None, :])).reshape(m, -1))
+        terms = (mass * np.where(far, jump, quad))[:, None]
+    else:
+        pts, w = law
+        far = np.linalg.norm(pts, axis=1) > _effective_split(g, scheme)
+        terms = np.empty((m, len(w)))
+        yf, yn = pts[far], pts[~far]
+        if len(yf):
+            vals = _field_value(g, (X[:, None, :] + yf).reshape(-1, n)).reshape(m, -1)
+            terms[:, far] = w[far] * (vals - g0[:, None] - _lsum(grad[:, None, :] * yf))
+        if len(yn):
+            quad = _lsum((hess[:, None] * (yn[:, :, None] * yn[:, None, :])).reshape(m, len(yn), -1))
+            terms[:, ~far] = w[~far] * (0.5 * quad)
     if not np.isfinite(terms).all():
         raise ArithmeticError("jump integral did not evaluate finite")
-    for k in range(len(w)):
+    for k in range(terms.shape[1]):
         out = out + terms[:, k]
     return g0, out
 

@@ -4,11 +4,12 @@ dynamic-programming equations driven by jump-diffusion generators.
 The discrete operator mirrors the continuous one term by term: upwind first
 differences keyed to the sign of the total first-order coefficient (drift
 net of the jump compensator), central second differences, and the nonlocal
-part assembled from measure atoms or quadrature cells through multilinear
-interpolation. Values requested outside the box come from per-axis
-polynomial tail extensions, the natural boundary treatment for value
-functions of polynomial growth; the same extension weights serve both the
-matrix assembly and point evaluation, so the solve and the readout agree.
+part assembled from measure atoms, quadrature cells or a relocation
+kernel's target through multilinear interpolation. Values requested outside
+the box come from per-axis polynomial tail extensions, the natural boundary
+treatment for value functions of polynomial growth; the same extension
+weights serve both the matrix assembly and point evaluation, so the solve
+and the readout agree.
 
 Each candidate's operator is built once per solve as sparse matrices,
 shared by policy evaluation and improvement. A policy's generator is
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .measures import Action, _support_points, validate_Mp
+from .measures import Action, RelocationKernel, _support_points, validate_Mp
 
 __all__ = [
     "Grid",
@@ -343,7 +344,8 @@ class HJBProblem:
     ``f(x[i], Action(sigma, nu, mu[i]))``; it is then called once per pair
     and block of rows, where a plain callable is called once per distinct drift.
     ``delta_q``/``b_q`` are the declared discount bounds, enforced on every
-    evaluation.
+    evaluation. An entry with a relocation kernel is one candidate over all
+    nodes; its costs get the Action as declared (see ``RelocationKernel``).
     """
 
     f: object
@@ -539,7 +541,7 @@ class _Candidate:
     """One list entry or (sigma, nu) pair, resolved at every node."""
 
     K: sp.csr_matrix  # diffusion, cross-derivative and jump rows
-    mu: np.ndarray  # (n, dim) drift; zero for product pairs, whose drift the policy sets
+    mu: np.ndarray  # (n, dim) drift applied; zero for product pairs, whose drift the policy sets
     m1: np.ndarray  # (n, dim) jump compensator, the first moment of nu
     cross: np.ndarray  # (n,) rows carrying the mixed-sign cross-derivative stencil
     q: np.ndarray  # discount and running cost; list entries only
@@ -631,7 +633,6 @@ class _Generator:
             D = a.sigma @ a.sigma.T
             if getattr(a.nu, "small_jump_cov", None) is not None:
                 D = D + np.atleast_2d(np.asarray(a.nu.small_jump_cov, float))
-            y, w = _support_points(a.nu)
             c2[idx] = 0.5 * np.diag(D)
             if dim == 2:
                 c12[idx] = D[0, 1] / (4.0 * grid.h[0] * grid.h[1])
@@ -639,6 +640,17 @@ class _Generator:
             if costs:
                 qvec[idx] = _eval_xa(self.prob.q, self.x[idx], a, len(idx))
                 fvec[idx] = _eval_xa(self.prob.f, self.x[idx], a, len(idx))
+            if isinstance(a.nu, RelocationKernel):
+                # every row off the target jumps to it: one destination, and the
+                # kernel's mean joins the drift its Action applies
+                w, y = a.nu.at(self.pts[idx])
+                mass[idx], m1[idx] = w, w[:, None] * y
+                mu[idx] += m1[idx]
+                rows.append(idx[w > 0.0])
+                dest.append(np.broadcast_to(a.nu.target, (rows[-1].size, dim)))
+                coef.append(w[w > 0.0])
+                continue
+            y, w = _support_points(a.nu)
             if len(w):
                 mass[idx] = w.sum()
                 m1[idx] = w @ y

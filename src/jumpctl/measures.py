@@ -1,9 +1,10 @@
 """Jump intensity measures and their moment functionals.
 
-A jump measure nu lives on R^n minus the origin. Three concrete forms are
+A jump measure nu lives on R^n minus the origin. Three fixed forms are
 supported: the zero measure, finitely many weighted atoms, and a density
 sampled on a tensor-product lattice (midpoint quadrature, optionally with a
-ball of radius eps excluded around the origin). Membership in the moment
+ball of radius eps excluded around the origin); the relocation kernel, which
+jumps to a fixed target, depends on the state. Membership in the moment
 class of order p means the functional
 
     integral of |y|^2 v |y|^p  nu(dy)
@@ -28,6 +29,7 @@ __all__ = [
     "ZeroMeasure",
     "AtomicMeasure",
     "DensityGridMeasure",
+    "RelocationKernel",
     "Action",
     "MeasureSupportError",
     "DivergenceError",
@@ -163,6 +165,38 @@ class DensityGridMeasure(JumpMeasure):
         return float(np.prod((self.hi - self.lo) / np.asarray(self.shape, dtype=float)))
 
 
+@dataclass(frozen=True, eq=False)
+class RelocationKernel(JumpMeasure):
+    """Jump straight to ``target`` (the origin by default) at ``rate``.
+
+    At state x the measure is rate * delta_{target - x}, zero within 1e-12 of
+    the target; it is read per row of a state batch through :meth:`at`, and
+    :func:`total_mass` gives the rate. It brings its own compensating drift:
+    ``Action(sigma, kernel, mu)`` applies mu plus the kernel's mean
+    rate (target - x), so between jumps the state moves by u + mu. Arrivals
+    within one step coalesce, as the state after a jump is the target.
+    """
+
+    rate: float = 0.0
+    target: np.ndarray = None
+
+    def __post_init__(self):
+        target = np.array(np.zeros(self.dim) if self.target is None else self.target, float, ndmin=1)
+        if target.shape != (self.dim,) or not np.isfinite(target).all() or not 0 <= self.rate < np.inf:
+            raise ValueError(f"relocation needs a rate >= 0 and a finite {self.dim}-vector target")
+        target.flags.writeable = False
+        object.__setattr__(self, "target", target)
+
+    @property
+    def kind(self) -> str:
+        return "relocation"
+
+    def at(self, X):
+        """(mass (m,), jump target - x (m, dim)) at the rows of a state batch."""
+        y = self.target - np.asarray(X, dtype=float)
+        return np.where(np.linalg.norm(y, axis=1) < 1e-12, 0.0, self.rate), y
+
+
 def _support_points(nu: JumpMeasure):
     """Return the validated (points (k, n), weights (k,)) of the discrete representation.
 
@@ -182,8 +216,8 @@ def _support_points(nu: JumpMeasure):
             keep = np.linalg.norm(pts, axis=1) > nu.eps
             pts, w = pts[keep], w[keep]
         pts.flags.writeable = w.flags.writeable = False
-    else:
-        raise TypeError(f"not a JumpMeasure: {type(nu).__name__}")
+    else:  # a relocation kernel too: it has no support apart from a state
+        raise TypeError(f"no fixed support to read: {type(nu).__name__}")
     if not np.isfinite(pts).all():
         raise MeasureSupportError("measure support contains non-finite points")
     if not ((0.0 <= w) & (w < np.inf)).all():
@@ -279,8 +313,11 @@ def total_mass(nu: JumpMeasure) -> float:
 
     A density grid with eps == 0 whose box touches the origin may hide an
     integrable or non-integrable singularity between midpoints; the
-    quadrature value is returned with a warning in that case.
+    quadrature value is returned with a warning in that case. A relocation
+    kernel gives its rate, its mass off the target.
     """
+    if isinstance(nu, RelocationKernel):
+        return nu.rate
     if isinstance(nu, DensityGridMeasure) and nu.eps == 0.0:
         if np.all(nu.lo <= 0.0) and np.all(nu.hi >= 0.0):
             warnings.warn(
@@ -341,7 +378,8 @@ def _draw_jumps(law, rng: np.random.Generator, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Action:
-    """Control triplet: dispersion matrix, jump measure, drift vector."""
+    """Control triplet: dispersion matrix, jump measure, drift vector (a
+    :class:`RelocationKernel` adds its mean to the drift applied)."""
 
     sigma: np.ndarray
     nu: JumpMeasure
@@ -372,7 +410,8 @@ def validate_action(a: Action, p: float) -> bool:
 
 
 def jump_to_origin_action(x, rate: float, sigma) -> Action:
-    """Jump straight to the origin from state ``x`` at ``rate``.
+    """Jump straight to the origin from state ``x`` at ``rate``, the per-state
+    form of ``Action(sigma, RelocationKernel(dim, rate), 0)``.
 
     The jump measure is ``rate * delta_{-x}`` and the drift ``-rate * x``
     equals its mean, so drift and compensator cancel.  At the origin

@@ -17,14 +17,15 @@ ensemble can serve several of them:
   :meth:`~jumpctl.dynamics.PolicyFieldSpec.coefficient_norms`;
 * static growth-certificate audits of a policy field over a probe box.
 
-There is also a Dynkin-formula battery for constant policies (compensated
-test functions must be centered), with g and L g from the evaluation
-:func:`~jumpctl.generator.apply_generator` makes on each snapshot's batch,
-a moment-bound ratio report that tracks E[sup |X^d|^q] against its
-predicted bound across horizons, and the Monte Carlo dynamic-programming
-check of a solved value field (:func:`dpp_report`), which compares the
-value at each probe state with the best trial policy's estimate of the
-discounted running cost to a horizon plus the discounted value there.
+There is also a Dynkin-formula battery for constant policies, jump to the
+origin among them (compensated test functions must be centered), with g and
+L g from the evaluation :func:`~jumpctl.generator.apply_generator` makes on
+each snapshot's batch, a moment-bound ratio report that tracks
+E[sup |X^d|^q] against its predicted bound across horizons, and the Monte
+Carlo dynamic-programming check of a solved value field (:func:`dpp_report`),
+which compares the value at each probe state with the best trial policy's
+estimate of the discounted running cost to a horizon plus the discounted
+value there.
 Fields are read through the generator module's one rule for a state batch.
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
 from .generator import _DEFAULT_SCHEME, _field_value, _generator
 from .hjb import Grid, HJBProblem, ValueField, _lattice_origin, _row_costs, _x_for_eval
-from .measures import Action, tail_moment
+from .measures import Action, RelocationKernel, tail_moment
 
 __all__ = [
     "TestReport",
@@ -424,11 +425,13 @@ def growth_certificate_check(
 def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
     """Mean-zero check of g(X_t) - g(x0) - int_0^t L g(X_s) ds.
 
-    Constant policies only (the generator is frozen along paths).  For
-    each test function and requested time the compensated value must be
-    within 3 SE of zero.  g and L g come from one evaluation of the generator
-    per snapshot, the one :func:`~jumpctl.generator.apply_generator` makes on
-    the snapshot's state batch, so ``fields`` are any fields it reads.
+    Constant policies only (the action is frozen along paths; a relocation
+    kernel's measure, as in ``PolicyFieldSpec.jump_to_origin``, is read at
+    each state by the generator).  For each test function and requested
+    time the compensated value must be within 3 SE of zero.  g and L g come
+    from one evaluation of the generator per snapshot, the one
+    :func:`~jumpctl.generator.apply_generator` makes on the snapshot's state
+    batch, so ``fields`` are any fields it reads.
     """
     if bundle.policy.kind != "constant":
         raise ValueError("the compensated-value battery needs a constant policy")
@@ -481,10 +484,11 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
 def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
     """Ratio of E[sup |X^d|^q] to its predicted bound across horizons.
 
-    Every bundle must use a constant action so that the quadratic and
-    big-jump functionals have closed forms.  The bound's denominator is
-    E[G_T^{q/2}] + E[H_T]; the test checks the ratio stays within a factor
-    2 of the first bundle's value.  ``n_samples`` counts (path, horizon)
+    Every bundle must use a constant action with a fixed measure, not a
+    relocation kernel, so that the quadratic and big-jump functionals have
+    closed forms.  The bound's denominator is E[G_T^{q/2}] + E[H_T]; the
+    test checks the ratio stays within a factor 2 of the first bundle's
+    value.  ``n_samples`` counts (path, horizon)
     pairs, the paths of every bundle added up, whether or not the bundles
     are prefixes of one run.
     """
@@ -495,8 +499,8 @@ def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
     rows = []
     ratios = []
     for b in bundles:
-        if b.policy.kind != "constant":
-            raise ValueError("moment-bound tracking needs constant policies")
+        if b.policy.kind != "constant" or isinstance(b.policy.nu, RelocationKernel):
+            raise ValueError("moment-bound tracking needs constant policies with a fixed measure")
         nu = b.policy.nu
         T = float(b.times[-1])
         h_term = tail_moment(nu, q) * T

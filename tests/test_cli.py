@@ -477,6 +477,34 @@ def test_step_count_beyond_int32_exits_1(tmp_path, capsys):
     assert "config error at '$.sim'" in err and "Euler steps" in err and "Traceback" not in err
 
 
+def test_measure_whose_moments_overflow_exits_1(tmp_path, capsys):
+    # an atom at 1e308 is a valid support, but its second moment overflows;
+    # this used to end in a DivergenceError traceback out of the simulator
+    cfg = json.loads(Path(_bundled("simulate_cp.json")).read_text())
+    cfg["policy"]["nu"]["atoms"][0][0] = [1e308]
+    code = main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error at '$.policy.nu'" in err and "did not evaluate finite" in err, err
+
+
+def test_list_mode_jump_to_origin_control_cost(tmp_path):
+    # the builtin jump to the origin is one relocation kernel entry, and a
+    # control cost charges the drift it applies, -rate x: value.csv has the
+    # bytes of the per-state entries it replaced (7.5 at x = -3; 5.0 if the
+    # cost read the Action's own drift 0)
+    cfg = {"problem": {
+        "grid": {"lo": -4.0, "hi": 4.0, "num": 81}, "q": 1.0,
+        "cost": {"kind": "quadratic_control", "lam": [[1.0]], "theta": [[0.5]]},
+        "actions": {"mode": "list", "entries": [
+            {"sigma": [[1.0]]}, {"builtin": "jump_to_origin", "rate": 1.0, "sigma": [[1.0]]}]}}}
+    assert main(["solve", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    body = (tmp_path / "value.csv").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == \
+        "ce4ee93ce599b000065ef854c5131cebde298c8cb86851bd0d4f6a806200606c"
+    assert b"\n-3,7.5000000000000284\n" in body
+
+
 def test_whole_floats_read_as_counts(tmp_path):
     # Draft 7 calls 2000.0 an integer, and so does the reader: the run is the
     # bundled one, byte for byte
@@ -510,8 +538,8 @@ def _field(keys) -> str:
 
 def test_schema_rejections_exit_1_with_a_path(tmp_path, capsys):
     # every scalar of every bundled config becomes true, "x", missing (a
-    # mapping key) and, for an integer, 2.5; each result the schema rejects
-    # must exit 1 naming the mutated field
+    # mapping key) and, for an integer, 2.5 and 2^31 (one past the largest
+    # count); each result the schema rejects must exit 1 naming the mutated field
     jsonschema = pytest.importorskip("jsonschema")
     schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
     rejected, failures = 0, []
@@ -519,7 +547,7 @@ def test_schema_rejections_exit_1_with_a_path(tmp_path, capsys):
         raw = Path(_bundled(f"{name}.json")).read_text()
         for keys, value in _leaves(json.loads(raw)):
             mutations = [True, "x"] + [_DELETE] * isinstance(keys[-1], str) \
-                + [2.5] * (type(value) is int)
+                + [2.5, 2**31] * (type(value) is int)
             for mutation in mutations:
                 cfg = _set(json.loads(raw), keys, mutation)
                 if schema.is_valid(cfg):

@@ -37,7 +37,9 @@ from jumpctl.measures import (
     Action,
     AtomicMeasure,
     MeasureSupportError,
+    RelocationKernel,
     ZeroMeasure,
+    jump_to_origin_action,
     moment_functional,
     total_mass,
 )
@@ -191,13 +193,16 @@ def test_jump_to_origin_decay():
 
 
 def test_jump_to_origin_action_field():
+    # one constant action whose relocation kernel is read per row: no mass at
+    # the origin, the rate off it, and its mean joins the drift applied
     pol = PolicyFieldSpec.jump_to_origin(rate=2.0, sigma=1.0, dim=1)
-    mu, group, pairs = pol.coefficients(np.array([[0.0], [1.5]]))
-    nu0, nu1 = (pairs[g][1] for g in group)
-    assert isinstance(nu0, ZeroMeasure)
-    assert nu1.locations[0, 0] == -1.5
-    assert nu1.masses[0] == 2.0
-    assert mu[1, 0] == -3.0
+    X = np.array([[0.0], [1.5]])
+    mu, group, pairs = pol.coefficients(X)
+    assert pol.kind == "constant" and group.tolist() == [0, 0] and len(pairs) == 1
+    assert mu[:, 0].tolist() == [0.0, 0.0]
+    mass, y = pairs[0][1].at(X)
+    assert mass.tolist() == [0.0, 2.0] and y[1, 0] == -1.5
+    assert pol.drift(X)[:, 0].tolist() == [0.0, -3.0]
     assert pol.rate_cap() == 2.0
 
 
@@ -470,6 +475,32 @@ def test_solved_tables_step_as_row_groups():
     assert np.allclose(b.C[:, -1, 0, 0], want, rtol=1e-10, atol=0.0)
 
 
+def test_kernel_entry_of_a_table_steps_as_one_row_group():
+    # a relocation kernel entry is one row group, read per row: its rows
+    # relocate to the origin once however many arrivals a step has, and a
+    # path from x0 = 3 is still out at T with probability exp(-r T)
+    from jumpctl.hjb import Grid, HJBProblem, PolicyTable
+
+    n, T, dt, r = 2000, 0.5, 0.025, 2.0
+    grid = Grid.regular(-4.0, 4.0, 81)
+    still = Action(sigma=0.2, nu=AtomicMeasure(1, [[0.2], [-0.2]], [0.25, 0.25]), mu=0.0)
+    relocate = Action(sigma=0.05, nu=RelocationKernel(1, r), mu=0.0)
+    prob = HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0, actions=(still, relocate))
+    table = PolicyTable(grid=grid, action_index=(grid.axes[0] >= 1.5).astype(np.intp))
+    pol = PolicyFieldSpec.from_policy_table(table, prob)
+    X = np.array([[3.0], [0.0], [2.0]])
+    _, group, pairs = pol.coefficients(X)
+    assert group.tolist() == [0, 1, 0] and pairs[0][1] is relocate.nu
+    assert pol.drift(X)[:, 0].tolist() == [-6.0, 0.0, -4.0] and pol.rate_cap() == r
+    b = simulate(pol, SimConfig(x0=3.0, T=T, dt=dt, n_paths=n, seed=33))
+    out = b.states[:, -1, 0] > 1.5
+    p_out = np.exp(-r * T)
+    assert abs(out.mean() - p_out) < 4 * np.sqrt(p_out * (1.0 - p_out) / n)
+    moved = b.jump_sizes[:, 0] < -1.0  # the relocations; the other jumps are +-0.2
+    assert np.unique(b.jump_paths[moved]).size == moved.sum() == n - out.sum()
+    assert np.allclose(b.jump_sizes[moved, 0], -3.0, atol=0.5)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         SimConfig(x0=0.0, T=-1.0, dt=0.1, n_paths=1, seed=0)
@@ -544,7 +575,10 @@ def test_coefficient_norms_match_actions(case):
     X = np.random.default_rng(5).normal(scale=1.5, size=(9, dim))
     X[0] = 0.0  # the origin, where jump to origin degenerates to the zero measure
     rows, group, pairs = pol.coefficients(X)
-    acts = [Action(*pairs[g], m) for g, m in zip(group, rows)]
+    # a relocation kernel is compared with its action at each row's state
+    acts = [jump_to_origin_action(x, pairs[g][1].rate, pairs[g][0])
+            if isinstance(pairs[g][1], RelocationKernel) else Action(*pairs[g], m)
+            for x, g, m in zip(X, group, rows)]
     mu = pol.drift(X)
     assert mu.shape == X.shape
     for p in (2.0, 3.0):

@@ -14,7 +14,14 @@ from jumpctl.generator import (
     local_term,
 )
 from jumpctl.hjb import Grid, ValueField
-from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure, second_moment_matrix
+from jumpctl.measures import (
+    Action,
+    AtomicMeasure,
+    RelocationKernel,
+    ZeroMeasure,
+    jump_to_origin_action,
+    second_moment_matrix,
+)
 
 
 def quad_field(m, b=0.0, c=0.0):
@@ -139,6 +146,28 @@ def test_positive_maximum_principle_at_bump_peak():
 
 
 # ------------------------------------------------------------ full generator
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_relocation_kernel_generator(dim):
+    # L g = u . grad g + (1/2) tr(sigma^T Hess g sigma) + rate (g(target) - g(x)):
+    # the kernel's mean in the drift cancels its compensator; no jump on the target
+    g = AnalyticField(fn=lambda X: np.sum(np.sin(X) + 0.3 * X**2, axis=-1),
+                      grad=lambda X: np.cos(X) + 0.6 * X,
+                      hess=lambda X: np.einsum("...i,ij->...ij", 0.6 - np.sin(X), np.eye(dim)))
+    sigma, u = np.array([[0.8, 0.3], [-0.2, 1.1]])[:dim, :dim], np.array([0.2, -0.4])[:dim]
+    for target in (np.zeros(dim), np.array([0.5, -1.0])[:dim]):
+        a = Action(sigma, RelocationKernel(dim, 1.5, target), np.zeros(dim))
+        X = np.random.default_rng(6).normal(scale=2.0, size=(9, dim))
+        X[0], X[1] = target, target + 1e-13
+        hess = g.hess(X)
+        local = g.grad(X) @ u + 0.5 * np.einsum("mij,ij->m", hess, sigma @ sigma.T)
+        jump = np.where(np.arange(9) < 2, 0.0, 1.5 * (g.fn(target) - g.fn(X)))
+        np.testing.assert_allclose(apply_generator(a, g, X, u=u), local + jump, rtol=0.0, atol=1e-12)
+    # at the origin it is the per-state jump to the origin
+    want = [apply_generator(jump_to_origin_action(x, 1.5, sigma), g, x, u=u) for x in X]
+    np.testing.assert_allclose(apply_generator(Action(sigma, RelocationKernel(dim, 1.5), np.zeros(dim)),
+                                               g, X, u=u), want, rtol=0.0, atol=1e-12)
 
 
 def test_apply_generator_null_action():

@@ -307,6 +307,21 @@ def test_dynkin_battery_constant_action():
             assert c["mean"] == float(col.mean()) and c["se"] == float(col.std(ddof=1) / np.sqrt(n))
 
 
+def test_dynkin_battery_jump_to_origin():
+    # jump to the origin is a constant action with a relocation kernel, whose
+    # jump term the generator reads per state; at the wrong rate it is caught
+    from dataclasses import replace
+
+    pol = PolicyFieldSpec.jump_to_origin(rate=1.5, sigma=0.8, dim=1)
+    b = simulate(pol, SimConfig(x0=1.5, T=1.0, dt=0.005, n_paths=5000, seed=9, store_every=4))
+    rep = dynkin_test(b, [_Bump(2.0), _Bump(3.0)], t_points=[0.25, 0.5, 1.0])
+    assert rep.passed and len(rep.statistics["checks"]) == 6
+    slow = replace(b, policy=PolicyFieldSpec.jump_to_origin(rate=0.5, sigma=0.8, dim=1))
+    assert not dynkin_test(slow, [_Bump(2.0), _Bump(3.0)], t_points=[0.25, 0.5, 1.0]).passed
+    with pytest.raises(ValueError, match="fixed measure"):
+        moment_bound_report([b], q=2.0)
+
+
 def test_dynkin_needs_constant_policy():
     pol = PolicyFieldSpec.linear_feedback(gain=[[1.0]], offset=0.0, sigma=1.0)
     cfg = SimConfig(x0=0.0, T=0.5, dt=0.05, n_paths=50, seed=0)
