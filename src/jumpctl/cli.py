@@ -35,7 +35,8 @@ rerun with identical inputs reproduces identical bytes.  CSV files carry a
 single ``#``-prefixed JSON provenance line before the column header.
 
 Exit codes (stable contract): 0 success, 1 input error (config parse or
-schema violations are reported with a path to the offending field; an
+schema violations are reported with a path to the offending field; a jump
+measure whose moments do not evaluate finite is an input error too; an
 output directory or artifact that cannot be written is reported as
 ``jumpctl: cannot write output: ...``),
 2 numerical non-convergence (partial artifacts are still written),
@@ -770,6 +771,10 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, q: float):
             raise ConfigError(f"{path}.box", f"expected {dim} [lo, hi] pairs")
         K = _get(entry, "K", path, "positive")
         p = _get(entry, "p", path, "positive")
+        try:  # the jump moment of order p, which the check reads at every state
+            policy.coefficient_norms(np.zeros((1, dim)), p)
+        except DivergenceError as exc:
+            raise ConfigError(f"{path}.p", str(exc)) from None
         return name, [], lambda shared: ver.growth_certificate_check(
             policy, (box[:, 0], box[:, 1]), K, p)
     if name == "moment_ratio":
@@ -888,6 +893,10 @@ def _polynomial_example(cfg: dict, which: int):
                           {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
     if cost.kind != "polynomial":
         raise ConfigError("$.cost.kind", f"example {which} takes a polynomial state cost")
+    try:
+        ex._validate_cost(ex._as_poly_coeffs(cost.coeffs))
+    except ValueError as exc:
+        raise ConfigError("$.cost.coeffs", str(exc)) from None
     return cost, _get(cfg, "q", "$", "positive", 1.0)
 
 
@@ -1093,7 +1102,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"jumpctl: {exc}", file=sys.stderr)
         return 1
-    except (MeasureSupportError, ValueError, TypeError, KeyError) as exc:
+    except (MeasureSupportError, DivergenceError, ValueError, TypeError, KeyError) as exc:
         print(f"jumpctl: input error: {exc}", file=sys.stderr)
         return 1
     except dyn.AdmissibilityError as exc:

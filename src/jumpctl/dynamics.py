@@ -17,28 +17,28 @@ running discounted cost, the running suprema of the continuous and
 compensated-jump martingale parts, and the quadratic jump functional
 G_T = int int |y|^2 nu_s(dy) ds.  The verification module consumes these.
 
-Three policy shapes are supported, all stepped vectorised across paths by
-one engine: constant actions, linear drift feedback with constant
-(sigma, nu), and row groups -- a batched query giving each state its drift
-and the index of its (sigma, nu) pair, which is how solved policy tables
-and ``x -> Action`` callables step.  A pair whose measure is a
-:class:`~jumpctl.measures.RelocationKernel` (jump to the origin is a
-constant action with one) is read per row, and its jumps relocate the path
-to the kernel's target.  :class:`PolicyFieldSpec` is the one interface to
-all three: the verifiers and the command line ask it for
+One path steps every policy shape -- constant actions, linear drift
+feedback with constant (sigma, nu), and row groups (a batched query giving
+each state its drift and the index of its (sigma, nu) pair, which is how
+solved policy tables and ``x -> Action`` callables step) -- reading each
+row's characteristics through :meth:`PolicyFieldSpec.coefficients`.  A pair
+whose measure is a :class:`~jumpctl.measures.RelocationKernel` (jump to the
+origin is a constant action with one) is read per row, and its jumps
+relocate the path to the kernel's target.  :class:`PolicyFieldSpec` is the
+one interface to all shapes: the verifiers and the command line ask it for
 ``coefficients``, ``drift``, ``coefficient_norms`` (|mu|, ||sigma||_F and
 the jump moment per state), ``growth_left`` and ``rate_cap`` instead of
 branching on the shape.
 
-State-independent terms and jump laws are resolved once per run (per step
-and pair for row groups), and every step writes into preallocated buffers,
-bit for bit equal to the plain left-to-right update.  The per-step draws
-come in a fixed order -- ``standard_normal((n, dim))``, ``poisson`` for the
-thinning clock, ``binomial`` only when some row's jump rate is below the
-clock's, then the jump sizes (a categorical ``choice``, plus a ``uniform``
-jitter for density cells; pair by pair in group order for row groups).
-That order is part of the frozen-seed contract: a given seed reproduces
-every bundle array and artifact bit for bit.
+Shared (sigma, nu) pairs and jump laws are resolved once per run (per step
+for row groups), and every step writes into buffers kept across steps, bit
+for bit equal to the plain left-to-right update.  The per-step draws come in
+a fixed order -- ``standard_normal((n, dim))``, the thinning clock's counts
+(numpy's Poisson counts, read from a block of uniforms), ``binomial`` only
+when some row's jump rate is below the clock's, then the jump sizes group by
+group (a cdf search on uniforms, plus a ``uniform`` jitter for density
+cells).  That order is part of the frozen-seed contract: a given seed
+reproduces every bundle array and artifact bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e9
+_GROUP_0 = np.zeros(1, dtype=np.intp)
+_GROUP_0.flags.writeable = False
 
 
 class AdmissibilityError(RuntimeError):
@@ -107,6 +109,11 @@ def gm_left_side(a: Action, p: float) -> float:
     mu_term = float(np.linalg.norm(a.mu)) ** p
     sig_term = float(np.linalg.norm(a.sigma)) ** p
     return mu_term + sig_term + moment_functional(a.nu, p)
+
+
+def _group_0(m: int) -> np.ndarray:
+    """Group 0 for each of m rows: a read-only zero-stride view, nothing allocated."""
+    return np.ndarray((m,), np.intp, _GROUP_0, strides=(0,))
 
 
 def _relocations(X, group, pairs):
@@ -254,18 +261,20 @@ class PolicyFieldSpec:
         return cls(kind="callable", query=query, rate_bound=bound, name=name or "policy-table")
 
     # ------------------------------------------------------------- queries
-    def coefficients(self, X):
+    def coefficients(self, X, out=None):
         """(mu (m, dim), group (m,), pairs) on a state batch of shape (m, dim):
         row i has the Action drift ``mu[i]`` and the (sigma, nu) pair
-        ``pairs[group[i]]``."""
+        ``pairs[group[i]]``.  Linear feedback writes mu into ``out`` when one
+        is given."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "callable":
             return self.query(X)
         if self.kind == "constant":
             mu = np.tile(self.action.mu, (len(X), 1))
         else:
-            mu = self.offset - _matmul_into(X, self.gain.T, np.empty(X.shape))
-        return mu, np.zeros(len(X), dtype=np.intp), [(self.sigma, self.nu)]
+            mu = _matmul_into(X, self.gain.T, np.empty(X.shape) if out is None else out)
+            np.subtract(self.offset, mu, out=mu)
+        return mu, _group_0(len(X)), [(self.sigma, self.nu)]
 
     def drift(self, X) -> np.ndarray:
         """The drift applied on a state batch of shape (m, dim), as an (m, dim)
@@ -352,9 +361,7 @@ class SimConfig:
         ):
             raise ValueError("lambda_max must be positive and finite")
         if self.u is not None:
-            u = np.broadcast_to(
-                np.asarray(self.u, dtype=float).ravel(), x0.shape
-            ).copy()
+            u = np.broadcast_to(np.asarray(self.u, dtype=float).ravel(), x0.shape).copy()
             object.__setattr__(self, "u", u)
 
 
@@ -493,15 +500,10 @@ def _state_fn(fn):
 
 def _bh_rate(policy: PolicyFieldSpec, u: np.ndarray, X: np.ndarray) -> np.ndarray:
     """u + mu(x) - int_{|y| > 1} y nu_x(dy) on a state batch, mu(x) the drift
-    applied: the truncated-drift density B^h grows at."""
-    mu, group, pairs = policy.coefficients(X)
-    big = np.array([np.zeros(X.shape[1]) if isinstance(nu, RelocationKernel) else big_jump_mean(nu)
-                    for _, nu in pairs])[group]
-    kern = _relocations(X, group, pairs)
-    if kern is None:
-        return u + mu - big
-    _, mass, y = kern  # a kernel's mean less its jumps beyond 1
-    return u + mu + (mass * (np.linalg.norm(y, axis=1) <= 1.0))[:, None] * y - big
+    applied: the truncated-drift density B^h grows at, formed as a step forms it."""
+    model = _StepModel(policy, X[0], u, 1.0, None)
+    model._resolve(X)
+    return model.bh_dt
 
 
 def _matmul_into(A: np.ndarray, BT: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -615,103 +617,103 @@ class _Pair:
         self.m1 = first_moment(nu) if jumps else np.zeros(dim)
         self.big_mean = big_jump_mean(nu) if jumps else np.zeros(dim)
         self.m2_dt = (float(np.trace(second_moment_matrix(nu))) if jumps else 0.0) * dt
-        self.sigT, self.cov_dt = sigma.T, (sigma @ sigma.T) * dt
+        self.sigT, self.cov_dt, self.m1_dt = sigma.T, (sigma @ sigma.T) * dt, self.m1 * dt
 
 
 class _StepModel:
-    """Per-run kinematics of a policy shape, stepped in place.
+    """Per-run kinematics of a policy field: one stepping path for every shape.
 
-    Everything that does not depend on the state (``sigma^T``, ``sigma
-    sigma^T dt``, ``m1 dt``, ``m2 dt``, the thinning clock, the validated jump
-    law and, for constant actions, the drift and B^h increments) is resolved
-    once per run; :meth:`step` then advances the ensemble in preallocated
-    buffers.  A relocation kernel is read per row at every step, and its
-    arrivals relocate the path in place of a draw.  The result is bit for
-    bit that of the plain update ``X = X + drift * dt + dW + disp``
-    evaluated left to right: where the form differs (the one-column matmul,
-    a skipped ``- 0.0``) the two are identities, noted where they are used.  Row groups make one
-    :meth:`PolicyFieldSpec.coefficients` query per step; a :class:`_Pair`
-    seen in the previous step is not resolved again.  The draws per step are
-    ``standard_normal((n, dim))``, ``poisson`` for the clock, ``binomial``
-    (only when some row's jump rate is below the clock), then the jump
-    sizes.  The clock's counts come from one block of uniforms (see
-    :func:`_arrivals`) and are bitwise ``Generator.poisson`` for
-    lambda dt < 10; thinning and the jump bookkeeping touch only the rows
-    that had arrivals.
+    :meth:`_resolve` reads each row's drift and (sigma, nu) pair through
+    :meth:`PolicyFieldSpec.coefficients`, resolves the pairs (a :class:`_Pair`
+    of the previous resolve is kept) and sets the thinning clock, which runs
+    when some row's pair has mass, at the declared bound if that is larger.
+    :meth:`_increments` forms the drift, B^h, compensator and G increments,
+    a relocation kernel's rows included.  The policy's kind tells only
+    whether the pairs vary by row (row groups: resolved every step, with a
+    per-row sigma and so a per-path C) and whether the drift is fixed (a
+    constant action).  Shared pairs are resolved once, on the start, where a
+    constant action's increments are formed on one row and broadcast; linear
+    feedback and kernel rows form theirs every step.  The update is bit for
+    bit ``X = X + drift * dt + dW + disp`` evaluated left to right: where the
+    form differs (the one-column matmul, a skipped ``- 0.0``) the two are
+    identities, noted where they are used.  The clock's counts come from one
+    block of uniforms (see :func:`_arrivals`), and thinning and the jump
+    bookkeeping touch only the rows that had arrivals.
     """
 
-    def __init__(self, policy: PolicyFieldSpec, dim: int, n: int, u: np.ndarray,
-                 dt: float, declared: Optional[float]):
-        self.policy, self.dim, self.u, self.dt = policy, dim, u, dt
-        self.kind = kind = policy.kind
-        self.sqdt = np.sqrt(dt)
-        self.xi, self.dWc, self.disp = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
-        if kind == "callable":
-            self.declared, self.seen = declared, {}
-            self.cov_dt = np.zeros((n, dim, dim))
-            return
-        pair = _Pair(policy.sigma, policy.nu, dim, dt)
-        self.sigT, self.cov_dt, self.kernel = pair.sigT, pair.cov_dt, pair.kernel
-        self.mass, self.m1, self.big_mean, self.law = pair.mass, pair.m1, pair.big_mean, pair.law
-        self.m1_dt, self.m2_dt = self.m1 * dt, pair.m2_dt
-        self.group, self.pairs, self.reloc = np.zeros(n, dtype=np.intp), [pair], None
-        self.jumps = self.mass > 0.0
-        if self.jumps:
-            lam = max(declared or 0.0, self.mass)
-            self.lam_dt = lam * dt
-            self.p_acc = self.mass / lam
-            self.thin = self.p_acc < 1.0 - 1e-15
-        if kind == "constant":
-            # a kernel's pair has m1 = 0: its mean is both drift and compensator,
-            # so u + mu is its net transport
-            self.umu = u + policy.action.mu
-            self.drift_dt = (self.umu - self.m1) * dt
-            self.bh_dt = (self.umu - self.big_mean) * dt
-        else:
-            self.gainT = policy.gain.T
-            self.umu = np.empty((n, dim))
-            self.drift_dt = np.empty((n, dim))
-            self.bh_dt = np.empty((n, dim)) if self.jumps else self.drift_dt
-
-    def _kernel_terms(self, X):
-        """Keep the relocation rows of this step for :meth:`_draw` and return, on
-        the rows of a kernel (zeros elsewhere), its mean, the part of it from
-        jumps up to size 1 and the G increment; None without a kernel."""
-        self.reloc = _relocations(X, self.group, [(p.sigma, p.nu) for p in self.pairs])
-        if self.reloc is None:
-            return None
-        _, mass, y = self.reloc
-        m1 = mass[:, None] * y
-        g_dt = mass * np.add.reduce(y * y, axis=1) * self.dt
-        return m1, m1 * (np.linalg.norm(y, axis=1) <= 1.0)[:, None], g_dt
+    def __init__(self, policy: PolicyFieldSpec, x0: np.ndarray, u: np.ndarray, dt: float,
+                 declared: Optional[float]):
+        self.policy, self.u, self.dt, self.declared = policy, u, dt, declared
+        self.dim, self.sqdt, self.seen, self.scratch = x0.size, np.sqrt(dt), {}, {}
+        self.per_row, self.fixed = policy.kind == "callable", policy.kind == "constant"
+        if not self.per_row:
+            self._resolve(x0[None])
 
     def _resolve(self, X):
-        """Row groups: each row's increments, covariance and clock from its pair."""
+        """Each row's pair, the clock, and the increments at X."""
         mu, self.group, pairs = self.policy.coefficients(X)
         keys = [(id(sigma), id(nu)) for sigma, nu in pairs]
         seen, self.seen = self.seen, {}
         for key, (sigma, nu) in zip(keys, pairs):
             self.seen[key] = self.seen.get(key) or seen.get(key) or _Pair(sigma, nu, self.dim, self.dt)
         self.pairs = [self.seen[key] for key in keys]
-        rows = lambda name: np.array([getattr(p, name) for p in self.pairs])[self.group]
-        mass, m1, big, self.m2_dt, self.sigT, self.cov_dt = map(
-            rows, ("mass", "m1", "big_mean", "m2_dt", "sigT", "cov_dt"))
-        top = float(mass.max())
+        if self.per_row:
+            terms = lambda name: np.array([getattr(p, name) for p in self.pairs])[self.group]
+        else:
+            terms = lambda name: getattr(self.pairs[0], name)
+        mass, self.m1, self.big, self.pair_m1_dt, self.pair_g_dt, self.sigT, self.cov_dt = map(
+            terms, ("mass", "m1", "big_mean", "m1_dt", "m2_dt", "sigT", "cov_dt"))
+        self.kernel = any(p.kernel for p in self.pairs)
+        self.compensated = any(p.law is not None for p in self.pairs)
+        top = float(np.max(mass))
         if self.declared is not None and top > self.declared * (1.0 + 1e-9):
             raise AdmissibilityError(
                 f"jump rate {top:g} exceeded the declared thinning bound {self.declared:g}")
-        lam = max(self.declared or 0.0, top)
-        self.jumps, self.lam_dt, self.p_acc = lam > 0.0, lam * self.dt, mass / (lam or 1.0)
-        self.thin = bool(np.any(self.p_acc < 1.0 - 1e-15))
-        self.m1_dt = m1 * self.dt
-        self.drift_dt = (self.u + mu - m1) * self.dt
-        self.bh_dt = (self.u + mu - big) * self.dt
-        kern = self._kernel_terms(X)
-        if kern is not None:  # a kernel pair's m1, big-jump mean and m2 are zero
-            m1, small, g_dt = kern
-            self.m1_dt += m1 * self.dt
-            self.bh_dt += small * self.dt
-            self.m2_dt = self.m2_dt + g_dt
+        self.jumps = top > 0.0
+        if self.jumps:
+            lam = max(self.declared or 0.0, top)
+            self.lam_dt, self.p_acc = lam * self.dt, mass / lam
+            self.thin = bool(np.any(self.p_acc < 1.0 - 1e-15))
+        self.mu = mu
+        self._increments(X, mu)
+
+    def _increments(self, X, mu):
+        """The step's drift, B^h, compensator (m1 dt) and G increments at X.
+
+        A relocation kernel's rows add its mean to the compensator, the part
+        of it from jumps up to size 1 to B^h and rate |y|^2 dt to G; the drift
+        applied holds the same mean, so the drift increment is u + mu less
+        the pairs' m1 alone.  Without a jump law every m1 and big-jump mean
+        is +0.0, and x - 0.0 == x, so the subtractions are skipped and drift
+        and B^h are one array until a kernel's part joins B^h.
+        """
+        out, shape = self._out, mu.shape
+        umu = np.add(self.u, mu, out=out("umu", shape))
+        drift, bh = umu, umu
+        if self.compensated:
+            drift = np.subtract(umu, self.m1, out=out("drift", shape))
+            bh = np.subtract(umu, self.big, out=out("bh", shape))
+        self.m1_dt, self.g_dt, self.reloc = self.pair_m1_dt, self.pair_g_dt, None
+        if self.kernel:
+            group = self.group if self.per_row else _group_0(len(X))
+            self.reloc = _relocations(X, group, [(p.sigma, p.nu) for p in self.pairs])
+            _, mass, y = self.reloc
+            mean = mass[:, None] * y
+            bh = bh + mean * (np.linalg.norm(y, axis=1) <= 1.0)[:, None]
+            self.m1_dt = self.m1_dt + mean * self.dt
+            self.g_dt = self.g_dt + mass * np.add.reduce(y * y, axis=1) * self.dt
+        drift *= self.dt
+        if bh is not drift:
+            bh *= self.dt
+        self.drift_dt, self.bh_dt = drift, bh
+
+    def _out(self, name, shape):
+        """The scratch array ``name`` of ``shape``, kept from step to step: a
+        fresh path-sized array at every step costs page faults."""
+        buf = self.scratch.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self.scratch[name] = np.empty(shape)
+        return buf
 
     def step(self, X, Wc, Xd, Bh, G_int, rng):
         """Advance every path by one Euler step in place.
@@ -719,33 +721,19 @@ class _StepModel:
         Returns (sizes, paths) for the jumps taken in this step, each jump's
         size and path, or None when there were none.
         """
-        if self.kind == "linear":
-            # u + mu(x) once per step; drift and B^h differ only by their means
-            _matmul_into(X, self.gainT, self.umu)
-            np.subtract(self.policy.offset, self.umu, out=self.umu)
-            np.add(self.u, self.umu, out=self.umu)
-            if self.jumps:
-                np.subtract(self.umu, self.m1, out=self.drift_dt)
-                self.drift_dt *= self.dt
-                np.subtract(self.umu, self.big_mean, out=self.bh_dt)
-                self.bh_dt *= self.dt
-            else:
-                # m1 and the big-jump mean are +0.0 and x - 0.0 == x, so the
-                # drift and B^h increments are one and the same array
-                np.multiply(self.umu, self.dt, out=self.drift_dt)
-        elif self.kind == "callable":
+        if self.per_row:
             self._resolve(X)
-        elif self.kernel:
-            m1, small, self.m2_dt = self._kernel_terms(X)
-            self.m1_dt = m1 * self.dt
-            self.bh_dt = (self.umu + small) * self.dt
+        elif self.kernel or not self.fixed:
+            # linear feedback's drift lands in the buffer u + mu is formed in
+            mu = self.mu if self.fixed else self.policy.coefficients(X, self._out("umu", X.shape))[0]
+            self._increments(X, mu)
 
-        rng.standard_normal(out=self.xi)
-        dWc = self.dWc
-        if self.kind == "callable":
-            np.einsum("ij,ijk->ik", self.xi, self.sigT, out=dWc)
+        xi = rng.standard_normal(out=self._out("xi", X.shape))
+        dWc = self._out("dWc", X.shape)
+        if self.per_row:
+            np.einsum("ij,ijk->ik", xi, self.sigT, out=dWc)
         else:
-            _matmul_into(self.xi, self.sigT, dWc)
+            _matmul_into(xi, self.sigT, dWc)
         dWc *= self.sqdt
 
         jumps = None
@@ -758,46 +746,41 @@ class _StepModel:
                 counts = rng.binomial(counts, p)
                 kept = counts > 0
                 rows, counts = rows[kept], counts[kept]
-            G_int += self.m2_dt
+            G_int += self.g_dt
             jumps = self._draw(rows, counts, rng)
 
+        disp = 0.0  # without jumps; adding it still turns -0.0 into 0.0
+        if jumps is not None:
+            disp = self._out("disp", X.shape)
+            disp.fill(0.0)
+            np.add.at(disp, jumps[1], jumps[0])
         X += self.drift_dt
         X += dWc
-        # without jumps disp is 0.0, and adding it still turns -0.0 into 0.0
-        X += self.disp if jumps is not None else 0.0
+        X += disp
         Wc += dWc
-        if jumps is not None:
-            self.disp -= self.m1_dt
-            Xd += self.disp
-        elif self.jumps:
-            Xd += 0.0 - self.m1_dt
+        if self.jumps:
+            Xd += np.subtract(disp, self.m1_dt, out=None if jumps is None else disp)
         Bh += self.bh_dt
         return jumps
 
     def _draw(self, rows, counts, rng):
         """Jump sizes for ``counts`` jumps on each of ``rows`` (ascending), in
-        row order; row groups draw pair by pair in group order.  A relocation
-        draws nothing: a kernel row's arrivals in one step coalesce into one
-        jump to its target, and a row on its target does not jump."""
+        row order, drawn group by group in group order.  A relocation draws
+        nothing: a kernel row's arrivals in one step coalesce into one jump to
+        its target, and a row on its target does not jump."""
         if self.reloc is not None:
-            on, mass, y = self.reloc
+            on, mass, _ = self.reloc
             counts = np.where(on[rows], mass[rows] > 0.0, counts)
             rows, counts = rows[counts > 0], counts[counts > 0]
         if not rows.size:
             return None
         paths = np.repeat(rows, counts)
-        if self.kind == "callable":
-            sizes, of = np.empty((paths.size, self.dim)), self.group[paths]
-            for g in np.unique(of):
-                sel = of == g
-                sizes[sel] = y[paths[sel]] if self.pairs[g].kernel else \
-                    _draw_jumps(self.pairs[g].law, rng, int(np.count_nonzero(sel)))
-        elif self.kernel:
-            sizes = y[paths]
-        else:
-            sizes = _draw_jumps(self.law, rng, paths.size)
-        self.disp.fill(0.0)
-        np.add.at(self.disp, paths, sizes)
+        of = self.group[paths] if len(self.pairs) > 1 else None
+        sizes = np.empty((paths.size, self.dim))
+        for g in range(1) if of is None else np.unique(of):
+            sel = slice(None) if of is None else of == g
+            pair, at = self.pairs[g], paths[sel]
+            sizes[sel] = self.reloc[2][at] if pair.kernel else _draw_jumps(pair.law, rng, at.size)
         return sizes, paths
 
 
@@ -832,8 +815,17 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     store_pos = {s: j for j, s in enumerate(store_idx)}
     K = len(store_idx)
 
-    # C is per path for row groups
-    est_bytes = 8 * n * K * (2 * dim + 3 + (dim * dim if policy.kind == "callable" else 0))
+    declared = cfg.lambda_max
+    cap = policy.rate_cap()
+    if declared is not None and cap is not None and cap > declared * (1.0 + 1e-9):
+        raise AdmissibilityError(
+            f"policy jump rate {cap:g} exceeds the declared thinning bound {declared:g}"
+        )
+    model = _StepModel(policy, x0, u, dt, declared)
+
+    # C is per path when sigma varies by row
+    C_shape = (n, dim, dim) if model.per_row else (dim, dim)
+    est_bytes = 8 * n * K * (2 * dim + 3 + (dim * dim if model.per_row else 0))
     if est_bytes > 4e9:
         raise ValueError(
             f"snapshot storage would need ~{est_bytes / 1e9:.1f} GB; "
@@ -845,26 +837,12 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     costs = f is not None or q is not None
     f_fn, q_fn = _state_fn(f), _state_fn(q)
 
-    declared = cfg.lambda_max
-    cap = policy.rate_cap()
-    if declared is not None and cap is not None and cap > declared * (1.0 + 1e-9):
-        raise AdmissibilityError(
-            f"policy jump rate {cap:g} exceeds the declared thinning bound {declared:g}"
-        )
-
-    model = _StepModel(policy, dim, n, u, dt, declared)
     rng = np.random.default_rng(cfg.seed)
     X = np.tile(x0, (n, 1))
-    gamma = np.zeros(n)
-    cost = np.zeros(n)
-    Wc = np.zeros((n, dim))
-    Xd = np.zeros((n, dim))
-    Bh = np.zeros((n, dim))
-    sup_xc = np.zeros(n)  # squared until the loop ends (see running_sup)
-    sup_xd = np.zeros(n)
-    G_int = np.zeros(n)
-    sq = np.empty((n, dim))
-    norm = np.empty(n)
+    gamma, cost, G_int = np.zeros(n), np.zeros(n), np.zeros(n)
+    Wc, Xd, Bh = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros((n, dim))
+    sup_xc, sup_xd = np.zeros(n), np.zeros(n)  # squared until the loop ends (see running_sup)
+    sq, norm = np.empty((n, dim)), np.empty(n)
 
     # snapshots are stored time-major, so each one is a contiguous copy;
     # the bundle gets them path-major (see _path_major)
@@ -875,14 +853,11 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     size_rows, path_rows, time_rows = [], [], []
     kept = {s: None for s in mark_step.values()}  # step -> (sup_xc, sup_xd, G_int) there
 
-    C_cum = np.zeros_like(model.cov_dt)
-    C_st = np.zeros((K,) + C_cum.shape)
+    C_cum = np.zeros(C_shape)
+    C_st = np.zeros((K,) + C_shape)
 
-    q_cur = q_fn(X)
-    f_cur = f_fn(X)
-    disc_cur = np.ones(n)
-    disc_new = np.empty(n)
-    trap = np.empty(n)
+    q_cur, f_cur = q_fn(X), f_fn(X)
+    disc_cur, disc_new, trap = np.ones(n), np.empty(n), np.empty(n)
 
     def snapshot(j):
         states_st[j] = X
@@ -896,13 +871,14 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
 
         |V|^2 is the sum of squares np.linalg.norm(V, axis=1) takes the root
         of; the root is taken once at the end, which gives the same bits
-        because a correctly rounded sqrt is monotone.
+        because a correctly rounded sqrt is monotone.  A row reduction of two
+        columns is the sum of the columns, bit for bit, and many times faster.
         """
         np.multiply(V, V, out=sq)
         if dim == 1:
             np.maximum(sup_sq, sq[:, 0], out=sup_sq)
         else:
-            np.add.reduce(sq, axis=1, out=norm)
+            np.add(sq[:, 0], sq[:, 1], out=norm) if dim == 2 else np.add.reduce(sq, axis=1, out=norm)
             np.maximum(sup_sq, norm, out=sup_sq)
 
     snapshot(0)
@@ -941,20 +917,13 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
         if (k + 1) % check_every == 0 or k + 1 == n_steps:
             amax = float(np.max(np.abs(X)))
             if not np.isfinite(amax) or amax > _BLOWUP_LIMIT:
-                raise AdmissibilityError(
-                    f"state blow-up at t={t_next:.6g} (|x| ~ {amax:.3e})"
-                )
+                raise AdmissibilityError(f"state blow-up at t={t_next:.6g} (|x| ~ {amax:.3e})")
             if policy.growth_K is not None and policy.growth_p is not None:
                 lhs = policy.growth_left(X, policy.growth_p)
-                rhs = policy.growth_K * (
-                    1.0 + np.linalg.norm(X, axis=1) ** policy.growth_p
-                )
+                rhs = policy.growth_K * (1.0 + np.linalg.norm(X, axis=1) ** policy.growth_p)
                 if np.any(lhs > rhs * (1.0 + 1e-9)):
-                    raise AdmissibilityError(
-                        "growth certificate violated at "
-                        f"t={t_next:.6g}: max lhs/rhs = "
-                        f"{float(np.max(lhs / rhs)):.3g}"
-                    )
+                    raise AdmissibilityError(f"growth certificate violated at t={t_next:.6g}: "
+                                             f"max lhs/rhs = {float(np.max(lhs / rhs)):.3g}")
 
         if (k + 1) in store_pos:
             snapshot(store_pos[k + 1])
@@ -975,10 +944,8 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     jump_paths = np.concatenate(path_rows or [np.zeros(0)]).astype(np.int64)
     jump_times = np.concatenate(time_rows or [np.zeros(0)])
 
-    log.debug(
-        "simulated %d paths x %d steps (%s), %d jumps",
-        n, n_steps, policy.describe(), jump_sizes.shape[0],
-    )
+    log.debug("simulated %d paths x %d steps (%s), %d jumps",
+              n, n_steps, policy.describe(), jump_sizes.shape[0])
     return PathBundle(
         times=times,
         states=states_st,
@@ -1118,18 +1085,13 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
         pred = times[None, :, None] * rate_vec[None, None, :]
         bh_gap = float(np.max(np.abs(bundle.Bh - pred)))
     else:
-        rates = np.stack(
-            [_bh_rate(policy, bundle.u, bundle.states[:, j, :]) for j in range(len(times))],
-            axis=1,
-        )
+        rates = np.stack([_bh_rate(policy, bundle.u, X) for X in np.swapaxes(bundle.states, 0, 1)],
+                         axis=1)
         mids = np.zeros_like(bundle.Bh)
         mids[:, 1:, :] = np.cumsum(
-            0.5 * (rates[:, :-1, :] + rates[:, 1:, :]) * np.diff(times)[None, :, None], axis=1
-        )
+            0.5 * (rates[:, :-1, :] + rates[:, 1:, :]) * np.diff(times)[None, :, None], axis=1)
         bh_gap = float(np.max(np.abs(bundle.Bh - mids)))
-        messages.append(
-            "state-dependent drift: comparison uses snapshot-lattice trapezoid"
-        )
+        messages.append("state-dependent drift: comparison uses snapshot-lattice trapezoid")
 
     c_total = bundle.C[:, -1] if bundle.c_per_path else bundle.C[-1]
     c_gap = None if policy.sigma is None else float(

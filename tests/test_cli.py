@@ -488,6 +488,51 @@ def test_measure_whose_moments_overflow_exits_1(tmp_path, capsys):
     assert "config error at '$.policy.nu'" in err and "did not evaluate finite" in err, err
 
 
+# values of the right type that no run can use, each reported at its field:
+# (config, command, (key path, value) edits, the path the error names, its message)
+_UNUSABLE_VALUES = [
+    ("example1.json", ["example", "1"], [(("cost", "coeffs"), [1.0, 1.0, 1.0])],
+     "$.cost.coeffs", "cost must be symmetric"),
+    ("example2.json", ["example", "2"], [(("cost", "coeffs"), [-1.0, 0.0, 1.0])],
+     "$.cost.coeffs", "cost must be nonnegative"),
+    # the second moment of an atom at 1e100 is finite, its fourth is not; the
+    # growth check reads the fourth (this used to end in a DivergenceError traceback)
+    ("simulate_cp.json", ["verify"], [
+        (("policy", "nu", "atoms", 0, 0), [1e100]),
+        (("tests",), [{"name": "growth", "box": [[-1.0, 1.0]], "K": 1.0, "p": 4.0}])],
+     "$.tests[0].p", "did not evaluate finite"),
+]
+
+
+@pytest.mark.parametrize("name, command, edits, where, message", _UNUSABLE_VALUES,
+                         ids=["example1_asymmetric_cost", "example2_negative_cost",
+                              "growth_moment_overflow"])
+def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
+                                                 message):
+    cfg = json.loads(Path(_bundled(name)).read_text())
+    for keys, value in edits:
+        cfg = _set(cfg, keys, value)
+    code = main([*command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error at '{where}'" in err and message in err and "Traceback" not in err, err
+
+
+def test_divergence_error_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # a moment that no config check reads ahead still exits 1, without a traceback
+    from jumpctl import dynamics
+    from jumpctl.measures import DivergenceError
+
+    def diverging(*args, **kwargs):
+        raise DivergenceError("moment functional of order 4.0 did not evaluate finite")
+
+    monkeypatch.setattr(dynamics, "simulate", diverging)
+    code = main(["simulate", "--config", _bundled("simulate_cp.json"), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == \
+        "jumpctl: input error: moment functional of order 4.0 did not evaluate finite"
+
+
 def test_list_mode_jump_to_origin_control_cost(tmp_path):
     # the builtin jump to the origin is one relocation kernel entry, and a
     # control cost charges the drift it applies, -rate x: value.csv has the

@@ -418,6 +418,33 @@ def test_callable_policy_slow_path():
     assert pairs[0][1].locations.tolist() == [[1.0]]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_action_steps_alike_in_every_shape(dim):
+    # one (sigma, nu, mu) as a constant action, as linear feedback with gain 0
+    # and as a callable that returns it everywhere (one row group) takes the
+    # same path, so the bundles agree bit for bit; in 2-D a row group's einsum
+    # and the shared shapes' matmul may differ in the last bits
+    sigma = np.array([[0.7, 0.2], [0.1, 0.5]])[:dim, :dim]
+    nu = AtomicMeasure(dim, [[0.5, -0.2][:dim], [-1.3, 0.9][:dim]], [0.8, 0.4])
+    mu = np.array([0.3, -0.1])[:dim]
+    act = Action(sigma=sigma, nu=nu, mu=mu)
+    cfg = SimConfig(x0=np.full(dim, 0.5), T=0.5, dt=0.01, n_paths=300, seed=12, store_every=3,
+                    lambda_max=1.5)  # above the jump mass 1.2, so the clock is thinned
+    const = simulate(PolicyFieldSpec.constant(act), cfg)
+    linear = simulate(PolicyFieldSpec.linear_feedback(np.zeros((dim, dim)), mu, sigma, nu=nu), cfg)
+    group = simulate(PolicyFieldSpec.from_action_callable(lambda x: act), cfg)
+    assert const.jump_sizes.shape[0] > 50 and group.c_per_path and not const.c_per_path
+    for name in _BUNDLE_ARRAYS:
+        a, b, c = (getattr(bundle, name) for bundle in (const, linear, group))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        if name == "C":
+            a = np.broadcast_to(a, c.shape)
+        if dim == 1:
+            assert np.array_equal(a, c), name
+        else:
+            np.testing.assert_allclose(c, a, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
 def test_solved_tables_step_as_row_groups():
     from functools import partial
 
@@ -635,6 +662,15 @@ def _digest_cases():
     def callable_action(x):
         return Action(sigma=0.6, nu=AtomicMeasure(1, [[0.7]], [0.9]), mu=-0.5 * x)
 
+    from jumpctl.hjb import Grid, HJBProblem, PolicyTable
+
+    grid = Grid.regular(-4.0, 4.0, 81)
+    kernel_prob = HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0, actions=(
+        Action(sigma=0.3, nu=two_atoms, mu=-0.2),
+        Action(sigma=0.2, nu=RelocationKernel(1, 1.5), mu=0.1)))
+    # the kernel entry holds |x| <= 1, where its jumps to the origin are small jumps in B^h
+    kernel_table = PolicyTable(grid=grid, action_index=(abs(grid.axes[0]) <= 1.0).astype(np.intp))
+
     return {
         "constant_one_atom": (
             _const(0.5, AtomicMeasure(1, [[1.0]], [1.5]), 0.1), cfg(), None, None),
@@ -658,6 +694,13 @@ def _digest_cases():
         "callable": (
             PolicyFieldSpec.from_action_callable(callable_action, rate_bound=1.2),
             cfg(n_paths=40, lambda_max=1.2), quad, 0.3),
+        "table_kernel_entry": (
+            PolicyFieldSpec.from_policy_table(kernel_table, kernel_prob),
+            cfg(x0=0.5, n_paths=200), quad, 0.5),
+        "callable_zero_rate_declared": (
+            PolicyFieldSpec.from_action_callable(
+                lambda x: Action(sigma=0.6, nu=ZeroMeasure(1), mu=-0.5 * x)),
+            cfg(n_paths=40, lambda_max=1.2), quad, 0.3),
     }
 
 
@@ -667,9 +710,15 @@ def _digest_cases():
 # eleven arrays kept their bytes), and callable when callables began to step
 # as row groups, with the vectorised shapes' draw order (it had drawn poisson,
 # then standard_normal, then one uniform per arrival). Float bits depend on
-# numpy's kernels; these were taken with numpy 2.4 on x86-64.
+# numpy's kernels; these were taken with numpy 2.4 on x86-64.  table_kernel_entry
+# and callable_zero_rate_declared were taken when every shape came to step by
+# one path: a kernel row's B^h increment became ((u + mu - big) + small) dt, as
+# a constant kernel action's was, and a row group's clock stopped running on a
+# declared bound alone when no row has jump mass.
 _FROZEN_DIGESTS = {
     "callable": "f78ca2ec357eb89c3c3f01050eca706748cdf900b57fcdb60ea1fe150bf86b5c",
+    "callable_zero_rate_declared":
+        "b7bcb0c72a5901f8a694b2391517db5d360bf01fcf7d3e150877e15336c9fbb1",
     "constant_density_jitter": "04b0e6c987bf328548de889b34e9758ab51f428c8b06b307b50d528157ef01ab",
     "constant_one_atom": "7f3ec432da73fc50175c3783c3b1a9c1918c39de2c4b4dd7472a04badc47a919",
     "constant_two_atoms_thinned":
@@ -677,6 +726,7 @@ _FROZEN_DIGESTS = {
     "jump_to_origin": "a9fbe3686dfe60143f8960ab4fbfe5c09ec558ea9728c7d1688507fb48f4dfed",
     "linear_2d_correlated": "6efae56cc36af537e665f614f51dec3da43ab3a587400676196bb4e770847ac5",
     "linear_with_f_q": "a08cb1495761924045ef630a5928a153f34e25d32cd5508117681812f3d92d31",
+    "table_kernel_entry": "c7d1ea10f56e812c4dcb3e5e21aeca3e49f64a6c34d6888d54622cf9cc7be2da",
 }
 
 
