@@ -39,7 +39,7 @@ schema violations are reported with a path to the offending field; a jump
 measure whose moments do not evaluate finite is an input error too; an
 output directory or artifact that cannot be written is reported as
 ``jumpctl: cannot write output: ...``),
-2 numerical non-convergence (partial artifacts are still written),
+2 numerical failure or non-convergence (partial artifacts are still written),
 3 verification failure (a failed battery test, or an example cross-check
 beyond its tolerance).
 """
@@ -354,9 +354,9 @@ class _CostSpec:
     The solver evaluates f(x, a) with x in grid convention ((m,) in one
     dimension); in product mode it calls the same cost's ``rows(x, sigma, nu,
     mu)`` instead, with one drift per row, so a sweep makes one call per
-    (sigma, nu) pair and block of lattice columns. The simulator wants a
-    state-batch map on (m, dim) arrays and resolves any control penalty
-    through the declared policy. Quadratic parts are summed row by row in a
+    (sigma, nu) pair and block of lattice columns. The simulator reads the
+    same ``rows`` along the declared policy (:meth:`along`), so a control
+    penalty has one formula. Quadratic parts are summed row by row in a
     fixed order (``_quadratic_rows``), so a state's cost has the same bits in
     every batch and ``rows`` row i is ``f(x[i], a)`` exactly, for any matrix.
     """
@@ -408,8 +408,10 @@ class _CostSpec:
                 if isinstance(nu, RelocationKernel):  # the drift the action applies
                     mass, y = nu.at(X)
                     mu = mu + mass[:, None] * y
-                # vecdot of mu @ theta with mu rounds each row as mu @ theta @ mu does
-                out = out + np.vecdot(mu @ self.theta, mu)
+                # vecdot of mu @ theta with mu rounds each row as mu @ theta @ mu does;
+                # over one column it is the product plus 0.0, several times faster
+                mt = dyn._matmul_into(mu, self.theta, np.empty(mu.shape))
+                out = out + (mt[:, 0] * mu[:, 0] + 0.0 if dim == 1 else np.vecdot(mt, mu))
             return out
 
         def fn(x_batch, a):
@@ -419,18 +421,10 @@ class _CostSpec:
         fn.rows = rows
         return fn
 
-    def state_fn(self, policy_spec):
-        """Map (m, dim) state batches to running cost along ``policy_spec``."""
-        if self.kind == "zero":
-            return None
-        if self.kind != "quadratic_control":
-            return self._state_part
-
-        def fn(X):
-            mu = policy_spec.drift(X)
-            return self._state_part(X) + _quadratic_rows(mu, self.theta)
-
-        return fn
+    def along(self, policy, dim: int):
+        """The running cost along ``policy`` on (m, dim) state batches, the
+        solver's cost read per row (``verify.costs_along``); None when zero."""
+        return None if self.kind == "zero" else ver.costs_along(self.hjb_fn(dim), policy)
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -703,7 +697,7 @@ def _simulation_from(run: RunConfig):
     sim = _sim_config_from(_get(cfg, "sim", "$", dict), "$.sim", run.seed)
     cost = _CostSpec(_get(cfg, "cost", "$", dict, None), "$.cost")
     q = _get(cfg, "discount", "$", "nonnegative", 0.0)
-    return policy, lq_sol, sim, cost.state_fn(policy), q, {**run.provenance(), "seed": sim.seed}
+    return policy, lq_sol, sim, cost.along(policy, sim.x0.size), q, {**run.provenance(), "seed": sim.seed}
 
 
 def cmd_simulate(run: RunConfig) -> int:
@@ -752,7 +746,7 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, q: float):
         n_bins = _get(entry, "n_bins", path, "count", 8)
         own_cost = _get(entry, "cost", path, dict, None)
         costs = {} if own_cost is None else dict(
-            f=_CostSpec(own_cost, f"{path}.cost").state_fn(policy), q=q)
+            f=_CostSpec(own_cost, f"{path}.cost").along(policy, dim), q=q)
 
         def run(shared):
             S = dyn.bellman_series(phi, shared["bundle"], **costs)
@@ -1102,15 +1096,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"jumpctl: {exc}", file=sys.stderr)
         return 1
+    except (ex.BracketError, np.linalg.LinAlgError, SolverError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"jumpctl: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (MeasureSupportError, DivergenceError, ValueError, TypeError, KeyError) as exc:
         print(f"jumpctl: input error: {exc}", file=sys.stderr)
         return 1
     except dyn.AdmissibilityError as exc:
         print(f"jumpctl: inadmissible model: {exc}", file=sys.stderr)
         return 1
-    except (ex.BracketError, np.linalg.LinAlgError, SolverError) as exc:
-        print(f"jumpctl: numerical failure: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         # config reads raise ConfigError, so this is --out or an artifact in it
         print(f"jumpctl: cannot write output: {exc}", file=sys.stderr)

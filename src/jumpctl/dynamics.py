@@ -265,12 +265,12 @@ class PolicyFieldSpec:
         """(mu (m, dim), group (m,), pairs) on a state batch of shape (m, dim):
         row i has the Action drift ``mu[i]`` and the (sigma, nu) pair
         ``pairs[group[i]]``.  Linear feedback writes mu into ``out`` when one
-        is given."""
+        is given; a constant action's mu is a read-only zero-stride view."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "callable":
             return self.query(X)
         if self.kind == "constant":
-            mu = np.tile(self.action.mu, (len(X), 1))
+            mu = np.broadcast_to(self.action.mu, (len(X), self.action.mu.size))
         else:
             mu = _matmul_into(X, self.gain.T, np.empty(X.shape) if out is None else out)
             np.subtract(self.offset, mu, out=mu)

@@ -190,7 +190,8 @@ def _lsum(P):
 
 def _local(mu, sigma, u, grad, hess):
     m, n = grad.shape
-    mu = _as_point(mu, n)
+    mu = np.asarray(mu, float)
+    mu = mu if mu.shape == (m, n) else _as_point(mu, n)  # one drift per row, or one for all
     u = np.zeros(n) if u is None else _as_point(u, n)
     sigma = np.asarray(sigma, float)
     if sigma.ndim == 0:

@@ -339,10 +339,10 @@ class HJBProblem:
 
     ``f(x, a)`` and ``q(x, a)`` receive x as an (m,) array in 1-D or an
     (m, 2) array in 2-D and must broadcast to (m,); constants are accepted.
-    In product mode a cost may also offer ``.rows(x, sigma, nu, mu)``, mu of
-    shape (m, dim), returning (m,) with row i equal to
-    ``f(x[i], Action(sigma, nu, mu[i]))``; it is then called once per pair
-    and block of rows, where a plain callable is called once per distinct drift.
+    A cost may also offer ``.rows(x, sigma, nu, mu)``, mu of shape (m, dim),
+    returning (m,) with row i equal to ``f(x[i], Action(sigma, nu, mu[i]))``;
+    it is then called once per entry's Action and per pair and block of rows,
+    where a plain callable is called once per distinct drift.
     ``delta_q``/``b_q`` are the declared discount bounds, enforced on every
     evaluation. An entry with a relocation kernel is one candidate over all
     nodes; its costs get the Action as declared (see ``RelocationKernel``).
@@ -432,7 +432,7 @@ class PolicyTable:
             return False
         if (self.mu is None) != (other.mu is None):
             return False
-        return self.mu is None or bool(np.allclose(self.mu, other.mu, rtol=0.0, atol=1e-13))
+        return self.mu is None or bool(np.abs(self.mu - other.mu).max() <= 1e-13)
 
 
 @dataclass
@@ -470,18 +470,10 @@ def _x_for_eval(grid: Grid, pts: np.ndarray):
     return pts[:, 0] if grid.dim == 1 else pts
 
 
-def _eval_xa(fn, x_batch, a, m: int) -> np.ndarray:
-    if not callable(fn):
-        return np.full(m, float(fn))
-    out = np.asarray(fn(x_batch, a), float)
-    if out.ndim == 0:
-        return np.full(m, float(out))
-    return out.reshape(m)
-
-
 def _row_costs(fn):
     """q or f as rows (x, sigma, nu, mu) -> (m,), mu of shape (m, dim): a constant
-    fills, ``fn.rows`` is used as is, a plain f(x, a) is called per distinct drift."""
+    fills, ``fn.rows`` is used as is, a plain f(x, a) is called per distinct drift
+    (a scalar result fills its rows). The one way q and f are evaluated."""
     if not callable(fn):
         return lambda x, sigma, nu, mu: np.full(len(mu), float(fn))
 
@@ -490,7 +482,7 @@ def _row_costs(fn):
         srt = mu[order]
         heads = np.flatnonzero(np.any(srt[1:] != srt[:-1], axis=1)) + 1
         for part in np.split(order, heads) if len(mu) else ():
-            out[part] = _eval_xa(fn, x[part], Action(sigma=sigma, nu=nu, mu=mu[part[0]]), len(part))
+            out[part] = np.ravel(fn(x[part], Action(sigma=sigma, nu=nu, mu=mu[part[0]])))
         return out
 
     return getattr(fn, "rows", rows)
@@ -563,9 +555,10 @@ class _Generator:
     ``system`` turns that array into diag(a) - c L for the LU factorisation.
     Improvement applies the same matrices to phi and returns q/f at the
     actions it chose, which the evaluation of that policy takes instead of
-    calling q and f again. Product costs are resolved once into row functions
-    (see ``_row_costs``), called per pair on (node, drift) rows; a lattice
-    scan of one block keeps its costs and upwind drift parts per pair.
+    calling q and f again. Costs are resolved once into row functions (see
+    ``_row_costs``), called per list Action on its nodes and per pair on
+    (node, drift) rows; a lattice scan of one block keeps its costs and
+    upwind drift parts per pair.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -584,8 +577,8 @@ class _Generator:
             self.Dm.append((eye - Gm) / h)
             self.S.append((Gp - 2.0 * eye + Gm) / h**2)
         every = np.arange(grid.n_nodes)
+        self.q_rows, self.f_rows = _row_costs(prob.q), _row_costs(prob.f)
         if prob.mode == "product":
-            self.q_rows, self.f_rows = _row_costs(prob.q), _row_costs(prob.f)
             self.combos, self.lshape = _lattice_combos(prob.mu_lattice)
             zero = np.zeros(grid.dim)
             self.cands = [
@@ -638,8 +631,8 @@ class _Generator:
                 c12[idx] = D[0, 1] / (4.0 * grid.h[0] * grid.h[1])
             mu[idx] = a.mu
             if costs:
-                qvec[idx] = _eval_xa(self.prob.q, self.x[idx], a, len(idx))
-                fvec[idx] = _eval_xa(self.prob.f, self.x[idx], a, len(idx))
+                at = self.x[idx], a.sigma, a.nu, np.broadcast_to(a.mu, (len(idx), dim))
+                qvec[idx], fvec[idx] = self.q_rows(*at), self.f_rows(*at)
             if isinstance(a.nu, RelocationKernel):
                 # every row off the target jumps to it: one destination, and the
                 # kernel's mean joins the drift its Action applies

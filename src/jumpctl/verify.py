@@ -17,16 +17,16 @@ ensemble can serve several of them:
   :meth:`~jumpctl.dynamics.PolicyFieldSpec.coefficient_norms`;
 * static growth-certificate audits of a policy field over a probe box.
 
-There is also a Dynkin-formula battery for constant policies, jump to the
-origin among them (compensated test functions must be centered), with g and
-L g from the evaluation :func:`~jumpctl.generator.apply_generator` makes on
-each snapshot's batch, a moment-bound ratio report that tracks
+There is also a Dynkin-formula battery for every policy shape (compensated
+test functions must be centered), a moment-bound ratio report that tracks
 E[sup |X^d|^q] against its predicted bound across horizons, and the Monte
 Carlo dynamic-programming check of a solved value field (:func:`dpp_report`),
 which compares the value at each probe state with the best trial policy's
 estimate of the discounted running cost to a horizon plus the discounted
-value there.
-Fields are read through the generator module's one rule for a state batch.
+value there. A policy is read only through ``PolicyFieldSpec.coefficients``,
+a cost along it only through :func:`costs_along` (the solver's
+``hjb._row_costs`` per (sigma, nu) group), and a field through the generator
+module's one rule for a state batch.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
 from .generator import _DEFAULT_SCHEME, _field_value, _generator
-from .hjb import Grid, HJBProblem, ValueField, _lattice_origin, _row_costs, _x_for_eval
+from .hjb import Grid, HJBProblem, ValueField, _lattice_origin, _row_costs
 from .measures import Action, RelocationKernel, tail_moment
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "growth_certificate_check",
     "dynkin_test",
     "moment_bound_report",
+    "costs_along",
     "DppReport",
     "dpp_report",
     "dpp_residual",
@@ -112,6 +113,34 @@ def _jsonable(obj):
 
 def _nearest_index(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
+
+
+def _groups(group, pairs):
+    """(rows, sigma, nu) per (sigma, nu) pair of a ``coefficients`` query, rows in
+    batch order; one pair covers the batch, with rows ``slice(None)``."""
+    if len(pairs) == 1:
+        return [(slice(None), *pairs[0])]
+    order = np.argsort(group, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
+    return [(part, *pairs[group[part[0]]]) for part in parts if len(part)]
+
+
+def costs_along(fn, policy: PolicyFieldSpec):
+    """A cost or discount of the solver's form along a policy, as a map of (m, dim)
+    state batches to (m,): one ``hjb._row_costs`` call per (sigma, nu) group of
+    ``policy.coefficients``. A constant stays a float."""
+    if not callable(fn):
+        return float(fn)
+    rows = _row_costs(fn)
+
+    def at(X):
+        mu, group, pairs = policy.coefficients(X)
+        x, out = (X[:, 0] if X.shape[1] == 1 else X), np.empty(len(X))
+        for part, sigma, nu in _groups(group, pairs):
+            out[part] = rows(x[part], sigma, nu, mu[part])
+        return out
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +448,26 @@ def growth_certificate_check(
 
 
 # ---------------------------------------------------------------------------
-# Dynkin battery (constant policies)
+# Dynkin battery
 
 
 def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
-    """Mean-zero check of g(X_t) - g(x0) - int_0^t L g(X_s) ds.
+    """Mean-zero check of g(X_t) - g(x0) - int_0^t L^{u(X_s)} g(X_s) ds.
 
-    Constant policies only (the action is frozen along paths; a relocation
-    kernel's measure, as in ``PolicyFieldSpec.jump_to_origin``, is read at
-    each state by the generator).  For each test function and requested
-    time the compensated value must be within 3 SE of zero.  g and L g come
-    from one evaluation of the generator per snapshot, the one
-    :func:`~jumpctl.generator.apply_generator` makes on the snapshot's state
-    batch, so ``fields`` are any fields it reads.
+    Any policy shape: each snapshot is read once through
+    ``policy.coefficients``, and g and L g come from one generator evaluation
+    per (sigma, nu) group on that group's rows and drifts (the whole batch for
+    one pair), the one :func:`~jumpctl.generator.apply_generator` makes, so
+    ``fields`` are any fields it reads.  For each test function and requested
+    time the compensated value must be within 3 SE of zero.
     """
-    if bundle.policy.kind != "constant":
-        raise ValueError("the compensated-value battery needs a constant policy")
-    a = bundle.policy.action
-    n, K, dim = bundle.states.shape
+    n, K, _ = bundle.states.shape
     times = bundle.times
     dts = np.diff(times)
+    snaps = []  # one coefficients query per snapshot, read by every field
+    for X in bundle.states.transpose(1, 0, 2):
+        mu, group, pairs = bundle.policy.coefficients(X)
+        snaps.append((X, mu, _groups(group, pairs)))
 
     results = []
     all_ok = True
@@ -446,9 +475,10 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
         # time-major (K, n), so each snapshot writes and each check reads one contiguous row
         vals = np.empty((K, n))
         gen = np.empty((K, n))
-        for j in range(K):
-            X = bundle.states[:, j, :]
-            vals[j], gen[j] = _generator(g, X, _DEFAULT_SCHEME, (a.mu, a.sigma), a.nu, bundle.u)
+        for j, (X, mu, groups) in enumerate(snaps):
+            for rows, sigma, nu in groups:
+                vals[j, rows], gen[j, rows] = _generator(
+                    g, X[rows], _DEFAULT_SCHEME, (mu[rows], sigma), nu, bundle.u)
         integral = np.zeros((K, n))
         integral[1:] = np.cumsum(0.5 * (gen[:-1] + gen[1:]) * dts[:, None], axis=0)
         M = vals - vals[:1] - integral
@@ -484,13 +514,12 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
 def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
     """Ratio of E[sup |X^d|^q] to its predicted bound across horizons.
 
-    Every bundle must use a constant action with a fixed measure, not a
-    relocation kernel, so that the quadratic and big-jump functionals have
-    closed forms.  The bound's denominator is E[G_T^{q/2}] + E[H_T]; the
-    test checks the ratio stays within a factor 2 of the first bundle's
-    value.  ``n_samples`` counts (path, horizon)
-    pairs, the paths of every bundle added up, whether or not the bundles
-    are prefixes of one run.
+    Every bundle's policy must have one fixed measure on every path (not a
+    relocation kernel), so that the big-jump functional has a closed form.
+    The bound's denominator is E[G_T^{q/2}] + E[H_T]; the test checks the
+    ratio stays within a factor 2 of the first bundle's value.
+    ``n_samples`` counts (path, horizon) pairs, the paths of every bundle
+    added up, whether or not the bundles are prefixes of one run.
     """
     if not bundles:
         raise ValueError("moment-bound tracking needs at least one bundle")
@@ -499,9 +528,9 @@ def moment_bound_report(bundles: Sequence[PathBundle], q: float) -> TestReport:
     rows = []
     ratios = []
     for b in bundles:
-        if b.policy.kind != "constant" or isinstance(b.policy.nu, RelocationKernel):
-            raise ValueError("moment-bound tracking needs constant policies with a fixed measure")
         nu = b.policy.nu
+        if nu is None or isinstance(nu, RelocationKernel):
+            raise ValueError("moment-bound tracking needs one fixed measure on every path")
         T = float(b.times[-1])
         h_term = tail_moment(nu, q) * T
         num = float(np.mean(b.sup_xd**q))
@@ -548,27 +577,6 @@ def _policy_specs(prob: HJBProblem):
             for sigma, nu in prob.sigma_nu_pairs]
 
 
-def _cost_adapters(prob: HJBProblem, spec, grid: Grid):
-    """State-only cost/discount callables for a fixed policy spec: one call of
-    the problem's row costs per (sigma, nu) group of each state batch."""
-
-    def adapter(fn):
-        if not callable(fn):
-            return float(fn)
-        rows = _row_costs(fn)
-
-        def at(X):
-            mu, group, pairs = spec.coefficients(X)
-            x, out, order = _x_for_eval(grid, X), np.empty(len(X)), np.argsort(group, kind="stable")
-            for part in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-                out[part] = rows(x[part], *pairs[group[part[0]]], mu[part])
-            return out
-
-        return at
-
-    return adapter(prob.f), adapter(prob.q)
-
-
 def dpp_report(
     phi: ValueField,
     prob: HJBProblem,
@@ -603,9 +611,8 @@ def dpp_report(
     for pi, (p, phi_here) in enumerate(zip(probes, here)):
         best = None
         for si, spec in enumerate(specs):
-            f_fn, q_fn = _cost_adapters(prob, spec, grid)
             cfg = SimConfig(x0=p, T=t, dt=dt, n_paths=n_paths, seed=seed + 7919 * pi + 104729 * si)
-            bundle = simulate(spec, cfg, f=f_fn, q=q_fn)
+            bundle = simulate(spec, cfg, f=costs_along(prob.f, spec), q=costs_along(prob.q, spec))
             disc = np.exp(-bundle.gamma[:, -1])
             samples = bundle.cost_disc + disc * _field_value(phi, bundle.states[:, -1, :])
             est = float(samples.mean())

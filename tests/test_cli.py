@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +519,22 @@ def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command
     assert f"config error at '{where}'" in err and message in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("name, command, edit, message", [
+    ("example3.json", ["example", "3"], (("lam",), [[1e-300]]), "refined solution rejected"),
+    ("lq_1d.json", ["solve"], (("problem", "grid", "hi"), 1e308), "SVD did not converge"),
+], ids=["riccati_not_refined", "svd_not_converged"])
+def test_linear_algebra_failures_exit_2(tmp_path, capsys, name, command, edit, message):
+    # numpy's LinAlgError is a ValueError, but a failed routine is a numerical
+    # failure, not an input error (these used to exit 1 with "input error")
+    cfg = _set(json.loads(Path(_bundled(name)).read_text()), *edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([*command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"jumpctl: numerical failure: {message}" in err and "Traceback" not in err, err
+
+
 def test_divergence_error_is_an_input_error(tmp_path, monkeypatch, capsys):
     # a moment that no config check reads ahead still exits 1, without a traceback
     from jumpctl import dynamics
@@ -831,19 +848,23 @@ def test_batched_control_penalty_bits(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_quadratic_cost_is_batch_size_invariant(dim):
     # x' lam x of one state is bitwise the same row of any batch holding it,
-    # in the solver's f(x, a) and in the simulator's cost along a policy; an
-    # einsum sums the 2-D terms in another order for one- and two-row batches
+    # in the solver's f(x, a) and in the simulator's cost along a policy
+    # (verify.costs_along over the same rows); an einsum sums the 2-D terms
+    # in another order for one- and two-row batches
     from jumpctl.cli import _CostSpec
     from jumpctl.measures import Action, ZeroMeasure
+    from jumpctl.verify import costs_along
 
-    class Feedback:
-        def drift(self, X):
-            return -1.3 * X[:, ::-1] + 0.4
+    class Feedback:  # an elementwise drift, so no matmul rounds by batch size
+        def coefficients(self, X):
+            pair = (np.eye(dim), ZeroMeasure(dim))
+            return -1.3 * X[:, ::-1] + 0.4, np.zeros(len(X), dtype=int), [pair]
 
     lam = [[2.7]] if dim == 1 else [[1.0, -0.2], [-0.2, 0.7]]
     theta = [[0.5]] if dim == 1 else [[1.0, 0.3], [0.3, 2.0]]
     cost = _CostSpec({"kind": "quadratic_control", "lam": lam, "theta": theta}, "$.cost")
-    fn, sim = cost.hjb_fn(dim), cost.state_fn(Feedback())
+    fn = cost.hjb_fn(dim)
+    sim = costs_along(fn, Feedback())
     a = Action(sigma=np.eye(dim), nu=ZeroMeasure(dim), mu=np.full(dim, 0.3))
     rng = np.random.default_rng(21)
     for m in (1, 2, 3, 17, 2**14 + 1):

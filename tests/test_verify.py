@@ -322,12 +322,81 @@ def test_dynkin_battery_jump_to_origin():
         moment_bound_report([b], q=2.0)
 
 
-def test_dynkin_needs_constant_policy():
-    pol = PolicyFieldSpec.linear_feedback(gain=[[1.0]], offset=0.0, sigma=1.0)
-    cfg = SimConfig(x0=0.0, T=0.5, dt=0.05, n_paths=50, seed=0)
-    b = simulate(pol, cfg)
-    with pytest.raises(ValueError, match="constant"):
-        dynkin_test(b, [_Bump(2.0)], t_points=[0.5])
+def _max_z(rep):
+    return max(abs(c["z"]) for c in rep.statistics["checks"])
+
+
+def test_dynkin_battery_linear_feedback():
+    # the drift offset - gain x moves with the state; the battery reads it per
+    # row, and the same paths read with the drift's sign flipped fail
+    from dataclasses import replace
+
+    nu = AtomicMeasure(1, locations=[[0.5]], masses=[1.0])
+    pol = PolicyFieldSpec.linear_feedback(gain=[[1.0]], offset=0.3, sigma=0.8, nu=nu)
+    b = simulate(pol, SimConfig(x0=1.0, T=1.0, dt=0.005, n_paths=5000, seed=9, store_every=4))
+    fields, t_points = [_Bump(2.0), _Bump(3.0)], [0.25, 0.5, 1.0]
+    rep = dynkin_test(b, fields, t_points)
+    assert rep.passed and len(rep.statistics["checks"]) == 6 and _max_z(rep) <= 3.0
+    flipped = PolicyFieldSpec.linear_feedback(gain=[[-1.0]], offset=-0.3, sigma=0.8, nu=nu)
+    wrong = dynkin_test(replace(b, policy=flipped), fields, t_points)
+    assert not wrong.passed and _max_z(wrong) > 50.0
+
+
+def _example1_table_policy():
+    """Example 1 (f = x^2, q = 1) solved on |x| <= 4: a policy table whose rows
+    step as two groups, the diffusion alone and the jump to the origin (a
+    relocation kernel)."""
+    from jumpctl.hjb import Grid, HJBProblem, solve_stationary
+    from jumpctl.measures import RelocationKernel
+
+    acts = (Action(sigma=1.0, nu=ZeroMeasure(1), mu=0.0),
+            Action(sigma=1.0, nu=RelocationKernel(1, 1.0), mu=0.0))
+    prob = HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0, actions=acts)
+    _, table, report = solve_stationary(prob, Grid.regular(-4.0, 4.0, 161))
+    assert report.converged
+    return PolicyFieldSpec.from_policy_table(table, prob)
+
+
+def test_dynkin_battery_solved_table():
+    # the table jumps everywhere but on the node at the origin, so paths near
+    # it read the diffusion alone: every snapshot has both row groups
+    from dataclasses import replace
+
+    pol = _example1_table_policy()
+    b = simulate(pol, SimConfig(x0=1.5, T=1.0, dt=0.005, n_paths=5000, seed=9, store_every=4))
+    _, group, pairs = pol.coefficients(b.states[:, 5, :])
+    assert len(pairs) == 2 and np.unique(group).size == 2
+    fields, t_points = [_Bump(2.0), _Bump(3.0)], [0.25, 0.5, 1.0]
+    rep = dynkin_test(b, fields, t_points)
+    assert rep.passed and len(rep.statistics["checks"]) == 6 and _max_z(rep) <= 3.0
+    # read as the diffusion alone, the jumps are not compensated
+    diffusion = PolicyFieldSpec.constant(Action(sigma=1.0, nu=ZeroMeasure(1), mu=0.0))
+    assert not dynkin_test(replace(b, policy=diffusion), fields, t_points).passed
+
+
+def test_dynkin_battery_row_groups_match_whole_batches():
+    # each group's rows are bitwise the rows of the generator evaluated on the
+    # whole snapshot under that group's pair: splitting by group adds no rounding
+    from jumpctl.generator import _DEFAULT_SCHEME, _generator
+
+    pol, g = _example1_table_policy(), _Bump(2.0)
+    b = simulate(pol, SimConfig(x0=1.5, T=0.2, dt=0.01, n_paths=2000, seed=3))
+    (n, K, _), t_points = b.states.shape, [0.1, 0.2]
+    vals, gen = np.empty((K, n)), np.empty((K, n))
+    for j in range(K):
+        X = b.states[:, j, :]
+        mu, group, pairs = pol.coefficients(X)
+        for k, (sigma, nu) in enumerate(pairs):
+            rows = group == k
+            v, L = _generator(g, X, _DEFAULT_SCHEME, (mu, sigma), nu, b.u)
+            vals[j, rows], gen[j, rows] = v[rows], L[rows]
+    integral = np.zeros((K, n))
+    integral[1:] = np.cumsum(0.5 * (gen[:-1] + gen[1:]) * np.diff(b.times)[:, None], axis=0)
+    M = vals - vals[:1] - integral
+    checks = dynkin_test(b, [g], t_points).statistics["checks"]
+    for t, c in zip(t_points, checks):
+        row = M[int(np.argmin(np.abs(b.times - t)))]
+        assert c["mean"] == float(row.mean()) and c["se"] == float(row.std(ddof=1) / np.sqrt(n))
 
 
 def test_moment_bound_ratio_stable():
@@ -340,6 +409,21 @@ def test_moment_bound_ratio_stable():
     rep = moment_bound_report(bundles, q=2.0)
     assert rep.passed
     assert all(0.5 <= r <= 2.0 for r in rep.statistics["relative_to_first"])
+
+
+def test_moment_bound_reads_any_policy_with_one_fixed_measure():
+    # linear feedback moves the drift but keeps one measure on every path, so
+    # its bound has the closed form; a row-group table (no one measure) and a
+    # relocation kernel (a measure that moves with the state) are refused
+    nu = AtomicMeasure(1, locations=[[1.5]], masses=[0.8])
+    pol = PolicyFieldSpec.linear_feedback(gain=[[0.5]], offset=0.0, sigma=0.3, nu=nu)
+    bundles = [simulate(pol, SimConfig(x0=0.0, T=T, dt=0.01, n_paths=4000, seed=44))
+               for T in (1.0, 2.0, 4.0)]
+    rep = moment_bound_report(bundles, q=2.0)
+    assert rep.passed and len(rep.statistics["rows"]) == 3
+    for other in (_example1_table_policy(), PolicyFieldSpec.jump_to_origin(rate=1.0)):
+        with pytest.raises(ValueError, match="one fixed measure"):
+            moment_bound_report([_fake_bundle(np.zeros((4, 3, 1)), other)], q=2.0)
 
 
 @pytest.mark.parametrize("G_at_4, passed", [(4.0, False), (8.0, True)])
