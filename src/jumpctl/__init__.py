@@ -29,7 +29,7 @@ _EXPORTS = {
     "measures": "Action AtomicMeasure DensityGridMeasure JumpMeasure MeasureSupportError "
                 "RelocationKernel ZeroMeasure jump_to_origin_action moment_functional sample_jump "
                 "second_moment_matrix total_mass validate_Mp",
-    "verify": "TestReport dpp_report dpp_residual dynkin_test growth_certificate_check "
+    "verify": "TestReport dpp_report dynkin_test growth_certificate_check "
               "h2_integrability_check moment_bound_report submartingale_test transversality_test",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

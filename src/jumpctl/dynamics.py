@@ -26,7 +26,7 @@ whose measure is a :class:`~jumpctl.measures.RelocationKernel` (jump to the
 origin is a constant action with one) is read per row, and its jumps
 relocate the path to the kernel's target.  :class:`PolicyFieldSpec` is the
 one interface to all shapes: the verifiers and the command line ask it for
-``coefficients``, ``drift``, ``coefficient_norms`` (|mu|, ||sigma||_F and
+``coefficients``, ``coefficient_norms`` (|mu|, ||sigma||_F and
 the jump moment per state), ``growth_left`` and ``rate_cap`` instead of
 branching on the shape.
 
@@ -57,6 +57,7 @@ from .measures import (
     RelocationKernel,
     ZeroMeasure,
     _draw_jumps,
+    _row_sq,
     _sampling_law,
     _support_points,
     big_jump_mean,
@@ -149,8 +150,6 @@ class PolicyFieldSpec:
 
     * :meth:`coefficients` -- each row's Action drift and the index of its
       (sigma, nu) pair;
-    * :meth:`drift` -- the drift applied at x, a relocation kernel's mean
-      included, as an (m, dim) array;
     * :meth:`coefficient_norms` -- |mu(x)|, ||sigma(x)||_F and
       int |y|^2 v |y|^p nu_x(dy) per row, the terms of the admissibility
       and growth conditions;
@@ -275,14 +274,6 @@ class PolicyFieldSpec:
             mu = _matmul_into(X, self.gain.T, np.empty(X.shape) if out is None else out)
             np.subtract(self.offset, mu, out=mu)
         return mu, _group_0(len(X)), [(self.sigma, self.nu)]
-
-    def drift(self, X) -> np.ndarray:
-        """The drift applied on a state batch of shape (m, dim), as an (m, dim)
-        array: mu(x), plus a relocation kernel's mean on its rows."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        mu, group, pairs = self.coefficients(X)
-        kern = _relocations(X, group, pairs)
-        return mu if kern is None else mu + kern[1][:, None] * kern[2]
 
     def coefficient_norms(self, X, p: float):
         """(|mu(x)|, ||sigma(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row, with
@@ -698,10 +689,10 @@ class _StepModel:
             group = self.group if self.per_row else _group_0(len(X))
             self.reloc = _relocations(X, group, [(p.sigma, p.nu) for p in self.pairs])
             _, mass, y = self.reloc
-            mean = mass[:, None] * y
-            bh = bh + mean * (np.linalg.norm(y, axis=1) <= 1.0)[:, None]
+            mean, sq = mass[:, None] * y, _row_sq(y)
+            bh = bh + mean * (np.sqrt(sq) <= 1.0)[:, None]
             self.m1_dt = self.m1_dt + mean * self.dt
-            self.g_dt = self.g_dt + mass * np.add.reduce(y * y, axis=1) * self.dt
+            self.g_dt = self.g_dt + mass * sq * self.dt
         drift *= self.dt
         if bh is not drift:
             bh *= self.dt

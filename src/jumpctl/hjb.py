@@ -23,12 +23,13 @@ CSC conversion would give. q and f are evaluated once per chosen (node,
 action), as improvement hands its values at the chosen actions to the
 evaluation of that policy. In product mode they are row-batched per
 (sigma, nu) pair: one call per block of drift-lattice columns and one for
-the refined drifts, not one per node; when the whole lattice fits in one
-block, that block and its upwind drift parts are tabulated on first use
-and reused by every later sweep or time step. Every linear system is
-solved by one sparse LU factorisation (``scipy.sparse.linalg.splu``) with
-a residual check. The module does no Monte Carlo: the simulated
-dynamic-programming check of a solved field lives in ``verify``.
+the refined drifts, not one per node. A block's q/f are tabulated on first
+use per (pair, first lattice column), within 2**21 entries per solve, and
+reused by every later sweep or time step; its upwind drift parts are kept
+only when the block is the whole lattice. Every linear system is solved by
+one sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual
+check. The module does no Monte Carlo: the simulated dynamic-programming
+check of a solved field lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 log = logging.getLogger("jumpctl.hjb")
+_TABLE_BUDGET = 2**21  # drift-lattice q/f table entries one solve keeps: 16 MB
 
 
 class SolverError(RuntimeError):
@@ -557,8 +559,8 @@ class _Generator:
     actions it chose, which the evaluation of that policy takes instead of
     calling q and f again. Costs are resolved once into row functions (see
     ``_row_costs``), called per list Action on its nodes and per pair on
-    (node, drift) rows; a lattice scan of one block keeps its costs and
-    upwind drift parts per pair.
+    (node, drift) rows; ``tables`` keeps lattice blocks' q/f per (pair, first
+    column) within ``_TABLE_BUDGET`` entries, and upwind parts of whole lattices.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -613,7 +615,7 @@ class _Generator:
         self.diag = np.searchsorted(flat, diag).astype(np.int32)
         self.pos = [np.searchsorted(flat, key).astype(np.int32) for key in keys]
         self.q_const = None if callable(prob.q) else float(prob.q)
-        self.tables = {}
+        self.tables, self.kept = {}, 0
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -678,21 +680,23 @@ class _Generator:
         x = self.x[nodes]
         return self.q_rows(x, sigma, nu, mu), self.f_rows(x, sigma, nu, mu)
 
-    def _lattice_block(self, s: int, mus: np.ndarray):
+    def _lattice_block(self, s: int, c0: int, mus: np.ndarray):
         """Upwind parts of the drift, q and f under pair s on the (len(mus), n)
-        block of drift-lattice columns mus; q is None when constant. A block
-        holding the whole lattice is tabulated on first use and read from the
-        table in every later sweep or step."""
-        if s in self.tables:
-            return self.tables[s]
-        n = self.grid.n_nodes
-        costs = self._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(np.arange(n), len(mus)))
-        qv, fv = (v.reshape(len(mus), n) for v in costs)
-        parts = _upwind(self.u + mus[:, None, :] - self.cands[s].m1)
-        out = parts, qv if self.q_const is None else None, fv
-        if len(mus) == len(self.combos):
-            self.tables[s] = out
-        return out
+        block of drift-lattice columns c0, c0 + 1, ... (mus); q is None when
+        constant. What is kept between calls is said in the class docstring."""
+        parts, qv, fv = self.tables.get((s, c0), (None, None, None))
+        if fv is None:
+            n = self.grid.n_nodes
+            costs = self._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(np.arange(n), len(mus)))
+            qv, fv = (v.reshape(len(mus), n) for v in costs)
+            qv = qv if self.q_const is None else None
+        if parts is None:
+            parts = _upwind(self.u + mus[:, None, :] - self.cands[s].m1)
+        size = fv.size if qv is None else 2 * fv.size
+        if (s, c0) not in self.tables and self.kept + size <= _TABLE_BUDGET:
+            self.kept += size
+            self.tables[s, c0] = parts if len(mus) == len(self.combos) else None, qv, fv
+        return parts, qv, fv
 
     def operator(self, pol: PolicyTable, costs=None):
         """Generator entries l for a fixed policy, on the CSC layout (``indices``,
@@ -804,7 +808,7 @@ class _Generator:
         every, width = np.arange(n), max(1, 2**15 // n)
         for c0 in range(0, combos.shape[0], width):
             mus = combos[c0 : c0 + width]
-            parts, qv, fv = self._lattice_block(s, mus)
+            parts, qv, fv = self._lattice_block(s, c0, mus)
             qphi = self.q_const * phi if qv is None else qv * phi
             Iall[c0 : c0 + len(mus)] = I = base + self._drift(parts, dp, dm) - qphi + fv
             if I_best is None:

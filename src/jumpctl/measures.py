@@ -194,7 +194,14 @@ class RelocationKernel(JumpMeasure):
     def at(self, X):
         """(mass (m,), jump target - x (m, dim)) at the rows of a state batch."""
         y = self.target - np.asarray(X, dtype=float)
-        return np.where(np.linalg.norm(y, axis=1) < 1e-12, 0.0, self.rate), y
+        return np.where(np.sqrt(_row_sq(y)) < 1e-12, 0.0, self.rate), y
+
+
+def _row_sq(y):
+    """|y|^2 per row, the squared columns added left to right: the bits of the
+    slow np.add.reduce(y * y, axis=1), whose root np.linalg.norm takes."""
+    sq = y * y
+    return sum((sq[:, k] for k in range(1, sq.shape[1])), sq[:, 0])
 
 
 def _support_points(nu: JumpMeasure):

@@ -54,7 +54,6 @@ __all__ = [
     "costs_along",
     "DppReport",
     "dpp_report",
-    "dpp_residual",
 ]
 
 log = logging.getLogger(__name__)
@@ -625,10 +624,3 @@ def dpp_report(
         )
         worst = max(worst, gap)
     return DppReport(residual=float(worst), t=float(t), per_probe=per)
-
-
-def dpp_residual(phi, prob, t, n_paths, seed, policies=None, probe_states=None, dt=1e-2) -> float:
-    """Sup over probe states of the best-trial-policy gap; see dpp_report."""
-    return dpp_report(
-        phi, prob, t, n_paths, seed, policies=policies, probe_states=probe_states, dt=dt
-    ).residual

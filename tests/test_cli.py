@@ -38,7 +38,7 @@ CONFIG_DIR = Path(jumpctl.__file__).parent / "configs"
 
 
 # the command each bundled config is written for
-_BUNDLED_COMMANDS = {"lq_1d": ["solve"], "finite_lq": ["solve-finite"],
+_BUNDLED_COMMANDS = {"lq_1d": ["solve"], "lq_2d": ["solve"], "finite_lq": ["solve-finite"],
                      "example1": ["example", "1"], "example2": ["example", "2"],
                      "example3": ["example", "3"], "simulate_cp": ["simulate"],
                      "verify_lq": ["verify"]}
@@ -628,7 +628,7 @@ def test_bundled_configs_match_the_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = jsonschema.Draft7Validator(json.loads((CONFIG_DIR / "config.schema.json").read_text()))
     names = sorted(p.name for p in CONFIG_DIR.glob("*.json") if p.name != "config.schema.json")
-    assert len(names) == 7
+    assert len(names) == 8
     for name in names:
         schema.validate(json.loads(Path(_bundled(name)).read_text()))
     # the inputs the parser rejects above are schema errors too, except the
@@ -793,6 +793,9 @@ _BUNDLED_DIGESTS = {
     "lq_1d/policy.csv": "e6066ee63b8039f9ae5231297ff9750512ca0c3f99812f5d229bdc5f0313e557",
     "lq_1d/report.json": "b9db171106b9a0dc64c4241f6f0c045c4048b18ee10c9050c4d24c7db4f7f26b",
     "lq_1d/value.csv": "1a5068b953aa1fa02746da4001834f2bc33c9b898a0102e754f1cc29bd9776f6",
+    "lq_2d/policy.csv": "4aba531800821df101b0be3c758dbb1ace16288031166c9c5a697835f74b88cc",
+    "lq_2d/report.json": "7502a6274a01a78163571028231d2673767abfb6af0bdfa5c58a99e812b7b0aa",
+    "lq_2d/value.csv": "d0a756941d6c443bcd6d11b82c6b37f5fbd66a1d3d1542b3eecdc80dfbad5d3f",
     "finite_lq/report.json": "79fc55fbe7101b1491a71e2ad4ad2e93f048b6ae43b0f1f1784b28069d338ca9",
     "finite_lq/value.csv": "34579ca9f8299fcfff5d255932651e43a5a9564e59fe9dac3a5a65d956ef4ed2",
     "example1/report.json": "3eb60de5d910cc0a9bc77c3c8008cc331521c0b5d28cd752f208dd0a55f02e89",

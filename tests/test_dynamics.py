@@ -202,8 +202,36 @@ def test_jump_to_origin_action_field():
     assert mu[:, 0].tolist() == [0.0, 0.0]
     mass, y = pairs[0][1].at(X)
     assert mass.tolist() == [0.0, 2.0] and y[1, 0] == -1.5
-    assert pol.drift(X)[:, 0].tolist() == [0.0, -3.0]
+    assert (mu + mass[:, None] * y)[:, 0].tolist() == [0.0, -3.0]
     assert pol.rate_cap() == 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_relocation_rows_match_the_norm_reference(dim):
+    # a kernel's masses and its rows' B^h and G increments add the squared
+    # columns left to right; they must be the bits of np.linalg.norm and
+    # np.add.reduce, on the target, within 1e-12 of it and at |y| = 1, where
+    # |y|^2 may read 1 + ulp while |y| rounds to 1 (so the root is kept)
+    from jumpctl.dynamics import _StepModel
+
+    rng = np.random.default_rng(21)
+    y = rng.standard_normal((3000, dim)) * 10.0 ** rng.integers(-14, 2, (3000, 1))
+    y[1000:2000] /= np.linalg.norm(y[1000:2000], axis=1)[:, None]
+    y[:4], y[4 : 4 + dim] = 0.0, np.eye(dim)
+    X, rate, dt, u = -y, 1.7, 0.01, np.full(dim, 0.3)  # jump to the origin: y = 0 - x
+    pol = PolicyFieldSpec.jump_to_origin(rate, sigma=0.5, dim=dim)
+    mass, y_at = pol.action.nu.at(X)
+    r, sq = np.linalg.norm(y, axis=1), np.add.reduce(y * y, axis=1)
+    assert np.array_equal(y_at, y) and (r < 1e-12).sum() > 4 and (r == 1.0).sum() > dim
+    assert np.array_equal(mass, np.where(r < 1e-12, 0.0, rate))
+    if dim > 1:
+        assert ((r <= 1.0) != (sq <= 1.0)).any()
+    model = _StepModel(pol, np.zeros(dim), u, dt, None)
+    model._increments(X, np.zeros((len(X), dim)))
+    mean = mass[:, None] * y
+    bh = (u + np.zeros((len(X), dim)) + mean * (r <= 1.0)[:, None]) * dt
+    assert np.array_equal(model.bh_dt, bh)
+    assert np.array_equal(model.g_dt, model.pair_g_dt + mass * sq * dt)
 
 
 def test_linear_feedback_ou_moments():
@@ -216,7 +244,7 @@ def test_linear_feedback_ou_moments():
     var_t = 0.5 * (1.0 - np.exp(-4.0))
     assert abs(xT.mean() - mean_t) < 3 * np.sqrt(var_t / n)
     assert abs(xT.var(ddof=1) - var_t) / var_t < 0.05
-    assert pol.drift(np.array([[0.5], [-2.0]]))[:, 0].tolist() == [-0.5, 2.0]
+    assert pol.coefficients(np.array([[0.5], [-2.0]]))[0][:, 0].tolist() == [-0.5, 2.0]
 
 
 def _lq_setup():
@@ -516,9 +544,11 @@ def test_kernel_entry_of_a_table_steps_as_one_row_group():
     table = PolicyTable(grid=grid, action_index=(grid.axes[0] >= 1.5).astype(np.intp))
     pol = PolicyFieldSpec.from_policy_table(table, prob)
     X = np.array([[3.0], [0.0], [2.0]])
-    _, group, pairs = pol.coefficients(X)
+    mu, group, pairs = pol.coefficients(X)
     assert group.tolist() == [0, 1, 0] and pairs[0][1] is relocate.nu
-    assert pol.drift(X)[:, 0].tolist() == [-6.0, 0.0, -4.0] and pol.rate_cap() == r
+    mass, y = relocate.nu.at(X)  # the kernel's mean joins the drift on its rows
+    applied = mu + np.where(group == 0, mass, 0.0)[:, None] * y
+    assert applied[:, 0].tolist() == [-6.0, 0.0, -4.0] and pol.rate_cap() == r
     b = simulate(pol, SimConfig(x0=3.0, T=T, dt=dt, n_paths=n, seed=33))
     out = b.states[:, -1, 0] > 1.5
     p_out = np.exp(-r * T)
@@ -606,7 +636,11 @@ def test_coefficient_norms_match_actions(case):
     acts = [jump_to_origin_action(x, pairs[g][1].rate, pairs[g][0])
             if isinstance(pairs[g][1], RelocationKernel) else Action(*pairs[g], m)
             for x, g, m in zip(X, group, rows)]
-    mu = pol.drift(X)
+    mu = np.array(rows)  # the drift applied: a relocation kernel adds its mean
+    for g, (_, nu) in enumerate(pairs):
+        if isinstance(nu, RelocationKernel):
+            mass, y = nu.at(X[group == g])
+            mu[group == g] += mass[:, None] * y
     assert mu.shape == X.shape
     for p in (2.0, 3.0):
         d, s, j = pol.coefficient_norms(X, p)

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from jumpctl import hjb
 from jumpctl.generator import AnalyticField, GeneratorScheme, hjb_integrand
 from jumpctl.hjb import (
     ConvergenceReport,
@@ -36,7 +37,7 @@ from jumpctl.measures import (
     ZeroMeasure,
     jump_to_origin_action,
 )
-from jumpctl.verify import dpp_report, dpp_residual
+from jumpctl.verify import dpp_report
 
 B_HAT = (np.sqrt(13.0) - 3.0) / 2.0
 
@@ -647,12 +648,11 @@ def _count_rows(cost, sizes):
 
 
 @pytest.mark.parametrize("n_lat, n_steps, blocks", [(41, 400, 1), (401, 20, 2)])
-def test_lattice_blocks_evaluated_once_per_pair_when_one_block(n_lat, n_steps, blocks):
-    # a lattice scan of one block (41 columns x 101 nodes) evaluates q and f on it
-    # once per pair and solve, and reads them back at every later step; a scan of
-    # two blocks (401 x 101 rows, blocks of 324 and 77 columns) keeps no table
-    # and evaluates each block at every step. The other calls are refinements,
-    # one row per node at most.
+def test_lattice_blocks_evaluated_once_per_pair_and_solve(n_lat, n_steps, blocks):
+    # every block of a lattice scan, one (41 columns x 101 nodes) or two (401 x
+    # 101 rows, blocks of 324 and 77 columns), has q and f evaluated on it once
+    # per pair and solve, and read back at every later step, as the tables stay
+    # within the budget. The other calls are refinements, one row per node at most.
     g = Grid.regular(-3.0, 3.0, 101)
     f, q = QuadCost([[1.0]]), QDiscount()
     sizes = {"f": [], "q": []}
@@ -663,12 +663,43 @@ def test_lattice_blocks_evaluated_once_per_pair_when_one_block(n_lat, n_steps, b
                       mu_lattice=np.linspace(-2.0, 2.0, n_lat), q_growth=2)
     sol = solve_finite_horizon(prob, h=0.0, T=1.0, n_steps=n_steps, grid=g)
     assert np.all(np.isfinite(sol.values))
-    want = len(pairs) if blocks == 1 else n_steps * blocks * len(pairs)
     for calls in sizes.values():
         lattice = [m for m in calls if m > g.n_nodes]
-        assert len(lattice) == want
-        assert sum(lattice) == want // blocks * n_lat * g.n_nodes  # whole-lattice scans
+        assert len(lattice) == blocks * len(pairs)
+        assert sum(lattice) == len(pairs) * n_lat * g.n_nodes  # one whole-lattice scan
         assert len(calls) > len(lattice)  # and refinements
+
+
+@pytest.mark.parametrize("dim, budget", [(1, 0), (2, 0), (2, 100_000)])
+def test_lattice_tables_keep_the_bits_within_the_budget(monkeypatch, dim, budget):
+    # a solve that keeps no lattice table (budget 0) or fills the budget partway
+    # (two pairs x three blocks of 74, 74 and 21 columns x 441 nodes of f, 149,058
+    # entries in all) gives the bits of one that keeps every table; the kept
+    # entries never pass the budget
+    g, theta, q_callable, pairs, lattice = _row_batched_case(dim)
+    prob = HJBProblem(f=QuadCost(theta), q=QDiscount() if q_callable else 3.0,
+                      delta_q=2.0 if q_callable else 3.0, b_q=3.0, sigma_nu_pairs=pairs,
+                      mu_lattice=lattice, q_growth=2)
+    ref_phi, ref_pol, _ = solve_stationary(prob, g)
+    ref_fin = solve_finite_horizon(prob, h=1.0, T=0.5, n_steps=6, grid=g)
+    kept, block = [], _Generator._lattice_block
+
+    def recorded(gen, s, c0, mus):
+        out = block(gen, s, c0, mus)
+        kept.append((gen.kept, len(gen.tables)))
+        return out
+
+    monkeypatch.setattr(hjb, "_TABLE_BUDGET", budget)
+    monkeypatch.setattr(_Generator, "_lattice_block", recorded)
+    phi, pol, _ = solve_stationary(prob, g)
+    fin = solve_finite_horizon(prob, h=1.0, T=0.5, n_steps=6, grid=g)
+    assert np.array_equal(phi.values, ref_phi.values)
+    assert np.array_equal(pol.action_index, ref_pol.action_index)
+    assert np.array_equal(pol.mu, ref_pol.mu)
+    assert np.array_equal(fin.values, ref_fin.values)
+    assert max(k for k, _ in kept) <= budget
+    tables = max(t for _, t in kept)
+    assert tables == 0 if budget == 0 else 0 < tables < len(pairs) * 3
 
 
 class TableCost:
@@ -1011,7 +1042,7 @@ def test_dpp_residual_zero_horizon():
     g = Grid.regular(-2.0, 2.0, 33)
     prob = singleton_problem(lambda x, a: x**2, 1.0)
     phi = ValueField(grid=g, values=g.axes[0] ** 2 + 1.0, q_growth=2)
-    assert dpp_residual(phi, prob, t=0.0, n_paths=10, seed=0) == 0.0
+    assert dpp_report(phi, prob, t=0.0, n_paths=10, seed=0).residual == 0.0
 
 
 def test_dpp_gap_vanishes_on_resolvent():
@@ -1025,8 +1056,8 @@ def test_dpp_gap_vanishes_on_resolvent():
     for entry in rep.per_probe:
         assert abs(entry["gap"]) <= 3 * entry["se"] + 0.01
     # deterministic given the seed
-    assert dpp_residual(phi, prob, t=0.75, n_paths=400, seed=9, dt=0.01) == \
-        dpp_residual(phi, prob, t=0.75, n_paths=400, seed=9, dt=0.01)
+    assert dpp_report(phi, prob, t=0.75, n_paths=400, seed=9, dt=0.01).residual == \
+        dpp_report(phi, prob, t=0.75, n_paths=400, seed=9, dt=0.01).residual
 
 
 def test_dpp_detects_missing_control():
