@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "dynamics": "AdmissibilityError PathBundle PayoffEstimate PolicyFieldSpec SimConfig "
-                "bellman_series characteristics_report gm_left_side payoff_estimate simulate",
-    "examples": "BoundaryError BracketError Example1Spec Example2Solution example1_policy "
-                "example1_psi example1_value example2_free_boundary example2_phi_b",
+                "bellman_series characteristics_report payoff_estimate simulate",
+    "examples": "BoundaryError BracketError Example1Spec Example2Solution example1_psi "
+                "example1_value example2_free_boundary example2_phi_b",
     "generator": "AnalyticField DomainError GeneratorScheme GrowthError apply_generator "
                  "hjb_integrand jump_term local_term",
     "hjb": "ConvergenceReport FiniteHorizonSolution Grid HJBProblem PolicyTable SchemeWarning "
@@ -27,8 +27,8 @@ _EXPORTS = {
     "lq": "LQSolution LQSpec RiccatiSolveError minimal_dispersion optimal_feedback "
           "riccati_residual solve_lq solve_riccati",
     "measures": "Action AtomicMeasure DensityGridMeasure JumpMeasure MeasureSupportError "
-                "RelocationKernel ZeroMeasure jump_to_origin_action moment_functional sample_jump "
-                "second_moment_matrix total_mass validate_Mp",
+                "RelocationKernel ZeroMeasure moment_functional sample_jumps second_moment_matrix "
+                "total_mass validate_Mp",
     "verify": "TestReport dpp_report dynkin_test growth_certificate_check "
               "h2_integrability_check moment_bound_report submartingale_test transversality_test",
 }

@@ -240,8 +240,10 @@ def _measure_from(obj, path: str, dim: int) -> JumpMeasure:
             shape=tuple(_get(obj, "shape", path, "counts")),
             values=_get(obj, "values", path, "array"),
             eps=_get(obj, "eps", path, "nonnegative", 0.0),
-            small_jump_cov=_get(obj, "small_jump_cov", path, "matrix", None),
         )
+        cov = _get(obj, "small_jump_cov", path, "matrix", None)
+        if cov is not None:
+            nu = _build(f"{path}.small_jump_cov", replace, nu, small_jump_cov=cov)
     else:
         raise ConfigError(f"{path}.kind", f"unknown measure kind '{kind}' (zero/atomic/density)")
     try:  # reads the support, and the second moments every consumer needs

@@ -11,7 +11,7 @@ the compensator drift that makes the jump part a martingale.
 
 Alongside the states the bundle records, per path and on a configurable
 storage lattice, the semimartingale characteristics (truncated drift B^h
-with h(y) = y 1_{|y| <= 1}, continuous covariance C = int sigma sigma^T ds,
+with h(y) = y 1_{|y| <= 1}, continuous covariance C = int (sigma sigma^T + Sigma_eps) ds,
 and the full jump history), the discount integral gamma_t = int q ds, the
 running discounted cost, the running suprema of the continuous and
 compensated-jump martingale parts, and the quadratic jump functional
@@ -56,14 +56,12 @@ from .measures import (
     JumpMeasure,
     RelocationKernel,
     ZeroMeasure,
+    _covariance,
     _draw_jumps,
+    _moments,
     _row_sq,
-    _sampling_law,
     _support_points,
-    big_jump_mean,
-    first_moment,
     moment_functional,
-    second_moment_matrix,
     total_mass,
 )
 
@@ -78,7 +76,6 @@ __all__ = [
     "payoff_estimate",
     "bellman_series",
     "characteristics_report",
-    "gm_left_side",
 ]
 
 log = logging.getLogger(__name__)
@@ -101,17 +98,6 @@ def _as_matrix(sigma, dim: int) -> np.ndarray:
     return s
 
 
-def gm_left_side(a: Action, p: float) -> float:
-    """Left side of the Markov growth condition for a single action.
-
-    ``|mu|^p + ||sigma||^p + int |z|^2 v |z|^p nu(dz)`` with the Frobenius
-    matrix norm.
-    """
-    mu_term = float(np.linalg.norm(a.mu)) ** p
-    sig_term = float(np.linalg.norm(a.sigma)) ** p
-    return mu_term + sig_term + moment_functional(a.nu, p)
-
-
 def _group_0(m: int) -> np.ndarray:
     """Group 0 for each of m rows: a read-only zero-stride view, nothing allocated."""
     return np.ndarray((m,), np.intp, _GROUP_0, strides=(0,))
@@ -124,6 +110,8 @@ def _relocations(X, group, pairs):
     kernels = [(g, nu) for g, (_, nu) in enumerate(pairs) if isinstance(nu, RelocationKernel)]
     if not kernels:
         return None
+    if len(pairs) == 1:  # every row is on the kernel: no masks
+        return np.ones(len(X), dtype=bool), *kernels[0][1].at(X)
     on, mass, y = np.zeros(len(X), dtype=bool), np.zeros(len(X)), np.zeros(X.shape)
     for g, nu in kernels:
         sel = group == g
@@ -290,9 +278,9 @@ class PolicyFieldSpec:
         kern = _relocations(X, group, pairs)
         if kern is not None:  # mass and y are zero off the kernel rows
             _, mass, y = kern
-            r = np.linalg.norm(y, axis=1)
+            r = np.sqrt(_row_sq(y))  # the bits of np.linalg.norm(y, axis=1), as below
             j = j + mass * np.maximum(r**2, r**p)
-            return np.linalg.norm(mu + mass[:, None] * y, axis=1), s, j
+            return np.sqrt(_row_sq(mu + mass[:, None] * y)), s, j
         if self.kind == "constant":  # the bits of a 1-D norm, which the row-wise norm can miss
             return np.full(len(X), float(np.linalg.norm(self.action.mu))), s, j
         return np.linalg.norm(mu, axis=1), s, j
@@ -593,31 +581,13 @@ def _arrivals(rng: np.random.Generator, lam: float, n: int):
         u = np.concatenate([u[end:], rng.random(n - done)])
 
 
-class _Pair:
-    """A (sigma, nu) pair resolved for stepping; it holds the pair, so the ids keying it stay taken."""
-
-    def __init__(self, sigma, nu, dim: int, dt: float):
-        if sigma.shape != (dim, dim):
-            raise ValueError(f"policy sigma shape {sigma.shape} does not match state dim {dim}")
-        # total_mass reads the support, so a malformed one raises here, before any draw;
-        # a relocation kernel's mass is its rate, and its moments are read per row
-        self.sigma, self.nu, self.mass = sigma, nu, total_mass(nu)
-        self.kernel = isinstance(nu, RelocationKernel)
-        jumps = self.mass > 0 and not self.kernel
-        self.law = _sampling_law(nu) if jumps else None
-        self.m1 = first_moment(nu) if jumps else np.zeros(dim)
-        self.big_mean = big_jump_mean(nu) if jumps else np.zeros(dim)
-        self.m2_dt = (float(np.trace(second_moment_matrix(nu))) if jumps else 0.0) * dt
-        self.sigT, self.cov_dt, self.m1_dt = sigma.T, (sigma @ sigma.T) * dt, self.m1 * dt
-
-
 class _StepModel:
     """Per-run kinematics of a policy field: one stepping path for every shape.
 
     :meth:`_resolve` reads each row's drift and (sigma, nu) pair through
-    :meth:`PolicyFieldSpec.coefficients`, resolves the pairs (a :class:`_Pair`
-    of the previous resolve is kept) and sets the thinning clock, which runs
-    when some row's pair has mass, at the declared bound if that is larger.
+    :meth:`PolicyFieldSpec.coefficients`, each pair's terms (``measures._moments``
+    and ``_covariance``) and the thinning clock, which runs when some row's
+    pair has mass, at the declared bound if that is larger.
     :meth:`_increments` forms the drift, B^h, compensator and G increments,
     a relocation kernel's rows included.  The policy's kind tells only
     whether the pairs vary by row (row groups: resolved every step, with a
@@ -635,27 +605,27 @@ class _StepModel:
     def __init__(self, policy: PolicyFieldSpec, x0: np.ndarray, u: np.ndarray, dt: float,
                  declared: Optional[float]):
         self.policy, self.u, self.dt, self.declared = policy, u, dt, declared
-        self.dim, self.sqdt, self.seen, self.scratch = x0.size, np.sqrt(dt), {}, {}
+        self.dim, self.sqdt, self.scratch = x0.size, np.sqrt(dt), {}
         self.per_row, self.fixed = policy.kind == "callable", policy.kind == "constant"
         if not self.per_row:
             self._resolve(x0[None])
 
     def _resolve(self, X):
         """Each row's pair, the clock, and the increments at X."""
-        mu, self.group, pairs = self.policy.coefficients(X)
-        keys = [(id(sigma), id(nu)) for sigma, nu in pairs]
-        seen, self.seen = self.seen, {}
-        for key, (sigma, nu) in zip(keys, pairs):
-            self.seen[key] = self.seen.get(key) or seen.get(key) or _Pair(sigma, nu, self.dim, self.dt)
-        self.pairs = [self.seen[key] for key in keys]
-        if self.per_row:
-            terms = lambda name: np.array([getattr(p, name) for p in self.pairs])[self.group]
-        else:
-            terms = lambda name: getattr(self.pairs[0], name)
-        mass, self.m1, self.big, self.pair_m1_dt, self.pair_g_dt, self.sigT, self.cov_dt = map(
-            terms, ("mass", "m1", "big_mean", "m1_dt", "m2_dt", "sigT", "cov_dt"))
-        self.kernel = any(p.kernel for p in self.pairs)
-        self.compensated = any(p.law is not None for p in self.pairs)
+        mu, self.group, self.pairs = self.policy.coefficients(X)
+        terms = []
+        for sigma, nu in self.pairs:
+            if sigma.shape != (self.dim, self.dim):
+                raise ValueError(
+                    f"policy sigma shape {sigma.shape} does not match state dim {self.dim}")
+            # the record reads the support, so a malformed one raises here, before any draw
+            rec, (C, F) = _moments(nu), _covariance(sigma, nu)
+            terms.append((rec.mass, rec.m1, rec.big_mean, rec.m1 * self.dt,
+                          np.trace(rec.m2) * self.dt, F.T, C * self.dt))
+        terms = [np.array(t)[self.group] for t in zip(*terms)] if self.per_row else terms[0]
+        mass, self.m1, self.big, self.pair_m1_dt, self.pair_g_dt, self.sigT, self.cov_dt = terms
+        self.kernel = any(isinstance(nu, RelocationKernel) for _, nu in self.pairs)
+        self.compensated = any(_moments(nu).law is not None for _, nu in self.pairs)
         top = float(np.max(mass))
         if self.declared is not None and top > self.declared * (1.0 + 1e-9):
             raise AdmissibilityError(
@@ -686,8 +656,7 @@ class _StepModel:
             bh = np.subtract(umu, self.big, out=out("bh", shape))
         self.m1_dt, self.g_dt, self.reloc = self.pair_m1_dt, self.pair_g_dt, None
         if self.kernel:
-            group = self.group if self.per_row else _group_0(len(X))
-            self.reloc = _relocations(X, group, [(p.sigma, p.nu) for p in self.pairs])
+            self.reloc = _relocations(X, self.group, self.pairs)
             _, mass, y = self.reloc
             mean, sq = mass[:, None] * y, _row_sq(y)
             bh = bh + mean * (np.sqrt(sq) <= 1.0)[:, None]
@@ -758,7 +727,8 @@ class _StepModel:
         """Jump sizes for ``counts`` jumps on each of ``rows`` (ascending), in
         row order, drawn group by group in group order.  A relocation draws
         nothing: a kernel row's arrivals in one step coalesce into one jump to
-        its target, and a row on its target does not jump."""
+        its target, and a row on its target does not jump.  A massless pair's
+        rows never jump, so a pair without a sampling law here is a kernel."""
         if self.reloc is not None:
             on, mass, _ = self.reloc
             counts = np.where(on[rows], mass[rows] > 0.0, counts)
@@ -770,8 +740,8 @@ class _StepModel:
         sizes = np.empty((paths.size, self.dim))
         for g in range(1) if of is None else np.unique(of):
             sel = slice(None) if of is None else of == g
-            pair, at = self.pairs[g], paths[sel]
-            sizes[sel] = self.reloc[2][at] if pair.kernel else _draw_jumps(pair.law, rng, at.size)
+            law, at = _moments(self.pairs[g][1]).law, paths[sel]
+            sizes[sel] = self.reloc[2][at] if law is None else _draw_jumps(law, rng, at.size)
         return sizes, paths
 
 
@@ -1072,7 +1042,7 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     nu = None if isinstance(policy.nu, RelocationKernel) else policy.nu
 
     if policy.kind == "constant" and nu is not None:
-        rate_vec = bundle.u + policy.action.mu - big_jump_mean(policy.nu)
+        rate_vec = bundle.u + policy.action.mu - _moments(policy.nu).big_mean
         pred = times[None, :, None] * rate_vec[None, None, :]
         bh_gap = float(np.max(np.abs(bundle.Bh - pred)))
     else:
@@ -1086,7 +1056,7 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
 
     c_total = bundle.C[:, -1] if bundle.c_per_path else bundle.C[-1]
     c_gap = None if policy.sigma is None else float(
-        np.max(np.abs(c_total - policy.sigma @ policy.sigma.T * T)))
+        np.max(np.abs(c_total - _covariance(policy.sigma, policy.nu)[0] * T)))
 
     n_jumps = int(bundle.jump_sizes.shape[0])
     rate_obs = n_jumps / (n * T)
@@ -1094,8 +1064,7 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     hist_edges = hist_counts = hist_expected = None
     max_z = None
     if nu is not None:
-        mass = total_mass(nu)
-        rate_exp = mass
+        rate_exp = mass = total_mass(nu)
         if n_jumps and mass > 0:
             mags = np.linalg.norm(bundle.jump_sizes, axis=1)
             lo, hi = float(mags.min()), float(mags.max())

@@ -33,12 +33,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .measures import (
-    Action,
-    jump_to_origin_action,
-    tail_moment,
-    total_mass,
-)
+from .measures import tail_moment, total_mass
 from .hjb import Grid, ValueField
 
 __all__ = [
@@ -48,7 +43,6 @@ __all__ = [
     "Example2Solution",
     "example1_psi",
     "example1_value",
-    "example1_policy",
     "example2_phi_b",
     "example2_free_boundary",
 ]
@@ -243,8 +237,8 @@ def example1_psi(f, q: float, grid: Grid, contamination_tol: float = 1e-6) -> Va
 def example1_value(psi: ValueField, q: float) -> ValueField:
     """Optimal payoff ``V = psi + psi(0)/q`` of the jump-to-origin problem.
 
-    The optimal control is described by :func:`example1_policy`: unit
-    diffusion and a unit-rate jump straight to the origin (the jump measure
+    The optimal control is unit diffusion and a unit-rate jump straight to
+    the origin, ``Action(1, RelocationKernel(1, 1.0), 0)`` (the jump measure
     is the point mass at ``-x`` when the state is ``x``).
     """
     if not (np.isfinite(q) and q > 0.0):
@@ -254,18 +248,6 @@ def example1_value(psi: ValueField, q: float) -> ValueField:
     return ValueField(
         psi.grid, psi.values + shift, q_growth=psi.q_growth, nonneg=True
     )
-
-
-def example1_policy(x: float) -> Action:
-    """Optimal action at state ``x``: jump to the origin at unit rate (the
-    per-state form of ``Action(1, RelocationKernel(1, 1.0), 0)``, which the
-    solver and the simulator take).
-
-    The drift equals the jump mean (so drift and compensator cancel in the
-    generator) and the diffusion coefficient is one.  At the origin the jump
-    is a no-op and the measure degenerates to zero.
-    """
-    return jump_to_origin_action(float(x), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 For an action a = (sigma, nu, mu) and a fixed ambient vector u the operator
 acts on a C^2 function g as
 
-    L^a g(x) = (u + mu) . grad g(x)
-             + (1/2) tr(sigma^T Hess g(x) sigma)
-             + integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy).
+    L^a g(x) = (u + mu) . grad g(x) + (1/2) tr(C Hess g(x))
+             + integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy),
+
+with C = sigma sigma^T + Sigma_eps as ``measures._covariance`` forms it.
 
 A relocation kernel, rate delta_{target - x} at x, adds its mean to mu; its
 integral is rate [g(target) - g(x) - (target - x) . grad g(x)].
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Action, JumpMeasure, RelocationKernel, ZeroMeasure, _support_points
+from .measures import Action, JumpMeasure, RelocationKernel, ZeroMeasure, _covariance, _support_points
 
 __all__ = [
     "AnalyticField",
@@ -188,16 +189,13 @@ def _lsum(P):
     return sum((P[..., i] for i in range(1, P.shape[-1])), P[..., 0])
 
 
-def _local(mu, sigma, u, grad, hess):
+def _local(mu, C, u, grad, hess):
     m, n = grad.shape
     mu = np.asarray(mu, float)
     mu = mu if mu.shape == (m, n) else _as_point(mu, n)  # one drift per row, or one for all
     u = np.zeros(n) if u is None else _as_point(u, n)
-    sigma = np.asarray(sigma, float)
-    if sigma.ndim == 0:
-        sigma = sigma.reshape(1, 1)
-    # tr(sigma^T H sigma) is the sum of the entries of H * (sigma sigma^T)
-    return _lsum(grad * (u + mu)) + 0.5 * _lsum((hess * (sigma @ sigma.T)).reshape(m, -1))
+    # tr(C H) is the sum of the entries of H * C, C symmetric
+    return _lsum(grad * (u + mu)) + 0.5 * _lsum((hess * C).reshape(m, -1))
 
 
 def _effective_split(g, scheme):
@@ -224,8 +222,8 @@ def _jump_law(nu: JumpMeasure, g, scheme):
 
 
 def _generator(g, X, scheme, local=None, nu=None, u=None):
-    """g on the batch X, and the sum of the local part (local = (mu, sigma))
-    and of each jump's term, added left to right in support order.
+    """g on the batch X, and the sum of the local part (local = (mu, sigma),
+    with nu's C) and of each jump's term, added left to right in support order.
 
     Jumps with |y| above the small-jump split use the raw difference
     g(x+y) - g(x) - y . grad g(x), the others the Taylor surrogate
@@ -233,7 +231,8 @@ def _generator(g, X, scheme, local=None, nu=None, u=None):
     """
     law = _jump_law(nu, g, scheme)
     g0, grad, hess = _derivatives(g, X, scheme)
-    out = np.zeros(len(X)) if local is None else _local(*local, u, grad, hess)
+    out = np.zeros(len(X)) if local is None else _local(
+        local[0], _covariance(np.atleast_2d(np.asarray(local[1], float)), nu)[0], u, grad, hess)
     if law is None:
         return g0, out
     m, n = X.shape

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .measures import Action, RelocationKernel, _support_points, validate_Mp
+from .measures import Action, RelocationKernel, _covariance, _moments, _support_points, validate_Mp
 
 __all__ = [
     "Grid",
@@ -304,10 +304,6 @@ class ValueField:
         object.__setattr__(self, "_tails", tails)
         object.__setattr__(self, "tail_residual", tails.residual(vals))
 
-    @property
-    def tail_degree(self) -> int:
-        return max(self._tails.degree.values())
-
     def _as_points(self, x):
         x = np.asarray(x, float)
         if self.grid.dim == 1:
@@ -375,9 +371,7 @@ class HJBProblem:
                 raise ValueError("product mode needs sigma_nu_pairs and mu_lattice")
             pairs = []
             for sigma, nu in self.sigma_nu_pairs:
-                sigma = np.asarray(sigma, float)
-                if sigma.ndim == 0:
-                    sigma = sigma.reshape(1, 1)
+                sigma = np.atleast_2d(np.asarray(sigma, float))
                 if not validate_Mp(nu, max(2.0, self.p)):
                     raise ValueError("family measure fails the declared moment order")
                 pairs.append((sigma, nu))
@@ -625,9 +619,7 @@ class _Generator:
         qvec, fvec = (np.empty(n), np.empty(n)) if costs else (None, None)
         rows, dest, coef = [np.zeros(0, int)], [np.zeros((0, dim))], [np.zeros(0)]
         for idx, a in groups:
-            D = a.sigma @ a.sigma.T
-            if getattr(a.nu, "small_jump_cov", None) is not None:
-                D = D + np.atleast_2d(np.asarray(a.nu.small_jump_cov, float))
+            D = _covariance(a.sigma, a.nu)[0]
             c2[idx] = 0.5 * np.diag(D)
             if dim == 2:
                 c12[idx] = D[0, 1] / (4.0 * grid.h[0] * grid.h[1])
@@ -645,14 +637,12 @@ class _Generator:
                 dest.append(np.broadcast_to(a.nu.target, (rows[-1].size, dim)))
                 coef.append(w[w > 0.0])
                 continue
-            y, w = _support_points(a.nu)
-            if len(w):
-                mass[idx] = w.sum()
-                m1[idx] = w @ y
-                y, w = y[w > 0.0], w[w > 0.0]
-                rows.append(np.repeat(idx, len(w)))
-                dest.append((self.pts[idx, None, :] + y[None, :, :]).reshape(-1, dim))
-                coef.append(np.tile(w, len(idx)))
+            rec, (y, w) = _moments(a.nu), _support_points(a.nu)
+            mass[idx], m1[idx] = rec.mass, rec.m1
+            y, w = y[w > 0.0], w[w > 0.0]
+            rows.append(np.repeat(idx, len(w)))
+            dest.append((self.pts[idx, None, :] + y[None, :, :]).reshape(-1, dim))
+            coef.append(np.tile(w, len(idx)))
         cross = c12 != 0.0
         rc = np.nonzero(cross)[0]
         for s0, s1 in ((1, 1), (-1, -1), (1, -1), (-1, 1)) if rc.size else ():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_sylvester
 
-from .measures import Action, JumpMeasure, second_moment_matrix, validate_Mp
+from .measures import JumpMeasure, _moments, validate_Mp
 
 __all__ = [
     "LQSpec",
@@ -70,9 +70,7 @@ class LQSpec:
             raise ValueError("u has wrong dimension")
         cands = []
         for sigma, nu in self.dispersion_candidates:
-            sigma = np.asarray(sigma, float)
-            if sigma.ndim == 0:
-                sigma = sigma.reshape(1, 1)
+            sigma = np.atleast_2d(np.asarray(sigma, float))
             if sigma.shape != (n, n):
                 raise ValueError("dispersion candidate sigma has wrong shape")
             if not validate_Mp(nu, 2.0):
@@ -117,9 +115,6 @@ class LQSolution:
         pts = np.atleast_2d(x)
         out = _quadratic_rows(pts, self.B) + (pts * self.c).sum(axis=1) + self.d
         return float(out[0]) if single else out
-
-    def optimal_action(self, x) -> Action:
-        return Action(sigma=self.sigma_hat, nu=self.nu_hat, mu=optimal_feedback(x, self))
 
 
 def riccati_residual(B, lam, theta, q) -> np.ndarray:
@@ -183,7 +178,8 @@ def solve_riccati(lam, theta, q, tol=1e-12, max_newton=30) -> np.ndarray:
 
 
 def minimal_dispersion(candidates, B):
-    """argmin over (sigma, nu) pairs of tr(sigma^T B sigma) + integral y^T B y nu(dy).
+    """argmin over (sigma, nu) pairs of tr(sigma^T B sigma) + integral y^T B y nu(dy),
+    Sigma_eps's share sum(B * Sigma_eps) included when the measure sets it.
 
     Returns (delta_hat, sigma_hat, nu_hat); ties resolve to the earliest
     candidate in list order.
@@ -191,20 +187,14 @@ def minimal_dispersion(candidates, B):
     if len(candidates) == 0:
         raise ValueError("empty dispersion candidate list")
     B = np.atleast_2d(np.asarray(B, float))
-    values = []
-    normed = []
-    for sigma, nu in candidates:
-        sigma = np.asarray(sigma, float)
-        if sigma.ndim == 0:
-            sigma = sigma.reshape(1, 1)
-        val = float(np.trace(sigma.T @ B @ sigma)) + float(
-            np.sum(B * second_moment_matrix(nu))
-        )
-        values.append(val)
-        normed.append((sigma, nu))
+    values, normed = [], [(np.atleast_2d(np.asarray(sigma, float)), nu) for sigma, nu in candidates]
+    for sigma, nu in normed:
+        rec = _moments(nu)
+        values.append(float(np.trace(sigma.T @ B @ sigma)) + float(np.sum(B * rec.m2)))
+        if rec.small_cov is not None:
+            values[-1] += float(np.sum(B * rec.small_cov))
     k = int(np.argmin(values))
-    sigma_hat, nu_hat = normed[k]
-    return values[k], sigma_hat, nu_hat
+    return values[k], *normed[k]
 
 
 def lq_assemble(spec: LQSpec, B, delta_hat, sigma_hat=None, nu_hat=None) -> LQSolution:

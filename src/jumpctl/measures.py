@@ -15,12 +15,15 @@ sampler are the primitives every other module consumes.
 Each reads the measure through :func:`_support_points`, the one place that
 checks a support: the first read validates it and keeps it on the measure,
 whose arrays are read-only copies; a malformed one raises on every read.
+A (sigma, nu) pair's characteristics are read here too: the record of moments
+kept on the measure (:func:`_moments`) and C = sigma sigma^T + Sigma_eps.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +41,8 @@ __all__ = [
     "moment_functional",
     "second_moment_matrix",
     "total_mass",
-    "first_moment",
     "tail_moment",
-    "big_jump_mean",
-    "sample_jump",
     "sample_jumps",
-    "validate_action",
-    "jump_to_origin_action",
 ]
 
 
@@ -123,9 +121,9 @@ class DensityGridMeasure(JumpMeasure):
 
     ``values`` holds the density at cell midpoints, shape equal to ``shape``.
     Cells whose midpoint lies inside the excluded ball |y| <= eps carry no
-    mass. ``small_jump_cov`` optionally supplies the matrix
-    integral_{|y|<=eps} y y^T nu(dy) for diffusion substitution of the
-    truncated small jumps.
+    mass. ``small_jump_cov`` optionally supplies the symmetric positive
+    semidefinite matrix Sigma_eps = integral_{|y|<=eps} y y^T nu(dy) of the
+    truncated small jumps, read as a Brownian part (see :func:`_covariance`).
     """
 
     lo: np.ndarray = field(default=None)
@@ -148,6 +146,14 @@ class DensityGridMeasure(JumpMeasure):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", vals)
+        if self.small_jump_cov is not None:
+            cov = np.array(self.small_jump_cov, dtype=float, ndmin=2)
+            if not (cov.shape == (self.dim, self.dim) and np.isfinite(cov).all() and np.array_equal(
+                    cov, cov.T) and np.linalg.eigvalsh(cov)[0] >= -1e-12 * np.abs(cov).max()):
+                raise ValueError(f"small_jump_cov must be a finite symmetric positive semidefinite "
+                                 f"{self.dim}x{self.dim} matrix")
+            cov.flags.writeable = False
+            object.__setattr__(self, "small_jump_cov", cov)
 
     @property
     def kind(self) -> str:
@@ -290,11 +296,6 @@ def second_moment_matrix(nu: JumpMeasure) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def first_moment(nu: JumpMeasure) -> np.ndarray:
-    """integral of y nu(dy); the compensator drift of the fully compensated form."""
-    return _integrate(nu, lambda pts: pts)
-
-
 def tail_moment(nu: JumpMeasure, p: float, radius: float = 1.0) -> float:
     """integral over |y| > radius of |y|^p nu(dy)."""
 
@@ -305,16 +306,6 @@ def tail_moment(nu: JumpMeasure, p: float, radius: float = 1.0) -> float:
     return float(_integrate(nu, f))
 
 
-def big_jump_mean(nu: JumpMeasure, radius: float = 1.0) -> np.ndarray:
-    """integral over |y| > radius of y nu(dy), i.e. the mean lost to truncation."""
-
-    def f(pts):
-        r = np.linalg.norm(pts, axis=1)
-        return pts * (r > radius)[:, None]
-
-    return _integrate(nu, f)
-
-
 def total_mass(nu: JumpMeasure) -> float:
     """nu of the whole punctured space; quadrature value for densities.
 
@@ -323,8 +314,6 @@ def total_mass(nu: JumpMeasure) -> float:
     quadrature value is returned with a warning in that case. A relocation
     kernel gives its rate, its mass off the target.
     """
-    if isinstance(nu, RelocationKernel):
-        return nu.rate
     if isinstance(nu, DensityGridMeasure) and nu.eps == 0.0:
         if np.all(nu.lo <= 0.0) and np.all(nu.hi >= 0.0):
             warnings.warn(
@@ -333,13 +322,7 @@ def total_mass(nu: JumpMeasure) -> float:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    _, w = _support_points(nu)
-    return float(np.sum(w))
-
-
-def sample_jump(nu: JumpMeasure, rng: np.random.Generator) -> np.ndarray:
-    """Draw one jump with law nu normalised by its total mass."""
-    return sample_jumps(nu, rng, 1)[0]
+    return _moments(nu).mass
 
 
 def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -348,30 +331,76 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
     Density cells get a uniform jitter inside the cell so the samples do not
     collapse onto the lattice.
     """
-    return _draw_jumps(_sampling_law(nu), rng, size)
+    law = _moments(nu).law
+    if law is None:
+        raise UnsupportedMeasureError(f"sampling needs a fixed measure of positive mass: {nu.kind}")
+    return _draw_jumps(law, rng, size)
 
 
-def _sampling_law(nu: JumpMeasure):
-    """Normalise ``nu`` for sampling, once per measure.
+class _Moments(NamedTuple):
+    """A measure's record, read by :func:`_moments`."""
+    mass: float  # nu of the punctured space
+    m1: np.ndarray  # integral of y nu(dy), the compensator drift
+    big_mean: np.ndarray  # integral over |y| > 1 of y nu(dy), what h(y) = y 1_{|y|<=1} truncates
+    m2: np.ndarray  # integral of y y^T nu(dy)
+    law: tuple | None  # (points, cdf, jitter half-widths or None) to sample from; None without mass
+    small_cov: np.ndarray | None  # Sigma_eps of a density measure, if set
 
-    Returns (points, cdf, jitter half-widths or None); callers that draw
-    repeatedly from one measure pass the result to :func:`_draw_jumps`.  The
-    cdf is normalised as ``Generator.choice`` normalises ``p``.
+
+def _moments(nu: JumpMeasure) -> _Moments:
+    """The :class:`_Moments` of ``nu``, checked on the first read and kept on
+    the measure as :func:`_support_points` keeps the support. Without mass
+    every moment is zero; a relocation kernel's record is its rate and zeros,
+    its jumps being read per row. The cdf is normalised as ``Generator.choice``
+    normalises ``p``."""
+    if getattr(nu, "_record", None) is not None:
+        return nu._record
+    m1 = big = np.zeros(nu.dim)
+    m2, law = np.zeros((nu.dim, nu.dim)), None
+    if isinstance(nu, RelocationKernel):
+        mass = nu.rate
+    else:
+        pts, w = _support_points(nu)
+        mass = float(np.sum(w))
+        if not mass < np.inf:
+            raise DivergenceError("total mass did not evaluate finite")
+        if mass > 0.0:
+            half = 0.5 * (nu.hi - nu.lo) / nu.shape if isinstance(nu, DensityGridMeasure) else None
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            law = pts, cdf, half
+            m1 = _integrate(nu, lambda y: y)
+            big = _integrate(nu, lambda y: y * (np.linalg.norm(y, axis=1) > 1.0)[:, None])
+            m2 = second_moment_matrix(nu)
+    for a in (m1, big, m2):
+        a.flags.writeable = False
+    rec = _Moments(mass, m1, big, m2, law, getattr(nu, "small_jump_cov", None))
+    object.__setattr__(nu, "_record", rec)
+    return rec
+
+
+def _covariance(sigma: np.ndarray, nu: JumpMeasure | None = None):
+    """(C, F) of a (sigma, nu) pair: the continuous covariance
+    C = sigma sigma^T + Sigma_eps and the factor F F^T = C the simulator steps
+    with. Without Sigma_eps F is sigma; with it F is the lower Cholesky factor
+    of C (V sqrt(Lambda) if C is singular), kept on nu for the last sigma.
     """
-    m0 = total_mass(nu)
-    if not np.isfinite(m0) or m0 <= 0.0:
-        raise UnsupportedMeasureError(
-            f"sampling needs finite positive total mass, got {m0}"
-        )
-    pts, w = _support_points(nu)
-    half = 0.5 * (nu.hi - nu.lo) / nu.shape if isinstance(nu, DensityGridMeasure) else None
-    cdf = (w / w.sum()).cumsum()
-    cdf /= cdf[-1]
-    return pts, cdf, half
+    small = None if nu is None else _moments(nu).small_cov
+    if small is None:
+        return sigma @ sigma.T, sigma
+    if getattr(nu, "_cov", (None,))[0] != sigma.tobytes():
+        C = sigma @ sigma.T + small
+        try:
+            F = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            lam, V = np.linalg.eigh(C)
+            F = V * np.sqrt(np.maximum(lam, 0.0))
+        object.__setattr__(nu, "_cov", (sigma.tobytes(), C, F))
+    return nu._cov[1:]
 
 
 def _draw_jumps(law, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw from a :func:`_sampling_law`: one categorical draw, then the jitter.
+    """Draw from a sampling law (see :class:`_Moments`): one categorical draw, then the jitter.
 
     The categorical draw is bitwise ``rng.choice(len(pts), size, p=prob)``,
     with the same uniforms consumed, minus the cdf that call rebuilds.
@@ -393,9 +422,7 @@ class Action:
     mu: np.ndarray
 
     def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=float)
-        if sig.ndim == 0:
-            sig = sig.reshape(1, 1)
+        sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         n = mu.shape[0]
         if sig.shape != (n, n):
@@ -408,25 +435,3 @@ class Action:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-
-def validate_action(a: Action, p: float) -> bool:
-    """Finite entries plus measure membership in the ambient moment class."""
-    finite = bool(np.all(np.isfinite(a.sigma)) and np.all(np.isfinite(a.mu)))
-    return finite and validate_Mp(a.nu, p)
-
-
-def jump_to_origin_action(x, rate: float, sigma) -> Action:
-    """Jump straight to the origin from state ``x`` at ``rate``, the per-state
-    form of ``Action(sigma, RelocationKernel(dim, rate), 0)``.
-
-    The jump measure is ``rate * delta_{-x}`` and the drift ``-rate * x``
-    equals its mean, so drift and compensator cancel.  At the origin
-    (|x| < 1e-12) and at rate zero the measure and the drift are zero.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dim = x.size
-    if rate == 0.0 or np.linalg.norm(x) < 1e-12:
-        return Action(sigma, ZeroMeasure(dim), np.zeros(dim))
-    nu = AtomicMeasure(dim, locations=-x[None, :], masses=[rate])
-    return Action(sigma, nu, -rate * x)

@@ -335,6 +335,8 @@ def test_booleans_are_not_numbers(tmp_path, capsys, field, value):
 
 _DENSITY_NU = {"kind": "density", "lo": [0.5], "hi": [1.5], "shape": [4],
                "values": [1.0, 1.0, 1.0, 1.0]}
+_DENSITY_2D = {"kind": "density", "lo": [0.5, 0.5], "hi": [1.5, 1.5], "shape": [2, 2],
+               "values": [1.0, 1.0, 1.0, 1.0]}
 
 # list items and nested values, which the reader checks item by item: (config,
 # test entry or None, key path, value, the field path the error names)
@@ -502,12 +504,21 @@ _UNUSABLE_VALUES = [
         (("policy", "nu", "atoms", 0, 0), [1e100]),
         (("tests",), [{"name": "growth", "box": [[-1.0, 1.0]], "K": 1.0, "p": 4.0}])],
      "$.tests[0].p", "did not evaluate finite"),
+    # a small-jump covariance must be a symmetric PSD dim x dim matrix (a 1x1 on
+    # a 2-D measure used to be broadcast onto every entry of the diffusion)
+    *[("lq_2d.json", ["solve"], [(("problem", "actions", "pairs", 1, "nu"),
+                                  {**_DENSITY_2D, "small_jump_cov": cov})],
+       "$.problem.actions.pairs[1].nu.small_jump_cov", "semidefinite 2x2 matrix")
+      for cov in ([[0.1]], np.eye(3).tolist())],
+    ("simulate_cp.json", ["simulate"], [(("policy", "nu"), {**_DENSITY_NU, "small_jump_cov": [[-3.0]]})],
+     "$.policy.nu.small_jump_cov", "semidefinite 1x1 matrix"),
 ]
 
 
 @pytest.mark.parametrize("name, command, edits, where, message", _UNUSABLE_VALUES,
                          ids=["example1_asymmetric_cost", "example2_negative_cost",
-                              "growth_moment_overflow"])
+                              "growth_moment_overflow", "small_jump_cov_1x1_in_2d",
+                              "small_jump_cov_3x3_in_2d", "small_jump_cov_negative"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())

@@ -28,7 +28,6 @@ from jumpctl.dynamics import (
     SimConfig,
     bellman_series,
     characteristics_report,
-    gm_left_side,
     payoff_estimate,
     simulate,
 )
@@ -39,10 +38,10 @@ from jumpctl.measures import (
     MeasureSupportError,
     RelocationKernel,
     ZeroMeasure,
-    jump_to_origin_action,
     moment_functional,
     total_mass,
 )
+from per_state_actions import jump_to_origin_action
 
 
 def _const(sigma, nu, mu, **kw):
@@ -232,6 +231,11 @@ def test_relocation_rows_match_the_norm_reference(dim):
     bh = (u + np.zeros((len(X), dim)) + mean * (r <= 1.0)[:, None]) * dt
     assert np.array_equal(model.bh_dt, bh)
     assert np.array_equal(model.g_dt, model.pair_g_dt + mass * sq * dt)
+    # coefficient_norms forms |mu + mean| and |y| from the same sums
+    for p in (2.0, 3.0):
+        d, _, j = pol.coefficient_norms(X, p)
+        assert np.array_equal(d, np.linalg.norm(np.zeros((len(X), dim)) + mean, axis=1))
+        assert np.array_equal(j, 0.0 + mass * np.maximum(r**2, r**p))
 
 
 def test_linear_feedback_ou_moments():
@@ -477,7 +481,6 @@ def test_solved_tables_step_as_row_groups():
     from functools import partial
 
     from jumpctl.hjb import Grid, HJBProblem, PolicyTable, solve_stationary
-    from jumpctl.measures import jump_to_origin_action
 
     n, T = 2000, 1.0
     # product LQ table: the solved drift is the Riccati feedback v - Q x on the
@@ -596,9 +599,9 @@ def test_policy_table_lookup():
 
 def test_gm_left_side_values():
     nu = AtomicMeasure(1, locations=[[2.0]], masses=[1.5])
-    a = Action(sigma=3.0, nu=nu, mu=-1.0)
+    pol = _const(3.0, nu, -1.0)
     # |mu|^2 + |sigma|^2 + mass * max(4, 4) = 1 + 9 + 6
-    assert gm_left_side(a, 2.0) == pytest.approx(16.0)
+    assert pol.growth_left(np.array([[0.7]]), 2.0)[0] == pytest.approx(16.0)
     pol = PolicyFieldSpec.jump_to_origin(rate=2.0, sigma=1.0, dim=1)
     lhs = pol.growth_left(np.array([[3.0]]), 2.0)
     # (2*3)^2 + 1 + 2 * 9
@@ -650,7 +653,8 @@ def test_coefficient_norms_match_actions(case):
             assert d[i] == pytest.approx(np.linalg.norm(a.mu), rel=1e-13, abs=1e-15)
             assert s[i] == pytest.approx(np.linalg.norm(a.sigma), rel=1e-13)
             assert j[i] == pytest.approx(moment_functional(a.nu, p), rel=1e-13)
-            assert lhs[i] == pytest.approx(gm_left_side(a, p), rel=1e-13)
+            want = np.linalg.norm(a.mu) ** p + np.linalg.norm(a.sigma) ** p + moment_functional(a.nu, p)
+            assert lhs[i] == pytest.approx(want, rel=1e-13)
 
 
 def test_second_characteristic_is_sigma_sigma_T():
@@ -692,6 +696,8 @@ def _digest_cases():
     atoms_2d = AtomicMeasure(2, locations=[[0.5, -0.2], [-1.3, 0.9]], masses=[0.8, 0.4])
     density = DensityGridMeasure(dim=1, lo=[0.2], hi=[1.4], shape=(6,),
                                  values=[0.5, 1.0, 1.5, 1.0, 0.5, 0.25])
+    small_jumps = DensityGridMeasure(dim=1, lo=[-1.0], hi=[1.0], shape=(20,), values=np.full(20, 2.4),
+                                     eps=0.5, small_jump_cov=[[0.2]])
 
     def callable_action(x):
         return Action(sigma=0.6, nu=AtomicMeasure(1, [[0.7]], [0.9]), mu=-0.5 * x)
@@ -725,6 +731,8 @@ def _digest_cases():
             cfg(x0=[0.5, -0.5], n_paths=200), quad, 1.0),
         "constant_density_jitter": (
             _const(0.4, density, 0.0), cfg(), None, None),
+        "constant_density_small_jump_cov": (
+            _const(0.3, small_jumps, 0.1), cfg(), quad, 0.5),
         "callable": (
             PolicyFieldSpec.from_action_callable(callable_action, rate_bound=1.2),
             cfg(n_paths=40, lambda_max=1.2), quad, 0.3),
@@ -748,12 +756,16 @@ def _digest_cases():
 # and callable_zero_rate_declared were taken when every shape came to step by
 # one path: a kernel row's B^h increment became ((u + mu - big) + small) dt, as
 # a constant kernel action's was, and a row group's clock stopped running on a
-# declared bound alone when no row has jump mass.
+# declared bound alone when no row has jump mass.  constant_density_small_jump_cov
+# was taken when the simulator came to step with the Cholesky factor of
+# C = sigma sigma^T + Sigma_eps.
 _FROZEN_DIGESTS = {
     "callable": "f78ca2ec357eb89c3c3f01050eca706748cdf900b57fcdb60ea1fe150bf86b5c",
     "callable_zero_rate_declared":
         "b7bcb0c72a5901f8a694b2391517db5d360bf01fcf7d3e150877e15336c9fbb1",
     "constant_density_jitter": "04b0e6c987bf328548de889b34e9758ab51f428c8b06b307b50d528157ef01ab",
+    "constant_density_small_jump_cov":
+        "b4f79631412da7558fe8c03c1c8ebd5796bc14f35038c8e454aca916d2d777a6",
     "constant_one_atom": "7f3ec432da73fc50175c3783c3b1a9c1918c39de2c4b4dd7472a04badc47a919",
     "constant_two_atoms_thinned":
         "b02f72ba557bf944e3ead5620a346823c7698c1454ec2814006c4e077ed7162a",
@@ -789,7 +801,6 @@ def test_until_is_the_shorter_run():
     from functools import partial
 
     from jumpctl.hjb import Grid, HJBProblem, PolicyTable
-    from jumpctl.measures import jump_to_origin_action
 
     quad = lambda X: np.sum(X * X, axis=1)
     grid = Grid.regular(-4.0, 4.0, 81)

@@ -21,7 +21,6 @@ from jumpctl.examples import (
     Example1Spec,
     Example2Solution,
     _solve_threshold,
-    example1_policy,
     example1_psi,
     example1_value,
     example2_free_boundary,
@@ -30,6 +29,7 @@ from jumpctl.examples import (
 from jumpctl.generator import AnalyticField, hjb_integrand
 from jumpctl.hjb import Grid, HJBProblem, solve_stationary
 from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure, total_mass
+from per_state_actions import example1_policy
 
 QUAD = np.array([0.0, 0.0, 1.0])  # f(x) = x^2
 GRID = Grid.regular(-6.0, 6.0, 401)

@@ -19,9 +19,9 @@ from jumpctl.measures import (
     AtomicMeasure,
     RelocationKernel,
     ZeroMeasure,
-    jump_to_origin_action,
     second_moment_matrix,
 )
+from per_state_actions import jump_to_origin_action
 
 
 def quad_field(m, b=0.0, c=0.0):

@@ -104,6 +104,23 @@ def test_minimal_dispersion_prefers_cheaper_jump():
     assert isinstance(nu, AtomicMeasure)
 
 
+def test_minimal_dispersion_charges_small_jump_covariance():
+    # the jumps a density cuts below eps cost their covariance too: with
+    # Sigma_eps the density loses to the atom it beats without it
+    from jumpctl.measures import DensityGridMeasure
+
+    B = np.diag([1.0, 2.0])
+    box = dict(dim=2, lo=[0.5, -0.1], hi=[0.7, 0.1], shape=(2, 2), values=np.full(4, 10.0), eps=0.05)
+    dense, atom = DensityGridMeasure(**box), (np.zeros((2, 2)), AtomicMeasure(2, [[0.0, 0.5]], [1.0]))
+    small = np.diag([0.3, 0.1])
+    with_cov = DensityGridMeasure(**box, small_jump_cov=small)
+    plain, _, _ = minimal_dispersion([(np.zeros((2, 2)), dense)], B)
+    charged, _, _ = minimal_dispersion([(np.zeros((2, 2)), with_cov)], B)
+    assert charged == plain + float(np.sum(B * small)) and plain < 0.5 < charged
+    assert minimal_dispersion([(np.zeros((2, 2)), dense), atom], B)[2] is dense
+    assert minimal_dispersion([(np.zeros((2, 2)), with_cov), atom], B)[2] is atom[1]
+
+
 def test_minimal_dispersion_tie_breaks_first():
     B = np.eye(1)
     a = (np.eye(1), ZeroMeasure(1))
@@ -185,9 +202,8 @@ def test_optimal_action_carries_selected_pair():
     spec = LQSpec(lam=1.0, theta=1.0, q=3.0,
                   dispersion_candidates=[(1.0, ZeroMeasure(1))])
     sol = solve_lq(spec)
-    act = sol.optimal_action(1.5)
-    assert act.sigma[0, 0] == 1.0
-    assert np.allclose(act.mu, -sol.Q @ np.array([1.5]))
+    assert sol.sigma_hat[0, 0] == 1.0 and isinstance(sol.nu_hat, ZeroMeasure)
+    assert np.allclose(optimal_feedback(1.5, sol), -sol.Q @ np.array([1.5]))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

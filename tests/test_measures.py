@@ -10,16 +10,14 @@ from jumpctl.measures import (
     MeasureSupportError,
     UnsupportedMeasureError,
     ZeroMeasure,
+    _moments,
     _support_points,
-    first_moment,
     moment_functional,
-    sample_jump,
     sample_jumps,
     second_moment_matrix,
     tail_moment,
     total_mass,
     validate_Mp,
-    validate_action,
 )
 
 
@@ -87,7 +85,7 @@ def test_support_is_checked_once_and_kept_only_when_valid():
                AtomicMeasure(dim=1, locations=[[1.0]], masses=[-0.5]),
                AtomicMeasure(dim=1, locations=[[np.nan]], masses=[1.0]),
                uniform_density_1d(0.5, 1.5, -1.0, n_cells=6)):
-        for read in (_support_points, _support_points, total_mass, first_moment,
+        for read in (_support_points, _support_points, total_mass, _moments,
                      second_moment_matrix, lambda m: validate_Mp(m, 2.0)):
             with pytest.raises(MeasureSupportError):
                 read(nu)
@@ -131,7 +129,7 @@ def test_second_moment_matrix_symmetric_pair():
 
 def test_first_and_tail_moments():
     nu = AtomicMeasure(dim=1, locations=[[2.0], [-1.0]], masses=[1.0, 0.5])
-    assert first_moment(nu) == pytest.approx([1.5])
+    assert _moments(nu).m1 == pytest.approx([1.5])
     # only |y| > 1 contributes to the tail
     assert tail_moment(nu, 3.0) == pytest.approx(8.0)
 
@@ -163,7 +161,7 @@ def test_sample_degenerate_atom():
     nu = AtomicMeasure(dim=1, locations=[[2.0]], masses=[1.0])
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert sample_jump(nu, rng) == pytest.approx([2.0])
+        assert sample_jumps(nu, rng, 1)[0] == pytest.approx([2.0])
 
 
 def test_sample_symmetric_atoms_mean_within_3se():
@@ -184,7 +182,7 @@ def test_sample_density_uniform_mean_within_3se():
 
 def test_sample_zero_mass_unsupported():
     with pytest.raises(UnsupportedMeasureError):
-        sample_jump(ZeroMeasure(dim=1), np.random.default_rng(0))
+        sample_jumps(ZeroMeasure(dim=1), np.random.default_rng(0), 1)
 
 
 def test_sample_second_moments_match_matrix():
@@ -263,7 +261,34 @@ def test_action_shape_normalisation_and_validation():
     a = Action(sigma=1.0, nu=AtomicMeasure(dim=1, locations=[[1.0]], masses=[1.0]), mu=0.5)
     assert a.sigma.shape == (1, 1)
     assert a.mu.shape == (1,)
-    assert validate_action(a, 2.0) is True
+    assert validate_Mp(a.nu, 2.0) is True
+
+
+def test_covariance_adds_small_jump_cov_and_factors_it():
+    from jumpctl.measures import _covariance
+
+    sigma = np.array([[0.7, 0.0], [0.3, 0.2]])
+    box = dict(dim=2, lo=[-1.0, -1.0], hi=[1.0, 1.0], shape=(4, 4), values=np.ones(16), eps=0.3)
+    # without Sigma_eps, C is sigma sigma^T and the simulator steps with sigma itself
+    for nu in (None, ZeroMeasure(2), DensityGridMeasure(**box)):
+        C, F = _covariance(sigma, nu)
+        assert np.array_equal(C, sigma @ sigma.T) and F is sigma
+    small = np.array([[0.04, 0.01], [0.01, 0.02]])
+    C, F = _covariance(sigma, DensityGridMeasure(**box, small_jump_cov=small))
+    assert np.array_equal(C, sigma @ sigma.T + small)
+    assert np.allclose(F @ F.T, C, rtol=1e-14) and np.array_equal(F, np.tril(F))
+    # C singular: zero sigma with a rank-one Sigma_eps still factors
+    C, F = _covariance(np.zeros((2, 2)), DensityGridMeasure(**box, small_jump_cov=[[0.0, 0.0], [0.0, 0.3]]))
+    assert np.allclose(F @ F.T, C, atol=1e-15) and C[1, 1] == 0.3
+
+
+# the shape cases (1x1 and 3x3 on a 2-D measure) run through the CLI in tests/test_cli.py
+@pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.4, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                 [[np.nan, 0.0], [0.0, 1.0]]], ids=["asymmetric", "indefinite", "nan"])
+def test_small_jump_cov_must_be_symmetric_psd(cov):
+    with pytest.raises(ValueError, match="small_jump_cov"):
+        DensityGridMeasure(dim=2, lo=[-1.0, -1.0], hi=[1.0, 1.0], shape=(4, 4), values=np.ones(16),
+                           small_jump_cov=cov)
 
 
 def test_action_dim_mismatch_rejected():

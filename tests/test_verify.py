@@ -399,6 +399,52 @@ def test_dynkin_battery_row_groups_match_whole_batches():
         assert c["mean"] == float(row.mean()) and c["se"] == float(row.std(ddof=1) / np.sqrt(n))
 
 
+def _small_jump_density():
+    """Level 2.4 on [-1, 1] with the jumps |y| <= 0.5 cut out: what they carried
+    is Sigma_eps = 2.4 * 2 * 0.5^3 / 3 = 0.2, against sigma^2 = 0.09 below."""
+    from jumpctl.measures import DensityGridMeasure
+
+    return DensityGridMeasure(dim=1, lo=[-1.0], hi=[1.0], shape=(20,), values=np.full(20, 2.4),
+                              eps=0.5, small_jump_cov=[[0.2]])
+
+
+def test_dynkin_battery_small_jump_covariance(monkeypatch):
+    # the generator reads C = sigma^2 + Sigma_eps, and so must the simulator's
+    # Brownian part; stepped with sigma alone, the same seed fails the battery
+    from jumpctl import dynamics, measures
+
+    pol = _const(0.3, _small_jump_density(), 0.0)
+    cfg = SimConfig(x0=0.0, T=1.0, dt=0.005, n_paths=5000, seed=9, store_every=4)
+    fields, t_points = [_Bump(2.0), _Bump(3.0)], [0.25, 0.5, 1.0]
+    rep = dynkin_test(simulate(pol, cfg), fields, t_points)
+    assert rep.passed and len(rep.statistics["checks"]) == 6 and _max_z(rep) <= 3.0
+    monkeypatch.setattr(dynamics, "_covariance",
+                        lambda sigma, nu: (measures._covariance(sigma, nu)[0], sigma))
+    wrong = dynkin_test(simulate(pol, cfg), fields, t_points)
+    assert not wrong.passed and _max_z(wrong) > 5.0
+
+
+def test_solved_value_matches_payoff_with_small_jump_covariance():
+    # one action, f = x^2, q = 1: V(x) = x^2 + sigma^2 + Sigma_eps + int y^2 nu(dy),
+    # and the paths under that action (the solved policy) must pay V(0) within
+    # 3 SE; without Sigma_eps they would pay 0.2 less, about 10 SE
+    from jumpctl.dynamics import payoff_estimate
+    from jumpctl.hjb import Grid, HJBProblem, solve_stationary
+    from jumpctl.measures import second_moment_matrix
+
+    nu = _small_jump_density()
+    prob = HJBProblem(f=lambda x, a: x**2, q=1.0, delta_q=1.0, b_q=1.0,
+                      actions=(Action(sigma=0.3, nu=nu, mu=0.0),))
+    phi, _, report = solve_stationary(prob, Grid.regular(-8.0, 8.0, 161))
+    exact = 0.09 + 0.2 + second_moment_matrix(nu)[0, 0]
+    assert report.converged and abs(phi.value(0.0) - exact) < 0.01
+    cfg = SimConfig(x0=0.0, T=7.0, dt=0.01, n_paths=8000, seed=12, store_every=100)
+    est = payoff_estimate(PolicyFieldSpec.constant(prob.actions[0]), cfg,
+                          f=lambda X: X[:, 0] ** 2, q=1.0, f_growth=(1.0, 2.0), delta_q=1.0)
+    assert abs(est.estimate - phi.value(0.0)) <= 3 * est.std_error + est.tail_bound
+    assert 0.2 > 6 * est.std_error
+
+
 def test_moment_bound_ratio_stable():
     nu = AtomicMeasure(1, locations=[[1.5]], masses=[0.8])
     pol = _const(0.0, nu, 0.0)
