@@ -26,9 +26,9 @@ whose measure is a :class:`~jumpctl.measures.RelocationKernel` (jump to the
 origin is a constant action with one) is read per row, and its jumps
 relocate the path to the kernel's target.  :class:`PolicyFieldSpec` is the
 one interface to all shapes: the verifiers and the command line ask it for
-``coefficients``, ``coefficient_norms`` (|mu|, ||sigma||_F and
-the jump moment per state), ``growth_left`` and ``rate_cap`` instead of
-branching on the shape.
+``coefficients``, ``coefficient_norms`` (|mu|, ||F||_F with F F^T =
+sigma sigma^T + Sigma_eps, and the jump moment per state), ``growth_left``
+and ``rate_cap`` instead of branching on the shape.
 
 Shared (sigma, nu) pairs and jump laws are resolved once per run (per step
 for row groups), and every step writes into buffers kept across steps, bit
@@ -138,7 +138,7 @@ class PolicyFieldSpec:
 
     * :meth:`coefficients` -- each row's Action drift and the index of its
       (sigma, nu) pair;
-    * :meth:`coefficient_norms` -- |mu(x)|, ||sigma(x)||_F and
+    * :meth:`coefficient_norms` -- |mu(x)|, ||F(x)||_F and
       int |y|^2 v |y|^p nu_x(dy) per row, the terms of the admissibility
       and growth conditions;
     * :meth:`growth_left` -- the left side of the growth condition;
@@ -264,15 +264,15 @@ class PolicyFieldSpec:
         return mu, _group_0(len(X)), [(self.sigma, self.nu)]
 
     def coefficient_norms(self, X, p: float):
-        """(|mu(x)|, ||sigma(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row, with
-        mu(x) the drift applied.
+        """(|mu(x)|, ||F(x)||_F, int |y|^2 v |y|^p nu_x(dy)) per row, with mu(x) the
+        drift applied and F F^T = sigma sigma^T + Sigma_eps (F = sigma without Sigma_eps).
 
         The three terms of the admissibility and growth conditions on a
         state batch of shape (m, dim), each an (m,) array.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         mu, group, pairs = self.coefficients(X)
-        s = np.array([np.linalg.norm(sigma) for sigma, _ in pairs])[group]
+        s = np.array([np.linalg.norm(_covariance(sigma, nu)[1]) for sigma, nu in pairs])[group]
         j = np.array([0.0 if isinstance(nu, RelocationKernel) else moment_functional(nu, p)
                       for _, nu in pairs])[group]
         kern = _relocations(X, group, pairs)

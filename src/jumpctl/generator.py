@@ -273,13 +273,15 @@ def _result(out, point):
 
 
 def local_term(mu, sigma, g, x, u=None, scheme=None):
-    """(u + mu) . grad g(x) + (1/2) tr(sigma^T Hess g(x) sigma)."""
+    """(u + mu) . grad g(x) + (1/2) tr(sigma^T Hess g(x) sigma); with no measure
+    it has no Sigma_eps, which :func:`apply_generator` adds through C."""
     X, point = _batch(x)
     return _result(_generator(g, X, scheme or _DEFAULT_SCHEME, (mu, sigma), u=u)[1], point)
 
 
 def jump_term(nu: JumpMeasure, g, x, scheme=None):
-    """integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy).
+    """integral of [g(x+y) - g(x) - y . grad g(x)] nu(dy) over nu's support;
+    a density's Sigma_eps is left to :func:`apply_generator`'s C.
 
     Exact for atomic measures (finite sum); midpoint quadrature for density
     measures. Jumps with |y| below the small-jump split use the Taylor

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_sylvester
 
-from .measures import JumpMeasure, _moments, validate_Mp
+from .measures import JumpMeasure, _moments, _small_cov, validate_Mp
 
 __all__ = [
     "LQSpec",
@@ -189,10 +189,9 @@ def minimal_dispersion(candidates, B):
     B = np.atleast_2d(np.asarray(B, float))
     values, normed = [], [(np.atleast_2d(np.asarray(sigma, float)), nu) for sigma, nu in candidates]
     for sigma, nu in normed:
-        rec = _moments(nu)
-        values.append(float(np.trace(sigma.T @ B @ sigma)) + float(np.sum(B * rec.m2)))
-        if rec.small_cov is not None:
-            values[-1] += float(np.sum(B * rec.small_cov))
+        values.append(float(np.trace(sigma.T @ B @ sigma)) + float(np.sum(B * _moments(nu).m2)))
+        if _small_cov(nu) is not None:
+            values[-1] += float(np.sum(B * _small_cov(nu)))
     k = int(np.argmin(values))
     return values[k], *normed[k]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -322,7 +322,7 @@ def total_mass(nu: JumpMeasure) -> float:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _moments(nu).mass
+    return nu.rate if isinstance(nu, RelocationKernel) else float(np.sum(_support_points(nu)[1]))
 
 
 def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -337,33 +337,37 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
     return _draw_jumps(law, rng, size)
 
 
-class _Moments(NamedTuple):
-    """A measure's record, read by :func:`_moments`."""
-    mass: float  # nu of the punctured space
-    m1: np.ndarray  # integral of y nu(dy), the compensator drift
-    big_mean: np.ndarray  # integral over |y| > 1 of y nu(dy), what h(y) = y 1_{|y|<=1} truncates
-    m2: np.ndarray  # integral of y y^T nu(dy)
-    law: tuple | None  # (points, cdf, jitter half-widths or None) to sample from; None without mass
-    small_cov: np.ndarray | None  # Sigma_eps of a density measure, if set
+class _Moments:
+    """A measure's record (see :func:`_moments`): mass, m1 = int y nu(dy), big_mean =
+    int_{|y|>1} y nu(dy) (what h(y) = y 1_{|y|<=1} truncates), the sampling law
+    (points, cdf, jitter half-widths or None; None without mass) and m2 = int y y^T
+    nu(dy), formed on its first read so that an overflowing m2 raises only there."""
+
+    def __init__(self, nu: JumpMeasure, mass: float, m1, big_mean, law):
+        self.nu, self.mass, self.m1, self.big_mean, self.law = nu, mass, m1, big_mean, law
+
+    @cached_property
+    def m2(self) -> np.ndarray:
+        m2 = np.zeros((self.nu.dim,) * 2) if self.law is None else second_moment_matrix(self.nu)
+        m2.flags.writeable = False
+        return m2
 
 
 def _moments(nu: JumpMeasure) -> _Moments:
-    """The :class:`_Moments` of ``nu``, checked on the first read and kept on
-    the measure as :func:`_support_points` keeps the support. Without mass
-    every moment is zero; a relocation kernel's record is its rate and zeros,
-    its jumps being read per row. The cdf is normalised as ``Generator.choice``
-    normalises ``p``."""
+    """The :class:`_Moments` of ``nu``, checked on the first read and kept on the measure
+    as :func:`_support_points` keeps the support. Without mass every moment is zero; a
+    relocation kernel's record is its rate and zeros, its jumps being read per row. The
+    cdf is normalised as ``Generator.choice`` normalises ``p``."""
     if getattr(nu, "_record", None) is not None:
         return nu._record
-    m1 = big = np.zeros(nu.dim)
-    m2, law = np.zeros((nu.dim, nu.dim)), None
+    m1, big, law = np.zeros(nu.dim), np.zeros(nu.dim), None
     if isinstance(nu, RelocationKernel):
         mass = nu.rate
     else:
         pts, w = _support_points(nu)
         mass = float(np.sum(w))
         if not mass < np.inf:
-            raise DivergenceError("total mass did not evaluate finite")
+            raise UnsupportedMeasureError(f"a measure needs finite total mass, got {mass}")
         if mass > 0.0:
             half = 0.5 * (nu.hi - nu.lo) / nu.shape if isinstance(nu, DensityGridMeasure) else None
             cdf = (w / w.sum()).cumsum()
@@ -371,32 +375,29 @@ def _moments(nu: JumpMeasure) -> _Moments:
             law = pts, cdf, half
             m1 = _integrate(nu, lambda y: y)
             big = _integrate(nu, lambda y: y * (np.linalg.norm(y, axis=1) > 1.0)[:, None])
-            m2 = second_moment_matrix(nu)
-    for a in (m1, big, m2):
-        a.flags.writeable = False
-    rec = _Moments(mass, m1, big, m2, law, getattr(nu, "small_jump_cov", None))
-    object.__setattr__(nu, "_record", rec)
-    return rec
+    m1.flags.writeable = big.flags.writeable = False
+    object.__setattr__(nu, "_record", _Moments(nu, mass, m1, big, law))
+    return nu._record
+
+
+def _small_cov(nu: JumpMeasure | None) -> np.ndarray | None:
+    """Sigma_eps of a density measure that sets one, else None."""
+    return getattr(nu, "small_jump_cov", None)
 
 
 def _covariance(sigma: np.ndarray, nu: JumpMeasure | None = None):
-    """(C, F) of a (sigma, nu) pair: the continuous covariance
-    C = sigma sigma^T + Sigma_eps and the factor F F^T = C the simulator steps
-    with. Without Sigma_eps F is sigma; with it F is the lower Cholesky factor
-    of C (V sqrt(Lambda) if C is singular), kept on nu for the last sigma.
-    """
-    small = None if nu is None else _moments(nu).small_cov
+    """(C, F) of a (sigma, nu) pair: C = sigma sigma^T + Sigma_eps and the factor F F^T = C
+    the simulator steps with, sigma itself without Sigma_eps and else the lower
+    Cholesky factor of C (V sqrt(Lambda) if C is singular)."""
+    small = _small_cov(nu)
     if small is None:
         return sigma @ sigma.T, sigma
-    if getattr(nu, "_cov", (None,))[0] != sigma.tobytes():
-        C = sigma @ sigma.T + small
-        try:
-            F = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            lam, V = np.linalg.eigh(C)
-            F = V * np.sqrt(np.maximum(lam, 0.0))
-        object.__setattr__(nu, "_cov", (sigma.tobytes(), C, F))
-    return nu._cov[1:]
+    C = sigma @ sigma.T + small
+    try:
+        return C, np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(C)
+        return C, V * np.sqrt(np.maximum(lam, 0.0))
 
 
 def _draw_jumps(law, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -11,8 +11,8 @@ ensemble can serve several of them:
   eventually decrease and fit a decaying exponential whose rate confidence
   band excludes zero (a sufficient surrogate for the limit condition, not
   an equivalent one; reports say so);
-* pathwise integrability of Q_s = |mu_s| + ||sigma_s||^2 +
-  int |y|^2 v |y|^p nu_s(dy), the quantity whose finiteness admissibility
+* pathwise integrability of Q_s = |mu_s| + tr C_s + int |y|^2 v |y|^p nu_s(dy),
+  C = sigma sigma^T + Sigma_eps, the quantity whose finiteness admissibility
   requires, with the terms from
   :meth:`~jumpctl.dynamics.PolicyFieldSpec.coefficient_norms`;
 * static growth-certificate audits of a policy field over a probe box.

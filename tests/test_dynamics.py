@@ -35,6 +35,7 @@ from jumpctl.lq import LQSpec, solve_lq
 from jumpctl.measures import (
     Action,
     AtomicMeasure,
+    DensityGridMeasure,
     MeasureSupportError,
     RelocationKernel,
     ZeroMeasure,
@@ -655,6 +656,17 @@ def test_coefficient_norms_match_actions(case):
             assert j[i] == pytest.approx(moment_functional(a.nu, p), rel=1e-13)
             want = np.linalg.norm(a.mu) ** p + np.linalg.norm(a.sigma) ** p + moment_functional(a.nu, p)
             assert lhs[i] == pytest.approx(want, rel=1e-13)
+
+
+def test_coefficient_norms_read_the_small_jump_covariance():
+    # ||F||_F^2 = tr C = sigma^2 + Sigma_eps: the small jumps count as diffusion
+    box = dict(dim=1, lo=[-1.0], hi=[1.0], shape=(20,), values=np.full(20, 2.4), eps=0.5)
+    X = np.array([[0.0], [1.3]])
+    plain = _const(0.3, DensityGridMeasure(**box), 0.0).coefficient_norms(X, 2.0)
+    small = _const(0.3, DensityGridMeasure(**box, small_jump_cov=[[0.2]]), 0.0).coefficient_norms(X, 2.0)
+    assert plain[1].tolist() == [0.3, 0.3]
+    assert small[1] == pytest.approx(np.sqrt(0.09 + 0.2), rel=1e-14)
+    assert np.array_equal(plain[2], small[2])
 
 
 def test_second_characteristic_is_sigma_sigma_T():

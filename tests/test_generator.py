@@ -17,6 +17,7 @@ from jumpctl.hjb import Grid, ValueField
 from jumpctl.measures import (
     Action,
     AtomicMeasure,
+    DensityGridMeasure,
     RelocationKernel,
     ZeroMeasure,
     second_moment_matrix,
@@ -229,6 +230,20 @@ def test_generator_linearity(alpha, beta, x):
     lhs = apply_generator(a, combo, x=x)
     rhs = alpha * apply_generator(a, g1, x=x) + beta * apply_generator(a, g2, x=x)
     assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
+
+
+def test_generator_adds_small_jump_covariance_to_the_two_terms():
+    # Sigma_eps reaches L only through C = sigma sigma^T + Sigma_eps: neither
+    # local_term (no measure) nor jump_term (nu's support) carries it, so L
+    # exceeds their sum by (1/2) tr(Sigma_eps H), here 0.5 * 0.2 * 1.6
+    box = dict(dim=1, lo=[-1.0], hi=[1.0], shape=(20,), values=np.full(20, 2.4), eps=0.5)
+    plain, small = DensityGridMeasure(**box), DensityGridMeasure(**box, small_jump_cov=[[0.2]])
+    g = quad_field(0.8, b=-1.0)
+    x = np.array([[-0.4], [0.0], [1.1]])
+    parts = local_term(0.5, 0.3, g, x=x) + jump_term(small, g, x=x)
+    assert np.array_equal(jump_term(small, g, x=x), jump_term(plain, g, x=x))
+    np.testing.assert_allclose(apply_generator(Action(0.3, plain, 0.5), g, x=x), parts, rtol=1e-14)
+    np.testing.assert_allclose(apply_generator(Action(0.3, small, 0.5), g, x=x) - parts, 0.16, rtol=1e-13)
 
 
 @given(st.floats(min_value=-2, max_value=2), st.floats(min_value=0.1, max_value=2.0))

@@ -7,6 +7,7 @@ from jumpctl.measures import (
     Action,
     AtomicMeasure,
     DensityGridMeasure,
+    DivergenceError,
     MeasureSupportError,
     UnsupportedMeasureError,
     ZeroMeasure,
@@ -183,6 +184,21 @@ def test_sample_density_uniform_mean_within_3se():
 def test_sample_zero_mass_unsupported():
     with pytest.raises(UnsupportedMeasureError):
         sample_jumps(ZeroMeasure(dim=1), np.random.default_rng(0), 1)
+
+
+def test_mass_and_sampling_do_not_read_the_second_moment():
+    # the second moment of an atom at 1e200 overflows; its mass and its law do not
+    nu = AtomicMeasure(dim=1, locations=[[1e200]], masses=[1.0])
+    with np.errstate(over="ignore"):
+        assert total_mass(nu) == 1.0
+        assert sample_jumps(nu, np.random.default_rng(0), 2).tolist() == [[1e200], [1e200]]
+        with pytest.raises(DivergenceError, match="second moment"):
+            _moments(nu).m2
+        # a mass whose sum overflows reads inf, and sampling refuses it
+        huge = AtomicMeasure(dim=1, locations=[[1.0], [2.0]], masses=[1e308, 1e308])
+        assert total_mass(huge) == np.inf
+        with pytest.raises(UnsupportedMeasureError, match="finite total mass"):
+            sample_jumps(huge, np.random.default_rng(0), 1)
 
 
 def test_sample_second_moments_match_matrix():
