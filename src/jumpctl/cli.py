@@ -375,6 +375,8 @@ class _CostSpec:
             self.coeffs = _get(obj, "coeffs", path, "vector")
         elif self.kind == "quadratic_form":
             self.matrix = _get(obj, "matrix", path, "matrix")
+            if self.matrix.shape[0] != self.matrix.shape[1]:
+                raise ConfigError(f"{path}.matrix", "must be a square matrix")
         elif self.kind == "quadratic_control":
             self.lam = _get(obj, "lam", path, "matrix")
             self.theta = _get(obj, "theta", path, "matrix")
@@ -567,6 +569,13 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     if bounds.shape != (2,):
         raise ConfigError(f"{ppath}.q_bounds", "expected [delta_q, b_q]")
     cost = _CostSpec(_get(pc, "cost", ppath, dict, None), f"{ppath}.cost")
+    # the solver needs f >= 0 at every state and drift: x^T M x >= 0 for each matrix M
+    matrices = {"quadratic_form": ("matrix",), "quadratic_control": ("lam", "theta")}
+    for name in matrices.get(cost.kind, ()):
+        M = getattr(cost, name)
+        if np.linalg.eigvalsh(0.5 * (M + M.T))[0] < -1e-12 * np.abs(M).max():
+            raise ConfigError(f"{ppath}.cost.{name}",
+                              "symmetric part must be positive semidefinite")
     u = _get(pc, "u", ppath, "vector", None)
     p = _get(pc, "p", ppath, "positive", 2.0)
     q_growth = _get(pc, "q_growth", ppath, "count", 2)

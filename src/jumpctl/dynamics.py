@@ -1030,9 +1030,11 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     For constant actions with a fixed measure the truncated drift and
     covariance admit exact closed forms, and the empirical jump-size
     histogram is compared with the compensator prediction bin by bin
-    (Poisson standard errors).  For state-dependent policies, a relocation
-    kernel's included, the drift comparison uses a trapezoid reconstruction
-    on the snapshot lattice and no histogram prediction is made.
+    (Poisson standard errors); a 1-D density cell's mass is spread over the
+    bins as its jittered draws are, uniformly across the cell.  For
+    state-dependent policies, a relocation kernel's included, the drift
+    comparison uses a trapezoid reconstruction on the snapshot lattice and no
+    histogram prediction is made, nor for a density measure in dim >= 2.
     """
     policy = bundle.policy
     times = bundle.times
@@ -1065,19 +1067,28 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     max_z = None
     if nu is not None:
         rate_exp = mass = total_mass(nu)
-        if n_jumps and mass > 0:
+        half = _moments(nu).law[2] if mass > 0 else None  # a density cell's jitter
+        if half is not None and nu.dim > 1:
+            messages.append("jittered density cells in dim >= 2: histogram prediction skipped")
+        elif n_jumps and mass > 0:
             mags = np.linalg.norm(bundle.jump_sizes, axis=1)
             lo, hi = float(mags.min()), float(mags.max())
             pad = max(1e-9, 0.05 * max(hi - lo, 1e-9))
             hist_edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
             hist_counts, _ = np.histogram(mags, bins=hist_edges)
             pts, w = _support_points(nu)
-            pmag = np.linalg.norm(pts, axis=1)
-            hist_expected = np.zeros(n_bins)
-            for m, wt in zip(pmag, w):
-                j = np.searchsorted(hist_edges, m, side="right") - 1
-                if 0 <= j < n_bins:
-                    hist_expected[j] += wt * n * T
+            if half is None:
+                hist_expected = np.zeros(n_bins)
+                for m, wt in zip(np.linalg.norm(pts, axis=1), w):
+                    j = np.searchsorted(hist_edges, m, side="right") - 1
+                    if 0 <= j < n_bins:
+                        hist_expected[j] += wt * n * T
+            else:
+                # a 1-D cell's draws are uniform on [c - h, c + h], so its share with
+                # |y| <= e is that interval's overlap with [-e, e], over 2h
+                c, h, e = pts, half[0], np.maximum(hist_edges, 0.0)
+                inside = np.clip(np.minimum(c + h, e) - np.maximum(c - h, -e), 0.0, None)
+                hist_expected = (w * n * T) @ np.diff(inside / (2.0 * h), axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = np.where(
                     hist_expected > 0,

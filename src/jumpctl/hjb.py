@@ -25,8 +25,8 @@ evaluation of that policy. In product mode they are row-batched per
 (sigma, nu) pair: one call per block of drift-lattice columns and one for
 the refined drifts, not one per node. A block's q/f are tabulated on first
 use per (pair, first lattice column), within 2**21 entries per solve, and
-reused by every later sweep or time step; its upwind drift parts are kept
-only when the block is the whole lattice. Every linear system is solved by
+reused by every later sweep or time step. The drift term is formed per
+lattice axis and summed per block. Every linear system is solved by
 one sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual
 check. The module does no Monte Carlo: the simulated dynamic-programming
 check of a solved field lives in ``verify``.
@@ -554,7 +554,9 @@ class _Generator:
     calling q and f again. Costs are resolved once into row functions (see
     ``_row_costs``), called per list Action on its nodes and per pair on
     (node, drift) rows; ``tables`` keeps lattice blocks' q/f per (pair, first
-    column) within ``_TABLE_BUDGET`` entries, and upwind parts of whole lattices.
+    column) within ``_TABLE_BUDGET`` entries. Column c's drift on axis k reads
+    ax_k[i_k(c)] only, so ``upwind`` keeps each pair's upwind parts per axis,
+    (len(ax_k), n), and a sweep sums a block's drift from per-axis terms.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -609,7 +611,7 @@ class _Generator:
         self.diag = np.searchsorted(flat, diag).astype(np.int32)
         self.pos = [np.searchsorted(flat, key).astype(np.int32) for key in keys]
         self.q_const = None if callable(prob.q) else float(prob.q)
-        self.tables, self.kept = {}, 0
+        self.tables, self.kept, self.upwind = {}, 0, {}
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -659,10 +661,10 @@ class _Generator:
             K = K + sp.diags(c2[:, k]) @ self.S[k]
         return _Candidate(K=K.tocsr(), mu=mu, m1=m1, cross=cross, q=qvec, f=fvec)
 
-    def _drift(self, parts, dp, dm):
-        """sum_k b+_k D+_k phi + b-_k D-_k phi, from the upwind parts of b and the
-        applied differences."""
-        return sum(parts[2 * k] * dp[k] + parts[2 * k + 1] * dm[k] for k in range(self.grid.dim))
+    def _drift_terms(self, parts, dp, dm):
+        """b+_k D+_k phi + b-_k D-_k phi per axis k, whose sum is the drift term, from
+        the upwind parts of b and the applied differences."""
+        return [parts[2 * k] * dp[k] + parts[2 * k + 1] * dm[k] for k in range(self.grid.dim)]
 
     def _pair_costs(self, s: int, mu: np.ndarray, nodes: np.ndarray):
         """q and f under pair s at rows (nodes[i], mu[i]), one row-function call each."""
@@ -671,22 +673,20 @@ class _Generator:
         return self.q_rows(x, sigma, nu, mu), self.f_rows(x, sigma, nu, mu)
 
     def _lattice_block(self, s: int, c0: int, mus: np.ndarray):
-        """Upwind parts of the drift, q and f under pair s on the (len(mus), n)
-        block of drift-lattice columns c0, c0 + 1, ... (mus); q is None when
-        constant. What is kept between calls is said in the class docstring."""
-        parts, qv, fv = self.tables.get((s, c0), (None, None, None))
+        """q and f under pair s on the (len(mus), n) block of drift-lattice columns
+        c0, c0 + 1, ... (mus); q is None when constant. Tabulated on first use per
+        (pair, c0) while ``kept`` stays within ``_TABLE_BUDGET`` entries."""
+        qv, fv = self.tables.get((s, c0), (None, None))
         if fv is None:
             n = self.grid.n_nodes
             costs = self._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(np.arange(n), len(mus)))
             qv, fv = (v.reshape(len(mus), n) for v in costs)
             qv = qv if self.q_const is None else None
-        if parts is None:
-            parts = _upwind(self.u + mus[:, None, :] - self.cands[s].m1)
-        size = fv.size if qv is None else 2 * fv.size
-        if (s, c0) not in self.tables and self.kept + size <= _TABLE_BUDGET:
-            self.kept += size
-            self.tables[s, c0] = parts if len(mus) == len(self.combos) else None, qv, fv
-        return parts, qv, fv
+            size = fv.size if qv is None else 2 * fv.size
+            if self.kept + size <= _TABLE_BUDGET:
+                self.kept += size
+                self.tables[s, c0] = qv, fv
+        return qv, fv
 
     def operator(self, pol: PolicyTable, costs=None):
         """Generator entries l for a fixed policy, on the CSC layout (``indices``,
@@ -777,7 +777,7 @@ class _Generator:
                 mu, I, q, f = self._best_drift(j, phi, dp, dm)
             else:
                 mu, q, f = cand.mu, cand.q, cand.f
-                drift = self._drift(_upwind(self.u + mu - cand.m1), dp, dm)
+                drift = sum(self._drift_terms(_upwind(self.u + mu - cand.m1), dp, dm))
                 I = cand.K @ phi + drift - q * phi + f
             upd = I < best
             best[upd], best_idx[upd], best_mu[upd] = I[upd], j, mu[upd]
@@ -791,16 +791,23 @@ class _Generator:
         cand, n = self.cands[s], self.grid.n_nodes
         lat, combos, lshape = self.prob.mu_lattice, self.combos, self.lshape
         base = cand.K @ phi
+        if s not in self.upwind:  # column c's drift on axis k reads ax_k[cols[k][c]] only
+            b = [self.u[k] + ax[:, None] - cand.m1[:, k] for k, ax in enumerate(lat)]
+            self.upwind[s] = [clip(bk, 0.0) for bk in b for clip in (np.maximum, np.minimum)]
+        T = self._drift_terms(self.upwind[s], dp, dm)
+        T[0] += 0.0  # sum()'s 0 + T_0, which turns -0.0 into +0.0
+        cols = np.unravel_index(np.arange(combos.shape[0]), lshape)
         Iall = np.empty((combos.shape[0], n))
         I_best = q_best = f_best = None
         best_flat = np.zeros(n, dtype=int)
         # blocks of lattice columns, about 2^15 rows each, keep the temporaries small
         every, width = np.arange(n), max(1, 2**15 // n)
         for c0 in range(0, combos.shape[0], width):
-            mus = combos[c0 : c0 + width]
-            parts, qv, fv = self._lattice_block(s, c0, mus)
+            at = slice(c0, c0 + width)
+            qv, fv = self._lattice_block(s, c0, combos[at])
             qphi = self.q_const * phi if qv is None else qv * phi
-            Iall[c0 : c0 + len(mus)] = I = base + self._drift(parts, dp, dm) - qphi + fv
+            drift = T[0][at] if len(lat) == 1 else T[0][cols[0][at]] + T[1][cols[1][at]]
+            Iall[at] = I = base + drift - qphi + fv
             if I_best is None:
                 I_best, f_best = I[0].copy(), fv[0].copy()
                 q_best = np.full(n, self.q_const) if qv is None else qv[0].copy()
@@ -830,7 +837,7 @@ class _Generator:
             mu_ref[rows[use], r] += off[use]
         i = np.nonzero(np.any(mu_ref != combos[best_flat], axis=1))[0]
         dp, dm = [d[i] for d in dp], [d[i] for d in dm]
-        drift = self._drift(_upwind(self.u + mu_ref[i] - cand.m1[i]), dp, dm)
+        drift = sum(self._drift_terms(_upwind(self.u + mu_ref[i] - cand.m1[i]), dp, dm))
         qv, fv = self._pair_costs(s, mu_ref[i], i)
         val = base[i] + drift - qv * phi[i] + fv
         better = val <= I_best[i]

@@ -167,6 +167,21 @@ def test_simulate_artifacts_and_jump_count(tmp_path):
     assert abs(cols["gamma"].max() - 1.0) < 1e-12
 
 
+def test_simulate_density_histogram_spreads_each_cell(tmp_path):
+    # each draw from a density cell is jittered uniformly across the cell, so the
+    # predicted jump-size histogram spreads a cell's mass over every magnitude bin
+    # the cell meets (with each cell's mass at its midpoint, only 5 of 20 bins had
+    # an expected count while every bin held draws, and max_z read inf)
+    cfg = json.loads(Path(_bundled("simulate_cp.json")).read_text())
+    cfg["policy"]["nu"] = {"kind": "density", "lo": [-1], "hi": [1], "shape": [20],
+                           "values": [1] * 20, "eps": 0.5}
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    chars = json.loads((tmp_path / "characteristics.json").read_text())["characteristics"]
+    assert isinstance(chars["max_z"], float) and chars["max_z"] <= 5.0
+    expected = np.array(chars["hist_expected"])
+    assert np.all(expected > 0.0) and expected.sum() == pytest.approx(2000.0, rel=1e-9)
+
+
 def test_simulate_seed_flag_overrides_config(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", _bundled("simulate_cp.json"), "--out", str(out1)]) == 0
@@ -512,13 +527,28 @@ _UNUSABLE_VALUES = [
       for cov in ([[0.1]], np.eye(3).tolist())],
     ("simulate_cp.json", ["simulate"], [(("policy", "nu"), {**_DENSITY_NU, "small_jump_cov": [[-3.0]]})],
      "$.policy.nu.small_jump_cov", "semidefinite 1x1 matrix"),
+    # a solved problem's cost matrices must make f >= 0 (these used to exit 1
+    # with the path-less "running cost must be nonnegative" of the first sweep)
+    *[(name, command, [(("problem", "cost", field), [[-1.0]])], f"$.problem.cost.{field}",
+       "symmetric part must be positive semidefinite")
+      for name, command in (("lq_1d.json", ["solve"]), ("finite_lq.json", ["solve-finite"]))
+      for field in ("lam", "theta")],
+    ("lq_2d.json", ["solve"], [(("problem", "cost"), {"kind": "quadratic_form",
+                                                      "matrix": [[1.0, 4.0], [0.0, 1.0]]})],
+     "$.problem.cost.matrix", "symmetric part must be positive semidefinite"),
+    # a 1 x 2 form used to end in an IndexError traceback
+    ("lq_1d.json", ["solve"], [(("problem", "cost"), {"kind": "quadratic_form",
+                                                      "matrix": [[1.0, 0.0]]})],
+     "$.problem.cost.matrix", "must be a square matrix"),
 ]
 
 
 @pytest.mark.parametrize("name, command, edits, where, message", _UNUSABLE_VALUES,
                          ids=["example1_asymmetric_cost", "example2_negative_cost",
                               "growth_moment_overflow", "small_jump_cov_1x1_in_2d",
-                              "small_jump_cov_3x3_in_2d", "small_jump_cov_negative"])
+                              "small_jump_cov_3x3_in_2d", "small_jump_cov_negative",
+                              "lq_1d_lam", "lq_1d_theta", "finite_lq_lam", "finite_lq_theta",
+                              "lq_2d_indefinite_form", "lq_1d_nonsquare_form"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())

@@ -171,6 +171,19 @@ def test_characteristics_histogram_single_atom():
     assert rep.hist_counts.sum() == rep.n_jumps
 
 
+def test_characteristics_histogram_skipped_for_2d_density():
+    # a 2-D cell's jitter spreads |y| in a way the report does not integrate, so
+    # it predicts no histogram and says so, as for a state-dependent measure
+    nu = DensityGridMeasure(dim=2, lo=[-1.0, -1.0], hi=[1.0, 1.0], shape=(4, 4), values=np.ones((4, 4)),
+                            eps=0.3)
+    b = simulate(_const(np.zeros((2, 2)), nu, [0.0, 0.0]),
+                 SimConfig(x0=[0.0, 0.0], T=1.0, dt=0.01, n_paths=200, seed=3))
+    rep = characteristics_report(b)
+    assert rep.n_jumps > 0 and rep.jump_rate_expected == pytest.approx(4.0)
+    assert rep.hist_expected is None and rep.max_z is None
+    assert any("histogram prediction skipped" in m for m in rep.messages)
+
+
 def test_jump_to_origin_decay():
     pol = PolicyFieldSpec.jump_to_origin(rate=1.0, sigma=0.0, dim=1)
     n = 4000

@@ -702,6 +702,87 @@ def test_lattice_tables_keep_the_bits_within_the_budget(monkeypatch, dim, budget
     assert tables == 0 if budget == 0 else 0 < tables < len(pairs) * 3
 
 
+def _per_column_best_drift(gen, s, phi, dp, dm):
+    """``_Generator._best_drift`` as it formed the drift before the per-axis terms:
+    the upwind parts of u + combos[c] - m1 on every node, and their drift, per
+    block of lattice columns; q and f evaluated per block without the tables."""
+    cand, n = gen.cands[s], gen.grid.n_nodes
+    lat, combos, lshape = gen.prob.mu_lattice, gen.combos, gen.lshape
+    base = cand.K @ phi
+
+    def drift(parts, dp, dm):
+        return sum(parts[2 * k] * dp[k] + parts[2 * k + 1] * dm[k] for k in range(len(dp)))
+
+    Iall = np.empty((combos.shape[0], n))
+    I_best = q_best = f_best = None
+    best_flat = np.zeros(n, dtype=int)
+    every, width = np.arange(n), max(1, 2**15 // n)
+    for c0 in range(0, combos.shape[0], width):
+        mus = combos[c0 : c0 + width]
+        qv, fv = (v.reshape(len(mus), n) for v in
+                  gen._pair_costs(s, np.repeat(mus, n, axis=0), np.tile(every, len(mus))))
+        parts = hjb._upwind(gen.u + mus[:, None, :] - cand.m1)
+        Iall[c0 : c0 + len(mus)] = I = base + drift(parts, dp, dm) - qv * phi + fv
+        if I_best is None:
+            I_best, q_best, f_best = I[0].copy(), qv[0].copy(), fv[0].copy()
+        j = np.argmin(np.where(np.isnan(I), np.inf, I), axis=0)
+        r = np.flatnonzero(I[j, every] < I_best)
+        j = j[r]
+        I_best[r], best_flat[r], q_best[r], f_best[r] = I[j, r], c0 + j, qv[j, r], fv[j, r]
+    cmulti = np.unravel_index(best_flat, lshape)
+    strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
+    mu_ref = combos[best_flat].copy()
+    for r, ax in enumerate(lat):
+        rows = np.nonzero((cmulti[r] > 0) & (cmulti[r] < len(ax) - 1))[0]
+        flat0 = best_flat[rows]
+        I_m, I_0, I_p = (Iall[flat0 + d * strides[r], rows] for d in (-1, 0, 1))
+        denom, step = I_p - 2.0 * I_0 + I_m, ax[1] - ax[0]
+        ok = denom > 1e-300
+        off = np.zeros(len(rows))
+        off[ok] = np.clip(0.5 * (I_m[ok] - I_p[ok]) / denom[ok] * step, -step, step)
+        use = ok & (off != 0.0)
+        mu_ref[rows[use], r] += off[use]
+    i = np.nonzero(np.any(mu_ref != combos[best_flat], axis=1))[0]
+    parts = hjb._upwind(gen.u + mu_ref[i] - cand.m1[i])
+    qv, fv = gen._pair_costs(s, mu_ref[i], i)
+    val = base[i] + drift(parts, [d[i] for d in dp], [d[i] for d in dm]) - qv * phi[i] + fv
+    better = val <= I_best[i]
+    b = i[better]
+    I_best[b], q_best[b], f_best[b] = val[better], qv[better], fv[better]
+    mu_ref[i[~better]] = combos[best_flat[i[~better]]]
+    return mu_ref, I_best, q_best, f_best
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_best_drift_matches_the_per_column_reference(dim):
+    # the drift term formed per lattice axis and gathered per block gives the
+    # bits of the upwind parts formed per lattice column: a 13 x 5 lattice with
+    # u != 0 and an atomic pair (m1 != 0) over four blocks of 19 columns, and a
+    # 41-point 1-D lattice over three blocks at n = 2,001, as example 3 solves
+    if dim == 1:
+        g, pairs = Grid.regular(-6.0, 6.0, 2001), ((1.0, ZeroMeasure(1)),)
+        prob = HJBProblem(f=QuadCost([[1.0]]), q=3.0, delta_q=3.0, b_q=3.0, sigma_nu_pairs=pairs,
+                          mu_lattice=np.linspace(-4.0, 4.0, 41), u=0.3, q_growth=2)
+    else:
+        g = Grid.regular([-3.0, -3.0], [3.0, 3.0], [41, 41])
+        prob = HJBProblem(f=QuadCost([[1.0, 0.3], [0.3, 2.0]]), q=QDiscount(), delta_q=2.0,
+                          b_q=3.0, sigma_nu_pairs=atoms_2d_problem()[1], u=[0.25, -0.4],
+                          mu_lattice=(np.linspace(-3.0, 3.0, 13), np.linspace(-1.0, 1.0, 5)),
+                          q_growth=2)
+    gen = _Generator(prob, g)
+    blocks = -(-len(gen.combos) // max(1, 2**15 // g.n_nodes))
+    assert blocks == (3 if dim == 1 else 4)
+    assert dim == 1 or np.any(gen.cands[1].m1 != 0.0)
+    x = g.nodes()
+    rng = np.random.default_rng(23)
+    for sweep in range(2):  # the second reads the kept upwind parts and q/f tables
+        phi = np.sum(x * x, axis=1) + 0.5 * np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(len(x))
+        dp, dm = [D @ phi for D in gen.Dp], [D @ phi for D in gen.Dm]
+        for s in range(len(gen.cands)):
+            got, ref = gen._best_drift(s, phi, dp, dm), _per_column_best_drift(gen, s, phi, dp, dm)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 class TableCost:
     """f read from a (node, lattice column) table on a square grid; the column
     is given by the signs of the drift."""
