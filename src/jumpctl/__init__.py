@@ -15,21 +15,22 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "dynamics": "AdmissibilityError PathBundle PayoffEstimate PolicyFieldSpec SimConfig "
-                "bellman_series characteristics_report payoff_estimate simulate",
+    "dynamics": "AdmissibilityError CharacteristicsReport PathBundle PayoffEstimate "
+                "PolicyFieldSpec SimConfig bellman_series characteristics_report payoff_estimate "
+                "simulate",
     "examples": "BoundaryError BracketError Example1Spec Example2Solution example1_psi "
                 "example1_value example2_free_boundary example2_phi_b",
-    "generator": "AnalyticField DomainError GeneratorScheme GrowthError apply_generator "
-                 "hjb_integrand jump_term local_term",
+    "generator": "AnalyticField DomainError apply_generator",
     "hjb": "ConvergenceReport FiniteHorizonSolution Grid HJBProblem PolicyTable SchemeWarning "
            "SolverError ValueField interior_mask policy_evaluation policy_improvement "
            "solve_finite_horizon solve_stationary",
-    "lq": "LQSolution LQSpec RiccatiSolveError minimal_dispersion optimal_feedback "
+    "lq": "LQSolution LQSpec RiccatiSolveError lq_assemble minimal_dispersion optimal_feedback "
           "riccati_residual solve_lq solve_riccati",
-    "measures": "Action AtomicMeasure DensityGridMeasure JumpMeasure MeasureSupportError "
-                "RelocationKernel ZeroMeasure moment_functional sample_jumps second_moment_matrix "
-                "total_mass validate_Mp",
-    "verify": "TestReport dpp_report dynkin_test growth_certificate_check "
+    "measures": "Action AtomicMeasure DensityGridMeasure DivergenceError JumpMeasure "
+                "MeasureSupportError RelocationKernel UnsupportedMeasureError ZeroMeasure "
+                "moment_functional sample_jumps second_moment_matrix tail_moment total_mass "
+                "validate_Mp",
+    "verify": "DppReport TestReport costs_along dpp_report dynkin_test growth_certificate_check "
               "h2_integrability_check moment_bound_report submartingale_test transversality_test",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

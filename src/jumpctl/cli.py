@@ -594,8 +594,8 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
         lat_cfg, lpath = _get(ac, "mu_lattice", apath, dict), f"{apath}.mu_lattice"
         lo, hi = _get(lat_cfg, "lo", lpath, "vector"), _get(lat_cfg, "hi", lpath, "vector")
         num = _get(lat_cfg, "num", lpath, "counts")
-        if not (lo.size == hi.size == num.size):
-            raise ConfigError(lpath, "lo/hi/num must agree in length")
+        if not (lo.size == hi.size == num.size) or lo.size not in (1, dim):
+            raise ConfigError(lpath, f"lo/hi/num must have one length, 1 or {dim}")
         if lo.size == 1 and dim > 1:
             lo, hi, num = np.repeat(lo, dim), np.repeat(hi, dim), np.repeat(num, dim)
         lattice = tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, num))
@@ -772,8 +772,8 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, q: float):
         return name, [], lambda shared: ver.h2_integrability_check(shared["bundle"], p)
     if name == "growth":
         box = _get(entry, "box", path, "matrix")
-        if box.shape != (dim, 2):
-            raise ConfigError(f"{path}.box", f"expected {dim} [lo, hi] pairs")
+        if box.shape != (dim, 2) or not np.all(box[:, 0] < box[:, 1]):
+            raise ConfigError(f"{path}.box", f"expected {dim} [lo, hi] pairs with lo < hi")
         K = _get(entry, "K", path, "positive")
         p = _get(entry, "p", path, "positive")
         try:  # the jump moment of order p, which the check reads at every state

@@ -577,6 +577,8 @@ class _Generator:
         every = np.arange(grid.n_nodes)
         self.q_rows, self.f_rows = _row_costs(prob.q), _row_costs(prob.f)
         if prob.mode == "product":
+            if len(prob.mu_lattice) != grid.dim:
+                raise ValueError(f"drift lattice has {len(prob.mu_lattice)} axes, grid {grid.dim}")
             self.combos, self.lshape = _lattice_combos(prob.mu_lattice)
             zero = np.zeros(grid.dim)
             self.cands = [

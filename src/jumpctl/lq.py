@@ -30,6 +30,7 @@ __all__ = [
     "minimal_dispersion",
     "lq_assemble",
     "optimal_feedback",
+    "riccati_residual",
     "solve_lq",
 ]
 

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
-from .generator import _DEFAULT_SCHEME, _field_value, _generator
+from .generator import _field_value, _generator
 from .hjb import Grid, HJBProblem, ValueField, _lattice_origin, _row_costs
 from .measures import Action, RelocationKernel, tail_moment
 
@@ -476,8 +476,7 @@ def dynkin_test(bundle: PathBundle, fields, t_points) -> TestReport:
         gen = np.empty((K, n))
         for j, (X, mu, groups) in enumerate(snaps):
             for rows, sigma, nu in groups:
-                vals[j, rows], gen[j, rows] = _generator(
-                    g, X[rows], _DEFAULT_SCHEME, (mu[rows], sigma), nu, bundle.u)
+                vals[j, rows], gen[j, rows] = _generator(g, X[rows], (mu[rows], sigma), nu, bundle.u)
         integral = np.zeros((K, n))
         integral[1:] = np.cumsum(0.5 * (gen[:-1] + gen[1:]) * dts[:, None], axis=0)
         M = vals - vals[:1] - integral

@@ -540,6 +540,15 @@ _UNUSABLE_VALUES = [
     ("lq_1d.json", ["solve"], [(("problem", "cost"), {"kind": "quadratic_form",
                                                       "matrix": [[1.0, 0.0]]})],
      "$.problem.cost.matrix", "must be a square matrix"),
+    # a drift lattice needs 1 or dim axes (3 on a 2-D grid used to fail in a
+    # reshape without a path)
+    ("lq_2d.json", ["solve"], [(("problem", "actions", "mu_lattice"),
+                                {"lo": [-1.0] * 3, "hi": [1.0] * 3, "num": [5] * 3})],
+     "$.problem.actions.mu_lattice", "1 or 2"),
+    # a reversed growth box is read before any path is simulated (it used to
+    # simulate first and exit without a path)
+    ("verify_lq.json", ["verify"], [(("tests", 3, "box"), [[6.0, -6.0]])],
+     "$.tests[3].box", "lo < hi"),
 ]
 
 
@@ -548,7 +557,8 @@ _UNUSABLE_VALUES = [
                               "growth_moment_overflow", "small_jump_cov_1x1_in_2d",
                               "small_jump_cov_3x3_in_2d", "small_jump_cov_negative",
                               "lq_1d_lam", "lq_1d_theta", "finite_lq_lam", "finite_lq_theta",
-                              "lq_2d_indefinite_form", "lq_1d_nonsquare_form"])
+                              "lq_2d_indefinite_form", "lq_1d_nonsquare_form",
+                              "lq_2d_three_axis_lattice", "verify_lq_reversed_box"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())
@@ -942,6 +952,14 @@ def test_threads_flag_is_accepted(tmp_path):
         assert "--threads 2 not applied" in runs["threads"][0]
     assert "--threads" not in runs["plain"][0]
     assert runs["threads"][1] == runs["plain"][1]
+
+
+def test_exports_match_each_modules_all():
+    # the lazy export table and each module's __all__ name the same public
+    # surface, and every name resolves, so a deletion cannot leave a stale export
+    for module, names in jumpctl._EXPORTS.items():
+        assert sorted(names.split()) == sorted(importlib.import_module(f"jumpctl.{module}").__all__)
+    assert all(getattr(jumpctl, name) is not None for name in jumpctl.__all__)
 
 
 def test_version_flag_prints_version(capsys):

@@ -3,16 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpctl.generator import (
-    AnalyticField,
-    DomainError,
-    GeneratorScheme,
-    GrowthError,
-    apply_generator,
-    hjb_integrand,
-    jump_term,
-    local_term,
-)
+from jumpctl.generator import AnalyticField, DomainError, apply_generator
 from jumpctl.hjb import Grid, ValueField
 from jumpctl.measures import (
     Action,
@@ -32,6 +23,16 @@ def quad_field(m, b=0.0, c=0.0):
         grad=lambda x: np.atleast_1d(2 * m * np.asarray(x)[..., 0] + b),
         hess=lambda x: np.array([[2 * m]]),
     )
+
+
+def local_term(mu, sigma, g, x, u=None):
+    """The local part of L: the generator of an action with no jumps."""
+    return apply_generator(Action(sigma, ZeroMeasure(np.size(mu)), mu), g, x, u=u)
+
+
+def jump_term(nu, g, x):
+    """The jump part of L (with nu's Sigma_eps): the generator with sigma = 0, mu = 0."""
+    return apply_generator(Action(np.zeros((nu.dim, nu.dim)), nu, np.zeros(nu.dim)), g, x)
 
 
 # ---------------------------------------------------------------- local term
@@ -63,13 +64,14 @@ def test_local_term_sin_analytic_vs_finite_difference():
 
 
 def test_finite_difference_is_second_order():
-    g = lambda x: np.exp(np.asarray(x)[..., 0])  # noqa: E731
+    # a grid field is differenced with its own spacing: on exp's node values
+    # the step halves from 41 to 81 nodes on [-2, 2], and the error falls ~4x
     errs = []
-    for h in (1e-2, 5e-3):
-        field = AnalyticField(fn=g)
-        val = local_term(1.0, 1.0, field, x=0.0, scheme=GeneratorScheme(fd_step=h))
-        errs.append(abs(val - 1.5))  # exact: e^0 + 0.5 e^0
-    assert errs[1] < errs[0] / 3.0  # halving h cuts the error ~4x
+    for num in (41, 81):
+        grid = Grid.regular(-2.0, 2.0, num)
+        field = ValueField(grid=grid, values=np.exp(grid.axes[0]))
+        errs.append(abs(local_term(1.0, 1.0, field, x=0.0) - 1.5))  # exact: e^0 + 0.5 e^0
+    assert errs[1] < errs[0] / 3.0
 
 
 def test_domain_box_enforced():
@@ -118,19 +120,12 @@ def test_jump_term_zero_measure():
 
 
 def test_small_jump_split_matches_exact_for_quadratics():
-    g = quad_field(1.5)
+    # a grid field splits at twice its spacing (0.2 here): the raw difference
+    # of a 1e-8 jump underflows, the Taylor surrogate is exact for quadratics
+    grid = Grid.regular(-2.0, 2.0, 41)
+    g = ValueField(grid=grid, values=1.5 * grid.axes[0] ** 2)
     nu = AtomicMeasure(dim=1, locations=[[1e-8]], masses=[1.0])
-    # raw difference underflows; the Taylor surrogate is exact for quadratics
-    split = jump_term(nu, g, x=1.0, scheme=GeneratorScheme(small_jump_split=1e-6))
-    assert split == pytest.approx(1.5 * 1e-16, rel=1e-6)
-
-
-def test_growth_guard():
-    g = quad_field(1.0)
-    g.q_growth = 4
-    nu = AtomicMeasure(dim=1, locations=[[1.0]], masses=[1.0])
-    with pytest.raises(GrowthError):
-        jump_term(nu, g, x=0.0, scheme=GeneratorScheme(ambient_p=2.0))
+    assert jump_term(nu, g, x=1.0) == pytest.approx(1.5 * 1e-16, rel=1e-6)
 
 
 def test_positive_maximum_principle_at_bump_peak():
@@ -188,6 +183,11 @@ def test_apply_generator_frozen_hand_value():
     assert apply_generator(a, quad_field(1.0), x=2.0) == pytest.approx(4.0, abs=1e-9)
 
 
+def hjb_integrand(a, phi, x, f_val, q_val):
+    """L^a phi(x) - q phi(x) + f, the quantity the Bellman equation minimises over actions."""
+    return apply_generator(a, phi, x) - q_val * phi.value(np.atleast_1d(x)) + f_val
+
+
 def test_hjb_integrand_zero_field_zero_cost():
     zero = AnalyticField(fn=lambda x: 0.0 * np.asarray(x)[..., 0])
     a = Action(sigma=1.0, nu=ZeroMeasure(dim=1), mu=1.0)
@@ -233,17 +233,17 @@ def test_generator_linearity(alpha, beta, x):
 
 
 def test_generator_adds_small_jump_covariance_to_the_two_terms():
-    # Sigma_eps reaches L only through C = sigma sigma^T + Sigma_eps: neither
-    # local_term (no measure) nor jump_term (nu's support) carries it, so L
-    # exceeds their sum by (1/2) tr(Sigma_eps H), here 0.5 * 0.2 * 1.6
+    # Sigma_eps reaches L only through C = sigma sigma^T + Sigma_eps, so it is
+    # in the jump part (sigma = 0, C = Sigma_eps) and the local and jump parts
+    # add up to L; it adds (1/2) tr(Sigma_eps H), here 0.5 * 0.2 * 1.6
     box = dict(dim=1, lo=[-1.0], hi=[1.0], shape=(20,), values=np.full(20, 2.4), eps=0.5)
     plain, small = DensityGridMeasure(**box), DensityGridMeasure(**box, small_jump_cov=[[0.2]])
     g = quad_field(0.8, b=-1.0)
     x = np.array([[-0.4], [0.0], [1.1]])
-    parts = local_term(0.5, 0.3, g, x=x) + jump_term(small, g, x=x)
-    assert np.array_equal(jump_term(small, g, x=x), jump_term(plain, g, x=x))
-    np.testing.assert_allclose(apply_generator(Action(0.3, plain, 0.5), g, x=x), parts, rtol=1e-14)
-    np.testing.assert_allclose(apply_generator(Action(0.3, small, 0.5), g, x=x) - parts, 0.16, rtol=1e-13)
+    for nu in (plain, small):
+        parts = local_term(0.5, 0.3, g, x=x) + jump_term(nu, g, x=x)
+        np.testing.assert_allclose(apply_generator(Action(0.3, nu, 0.5), g, x=x), parts, rtol=1e-14)
+    np.testing.assert_allclose(jump_term(small, g, x=x) - jump_term(plain, g, x=x), 0.16, rtol=1e-13)
 
 
 @given(st.floats(min_value=-2, max_value=2), st.floats(min_value=0.1, max_value=2.0))
@@ -264,14 +264,15 @@ def _bits(v):
 
 def test_batch_rows_match_point_calls():
     # a point is a batch of one row and every sum runs within a row, so row i
-    # of a batch is bitwise the call at X[i]; each measure has atoms on both
-    # sides of the small-jump split (Taylor surrogate and raw difference)
+    # of a batch is bitwise the call at X[i]; on grid fields each measure has
+    # atoms on both sides of the small-jump split (Taylor surrogate and raw
+    # difference), analytic fields take the raw difference for every jump
     g1 = Grid.regular(-2.0, 2.0, 41)
     g2 = Grid.regular([-2.0, -2.0], [2.0, 2.0], [21, 21])
     n2 = g2.nodes()
     cases = {
-        "analytic-1d": (quad_field(1.3, b=-0.4, c=0.2), 0.3),
-        "analytic-2d": (AnalyticField(
+        "analytic-1d": quad_field(1.3, b=-0.4, c=0.2),
+        "analytic-2d": AnalyticField(
             fn=lambda x: np.sin(x[..., 0]) * np.cos(0.5 * x[..., 1]) + x[..., 0] * x[..., 1],
             grad=lambda x: np.stack([np.cos(x[..., 0]) * np.cos(0.5 * x[..., 1]) + x[..., 1],
                                      -0.5 * np.sin(x[..., 0]) * np.sin(0.5 * x[..., 1])
@@ -281,30 +282,23 @@ def test_batch_rows_match_point_calls():
                           -0.5 * np.cos(x[..., 0]) * np.sin(0.5 * x[..., 1]) + 1.0], axis=-1),
                 np.stack([-0.5 * np.cos(x[..., 0]) * np.sin(0.5 * x[..., 1]) + 1.0,
                           -0.25 * np.sin(x[..., 0]) * np.cos(0.5 * x[..., 1])], axis=-1),
-            ], axis=-2)), 0.3),
-        "fd-2d": (AnalyticField(fn=lambda x: np.exp(0.3 * x[..., 0] - 0.2 * x[..., 1] ** 2)),
-                  0.3),
-        "grid-1d": (ValueField(grid=g1, values=np.cos(g1.axes[0]) + g1.axes[0] ** 2), None),
-        "grid-2d": (ValueField(grid=g2, values=np.cos(n2[:, 0]) * (1.0 + n2[:, 1] ** 2)), None),
+            ], axis=-2)),
+        "fd-2d": AnalyticField(fn=lambda x: np.exp(0.3 * x[..., 0] - 0.2 * x[..., 1] ** 2)),
+        "grid-1d": ValueField(grid=g1, values=np.cos(g1.axes[0]) + g1.axes[0] ** 2),
+        "grid-2d": ValueField(grid=g2, values=np.cos(n2[:, 0]) * (1.0 + n2[:, 1] ** 2)),
     }
     rng = np.random.default_rng(5)
-    for name, (field, split) in cases.items():
+    for name, field in cases.items():
         dim = 2 if name.endswith("2d") else 1
         # grid fields split at twice their spacing: 0.2 in 1-D, 0.4 in 2-D
-        near, far = (0.1, 0.6) if split is None else (0.1, 0.8)
-        locs = [[near], [-far]] if dim == 1 else [[near, -0.05], [-far, 0.4]]
+        locs = [[0.1], [-0.6]] if dim == 1 else [[0.1, -0.05], [-0.6, 0.4]]
         sigma = 0.7 if dim == 1 else np.array([[0.7, 0.2], [0.1, 0.5]])
         a = Action(sigma=sigma, nu=AtomicMeasure(dim, locs, [1.2, 0.5]), mu=np.full(dim, 0.3))
-        scheme = GeneratorScheme(small_jump_split=split)
         u = np.full(dim, -0.1)
         for m in (1, 2, 17, 64):
             X = rng.uniform(-1.0, 1.0, size=(m, dim))
-            batch = apply_generator(a, field, X, u=u, scheme=scheme)
+            batch = apply_generator(a, field, X, u=u)
             assert batch.shape == (m,)
-            points = [apply_generator(a, field, x, u=u, scheme=scheme) for x in X]
+            points = [apply_generator(a, field, x, u=u) for x in X]
             assert all(isinstance(p, float) for p in points)
             assert np.array_equal(_bits(batch), _bits(points)), (name, m)
-            integrand = hjb_integrand(a, field, X, f_val=0.4, q_val=1.1, u=u, scheme=scheme)
-            rows = [hjb_integrand(a, field, x, f_val=0.4, q_val=1.1, u=u, scheme=scheme)
-                    for x in X]
-            assert np.array_equal(_bits(integrand), _bits(rows)), (name, m)

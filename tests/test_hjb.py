@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from jumpctl import hjb
-from jumpctl.generator import AnalyticField, GeneratorScheme, hjb_integrand
+from jumpctl.generator import AnalyticField, apply_generator
 from jumpctl.hjb import (
     ConvergenceReport,
     Grid,
@@ -300,17 +300,16 @@ def test_assembly_agrees_with_generator_module():
                         hess=lambda x: np.array([[2.0]]))
     i = 40  # x = 0, interior, all jump destinations on nodes
     x = g.axes[0][i]
-    want = hjb_integrand(act, fld, x, f_val=x**2, q_val=1.0)
+    want = apply_generator(act, fld, x) - (x**2 + 1.0) + x**2  # L phi - q phi + f
     assert best[i] == pytest.approx(want, abs=1e-9)
     # a solved grid field as the generator's input: the diffusion-only value
     # x^2 + 1, read through the field's own interpolation; central differences
-    # of step h are exact on its node values
+    # of its spacing h are exact on its node values
     brown = singleton_problem(lambda x, a: x**2, 1.0)
     pol = PolicyTable(grid=g, action_index=np.zeros(g.n_nodes, dtype=int))
     solved = policy_evaluation(pol, brown, g)
     best, _ = _best_candidates(solved, prob, g)
-    want = hjb_integrand(act, solved, np.array([x]), f_val=x**2, q_val=1.0,
-                         scheme=GeneratorScheme(fd_step=g.h[0]))
+    want = apply_generator(act, solved, np.array([x])) - solved.value(np.array([x])) + x**2
     assert want == pytest.approx(0.75, abs=1e-6)  # L(x^2 + 1) - (x^2 + 1) + x^2 at 0
     assert best[i] == pytest.approx(want, abs=1e-6)
 
@@ -822,6 +821,16 @@ def test_lattice_argmin_keeps_first_minimum_and_nan_rule():
     assert np.array_equal(f_best, ref, equal_nan=True)
     signs = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     assert np.array_equal(pol.mu[chosen], signs[col[chosen]])
+
+
+def test_lattice_axes_must_match_the_grid():
+    # a 3-axis drift lattice on a 2-D grid used to fail in a reshape
+    g = Grid.regular([-1.0, -1.0], [1.0, 1.0], [16, 16])
+    prob = HJBProblem(f=lambda x, a: 1.0, q=1.0, delta_q=1.0, b_q=1.0,
+                      sigma_nu_pairs=((np.eye(2), ZeroMeasure(2)),),
+                      mu_lattice=([-1.0, 1.0],) * 3, q_growth=2)
+    with pytest.raises(ValueError, match="drift lattice has 3 axes, grid 2"):
+        solve_stationary(prob, g)
 
 
 # ---------------------------------------------------------------------------

@@ -291,14 +291,13 @@ def test_dynkin_battery_constant_action():
 
     # the battery stores time-major; its statistics are bitwise those of the
     # path-major (n, K) arrays filled one column per snapshot
-    from jumpctl.generator import _DEFAULT_SCHEME, _generator
+    from jumpctl.generator import _generator
 
     a, (n, K, _), checks = pol.action, b.states.shape, iter(rep.statistics["checks"])
     for g in (_Bump(2.0), _Bump(3.0)):
         vals, gen = np.empty((n, K)), np.empty((n, K))
         for j in range(K):
-            vals[:, j], gen[:, j] = _generator(g, b.states[:, j, :], _DEFAULT_SCHEME,
-                                               (a.mu, a.sigma), a.nu, b.u)
+            vals[:, j], gen[:, j] = _generator(g, b.states[:, j, :], (a.mu, a.sigma), a.nu, b.u)
         integral = np.zeros((n, K))
         integral[:, 1:] = np.cumsum(0.5 * (gen[:, :-1] + gen[:, 1:]) * np.diff(b.times), axis=1)
         M = vals - vals[:, :1] - integral
@@ -377,7 +376,7 @@ def test_dynkin_battery_solved_table():
 def test_dynkin_battery_row_groups_match_whole_batches():
     # each group's rows are bitwise the rows of the generator evaluated on the
     # whole snapshot under that group's pair: splitting by group adds no rounding
-    from jumpctl.generator import _DEFAULT_SCHEME, _generator
+    from jumpctl.generator import _generator
 
     pol, g = _example1_table_policy(), _Bump(2.0)
     b = simulate(pol, SimConfig(x0=1.5, T=0.2, dt=0.01, n_paths=2000, seed=3))
@@ -388,7 +387,7 @@ def test_dynkin_battery_row_groups_match_whole_batches():
         mu, group, pairs = pol.coefficients(X)
         for k, (sigma, nu) in enumerate(pairs):
             rows = group == k
-            v, L = _generator(g, X, _DEFAULT_SCHEME, (mu, sigma), nu, b.u)
+            v, L = _generator(g, X, (mu, sigma), nu, b.u)
             vals[j, rows], gen[j, rows] = v[rows], L[rows]
     integral = np.zeros((K, n))
     integral[1:] = np.cumsum(0.5 * (gen[:-1] + gen[1:]) * np.diff(b.times)[:, None], axis=0)
