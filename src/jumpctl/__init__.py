@@ -18,7 +18,7 @@ _EXPORTS = {
     "dynamics": "AdmissibilityError CharacteristicsReport PathBundle PayoffEstimate "
                 "PolicyFieldSpec SimConfig bellman_series characteristics_report payoff_estimate "
                 "simulate",
-    "examples": "BoundaryError BracketError Example1Spec Example2Solution example1_psi "
+    "examples": "BoundaryError BracketError Example2Solution example1_psi "
                 "example1_value example2_free_boundary example2_phi_b",
     "generator": "AnalyticField DomainError apply_generator",
     "hjb": "ConvergenceReport FiniteHorizonSolution Grid HJBProblem PolicyTable SchemeWarning "

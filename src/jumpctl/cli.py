@@ -1024,9 +1024,6 @@ def _example3(run: RunConfig) -> int:
 def _apply_thread_budget(n: int):
     if n < 1:
         raise ConfigError("--threads", "must be >= 1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:

@@ -27,18 +27,21 @@ origin is a constant action with one) is read per row, and its jumps
 relocate the path to the kernel's target.  :class:`PolicyFieldSpec` is the
 one interface to all shapes: the verifiers and the command line ask it for
 ``coefficients``, ``coefficient_norms`` (|mu|, ||F||_F with F F^T =
-sigma sigma^T + Sigma_eps, and the jump moment per state), ``growth_left``
-and ``rate_cap`` instead of branching on the shape.
+sigma sigma^T + Sigma_eps, and the jump moment per state), ``growth_left``,
+``growth_ratio`` and ``rate_cap`` instead of branching on the shape.  A growth
+claim (K, p) holds at the states whose ``growth_ratio`` is at most 1 + 1e-12;
+the simulator's spot check and the verifiers compare with that one bound.
 
 Shared (sigma, nu) pairs and jump laws are resolved once per run (per step
 for row groups), and every step writes into buffers kept across steps, bit
 for bit equal to the plain left-to-right update.  The per-step draws come in
 a fixed order -- ``standard_normal((n, dim))``, the thinning clock's counts
-(numpy's Poisson counts, read from a block of uniforms), ``binomial`` only
-when some row's jump rate is below the clock's, then the jump sizes group by
-group (a cdf search on uniforms, plus a ``uniform`` jitter for density
-cells).  That order is part of the frozen-seed contract: a given seed
-reproduces every bundle array and artifact bit for bit.
+(numpy's Poisson counts, read from a block of uniforms when lam dt < 0.08),
+``binomial`` only when some row's jump rate is below the clock's, then the
+jump sizes (sigma, nu) group by group in :func:`_groups` order (a cdf
+search on uniforms, plus a ``uniform`` jitter for density cells).  That
+order is part of the frozen-seed contract: a given seed reproduces every
+bundle array and artifact bit for bit.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e9
+_GROWTH_TOL = 1e-12  # a growth claim holds where growth_ratio <= 1 + _GROWTH_TOL
 _GROUP_0 = np.zeros(1, dtype=np.intp)
 _GROUP_0.flags.writeable = False
 
@@ -120,6 +124,16 @@ def _relocations(X, group, pairs):
     return on, mass, y
 
 
+def _groups(group, pairs):
+    """(rows, sigma, nu) per (sigma, nu) pair of a ``coefficients`` query, pairs and
+    rows ascending; one pair covers the batch, with rows ``slice(None)``."""
+    if len(pairs) == 1:
+        return [(slice(None), *pairs[0])]
+    order = np.argsort(group, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
+    return [(part, *pairs[group[part[0]]]) for part in parts if len(part)]
+
+
 def _grouped(acts, dim: int):
     """(mu, group, pairs) of per-row Actions; rows holding one Action object share a group."""
     first = {}
@@ -141,7 +155,8 @@ class PolicyFieldSpec:
     * :meth:`coefficient_norms` -- |mu(x)|, ||F(x)||_F and
       int |y|^2 v |y|^p nu_x(dy) per row, the terms of the admissibility
       and growth conditions;
-    * :meth:`growth_left` -- the left side of the growth condition;
+    * :meth:`growth_left` -- the left side of the growth condition, and
+      :meth:`growth_ratio` -- its ratio to a claim's right side;
     * :meth:`rate_cap` -- a known bound on the jump rate.
 
     ``sigma`` and ``nu`` are set for every shape but row groups
@@ -289,6 +304,15 @@ class PolicyFieldSpec:
         """Vectorized left side of the growth condition on a state batch."""
         d, s, j = self.coefficient_norms(X, p)
         return d**p + s**p + j
+
+    def growth_ratio(self, X, K=None, p=None) -> np.ndarray:
+        """growth_left(X, p) / (K (1 + |x|^p)) per row, with the policy's own
+        claim (growth_K, growth_p) where K and p are not given; the claim holds
+        where the ratio is at most 1 + 1e-12."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        K = self.growth_K if K is None else K
+        p = self.growth_p if p is None else p
+        return self.growth_left(X, p) / (K * (1.0 + np.linalg.norm(X, axis=1) ** p))
 
     def rate_cap(self) -> Optional[float]:
         """A known upper bound on the jump rate, if any."""
@@ -553,13 +577,14 @@ def _arrivals(rng: np.random.Generator, lam: float, n: int):
 
     ``rng`` is left in the state that call leaves it in.  Below lam = 10
     numpy draws each count by the multiplication method (Knuth, TAOCP vol. 2
-    3.4.1), so the counts are read from one block of ``rng.random`` draws,
-    bit for bit; from lam = 10 on it uses PTRS, and ``rng.poisson`` itself
-    is called.  When the block runs short, each unfinished draw needs at
-    least one more uniform, so exactly that many are drawn and the
-    generator never runs ahead of ``rng.poisson``.
+    3.4.1), so below lam = 0.08, where most counts are zero, they are read
+    from one block of ``rng.random`` draws, bit for bit, in less time than
+    ``rng.poisson`` takes on a large batch; from lam = 0.08 on ``rng.poisson``
+    itself is called, which is faster there.  When the block runs short, each
+    unfinished draw needs at least one more uniform, so exactly that many are
+    drawn and the generator never runs ahead of ``rng.poisson``.
     """
-    if lam >= 10.0:
+    if lam >= 0.08:
         counts = rng.poisson(lam, n)
         rows = np.flatnonzero(counts)
         return rows, counts[rows]
@@ -736,11 +761,10 @@ class _StepModel:
         if not rows.size:
             return None
         paths = np.repeat(rows, counts)
-        of = self.group[paths] if len(self.pairs) > 1 else None
         sizes = np.empty((paths.size, self.dim))
-        for g in range(1) if of is None else np.unique(of):
-            sel = slice(None) if of is None else of == g
-            law, at = _moments(self.pairs[g][1]).law, paths[sel]
+        # a shared pair's group is resolved on x0 alone, one row
+        for sel, _, nu in _groups(self.group[paths] if len(self.pairs) > 1 else None, self.pairs):
+            law, at = _moments(nu).law, paths[sel]
             sizes[sel] = self.reloc[2][at] if law is None else _draw_jumps(law, rng, at.size)
         return sizes, paths
 
@@ -880,11 +904,10 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
             if not np.isfinite(amax) or amax > _BLOWUP_LIMIT:
                 raise AdmissibilityError(f"state blow-up at t={t_next:.6g} (|x| ~ {amax:.3e})")
             if policy.growth_K is not None and policy.growth_p is not None:
-                lhs = policy.growth_left(X, policy.growth_p)
-                rhs = policy.growth_K * (1.0 + np.linalg.norm(X, axis=1) ** policy.growth_p)
-                if np.any(lhs > rhs * (1.0 + 1e-9)):
+                ratio = policy.growth_ratio(X)
+                if not np.all(ratio <= 1.0 + _GROWTH_TOL):
                     raise AdmissibilityError(f"growth certificate violated at t={t_next:.6g}: "
-                                             f"max lhs/rhs = {float(np.max(lhs / rhs)):.3g}")
+                                             f"max lhs/rhs = {float(np.max(ratio)):.3g}")
 
         if (k + 1) in store_pos:
             snapshot(store_pos[k + 1])

@@ -33,13 +33,11 @@ from numpy.polynomial import polynomial as npoly
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .measures import tail_moment, total_mass
 from .hjb import Grid, ValueField
 
 __all__ = [
     "BoundaryError",
     "BracketError",
-    "Example1Spec",
     "Example2Solution",
     "example1_psi",
     "example1_value",
@@ -87,17 +85,21 @@ def _validate_cost(coeffs: np.ndarray) -> None:
 
     The checks run on a probe lattice rather than symbolically so that
     near-zero stray coefficients from upstream arithmetic do not cause
-    spurious rejections.
+    spurious rejections.  Every probe value must be finite: a NaN from an
+    overflow compares false and would pass every check.
     """
     probe = np.linspace(-5.0, 5.0, 201)
-    vals = npoly.polyval(probe, coeffs)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vals - vals[::-1])) > 1e-9 * scale:
-        raise ValueError("cost must be symmetric: f(x) == f(-x)")
-    if np.min(vals) < -1e-9 * scale:
-        raise ValueError("cost must be nonnegative")
-    if coeffs.size > 2 and np.min(np.diff(vals, 2)) < -1e-9 * scale:
-        raise ValueError("cost must be convex")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf difference fails its check
+        vals = npoly.polyval(probe, coeffs)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("cost must evaluate finite on [-5, 5]")
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if np.max(np.abs(vals - vals[::-1])) > 1e-9 * scale:
+            raise ValueError("cost must be symmetric: f(x) == f(-x)")
+        if np.min(vals) < -1e-9 * scale:
+            raise ValueError("cost must be nonnegative")
+        if coeffs.size > 2 and np.min(np.diff(vals, 2)) < -1e-9 * scale:
+            raise ValueError("cost must be convex")
 
 
 def _particular_coeffs(fc: np.ndarray, decay: float) -> np.ndarray:
@@ -112,51 +114,6 @@ def _particular_coeffs(fc: np.ndarray, decay: float) -> np.ndarray:
         carry = 0.5 * (k + 2) * (k + 1) * out[k + 2] if k + 2 <= deg else 0.0
         out[k] = (fc[k] + carry) / decay
     return out
-
-
-@dataclass(frozen=True)
-class Example1Spec:
-    """Problem data for the convex-cost jump-to-origin benchmark.
-
-    ``f`` is kept as ascending polynomial coefficients; ``beta`` is the
-    uniform bound on the big-jump moment of order ``p`` over the admissible
-    measure class (total rate at most one).  The bound is an assumption on
-    the modeling input; :meth:`covers` checks it for a finite batch of
-    candidate measures only.
-    """
-
-    f: np.ndarray
-    q: float
-    beta: float
-
-    def __post_init__(self):
-        coeffs = _as_poly_coeffs(self.f)
-        _validate_cost(coeffs)
-        if coeffs.size - 1 < 2:
-            raise ValueError("cost degree must be at least 2")
-        object.__setattr__(self, "f", coeffs)
-        if not (np.isfinite(self.q) and self.q > 0.0):
-            raise ValueError("discount rate q must be positive")
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError("beta must be a positive finite bound")
-
-    @property
-    def degree(self) -> int:
-        return self.f.size - 1
-
-    def covers(self, measures) -> bool:
-        """Check the admissibility bounds over a finite batch of measures.
-
-        Each measure must have total rate at most one and big-jump moment
-        of order ``degree`` at most ``beta``.
-        """
-        p = float(max(2, self.degree))
-        for nu in measures:
-            if total_mass(nu) > 1.0 + 1e-12:
-                return False
-            if tail_moment(nu, p, radius=1.0) > self.beta + 1e-12:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

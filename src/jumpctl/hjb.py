@@ -139,15 +139,10 @@ class Grid:
         return self.lo == other.lo and self.hi == other.hi and self.num == other.num
 
 
-def interior_mask(grid: Grid, pad: int = 1) -> np.ndarray:
-    """Boolean mask (flat) of nodes at least ``pad`` layers from the boundary."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for k in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[k] = slice(0, pad)
-        mask[tuple(sl)] = False
-        sl[k] = slice(grid.num[k] - pad, grid.num[k])
-        mask[tuple(sl)] = False
+def interior_mask(grid: Grid) -> np.ndarray:
+    """Boolean mask (flat) of the nodes off the boundary layer."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = True
     return mask.ravel()
 
 
@@ -874,16 +869,11 @@ def policy_evaluation(pol: PolicyTable, prob: HJBProblem, grid: Grid, tol: float
     return _Generator(prob, grid).evaluate(pol, tol)
 
 
-def _best_candidates(phi: ValueField, prob: HJBProblem, grid: Grid):
-    """Per-node argmin of the discrete integrand; returns (best values, PolicyTable)."""
-    if not phi.grid.matches(grid):
-        raise ValueError("field and grid do not match")
-    return _Generator(prob, grid).improve(phi.values.ravel())[:2]
-
-
 def policy_improvement(phi: ValueField, prob: HJBProblem, grid: Grid) -> PolicyTable:
     """Pointwise argmin of the discrete integrand; ties go to the lowest index."""
-    return _best_candidates(phi, prob, grid)[1]
+    if not phi.grid.matches(grid):
+        raise ValueError("field and grid do not match")
+    return _Generator(prob, grid).improve(phi.values.ravel())[1]
 
 
 # ---------------------------------------------------------------------------

@@ -68,20 +68,12 @@ class JumpMeasure:
 
     dim: int
 
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class ZeroMeasure(JumpMeasure):
     """The measure with no jumps at all. Always a valid member of every M_p."""
 
     dim: int = 1
-
-    @property
-    def kind(self) -> str:
-        return "zero"
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +101,6 @@ class AtomicMeasure(JumpMeasure):
             )
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "masses", masses)
-
-    @property
-    def kind(self) -> str:
-        return "atomic"
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +143,6 @@ class DensityGridMeasure(JumpMeasure):
             cov.flags.writeable = False
             object.__setattr__(self, "small_jump_cov", cov)
 
-    @property
-    def kind(self) -> str:
-        return "density"
-
     def cell_midpoints(self) -> np.ndarray:
         axes = [
             self.lo[d] + (np.arange(self.shape[d]) + 0.5) * (self.hi[d] - self.lo[d]) / self.shape[d]
@@ -192,10 +176,6 @@ class RelocationKernel(JumpMeasure):
             raise ValueError(f"relocation needs a rate >= 0 and a finite {self.dim}-vector target")
         target.flags.writeable = False
         object.__setattr__(self, "target", target)
-
-    @property
-    def kind(self) -> str:
-        return "relocation"
 
     def at(self, X):
         """(mass (m,), jump target - x (m, dim)) at the rows of a state batch."""
@@ -296,12 +276,12 @@ def second_moment_matrix(nu: JumpMeasure) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def tail_moment(nu: JumpMeasure, p: float, radius: float = 1.0) -> float:
-    """integral over |y| > radius of |y|^p nu(dy)."""
+def tail_moment(nu: JumpMeasure, p: float) -> float:
+    """integral over |y| > 1 of |y|^p nu(dy): the big-jump moment of order p."""
 
     def f(pts):
         r = np.linalg.norm(pts, axis=1)
-        return np.where(r > radius, r**p, 0.0)
+        return np.where(r > 1.0, r**p, 0.0)
 
     return float(_integrate(nu, f))
 
@@ -333,7 +313,8 @@ def sample_jumps(nu: JumpMeasure, rng: np.random.Generator, size: int) -> np.nda
     """
     law = _moments(nu).law
     if law is None:
-        raise UnsupportedMeasureError(f"sampling needs a fixed measure of positive mass: {nu.kind}")
+        raise UnsupportedMeasureError(
+            f"sampling needs a fixed measure of positive mass: {type(nu).__name__}")
     return _draw_jumps(law, rng, size)
 
 

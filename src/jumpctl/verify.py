@@ -15,7 +15,9 @@ ensemble can serve several of them:
   C = sigma sigma^T + Sigma_eps, the quantity whose finiteness admissibility
   requires, with the terms from
   :meth:`~jumpctl.dynamics.PolicyFieldSpec.coefficient_norms`;
-* static growth-certificate audits of a policy field over a probe box.
+* static growth-certificate audits of a policy field over a probe box; the
+  audit, the integrability battery's check of visited states and the
+  simulator fail a claim where ``PolicyFieldSpec.growth_ratio`` > 1 + 1e-12.
 
 There is also a Dynkin-formula battery for every policy shape (compensated
 test functions must be centered), a moment-bound ratio report that tracks
@@ -38,9 +40,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PathBundle, PolicyFieldSpec, SimConfig, simulate
+from .dynamics import _GROWTH_TOL, PathBundle, PolicyFieldSpec, SimConfig, _groups, simulate
 from .generator import _field_value, _generator
-from .hjb import Grid, HJBProblem, ValueField, _lattice_origin, _row_costs
+from .hjb import HJBProblem, ValueField, _lattice_origin, _row_costs
 from .measures import Action, RelocationKernel, tail_moment
 
 __all__ = [
@@ -112,16 +114,6 @@ def _jsonable(obj):
 
 def _nearest_index(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
-
-
-def _groups(group, pairs):
-    """(rows, sigma, nu) per (sigma, nu) pair of a ``coefficients`` query, rows in
-    batch order; one pair covers the batch, with rows ``slice(None)``."""
-    if len(pairs) == 1:
-        return [(slice(None), *pairs[0])]
-    order = np.argsort(group, kind="stable")
-    parts = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
-    return [(part, *pairs[group[part[0]]]) for part in parts if len(part)]
 
 
 def costs_along(fn, policy: PolicyFieldSpec):
@@ -376,11 +368,7 @@ def h2_integrability_check(bundle: PathBundle, p: float) -> TestReport:
         flat = bundle.states.reshape(n * K, dim)
         if len(flat) > 100_000:
             flat = flat[:: int(np.ceil(len(flat) / 100_000))]
-        lhs = bundle.policy.growth_left(flat, bundle.policy.growth_p)
-        rhs = bundle.policy.growth_K * (
-            1.0 + np.linalg.norm(flat, axis=1) ** bundle.policy.growth_p
-        )
-        if np.any(lhs > rhs * (1.0 + 1e-9)):
+        if not np.all(bundle.policy.growth_ratio(flat) <= 1.0 + _GROWTH_TOL):
             cert_ok = False
             messages.append("growth certificate violated on visited states")
 
@@ -410,27 +398,26 @@ def growth_certificate_check(
     box,
     K: float,
     p: float,
-    n_per_axis: int = 41,
 ) -> TestReport:
     """Audit |mu|^p + ||sigma||^p + int |z|^2 v |z|^p nu <= K (1 + |x|^p).
 
-    Evaluates the left side on a tensor lattice over ``box`` ((lo, hi)
-    per axis, or scalars in one dimension) and reports the worst ratio.
+    Evaluates :meth:`~jumpctl.dynamics.PolicyFieldSpec.growth_ratio` on a
+    41-point-per-axis tensor lattice over ``box`` ((lo, hi) per axis, or
+    scalars in one dimension) and reports the worst ratio; the audit passes
+    when every ratio is at most 1 + 1e-12.
     """
     lo, hi = box
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or np.any(hi <= lo):
         raise ValueError("box must satisfy lo < hi per axis")
-    axes = [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)]
+    axes = [np.linspace(a, b, 41) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    lhs = policy.growth_left(pts, p)
-    rhs = K * (1.0 + np.linalg.norm(pts, axis=1) ** p)
-    ratio = lhs / rhs
+    ratio = policy.growth_ratio(pts, K, p)
     worst = int(np.argmax(ratio))
-    passed = bool(np.all(lhs <= rhs * (1.0 + 1e-12)))
+    passed = bool(np.all(ratio <= 1.0 + _GROWTH_TOL))
     return TestReport(
         name="growth-certificate",
         passed=passed,
@@ -561,11 +548,6 @@ class DppReport:
     per_probe: list = field(default_factory=list)
 
 
-def _default_probes(grid: Grid):
-    lo, hi = np.array(grid.lo), np.array(grid.hi)
-    return [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
-
-
 def _policy_specs(prob: HJBProblem):
     if prob.mode == "list":
         return [PolicyFieldSpec.constant(e) if isinstance(e, Action)
@@ -582,20 +564,19 @@ def dpp_report(
     n_paths: int,
     seed: int,
     policies=None,
-    probe_states=None,
     dt: float = 1e-2,
 ) -> DppReport:
     """Monte Carlo check of the programming principle at horizon t.
 
-    For each probe state the best trial policy's estimate of
-    E[int_0^t e^{-gamma} f ds + e^{-gamma_t} phi(X_t)] is compared with
-    phi(x); the report aggregates the worst (sup) probe.
+    The probe states are the points 1/4, 1/2 and 3/4 of the way from the
+    grid's lower corner to its upper one.  For each the best trial policy's
+    estimate of E[int_0^t e^{-gamma} f ds + e^{-gamma_t} phi(X_t)] is compared
+    with phi(x); the report aggregates the worst (sup) probe.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    grid = phi.grid
-    probes = probe_states if probe_states is not None else _default_probes(grid)
-    probes = [np.atleast_1d(np.asarray(p, float)) for p in probes]
+    lo, hi = np.array(phi.grid.lo), np.array(phi.grid.hi)
+    probes = [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
     here = _field_value(phi, np.array(probes))
     if t == 0.0:
         per = [{"probe": p, "estimate": v, "se": 0.0, "policy": None, "gap": 0.0}

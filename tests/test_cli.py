@@ -549,6 +549,11 @@ _UNUSABLE_VALUES = [
     # simulate first and exit without a path)
     ("verify_lq.json", ["verify"], [(("tests", 3, "box"), [[6.0, -6.0]])],
      "$.tests[3].box", "lo < hi"),
+    # a cost that overflows on the probe lattice compared false with NaN and
+    # passed the cost checks (these used to exit 1 without a path, or 2)
+    *[(f"example{which}.json", ["example", str(which)], [(("cost", "coeffs"), coeffs)],
+       "$.cost.coeffs", "cost must evaluate finite on [-5, 5]")
+      for which in (1, 2) for coeffs in ([0.0, 1e308, 1.0], [0.0, 0.0, 1e308])],
 ]
 
 
@@ -558,16 +563,20 @@ _UNUSABLE_VALUES = [
                               "small_jump_cov_3x3_in_2d", "small_jump_cov_negative",
                               "lq_1d_lam", "lq_1d_theta", "finite_lq_lam", "finite_lq_theta",
                               "lq_2d_indefinite_form", "lq_1d_nonsquare_form",
-                              "lq_2d_three_axis_lattice", "verify_lq_reversed_box"])
+                              "lq_2d_three_axis_lattice", "verify_lq_reversed_box",
+                              "example1_overflow_linear", "example1_overflow_quadratic",
+                              "example2_overflow_linear", "example2_overflow_quadratic"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())
     for keys, value in edits:
         cfg = _set(cfg, keys, value)
-    code = main([*command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    with warnings.catch_warnings():  # the error is the run's one line of stderr
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"config error at '{where}'" in err and message in err and "Traceback" not in err, err
+    assert f"config error at '{where}'" in err and message in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("name, command, edit, message", [

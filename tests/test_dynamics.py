@@ -870,9 +870,10 @@ def test_arrival_counts_are_numpy_poisson():
     starts, counts, end = _chains(np.array([0.6, 0.7, 0.1, 0.9, 0.6, 0.3, 0.2, 0.8]), 0.5)
     assert starts.tolist() == [0, 3] and counts.tolist() == [1, 2] and end == 7
 
-    # lam = 9.5 reads about 10 uniforms per draw, so the block grows many
-    # times; from lam = 10 on numpy uses PTRS and so does _arrivals
-    for lam in (1e-6, 1e-3, 0.0016, 0.002, 0.05, 0.3, 1.0, 3.0, 9.5, 12.0):
+    # below lam = 0.08 the counts come from uniform blocks, and at 0.079 a
+    # block of 20,000 runs short and grows; from lam = 0.08 on _arrivals calls
+    # rng.poisson, which switches from the multiplication method to PTRS at 10
+    for lam in (1e-6, 1e-3, 0.0016, 0.002, 0.05, 0.079, 0.3, 1.0, 3.0, 9.5, 12.0):
         for n in (1, 7, 1000, 20_000):
             for seed in range(30):
                 ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)

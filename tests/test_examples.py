@@ -9,6 +9,8 @@ Frozen oracles used below, derived by substitution into the defining ODEs:
 * f constant c: psi = c/(q+1) kills both derivative terms.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from numpy.polynomial import polynomial as npoly
 from jumpctl.examples import (
     BoundaryError,
     BracketError,
-    Example1Spec,
     Example2Solution,
     _solve_threshold,
+    _validate_cost,
     example1_psi,
     example1_value,
     example2_free_boundary,
@@ -75,6 +77,19 @@ def test_psi_rejects_bad_costs():
         example1_psi(QUAD, 0.0, GRID)
     with pytest.raises(ValueError, match="one-dimensional"):
         example1_psi(QUAD, 1.0, Grid.regular((-1, -1), (1, 1), (17, 17)))
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([0.0, 1e308, 1.0], "evaluate finite"), ([0.0, 0.0, 1e308], "evaluate finite"),
+    ([0.0, 0.0, 0.0, 0.0, 1e306], "evaluate finite"), ([0.0, 3e307, 1.0], "symmetric")])
+def test_cost_checks_survive_overflow(coeffs, message):
+    # an overflowed probe value is NaN or inf, and NaN compares false: f = 1e308 x + x^2
+    # is not symmetric, yet it passed the symmetry, sign and convexity checks; with
+    # 3e307 x the values are finite but their difference overflows, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            _validate_cost(np.array(coeffs))
 
 
 def test_psi_contamination_guard_trips_on_tight_tolerance():
@@ -146,21 +161,6 @@ def test_psi_minimum_at_origin_property(a, b, c):
     assert np.max(np.abs(psi.values - psi.values[::-1])) < 1e-8 * max(
         1.0, psi.values.max()
     )
-
-
-def test_spec_validation_and_coverage():
-    spec = Example1Spec(QUAD, q=1.0, beta=5.0)
-    assert spec.degree == 2
-    with pytest.raises(ValueError, match="degree"):
-        Example1Spec([2.0], q=1.0, beta=5.0)
-    with pytest.raises(ValueError, match="positive"):
-        Example1Spec(QUAD, q=-1.0, beta=5.0)
-    ok = [ZeroMeasure(1), AtomicMeasure(1, [[-0.5]], [1.0])]
-    assert spec.covers(ok)
-    far = AtomicMeasure(1, [[3.0]], [1.0])  # big-jump moment 9 > beta
-    assert not spec.covers([far])
-    heavy = AtomicMeasure(1, [[0.5]], [1.5])  # rate above one
-    assert not spec.covers([heavy])
 
 
 # ------------------------------------------------------------------- phi_b

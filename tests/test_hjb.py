@@ -18,7 +18,6 @@ from jumpctl.hjb import (
     SchemeWarning,
     SolverError,
     ValueField,
-    _best_candidates,
     _factorise,
     _Generator,
     interior_mask,
@@ -294,7 +293,7 @@ def test_assembly_agrees_with_generator_module():
     act = Action(sigma=1.0, nu=nu, mu=mu)
     prob = singleton_problem(lambda x, a: x**2, 1.0, action=act)
     phi = ValueField(grid=g, values=g.axes[0] ** 2 + 1.0, q_growth=2)
-    best, _ = _best_candidates(phi, prob, g)
+    best, _ = _Generator(prob, g).improve(phi.values.ravel())[:2]
     fld = AnalyticField(lambda x: x[0] ** 2 + 1.0,
                         grad=lambda x: np.array([2.0 * x[0]]),
                         hess=lambda x: np.array([[2.0]]))
@@ -308,7 +307,7 @@ def test_assembly_agrees_with_generator_module():
     brown = singleton_problem(lambda x, a: x**2, 1.0)
     pol = PolicyTable(grid=g, action_index=np.zeros(g.n_nodes, dtype=int))
     solved = policy_evaluation(pol, brown, g)
-    best, _ = _best_candidates(solved, prob, g)
+    best, _ = _Generator(prob, g).improve(solved.values.ravel())[:2]
     want = apply_generator(act, solved, np.array([x])) - solved.value(np.array([x])) + x**2
     assert want == pytest.approx(0.75, abs=1e-6)  # L(x^2 + 1) - (x^2 + 1) + x^2 at 0
     assert best[i] == pytest.approx(want, abs=1e-6)
@@ -979,7 +978,7 @@ def test_stationary_residual_sign():
     phi, pol, rep = solve_stationary(prob, g, tol=1e-10)
     assert rep.converged
     assert rep.residual <= 1e-7
-    best, _ = _best_candidates(phi, prob, g)
+    best, _ = _Generator(prob, g).improve(phi.values.ravel())[:2]
     inner = interior_mask(g)
     assert best[inner].min() >= -1e-7
 

@@ -17,11 +17,13 @@ Oracles used below:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jumpctl.dynamics import (
+    AdmissibilityError,
     PathBundle,
     PolicyFieldSpec,
     SimConfig,
@@ -249,6 +251,24 @@ def test_growth_certificate_rejects_superlinear_drift():
     assert not rep.passed
     assert rep.statistics["worst_ratio"] > 1.0
     assert abs(rep.statistics["worst_point"][0]) == 5.0
+
+
+def test_growth_claim_is_checked_with_one_tolerance():
+    # |mu|^2 = 1e-16 against K (1 + |x|^2) with K = 1e-16 / (1 + 1e-10): the ratio
+    # is 1 + 1e-10 near the origin, past the one tolerance 1 + 1e-12, so the
+    # simulator, the visited-state check and the audit all reject the claim
+    # (the first two used to allow 1 + 1e-9)
+    K = 1e-16 / (1.0 + 1e-10)
+    act = Action(sigma=0.0, nu=ZeroMeasure(1), mu=1e-8)
+    claimed = PolicyFieldSpec.constant(act, growth_K=K, growth_p=2.0)
+    assert claimed.growth_ratio(np.zeros((1, 1)))[0] == pytest.approx(1.0 + 1e-10, abs=1e-14)
+    cfg = SimConfig(x0=0.0, T=1.0, dt=0.1, n_paths=4, seed=0)
+    with pytest.raises(AdmissibilityError, match="growth certificate"):
+        simulate(claimed, cfg)
+    rep = h2_integrability_check(replace(simulate(PolicyFieldSpec.constant(act), cfg),
+                                         policy=claimed), p=2.0)
+    assert not rep.passed and any("certificate" in m for m in rep.messages)
+    assert not growth_certificate_check(claimed, (-1.0, 1.0), K, 2.0).passed
 
 
 class _Bump:
