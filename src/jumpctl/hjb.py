@@ -26,10 +26,14 @@ evaluation of that policy. In product mode they are row-batched per
 the refined drifts, not one per node. A block's q/f are tabulated on first
 use per (pair, first lattice column), within 2**21 entries per solve, and
 reused by every later sweep or time step. The drift term is formed per
-lattice axis and summed per block. Every linear system is solved by
-one sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual
-check. The module does no Monte Carlo: the simulated dynamic-programming
-check of a solved field lives in ``verify``.
+lattice axis, and a block's integrands are formed in place in one lattice
+array and scanned by a plain argmin. Every linear system is solved by one
+sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual check;
+COLAMD's column order is computed once per sparsity pattern, and a later
+system on that pattern is factorised with its columns gathered into that
+order, which gives the same factors bit for bit. The module does no Monte
+Carlo: the simulated dynamic-programming check of a solved field lives in
+``verify``.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ class Grid:
         object.__setattr__(
             self, "h", tuple((b - a) / (n - 1) for a, b, n in zip(lo, hi, num))
         )
+        object.__setattr__(self, "n_nodes", int(np.prod(num)))
 
     @classmethod
     def regular(cls, lo, hi, num) -> "Grid":
@@ -118,10 +123,6 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return self.num
-
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.num))
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), C order."""
@@ -543,10 +544,11 @@ class _Generator:
     ``indptr``) fixed per solve; ``operator`` adds the selected K entries,
     then the row-scaled D+_k and D-_k entries axis by axis, into one data
     array on it, which are the additions scipy's sparse sum makes, and
-    ``system`` turns that array into diag(a) - c L for the LU factorisation.
-    Improvement applies the same matrices to phi and returns q/f at the
-    actions it chose, which the evaluation of that policy takes instead of
-    calling q and f again. Costs are resolved once into row functions (see
+    ``system`` turns that array into diag(a) - c L, which ``factorise``
+    factorises in the column order it keeps for the last sparsity pattern.
+    Improvement applies the same matrices to phi and returns q/f at the actions
+    it chose, which the evaluation of that policy takes instead of calling q
+    and f again. Costs are resolved once into row functions (see
     ``_row_costs``), called per list Action on its nodes and per pair on
     (node, drift) rows; ``tables`` keeps lattice blocks' q/f per (pair, first
     column) within ``_TABLE_BUDGET`` entries. Column c's drift on axis k reads
@@ -575,6 +577,8 @@ class _Generator:
             if len(prob.mu_lattice) != grid.dim:
                 raise ValueError(f"drift lattice has {len(prob.mu_lattice)} axes, grid {grid.dim}")
             self.combos, self.lshape = _lattice_combos(prob.mu_lattice)
+            self.cols = np.unravel_index(np.arange(len(self.combos)), self.lshape)
+            self.strides = [int(np.prod(self.lshape[r + 1 :])) for r in range(grid.dim)]
             zero = np.zeros(grid.dim)
             self.cands = [
                 self._candidate([(every, Action(sigma=sigma, nu=nu, mu=zero))], costs=False)
@@ -609,6 +613,7 @@ class _Generator:
         self.pos = [np.searchsorted(flat, key).astype(np.int32) for key in keys]
         self.q_const = None if callable(prob.q) else float(prob.q)
         self.tables, self.kept, self.upwind = {}, 0, {}
+        self.order, self.orderings, self.factorisations = None, 0, 0
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -658,10 +663,11 @@ class _Generator:
             K = K + sp.diags(c2[:, k]) @ self.S[k]
         return _Candidate(K=K.tocsr(), mu=mu, m1=m1, cross=cross, q=qvec, f=fvec)
 
-    def _drift_terms(self, parts, dp, dm):
+    def _drift_terms(self, parts, dp, dm, out=None):
         """b+_k D+_k phi + b-_k D-_k phi per axis k, whose sum is the drift term, from
-        the upwind parts of b and the applied differences."""
-        return [parts[2 * k] * dp[k] + parts[2 * k + 1] * dm[k] for k in range(self.grid.dim)]
+        the upwind parts of b and the applied differences; axis 0's goes to ``out``."""
+        T = [np.multiply(parts[2 * k], dp[k], out=out if k == 0 else None) for k in range(len(dp))]
+        return [np.add(t, parts[2 * k + 1] * dm[k], out=t) for k, t in enumerate(T)]
 
     def _pair_costs(self, s: int, mu: np.ndarray, nodes: np.ndarray):
         """q and f under pair s at rows (nodes[i], mu[i]), one row-function call each."""
@@ -704,9 +710,10 @@ class _Generator:
         qvec, fvec = (np.empty(n), np.empty(n)) if costs is None else costs
         for j, cand in enumerate(self.cands):
             rows = idx == j
-            sel = rows[self.row_of[j]]
+            whole = rows.all()  # one candidate on every node selects no rows
+            sel = slice(None) if whole else rows[self.row_of[j]]
             l[self.pos[j][sel]] += cand.K.data[sel]
-            r = np.nonzero(rows)[0]
+            r = slice(None) if whole else np.nonzero(rows)[0]
             mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
             if costs is None and product:
                 qvec[r], fvec[r] = self._pair_costs(j, mu[r], r)
@@ -753,10 +760,32 @@ class _Generator:
     def evaluate(self, pol: PolicyTable, tol: float, costs=None) -> ValueField:
         """Solve (q - L) phi = f for the policy's rows."""
         l, qvec, fvec = self.operator(pol, costs)
-        phi = _factorise(self.system(l, qvec, 1.0), tol)(fvec)
+        phi = self.factorise(self.system(l, qvec, 1.0), tol)(fvec)
         return ValueField(
             grid=self.grid, values=phi.reshape(self.grid.shape), q_growth=self.prob.q_growth
         )
+
+    def factorise(self, M: sp.csc_matrix, tol: float):
+        """``_factorise(M, tol)`` with COLAMD's column order reused. The order
+        depends on M's pattern only: the first system of a pattern is factorised
+        by ``splu(M)``, a later one on the same pattern as M[:, p] in natural
+        order, gathered from M's data; its factors are splu(M)'s bit for bit."""
+        self.factorisations += 1
+        o = self.order
+        if o and np.array_equal(M.indptr, o[0]) and np.array_equal(M.indices, o[1]):
+            perm_c, gather, Mp = o[2:]
+            np.take(M.data, gather, out=Mp.data)
+            return _factorise(M, tol, Mp, perm_c)
+        self.orderings += 1
+        solve = _factorise(M, tol)
+        perm_c = solve.perm_c.copy()  # the view would keep the whole factor alive
+        p = np.argsort(perm_c)
+        counts = np.diff(M.indptr)[p]
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        gather = np.repeat(M.indptr[p] - indptr[:-1], counts) + np.arange(indptr[-1])
+        Mp = sp.csc_matrix((M.data[gather], M.indices[gather], indptr), shape=M.shape)
+        self.order = M.indptr, M.indices, perm_c, gather, Mp
+        return solve
 
     def improve(self, phi: np.ndarray):
         """Per-node argmin of L^a phi - q phi + f over the family; ties go to the lowest index.
@@ -777,8 +806,9 @@ class _Generator:
                 drift = sum(self._drift_terms(_upwind(self.u + mu - cand.m1), dp, dm))
                 I = cand.K @ phi + drift - q * phi + f
             upd = I < best
-            best[upd], best_idx[upd], best_mu[upd] = I[upd], j, mu[upd]
-            best_q[upd], best_f[upd] = q[upd], f[upd]
+            for dst, src in ((best, I), (best_idx, j), (best_q, q), (best_f, f)):
+                np.copyto(dst, src, where=upd)
+            np.copyto(best_mu, mu, where=upd[:, None])
         pol = PolicyTable(grid=self.grid, action_index=best_idx, mu=best_mu if product else None)
         return best, pol, (best_q, best_f)
 
@@ -786,15 +816,13 @@ class _Generator:
         """Drift, integrand, q and f per node for pair s: the lattice argmin, then one
         per-axis quadratic pass kept where the exact integrand agrees it is better."""
         cand, n = self.cands[s], self.grid.n_nodes
-        lat, combos, lshape = self.prob.mu_lattice, self.combos, self.lshape
-        base = cand.K @ phi
+        lat, combos, cols, strides = self.prob.mu_lattice, self.combos, self.cols, self.strides
+        base = cand.K @ phi + 0.0  # -0.0 to +0.0: base + T then equals base + sum(T)
         if s not in self.upwind:  # column c's drift on axis k reads ax_k[cols[k][c]] only
             b = [self.u[k] + ax[:, None] - cand.m1[:, k] for k, ax in enumerate(lat)]
             self.upwind[s] = [clip(bk, 0.0) for bk in b for clip in (np.maximum, np.minimum)]
-        T = self._drift_terms(self.upwind[s], dp, dm)
-        T[0] += 0.0  # sum()'s 0 + T_0, which turns -0.0 into +0.0
-        cols = np.unravel_index(np.arange(combos.shape[0]), lshape)
-        Iall = np.empty((combos.shape[0], n))
+        Iall = np.empty((combos.shape[0], n))  # 1-D: the drift term is Iall's rows
+        T = self._drift_terms(self.upwind[s], dp, dm, Iall if len(lat) == 1 else None)
         I_best = q_best = f_best = None
         best_flat = np.zeros(n, dtype=int)
         # blocks of lattice columns, about 2^15 rows each, keep the temporaries small
@@ -803,28 +831,35 @@ class _Generator:
             at = slice(c0, c0 + width)
             qv, fv = self._lattice_block(s, c0, combos[at])
             qphi = self.q_const * phi if qv is None else qv * phi
-            drift = T[0][at] if len(lat) == 1 else T[0][cols[0][at]] + T[1][cols[1][at]]
-            Iall[at] = I = base + drift - qphi + fv
+            I = Iall[at]  # base + drift - q phi + f, formed in place
+            if len(lat) > 1:
+                np.add(T[0][cols[0][at]], T[1][cols[1][at]], out=I)
+            np.add(base, I, out=I)
+            np.subtract(I, qphi, out=I)
+            np.add(I, fv, out=I)
             if I_best is None:
                 I_best, f_best = I[0].copy(), fv[0].copy()
                 q_best = np.full(n, self.q_const) if qv is None else qv[0].copy()
-            # running argmin, the first minimum wins and a NaN never replaces; q/f ride along
-            j = np.argmin(np.where(np.isnan(I), np.inf, I), axis=0)
-            r = np.flatnonzero(I[j, every] < I_best)
+            # running argmin, the first minimum wins and a NaN never replaces; q/f ride
+            # along. argmin returns a column's first NaN, so only then is it masked.
+            j = I.argmin(0)
+            Ij = I.ravel()[j * n + every]
+            if np.isnan(Ij).any():
+                j = np.argmin(np.where(np.isnan(I), np.inf, I), axis=0)
+                Ij = I.ravel()[j * n + every]
+            r = np.flatnonzero(Ij < I_best)
             j = j[r]
-            I_best[r], best_flat[r], f_best[r] = I[j, r], c0 + j, fv[j, r]
+            I_best[r], best_flat[r], f_best[r] = Ij[r], c0 + j, fv[j, r]
             if qv is not None:
                 q_best[r] = qv[j, r]
-        cmulti = np.unravel_index(best_flat, lshape)
-        strides = np.array([int(np.prod(lshape[r + 1 :])) for r in range(len(lshape))])
-        mu_ref = combos[best_flat].copy()
+        cmulti = np.unravel_index(best_flat, self.lshape)
+        mu0, Iv = combos[best_flat], Iall.ravel()
+        mu_ref = mu0.copy()
         for r, ax in enumerate(lat):
             j = cmulti[r]
             rows = np.nonzero((j > 0) & (j < len(ax) - 1))[0]
-            flat0 = best_flat[rows]
-            I_m = Iall[flat0 - strides[r], rows]
-            I_0 = Iall[flat0, rows]
-            I_p = Iall[flat0 + strides[r], rows]
+            flat0 = best_flat[rows] * n + rows  # (lattice column, node) in Iall, flat
+            I_m, I_0, I_p = (Iv[flat0 + d * strides[r] * n] for d in (-1, 0, 1))
             denom = I_p - 2.0 * I_0 + I_m
             step = ax[1] - ax[0]
             ok = denom > 1e-300
@@ -832,7 +867,7 @@ class _Generator:
             off[ok] = np.clip(0.5 * (I_m[ok] - I_p[ok]) / denom[ok] * step, -step, step)
             use = ok & (off != 0.0)
             mu_ref[rows[use], r] += off[use]
-        i = np.nonzero(np.any(mu_ref != combos[best_flat], axis=1))[0]
+        i = np.nonzero(np.any(mu_ref != mu0, axis=1))[0]
         dp, dm = [d[i] for d in dp], [d[i] for d in dm]
         drift = sum(self._drift_terms(_upwind(self.u + mu_ref[i] - cand.m1[i]), dp, dm))
         qv, fv = self._pair_costs(s, mu_ref[i], i)
@@ -840,20 +875,22 @@ class _Generator:
         better = val <= I_best[i]
         b = i[better]
         I_best[b], q_best[b], f_best[b] = val[better], qv[better], fv[better]
-        mu_ref[i[~better]] = combos[best_flat[i[~better]]]
+        mu_ref[i[~better]] = mu0[i[~better]]
         return mu_ref, I_best, q_best, f_best
 
 
-def _factorise(M: sp.csc_matrix, tol: float):
+def _factorise(M: sp.csc_matrix, tol: float, Mp=None, perm_c=None):
     """Sparse LU of the CSC matrix M; returns solve(rhs), which checks the
-    residual against tol."""
+    residual of M against tol, with the factor's column order as ``solve.perm_c``.
+    Given Mp = M[:, p], p = argsort(perm_c), Mp is factorised in natural order
+    instead and its solution y read back as x[p] = y, that is x = y[perm_c]."""
     try:
-        lu = splu(M)
+        lu = splu(M) if Mp is None else splu(Mp, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolverError(f"singular system: {exc}") from exc
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        phi = lu.solve(rhs)
+        phi = lu.solve(rhs) if perm_c is None else lu.solve(rhs)[perm_c]
         resid = float(np.abs(M @ phi - rhs).max())
         scale = max(1.0, float(np.abs(rhs).max()))
         if not np.isfinite(resid) or resid > max(tol, 1e-9) * scale:
@@ -861,6 +898,7 @@ def _factorise(M: sp.csc_matrix, tol: float):
         log.debug("sparse LU solve: %d unknowns, residual %.3e", len(rhs), resid)
         return phi
 
+    solve.perm_c = lu.perm_c
     return solve
 
 
@@ -977,7 +1015,7 @@ def solve_finite_horizon(
         _, pol, costs = gen.improve(values[m + 1].ravel())
         if not pol.same_as(pol_prev):
             l, qvec, fvec = gen.operator(pol, costs)
-            solve = _factorise(gen.system(l, 1.0, dt), tol)
+            solve = gen.factorise(gen.system(l, 1.0, dt), tol)
             E = np.exp(-qvec * dt)
             W = (1.0 - E) / qvec
             pol_prev = pol

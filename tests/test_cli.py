@@ -881,6 +881,28 @@ def test_bundled_config_artifact_digests(tmp_path):
     assert digests == _BUNDLED_DIGESTS
 
 
+@pytest.mark.parametrize("name, cmd, counts", [
+    ("finite_lq", ["solve-finite"], (1, 319)),
+    ("lq_2d", ["solve"], (2, 6)),  # the first sweep's zero-drift pattern differs from the rest
+    ("lq_1d", ["solve"], (1, 5)),
+])
+def test_solver_counts_orderings_and_factorisations(tmp_path, monkeypatch, name, cmd, counts):
+    # COLAMD runs once per sparsity pattern and SuperLU once per system: 320
+    # time steps make 319 systems (one step keeps its policy) on one pattern.
+    # The counters stay off report.json, whose bytes the digests above pin.
+    from jumpctl import hjb
+
+    gens, init = [], hjb._Generator.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        gens.append(self)
+
+    monkeypatch.setattr(hjb._Generator, "__init__", recording)
+    assert main([*cmd, "--config", _bundled(f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+    assert [(g.orderings, g.factorisations) for g in gens] == [counts]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_batched_control_penalty_bits(dim):
     # the solver's row-batched cost must round like the per-call one: vecdot of

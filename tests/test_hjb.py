@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings, strategies as st
 
 from jumpctl import hjb
@@ -525,6 +526,69 @@ def test_system_matches_the_sparse_route(case):
             assert got.nnz < l.size
         for part in ("indptr", "indices", "data"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+
+
+def _fresh_solve(M, rhs):
+    return splu(M).solve(rhs).view(np.int64)
+
+
+def _relocation_case():
+    g = Grid.regular(-6.0, 6.0, 121)
+    return _jump_to_origin_problems(1)[0], g, g.axes[0] ** 2 + 0.3 * np.cos(2.0 * g.axes[0])
+
+
+@pytest.mark.parametrize("case", [_list_case, _relocation_case, _product_case, _product_2d_case])
+def test_reused_column_order_solves_as_a_fresh_splu(case):
+    # COLAMD's column order depends on the sparsity pattern only: a system on a
+    # pattern the generator has ordered before is factorised with its columns
+    # gathered into that order, and must solve to the bits of a fresh
+    # splu(M).solve. The time-step (I - dt L) and evaluation (q - L) systems of
+    # the policies improved from six fields cover the 1-D ghost rows' tail
+    # bands, Example 1's per-state jumps, a relocation kernel and the 2-D atoms.
+    prob, g, phi = case()
+    gen = _Generator(prob, g)
+    rng = np.random.default_rng(7)
+    for k in range(6):
+        field = (1.0 + 0.2 * k) * phi + 0.05 * rng.standard_normal(g.n_nodes)
+        _, pol, costs = gen.improve(field)
+        l, qvec, fvec = gen.operator(pol, costs)
+        for M, rhs in ((gen.system(l, 1.0, 0.02), field), (gen.system(l, qvec, 1.0), fvec)):
+            assert np.array_equal(gen.factorise(M, 1e-8)(rhs).view(np.int64), _fresh_solve(M, rhs))
+    assert gen.factorisations == 12 and 1 <= gen.orderings < 12
+    assert gen.order[2].base is None  # a view of perm_c would keep its whole LU factor alive
+
+
+def test_a_changed_pattern_gets_a_new_column_order():
+    # the zero-drift policy drops every upwind entry, so its pattern differs
+    # from an improved policy's; each change of pattern orders anew (one order
+    # is kept), a repeat of the last pattern reuses it
+    prob, g, phi = _product_2d_case()
+    gen = _Generator(prob, g)
+    zero = PolicyTable(grid=g, action_index=np.zeros(g.n_nodes, dtype=int), mu=np.zeros((g.n_nodes, 2)))
+    moved = gen.improve(phi)[1]
+    systems = [gen.system(gen.operator(pol)[0], 1.0, 0.05) for pol in (zero, moved, moved, zero)]
+    assert systems[0].nnz < systems[1].nnz
+    counts = []
+    for M in systems:
+        assert np.array_equal(gen.factorise(M, 1e-8)(phi).view(np.int64), _fresh_solve(M, phi))
+        counts.append((gen.orderings, gen.factorisations))
+    assert counts == [(1, 1), (2, 2), (2, 3), (3, 4)]
+
+
+def test_singular_systems_raise_with_and_without_a_kept_order():
+    # a column of explicit zeros keeps the pattern and makes the system exactly
+    # singular: the reused order and a fresh ordering both raise SolverError
+    prob, g, phi = _product_case()
+    gen = _Generator(prob, g)
+    M = gen.system(gen.operator(gen.improve(phi)[1])[0], 1.0, 0.05)
+    gen.factorise(M, 1e-8)
+    data = M.data.copy()
+    data[M.indptr[40] : M.indptr[41]] = 0.0
+    S = sp.csc_matrix((data, M.indices, M.indptr), shape=M.shape)
+    for fresh in (False, True):
+        with pytest.raises(SolverError, match="singular"):
+            (_Generator(prob, g) if fresh else gen).factorise(S, 1e-8)
+    assert (gen.orderings, gen.factorisations) == (1, 2)
 
 
 class CountingCost:
