@@ -892,8 +892,9 @@ def cmd_example(run: RunConfig, which: int) -> int:
     return (_example1, _example2, _example3)[which - 1](run)
 
 
-def _polynomial_example(cfg: dict, which: int):
-    """The polynomial state cost and the discount q of examples 1-2."""
+def _polynomial_example(cfg: dict, which: int, grid: dict):
+    """The polynomial state cost, the discount q and the 1-D grid (``grid`` by
+    default) of examples 1-2."""
     cost = _CostSpec(_get(cfg, "cost", "$", dict,
                           {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}), "$.cost")
     if cost.kind != "polynomial":
@@ -902,7 +903,11 @@ def _polynomial_example(cfg: dict, which: int):
         ex._validate_cost(ex._as_poly_coeffs(cost.coeffs))
     except ValueError as exc:
         raise ConfigError("$.cost.coeffs", str(exc)) from None
-    return cost, _get(cfg, "q", "$", "positive", 1.0)
+    q = _get(cfg, "q", "$", "positive", 1.0)
+    grid = _grid_from(_get(cfg, "grid", "$", dict, grid), "$.grid")
+    if grid.dim != 1:
+        raise ConfigError("$.grid", f"example {which} runs on a 1-D grid, got {grid.dim} axes")
+    return cost, q, grid
 
 
 def _diffuse_or_jump(f, q: float, coeffs: np.ndarray) -> HJBProblem:
@@ -918,8 +923,7 @@ def _diffuse_or_jump(f, q: float, coeffs: np.ndarray) -> HJBProblem:
 
 def _example1(run: RunConfig) -> int:
     cfg = run.config
-    cost, q = _polynomial_example(cfg, 1)
-    grid = _grid_from(_get(cfg, "grid", "$", dict, {"lo": -6.0, "hi": 6.0, "num": 401}), "$.grid")
+    cost, q, grid = _polynomial_example(cfg, 1, {"lo": -6.0, "hi": 6.0, "num": 401})
     cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=2e-2)
 
     psi = ex.example1_psi(cost.coeffs, q, grid)
@@ -935,9 +939,8 @@ def _example1(run: RunConfig) -> int:
 
 def _example2(run: RunConfig) -> int:
     cfg = run.config
-    cost, q = _polynomial_example(cfg, 2)
+    cost, q, grid = _polynomial_example(cfg, 2, {"lo": -8.0, "hi": 8.0, "num": 481})
     kappa = _get(cfg, "kappa", "$", "positive", 1.0)
-    grid = _grid_from(_get(cfg, "grid", "$", dict, {"lo": -8.0, "hi": 8.0, "num": 481}), "$.grid")
     tol = run.tol if run.tol is not None else 1e-8
     cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
 

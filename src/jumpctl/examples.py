@@ -1,7 +1,7 @@
-"""Benchmark problems with (semi-)closed-form solutions.
+"""Benchmark problems with closed-form solutions.
 
-Two one-dimensional control problems whose optimal payoffs can be computed to
-near machine precision, used as ground truth for the general grid solver:
+Two control problems whose optimal payoffs are known in closed form, used as
+ground truth for the general grid solver:
 
 * the convex-cost jump-to-origin problem: the controller picks a jump measure
   of total rate at most one (with drift tied to the jump mean, so the
@@ -9,18 +9,20 @@ near machine precision, used as ground truth for the general grid solver:
   running cost.  The optimal payoff is ``V = psi + psi(0)/q`` where ``psi``
   solves the linear resolvent equation ``(1/2) psi'' - (q+1) psi + f = 0``
   with polynomial growth, and the optimal control jumps the state to the
-  origin at maximal rate.
+  origin at maximal rate.  On a d-axis grid the cost is separable,
+  ``f(x) = sum_i p(x_i)``, and so is ``psi``.
 
-* the threshold (free-boundary) variant: jumping costs an extra lump ``kappa``
-  per unit of jump rate, and the optimal control jumps at full rate exactly on
-  ``{|x| >= b_hat}``.  For each candidate threshold ``b`` the payoff
-  ``phi_b`` solves a two-region linear ODE system, matched C^1 at ``b``; the
-  optimal threshold is the root of ``phi_b(b) - phi_b(0) - kappa``.
+* the threshold (free-boundary) variant, in one dimension: jumping costs an
+  extra lump ``kappa`` per unit of jump rate, and the optimal control jumps
+  at full rate exactly on ``{|x| >= b_hat}``.  For each candidate threshold
+  ``b`` the payoff ``phi_b`` solves a two-region linear ODE system, matched
+  C^1 at ``b``; the optimal threshold is the root of
+  ``phi_b(b) - phi_b(0) - kappa``.
 
-Both solvers pick the polynomially growing solution branch by construction:
-the exponential homogeneous modes ``exp(+-sqrt(2(q+1)) x)`` are either killed
-through boundary data built from the asymptotic polynomial expansion (grid
-path) or simply never included (closed-form path).
+Both solutions take the polynomially growing branch by construction: the
+exponential homogeneous modes ``exp(+-sqrt(2(q+1)) x)`` are never included.
+For the jump-to-origin problem ``psi`` is the polynomial particular solution
+itself, evaluated at the grid's nodes.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .hjb import Grid, ValueField
 
@@ -51,7 +51,7 @@ _BRACKET_CAP = float(2 ** 20)
 
 
 class BoundaryError(ValueError):
-    """Exponential-mode contamination detected in a polynomial-growth solve."""
+    """The threshold solution's boundary layer reaches the grid's tail band."""
 
 
 class BracketError(RuntimeError):
@@ -120,74 +120,20 @@ def _particular_coeffs(fc: np.ndarray, decay: float) -> np.ndarray:
 # jump-to-origin benchmark
 # ---------------------------------------------------------------------------
 
-def _growing_mode_amplitude(resid: np.ndarray, kappa_plus: float) -> float:
-    """Least-squares amplitude of the growing discrete mode at a grid end.
+def example1_psi(f, q: float, grid: Grid) -> ValueField:
+    """``psi`` solving ``(1/2) Laplacian psi - (q+1) psi + f = 0`` with polynomial growth.
 
-    ``resid`` holds (solution - asymptotic polynomial) on the outermost
-    band, ordered inward-to-end, and ``kappa_plus > 1`` is the growing root
-    of the homogeneous three-point recurrence.  The returned amplitude is
-    measured at the end node itself.
+    For the polynomial ``p`` given by ``f`` the state cost is
+    ``sum_i p(x_i)`` over the grid's axes, and ``psi(x) = sum_i P(x_i)``
+    with ``P`` the unique polynomial solution of the one-dimensional
+    equation, evaluated exactly at the nodes.
     """
-    m = resid.size
-    basis = kappa_plus ** np.arange(-(m - 1), 1, dtype=float)
-    denom = float(basis @ basis)
-    return float(basis @ resid) / denom
-
-
-def example1_psi(f, q: float, grid: Grid, contamination_tol: float = 1e-6) -> ValueField:
-    """Solve ``(1/2) psi'' - (q+1) psi + f = 0`` with polynomial growth.
-
-    The two-point grid solve imposes the asymptotic polynomial particular
-    solution as Dirichlet data at both ends, which kills the exponentially
-    growing homogeneous modes.  After the solve, the residual against the
-    asymptotic polynomial near each end is projected onto the growing
-    discrete mode; an amplitude above ``contamination_tol`` (relative to the
-    solution scale) raises :class:`BoundaryError`.
-    """
-    if grid.dim != 1:
-        raise ValueError("the benchmark problems are one-dimensional")
     if not (np.isfinite(q) and q > 0.0):
         raise ValueError("discount rate q must be positive")
     coeffs = _as_poly_coeffs(f)
     _validate_cost(coeffs)
-
-    decay = q + 1.0
-    tail_poly = _particular_coeffs(coeffs, decay)
-    x = grid.axes[0]
-    n = x.size
-    h = grid.h[0]
-
-    # Tridiagonal system: centered second difference, killed zero-order term.
-    ab = np.zeros((3, n))
-    rhs = np.empty(n)
-    inv_h2 = 1.0 / (h * h)
-    ab[0, 2:] = 0.5 * inv_h2          # superdiagonal (interior rows)
-    ab[1, 1:-1] = -inv_h2 - decay     # main diagonal
-    ab[2, :-2] = 0.5 * inv_h2         # subdiagonal (interior rows)
-    rhs[1:-1] = -npoly.polyval(x[1:-1], coeffs)
-    ab[1, 0] = ab[1, -1] = 1.0        # Dirichlet rows from the tail polynomial
-    rhs[0] = npoly.polyval(x[0], tail_poly)
-    rhs[-1] = npoly.polyval(x[-1], tail_poly)
-
-    vals = solve_banded((1, 1), ab, rhs)
-
-    # Growing root of (1/2)(k - 2 + 1/k)/h^2 = q+1, i.e. the discrete analogue
-    # of exp(+sqrt(2(q+1)) x).
-    beta_root = 1.0 + decay * h * h
-    kappa_plus = beta_root + np.sqrt(beta_root * beta_root - 1.0)
-    band = max(4, int(np.ceil(0.10 * n)))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    resid = vals - npoly.polyval(x, tail_poly)
-    amp_right = _growing_mode_amplitude(resid[-band:], kappa_plus)
-    amp_left = _growing_mode_amplitude(resid[:band][::-1], kappa_plus)
-    worst = max(abs(amp_right), abs(amp_left))
-    if worst > contamination_tol * scale:
-        raise BoundaryError(
-            "exponential mode contamination at the grid ends: fitted amplitude "
-            f"{worst:.3e} exceeds {contamination_tol:.1e} x scale {scale:.3e}"
-        )
-    log.debug("psi solve: n=%d, mode amplitude %.3e", n, worst)
-
+    P = _particular_coeffs(coeffs, q + 1.0)
+    vals = sum(npoly.polyval(x, P) for x in np.meshgrid(*grid.axes, indexing="ij", sparse=True))
     return ValueField(grid, vals, q_growth=max(2, coeffs.size - 1), nonneg=True)
 
 
@@ -427,6 +373,8 @@ def example2_free_boundary(f, q: float, kappa: float, grid: Grid, tol: float = 1
     matching diagnostics at ``b_hat`` and a monotonicity flag for ``phi``
     on the positive half-grid.
     """
+    from scipy.optimize import brentq
+
     if grid.dim != 1:
         raise ValueError("the benchmark problems are one-dimensional")
     if not (np.isfinite(q) and q > 0.0):

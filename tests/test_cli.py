@@ -554,6 +554,12 @@ _UNUSABLE_VALUES = [
     *[(f"example{which}.json", ["example", str(which)], [(("cost", "coeffs"), coeffs)],
        "$.cost.coeffs", "cost must evaluate finite on [-5, 5]")
       for which in (1, 2) for coeffs in ([0.0, 1e308, 1.0], [0.0, 0.0, 1e308])],
+    # the examples' closed forms and cross-checks are 1-D (a 2-D grid used to
+    # exit 1 with the path-less "the benchmark problems are one-dimensional")
+    *[(f"example{which}.json", ["example", str(which)],
+       [(("grid",), {"lo": [-6.0, -6.0], "hi": [6.0, 6.0], "num": [41, 41]})],
+       "$.grid", f"example {which} runs on a 1-D grid")
+      for which in (1, 2)],
 ]
 
 
@@ -565,7 +571,8 @@ _UNUSABLE_VALUES = [
                               "lq_2d_indefinite_form", "lq_1d_nonsquare_form",
                               "lq_2d_three_axis_lattice", "verify_lq_reversed_box",
                               "example1_overflow_linear", "example1_overflow_quadratic",
-                              "example2_overflow_linear", "example2_overflow_quadratic"])
+                              "example2_overflow_linear", "example2_overflow_quadratic",
+                              "example1_2d_grid", "example2_2d_grid"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())
@@ -858,8 +865,8 @@ _BUNDLED_DIGESTS = {
     "lq_2d/value.csv": "d0a756941d6c443bcd6d11b82c6b37f5fbd66a1d3d1542b3eecdc80dfbad5d3f",
     "finite_lq/report.json": "79fc55fbe7101b1491a71e2ad4ad2e93f048b6ae43b0f1f1784b28069d338ca9",
     "finite_lq/value.csv": "34579ca9f8299fcfff5d255932651e43a5a9564e59fe9dac3a5a65d956ef4ed2",
-    "example1/report.json": "3eb60de5d910cc0a9bc77c3c8008cc331521c0b5d28cd752f208dd0a55f02e89",
-    "example1/value.csv": "33746bfd620d5d10a618f9bef7ac8abf1202900ac34798cff8d9534b2ba3ece9",
+    "example1/report.json": "5eda622d9bfda75d0907ea9ee6c9f4bd62fd71c978d738f23fedfb46d8bf47e1",
+    "example1/value.csv": "1438cc5409ecf6573d02c4d6dc34c46dfeb3d3803b4c652ab20389abdccc1965",
     "example2/report.json": "535bc902507b9d2a9c0709f933380827f9387ddc8a41d76ec9b2586924b4fd1b",
     "example2/value.csv": "be2769a1d5a98ed35f887e4533d8d855b21dc60e2febb0754e5e573721f56274",
     "example3/report.json": "a1a6a3790f841d6a1264471043c5523600d9db4563d38d16dc107734bd081bd4",
@@ -983,6 +990,18 @@ def test_threads_flag_is_accepted(tmp_path):
         assert "--threads 2 not applied" in runs["threads"][0]
     assert "--threads" not in runs["plain"][0]
     assert runs["threads"][1] == runs["plain"][1]
+
+
+def test_cli_import_loads_no_root_finder():
+    # examples imports brentq inside example2_free_boundary, its one user, so
+    # importing the command line does not load scipy.optimize
+    env = dict(os.environ, PYTHONPATH=str(Path(jumpctl.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jumpctl.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exports_match_each_modules_all():

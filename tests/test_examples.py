@@ -75,8 +75,19 @@ def test_psi_rejects_bad_costs():
         example1_psi([-1.0], 1.0, GRID)
     with pytest.raises(ValueError, match="positive"):
         example1_psi(QUAD, 0.0, GRID)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        example1_psi(QUAD, 1.0, Grid.regular((-1, -1), (1, 1), (17, 17)))
+
+
+def test_psi_and_value_on_a_2d_grid():
+    # f = 1 + x^2 per axis, q = 1: P(x) = x^2/2 + 3/4 solves (1/2) P'' - 2 P + f = 0
+    # (check: 1/2 - x^2 - 3/2 + 1 + x^2 = 0), and psi(x) = P(x_1) + P(x_2)
+    grid = Grid.regular((-3.0, -2.0), (3.0, 2.0), (31, 21))
+    psi = example1_psi([1.0, 0.0, 1.0], 1.0, grid)
+    x1, x2 = grid.axes
+    P1, P2 = 0.5 * x1 ** 2 + 0.75, 0.5 * x2 ** 2 + 0.75
+    assert psi.values.shape == (31, 21)
+    assert np.max(np.abs(psi.values - (P1[:, None] + P2[None, :]))) < 1e-12
+    # V(0) = psi(0) (1 + 1/q) = 2 P(0)
+    assert example1_value(psi, 1.0).value(np.zeros(2)) == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("coeffs, message", [
@@ -90,14 +101,6 @@ def test_cost_checks_survive_overflow(coeffs, message):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=message):
             _validate_cost(np.array(coeffs))
-
-
-def test_psi_contamination_guard_trips_on_tight_tolerance():
-    # quartic cost on a coarse grid leaves an O(h^2) defect against the
-    # asymptotic polynomial; an absurdly tight tolerance must flag it
-    grid = Grid.regular(-6.0, 6.0, 101)
-    with pytest.raises(BoundaryError, match="contamination"):
-        example1_psi([0.0, 0.0, 0.0, 0.0, 1.0], 1.0, grid, contamination_tol=1e-12)
 
 
 # ------------------------------------------------------------------- value
@@ -156,7 +159,7 @@ def test_value_hjb_inequality_scan():
 )
 def test_psi_minimum_at_origin_property(a, b, c):
     grid = Grid.regular(-6.0, 6.0, 129)
-    psi = example1_psi([c, 0.0, b, 0.0, a], 1.0, grid, contamination_tol=1e-3)
+    psi = example1_psi([c, 0.0, b, 0.0, a], 1.0, grid)
     assert psi.values.min() >= psi.value(0.0) - 1e-9
     assert np.max(np.abs(psi.values - psi.values[::-1])) < 1e-8 * max(
         1.0, psi.values.max()

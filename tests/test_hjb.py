@@ -1017,22 +1017,39 @@ def test_relocation_kernel_matches_per_state_jump_to_origin(grid):
     assert np.array_equal(table.action_index, table_ref.action_index)
 
 
-def test_example1_solver_is_second_order():
-    # f = 1 + x^4 (the x^2 case is exact and shows no order): the relative error
-    # on |x| <= 3 against an 8,001-node closed form falls by 4x per doubling
-    coeffs = [1.0, 0.0, 0.0, 0.0, 1.0]
-    V = example1_value(example1_psi(coeffs, 1.0, Grid.regular(-6.0, 6.0, 8001)), 1.0)
-    prob = HJBProblem(f=lambda x, a: 1.0 + x**4, q=1.0, delta_q=1.0, b_q=1.0, q_growth=4,
-                      actions=(brownian_action(), Action(1.0, RelocationKernel(1, 1.0), 0.0)))
+def _example1_orders(prob, coeffs, grids):
+    """Orders of the solver's relative error on |x|_inf <= 3 against the exact
+    Example 1 value at the nodes of each grid in turn."""
     errors = []
-    for n in (121, 241, 481, 961):
-        grid = Grid.regular(-6.0, 6.0, n)
+    for grid in grids:
         phi, _, rep = solve_stationary(prob, grid)
         assert rep.converged
-        x = grid.axes[0][np.abs(grid.axes[0]) <= 3.0]
-        ref = V.value(x)
-        errors.append(np.max(np.abs(phi.value(x) - ref) / np.maximum(1.0, np.abs(ref))))
-    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        ref = example1_value(example1_psi(coeffs, 1.0, grid), 1.0).values
+        inner = np.all(np.abs(grid.nodes()) <= 3.0, axis=1).reshape(grid.shape)
+        errors.append(np.max(np.abs(phi.values - ref)[inner] / np.maximum(1.0, np.abs(ref[inner]))))
+    return np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+
+
+def test_example1_solver_is_second_order():
+    # f = 1 + x^4 (the x^2 case is exact and shows no order): the relative error
+    # against the exact value falls by 4x per doubling
+    coeffs = [1.0, 0.0, 0.0, 0.0, 1.0]
+    prob = HJBProblem(f=lambda x, a: 1.0 + x**4, q=1.0, delta_q=1.0, b_q=1.0, q_growth=4,
+                      actions=(brownian_action(), Action(1.0, RelocationKernel(1, 1.0), 0.0)))
+    orders = _example1_orders(prob, coeffs, [Grid.regular(-6.0, 6.0, n) for n in (121, 241, 481, 961)])
+    assert np.all(orders >= 1.8), orders
+
+
+def test_example1_solver_is_second_order_in_2d():
+    # the separable cost f(x) = sum_i (1/2 + x_i^4) has the exact value
+    # psi + psi(0)/q with psi(x) = sum_i P(x_i) under the 2-D relocation kernel
+    coeffs = [0.5, 0.0, 0.0, 0.0, 1.0]
+    prob = HJBProblem(f=lambda x, a: np.sum(0.5 + x**4, axis=1), q=1.0, delta_q=1.0, b_q=1.0,
+                      q_growth=4,
+                      actions=(Action(np.eye(2), ZeroMeasure(2), np.zeros(2)),
+                               Action(np.eye(2), RelocationKernel(2, 1.0), np.zeros(2))))
+    orders = _example1_orders(prob, coeffs, [Grid.regular((-6.0, -6.0), (6.0, 6.0), (n, n))
+                                             for n in (31, 61, 121)])
     assert np.all(orders >= 1.8), orders
 
 
