@@ -338,11 +338,12 @@ def _sim_config_from(obj, path: str, seed_override) -> dyn.SimConfig:
         raise ConfigError(f"{path}.seed", "a seed is required (config field or --seed)")
     if not 0 <= seed <= _U64_MAX:
         raise ConfigError(f"{path}.seed", "seed must be an unsigned 64-bit integer")
+    T, dt = _get(obj, "T", path, "positive"), _get(obj, "dt", path, "positive")
+    if dt > T:
+        raise ConfigError(f"{path}.dt", f"the step {dt:g} is longer than the horizon T = {T:g}")
     return _build(
-        path, dyn.SimConfig, seed=seed,
+        path, dyn.SimConfig, seed=seed, T=T, dt=dt,
         x0=_get(obj, "x0", path, "vector"),
-        T=_get(obj, "T", path, "positive"),
-        dt=_get(obj, "dt", path, "positive"),
         n_paths=_get(obj, "n_paths", path, "count"),
         lambda_max=_get(obj, "lambda_max", path, "positive", None),
         store_every=_get(obj, "store_every", path, "count", 1),
@@ -369,9 +370,7 @@ class _CostSpec:
             self.kind = "zero"
             return
         self.kind = _get(obj, "kind", path, str)
-        if self.kind == "zero":
-            pass
-        elif self.kind == "polynomial":
+        if self.kind == "polynomial":
             self.coeffs = _get(obj, "coeffs", path, "vector")
         elif self.kind == "quadratic_form":
             self.matrix = _get(obj, "matrix", path, "matrix")
@@ -382,7 +381,7 @@ class _CostSpec:
             self.theta = _get(obj, "theta", path, "matrix")
             if self.lam.shape != self.theta.shape or self.lam.shape[0] != self.lam.shape[1]:
                 raise ConfigError(path, "lam and theta must be square matrices of equal size")
-        else:
+        elif self.kind != "zero":
             raise ConfigError(
                 f"{path}.kind",
                 f"unknown cost kind '{self.kind}' "
@@ -708,6 +707,10 @@ def _simulation_from(run: RunConfig):
     sim = _sim_config_from(_get(cfg, "sim", "$", dict), "$.sim", run.seed)
     cost = _CostSpec(_get(cfg, "cost", "$", dict, None), "$.cost")
     q = _get(cfg, "discount", "$", "nonnegative", 0.0)
+    rate = policy.rate_cap()  # a step draws Poisson(rate dt) arrivals; numpy's mean limit is 9.2e18
+    if rate is not None and not rate * sim.dt < 9.2e18:
+        field = {"jump_to_origin": "rate", "lq_optimal": "candidates"}.get(cfg["policy"]["kind"], "nu")
+        raise ConfigError(f"$.policy.{field}", "total jump intensity must be finite, < 9.2e18 / sim.dt")
     return policy, lq_sol, sim, cost.along(policy, sim.x0.size), q, {**run.provenance(), "seed": sim.seed}
 
 

@@ -85,8 +85,8 @@ def _validate_cost(coeffs: np.ndarray) -> None:
 
     The checks run on a probe lattice rather than symbolically so that
     near-zero stray coefficients from upstream arithmetic do not cause
-    spurious rejections.  Every probe value must be finite: a NaN from an
-    overflow compares false and would pass every check.
+    spurious rejections.  A probe value must be finite (an overflow's NaN
+    passes every check) and at most 1e300, so the solvers' products stay finite.
     """
     probe = np.linspace(-5.0, 5.0, 201)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf difference fails its check
@@ -100,6 +100,8 @@ def _validate_cost(coeffs: np.ndarray) -> None:
             raise ValueError("cost must be nonnegative")
         if coeffs.size > 2 and np.min(np.diff(vals, 2)) < -1e-9 * scale:
             raise ValueError("cost must be convex")
+        if scale > 1e300:
+            raise ValueError("cost must stay within 1e300 on [-5, 5]")
 
 
 def _particular_coeffs(fc: np.ndarray, decay: float) -> np.ndarray:

@@ -31,9 +31,10 @@ array and scanned by a plain argmin. Every linear system is solved by one
 sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual check;
 COLAMD's column order is computed once per sparsity pattern, and a later
 system on that pattern is factorised with its columns gathered into that
-order, which gives the same factors bit for bit. The module does no Monte
-Carlo: the simulated dynamic-programming check of a solved field lives in
-``verify``.
+order, which gives the same factors bit for bit. scipy is imported only in
+the functions that build or factorise a matrix, so a run that solves nothing
+(``simulate``, ``--version``) loads numpy alone. The module does no Monte Carlo:
+``verify`` holds the simulated dynamic-programming check of a solved field.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .measures import Action, RelocationKernel, _covariance, _moments, _support_points, validate_Mp
 
@@ -507,6 +506,7 @@ def _neighbour_matrix(grid: Grid, tails: _TailBasis, k: int, step: int) -> sp.cs
 
     Rows of boundary nodes hold the tail-extension weights of the ghost node.
     """
+    import scipy.sparse as sp
     n, nk = grid.n_nodes, grid.num[k]
     idx = np.arange(n).reshape(grid.shape)
     inner = np.take(idx, np.arange(nk - 1) + (step < 0), axis=k).ravel()
@@ -557,6 +557,7 @@ class _Generator:
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
+        import scipy.sparse as sp
         self.prob, self.grid = prob, grid
         self.tails = _TailBasis(grid, prob.q_growth)
         self.pts = grid.nodes()
@@ -617,6 +618,7 @@ class _Generator:
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
+        import scipy.sparse as sp
         grid, n, dim = self.grid, self.grid.n_nodes, self.grid.dim
         c2, c12, mass = np.zeros((n, dim)), np.zeros(n), np.zeros(n)
         mu, m1 = np.zeros((n, dim)), np.zeros((n, dim))
@@ -747,6 +749,7 @@ class _Generator:
         Each entry is a - c l on the diagonal and 0.0 - c l elsewhere; entries
         that come out exactly zero are dropped, as scipy's sparse difference does.
         """
+        import scipy.sparse as sp
         v = 0.0 - c * l
         v[self.diag] = a - c * l[self.diag]
         indices, indptr = self.indices, self.indptr
@@ -783,7 +786,7 @@ class _Generator:
         counts = np.diff(M.indptr)[p]
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         gather = np.repeat(M.indptr[p] - indptr[:-1], counts) + np.arange(indptr[-1])
-        Mp = sp.csc_matrix((M.data[gather], M.indices[gather], indptr), shape=M.shape)
+        Mp = type(M)((M.data[gather], M.indices[gather], indptr), shape=M.shape)
         self.order = M.indptr, M.indices, perm_c, gather, Mp
         return solve
 
@@ -884,6 +887,7 @@ def _factorise(M: sp.csc_matrix, tol: float, Mp=None, perm_c=None):
     residual of M against tol, with the factor's column order as ``solve.perm_c``.
     Given Mp = M[:, p], p = argsort(perm_c), Mp is factorised in natural order
     instead and its solution y read back as x[p] = y, that is x = y[perm_c]."""
+    from scipy.sparse.linalg import splu
     try:
         lu = splu(M) if Mp is None else splu(Mp, permc_spec="NATURAL")
     except RuntimeError as exc:

@@ -9,7 +9,8 @@ V(x) = x^T B x + c . x + d where B solves
 
 and the optimal drift is the linear feedback mu(x) = -Q x + v with
 Q = Theta^-1 B. The dispersion/jump pair is whichever candidate minimises
-tr(sigma^T B sigma) + integral of y^T B y nu(dy).
+tr(sigma^T B sigma) + integral of y^T B y nu(dy). scipy.linalg is imported in
+the Riccati solve's Newton step only, so importing the module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .measures import JumpMeasure, _moments, _small_cov, validate_Mp
 
@@ -160,6 +160,7 @@ def solve_riccati(lam, theta, q, tol=1e-12, max_newton=30) -> np.ndarray:
         nrm = np.abs(res).max()
         if nrm <= tol:
             break
+        from scipy.linalg import solve_sylvester
         # Frechet derivative: dR[D] = A^T D + D A with A = Theta^-1 B + q/2 I
         A = theta_inv @ B + 0.5 * q * np.eye(n)
         try:

@@ -560,6 +560,17 @@ _UNUSABLE_VALUES = [
        [(("grid",), {"lo": [-6.0, -6.0], "hi": [6.0, 6.0], "num": [41, 41]})],
        "$.grid", f"example {which} runs on a 1-D grid")
       for which in (1, 2)],
+    # a constant cost of 1e308 is finite, but the cross-check solve's products
+    # of it overflow (this used to exit 2 with a NaN residual)
+    ("example1.json", ["example", "1"], [(("cost", "coeffs", 0), 1e308)],
+     "$.cost.coeffs", "cost must stay within 1e300 on [-5, 5]"),
+    # each step draws Poisson(mass dt) arrivals (numpy's "lam value too large")
+    ("simulate_cp.json", ["simulate"], [(("policy", "nu", "atoms", 0, 1), 1e308)],
+     "$.policy.nu", "total jump intensity must be finite"),
+    # a step past the horizon left no time between a pair's ends ("pair (0.5,
+    # 1.5) does not resolve to increasing indices")
+    ("verify_lq.json", ["verify"], [(("sim", "dt"), 1e308)],
+     "$.sim.dt", "longer than the horizon"),
 ]
 
 
@@ -572,7 +583,9 @@ _UNUSABLE_VALUES = [
                               "lq_2d_three_axis_lattice", "verify_lq_reversed_box",
                               "example1_overflow_linear", "example1_overflow_quadratic",
                               "example2_overflow_linear", "example2_overflow_quadratic",
-                              "example1_2d_grid", "example2_2d_grid"])
+                              "example1_2d_grid", "example2_2d_grid",
+                              "example1_overflow_constant", "simulate_atom_mass_overflow",
+                              "verify_dt_beyond_horizon"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())
@@ -992,16 +1005,36 @@ def test_threads_flag_is_accepted(tmp_path):
     assert runs["threads"][1] == runs["plain"][1]
 
 
-def test_cli_import_loads_no_root_finder():
-    # examples imports brentq inside example2_free_boundary, its one user, so
-    # importing the command line does not load scipy.optimize
+_SCIPY_PROBE = """
+import sys
+from jumpctl import cli
+sim_cfg, solve_cfg, out = sys.argv[1:]
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+loaded = {"import": scipy_modules()}
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+loaded["--version"] = scipy_modules()
+assert cli.main(["simulate", "--config", sim_cfg, "--out", out + "/sim"]) == 0
+loaded["simulate"] = scipy_modules()
+assert cli.main(["solve", "--config", solve_cfg, "--out", out + "/solve"]) == 0
+print(loaded, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    # hjb and lq import scipy inside the functions that build, factorise or
+    # refine, so importing the command line, --version and a simulate run on
+    # numpy alone; a solve does load scipy.sparse, so the check is not vacuous
     env = dict(os.environ, PYTHONPATH=str(Path(jumpctl.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, jumpctl.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=False,
-    )
+    argv = [_bundled("simulate_cp.json"), _bundled("lq_1d.json"), str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == \
+        "{'import': [], '--version': [], 'simulate': []} True", proc.stdout
 
 
 def test_exports_match_each_modules_all():

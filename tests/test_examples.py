@@ -92,11 +92,13 @@ def test_psi_and_value_on_a_2d_grid():
 
 @pytest.mark.parametrize("coeffs, message", [
     ([0.0, 1e308, 1.0], "evaluate finite"), ([0.0, 0.0, 1e308], "evaluate finite"),
-    ([0.0, 0.0, 0.0, 0.0, 1e306], "evaluate finite"), ([0.0, 3e307, 1.0], "symmetric")])
+    ([0.0, 0.0, 0.0, 0.0, 1e306], "evaluate finite"), ([0.0, 3e307, 1.0], "symmetric"),
+    ([1e308, 0.0, 1.0], "within 1e300")])
 def test_cost_checks_survive_overflow(coeffs, message):
     # an overflowed probe value is NaN or inf, and NaN compares false: f = 1e308 x + x^2
     # is not symmetric, yet it passed the symmetry, sign and convexity checks; with
-    # 3e307 x the values are finite but their difference overflows, without a warning
+    # 3e307 x the values are finite but their difference overflows, without a warning;
+    # 1e308 + x^2 passes every shape check, but a solver's products of it overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=message):
