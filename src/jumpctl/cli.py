@@ -53,6 +53,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -738,7 +739,7 @@ def cmd_simulate(run: RunConfig) -> int:
     return 0
 
 
-def _test_from(entry, path: str, policy, lq_sol, dim: int, q: float):
+def _test_from(entry, path: str, policy, lq_sol, dim: int, T: float):
     """One verify test, read in full before any path is simulated.
 
     Returns its name, the moment-ratio horizons it reads (else none) and a
@@ -754,17 +755,18 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, q: float):
         pairs = []
         for j, pr in enumerate(_get(entry, "pairs", path, list)):
             st = _read(pr, f"{path}.pairs[{j}]", "vector")
-            if st.shape != (2,) or not st[0] < st[1]:
-                raise ConfigError(f"{path}.pairs[{j}]", "expected an [s, t] pair with s < t")
+            if st.shape != (2,) or not 0.0 <= st[0] < st[1] <= T:
+                raise ConfigError(f"{path}.pairs[{j}]",
+                                  f"expected an [s, t] pair with 0 <= s < t <= sim.T = {T:g}")
             pairs.append((float(st[0]), float(st[1])))
         n_bins = _get(entry, "n_bins", path, "count", 8)
         own_cost = _get(entry, "cost", path, dict, None)
-        costs = {} if own_cost is None else dict(
-            f=_CostSpec(own_cost, f"{path}.cost").along(policy, dim), q=q)
+        f_own = None if own_cost is None else _CostSpec(own_cost, f"{path}.cost").along(policy, dim)
 
         def run(shared):
-            S = dyn.bellman_series(phi, shared["bundle"], **costs)
-            return ver.submartingale_test(S, shared["bundle"], pairs, n_bins=n_bins, mode=mode)
+            bundle = shared["bundle"] if own_cost is None else shared["with_cost"](f_own)
+            S = dyn.bellman_series(phi, bundle)
+            return ver.submartingale_test(S, bundle, pairs, n_bins=n_bins, mode=mode)
 
         return name, [], run
     if name == "transversality":
@@ -802,20 +804,24 @@ def cmd_verify(run: RunConfig) -> int:
     tests = _get(run.config, "tests", "$", list)
     if not tests:
         raise ConfigError("$.tests", "needs at least one test entry")
-    tests = [_test_from(t, f"$.tests[{i}]", policy, lq_sol, sim.x0.size, q)
+    tests = [_test_from(t, f"$.tests[{i}]", policy, lq_sol, sim.x0.size, sim.T)
              for i, t in enumerate(tests)]
 
     # One ensemble at sim.seed serves every test that reads recorded paths.
     # It runs to the largest of T and the moment-ratio horizons, marked at
     # each: the other tests read its prefix to T ("bundle"), each horizon its
-    # prefix to that horizon. Without horizons it is the run to T.
+    # prefix to that horizon. Without horizons it is the run to T. A test with
+    # its own cost reads the same run with that cost ("with_cost"): no draw
+    # depends on the cost, so its paths are the shared ones bit for bit.
     reads_paths = any(n in ("martingale", "transversality", "integrability") for n, _, _ in tests)
     ends = [h for _, hs, _ in tests for h in hs] + ([sim.T] if reads_paths else [])
     shared = {}
     if ends:
         costs = dict(f=f, q=q if q > 0 else None) if reads_paths else {}
-        run_ = shared["run"] = dyn.simulate(policy, replace(sim, T=max(ends)), marks=ends, **costs)
+        ensemble = partial(dyn.simulate, policy, replace(sim, T=max(ends)), marks=ends, **costs)
+        run_ = shared["run"] = ensemble()
         shared["bundle"] = run_.until(sim.T) if reads_paths else None
+        shared["with_cost"] = lambda cost: ensemble(f=cost).until(sim.T)
 
     reports = []
     for _, _, test in tests:

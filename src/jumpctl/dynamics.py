@@ -994,40 +994,21 @@ def payoff_estimate(
     return PayoffEstimate(est, se, float(tail))
 
 
-def bellman_series(phi, bundle: PathBundle, f=None, q=None) -> np.ndarray:
+def bellman_series(phi, bundle: PathBundle) -> np.ndarray:
     """Accumulated discounted cost plus discounted phi along recorded paths.
 
     Returns S of shape (n_paths, K) on the bundle's snapshot lattice:
-    S_t = int_0^t e^{-gamma} f ds + e^{-gamma_t} phi(X_t).  With ``f`` and
-    ``q`` omitted the integrals recorded at full step resolution are used;
-    passing them recomputes both by trapezoid on the (coarser) snapshot
-    lattice, which is only appropriate for store_every == 1.
+    S_t = int_0^t e^{-gamma} f ds + e^{-gamma_t} phi(X_t), where the cost
+    integral and gamma are the ones :func:`simulate` recorded at full step
+    resolution.  A series for another cost reads another run: no draw
+    depends on ``f`` or ``q``, so a run at the same seed with other costs
+    has these paths bit for bit.
     """
     n, K, dim = bundle.states.shape
-    flat = bundle.states.reshape(n * K, dim)
-    vals = _field_value(phi, flat).reshape(n, K)
+    vals = _field_value(phi, bundle.states.reshape(n * K, dim)).reshape(n, K)
     if not np.all(np.isfinite(vals)):
         raise ValueError("phi evaluated non-finite along recorded paths")
-
-    if f is None and q is None:
-        gamma = bundle.gamma
-        cost = bundle.cost_run
-    else:
-        f_fn, q_fn = _state_fn(f), _state_fn(q)
-        qv = np.empty((n, K))
-        fv = np.empty((n, K))
-        for j in range(K):
-            qv[:, j] = q_fn(bundle.states[:, j, :])
-            fv[:, j] = f_fn(bundle.states[:, j, :])
-        dts = np.diff(bundle.times)
-        gamma = np.zeros((n, K))
-        gamma[:, 1:] = np.cumsum(0.5 * (qv[:, :-1] + qv[:, 1:]) * dts, axis=1)
-        disc = np.exp(-gamma)
-        cost = np.zeros((n, K))
-        cost[:, 1:] = np.cumsum(
-            0.5 * (disc[:, :-1] * fv[:, :-1] + disc[:, 1:] * fv[:, 1:]) * dts, axis=1
-        )
-    return cost + np.exp(-gamma) * vals
+    return bundle.cost_run + np.exp(-bundle.gamma) * vals
 
 
 @dataclass

@@ -270,10 +270,12 @@ def moment_functional(nu: JumpMeasure, p: float) -> float:
 
 def second_moment_matrix(nu: JumpMeasure) -> np.ndarray:
     """Matrix with entries integral of y_i y_j nu(dy); symmetric PSD."""
-    m = _integrate(nu, lambda pts: pts[:, :, None] * pts[:, None, :])
+    with np.errstate(over="ignore"):  # a finite m can overflow in m + m.T
+        m = _integrate(nu, lambda pts: pts[:, :, None] * pts[:, None, :])
+        m = 0.5 * (m + m.T)
     if not np.all(np.isfinite(m)):
         raise DivergenceError("second moment matrix did not evaluate finite")
-    return 0.5 * (m + m.T)
+    return m
 
 
 def tail_moment(nu: JumpMeasure, p: float) -> float:

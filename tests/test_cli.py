@@ -571,6 +571,10 @@ _UNUSABLE_VALUES = [
     # 1.5) does not resolve to increasing indices")
     ("verify_lq.json", ["verify"], [(("sim", "dt"), 1e308)],
      "$.sim.dt", "longer than the horizon"),
+    # a pair's end past the horizon resolved to snapshot 0 ("pair (0.5, 1e+308)
+    # does not resolve to increasing indices")
+    *[("verify_lq.json", ["verify"], [(("tests", 0, "pairs", j, 1), 1e308)],
+       f"$.tests[0].pairs[{j}]", "0 <= s < t <= sim.T") for j in (0, 1)],
 ]
 
 
@@ -585,7 +589,8 @@ _UNUSABLE_VALUES = [
                               "example2_overflow_linear", "example2_overflow_quadratic",
                               "example1_2d_grid", "example2_2d_grid",
                               "example1_overflow_constant", "simulate_atom_mass_overflow",
-                              "verify_dt_beyond_horizon"])
+                              "verify_dt_beyond_horizon", "verify_pair_0_end_overflow",
+                              "verify_pair_1_end_overflow"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())
@@ -799,6 +804,22 @@ def test_verify_failure_exits_3(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_passed"] is False
+
+
+@pytest.mark.parametrize("store_every", [1, 10, 50, 100])
+def test_verify_own_cost_reads_the_shared_paths(tmp_path, store_every):
+    # a martingale test's own cost is integrated at the simulator's step, as
+    # the shared cost is, so the two give one report; a trapezoid on the
+    # snapshot lattice failed the optimal policy at store_every 100 (max |z| 3.94)
+    cfg = json.loads(Path(_bundled("verify_lq.json")).read_text())
+    cfg["sim"]["store_every"] = store_every
+    martingale = cfg["tests"][0]
+    reports = []
+    for i, test in enumerate([martingale, {**martingale, "cost": cfg["cost"]}]):
+        config = _write_config(tmp_path, {**cfg, "tests": [test]})
+        assert main(["verify", "--config", config, "--out", str(tmp_path / str(i))]) == 0
+        reports.append(json.loads((tmp_path / str(i) / "report.json").read_text())["tests"])
+    assert reports[0] == reports[1]
 
 
 def test_verify_negative_discount_is_an_input_error(tmp_path, capsys):

@@ -297,15 +297,6 @@ def test_bellman_series_is_martingale_for_lq_optimum():
         assert abs(inc.mean()) < 3 * se, f"drift at t={b.times[j]}: {inc.mean():.2e}"
 
 
-def test_bellman_series_recompute_matches_recorded():
-    cfg = SimConfig(x0=1.5, T=1.0, dt=0.01, n_paths=3, seed=0)
-    b = simulate(FROZEN, cfg, f=1.0, q=0.5)
-    phi = lambda X: X[:, 0] ** 2
-    S_rec = bellman_series(phi, b)
-    S_new = bellman_series(phi, b, f=1.0, q=0.5)
-    assert np.allclose(S_rec, S_new, atol=1e-12)
-
-
 def test_payoff_estimate_constant_cost():
     # f = c, q = q0: value c/q0; the truncation tail is covered by the bound
     cfg = SimConfig(x0=0.0, T=10.0, dt=0.02, n_paths=16, seed=2)
@@ -816,6 +807,22 @@ def _bundle_digest(bundle) -> str:
 def test_simulate_frozen_seed_digests(case):
     policy, cfg, f, q = _digest_cases()[case]
     assert _bundle_digest(simulate(policy, cfg, f=f, q=q)) == _FROZEN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(_digest_cases()))
+def test_costs_leave_the_paths_alone(case):
+    # no draw depends on f or q, so runs at one seed that differ only in their
+    # costs share their paths bit for bit: verify reads a test's own cost
+    # from such a second run
+    policy, cfg, f, q = _digest_cases()[case]
+    quartic = lambda X: 1.0 + np.sum(X * X, axis=1) ** 2
+    a, b = (simulate(policy, cfg, f=f, q=q, marks=[0.25]),
+            simulate(policy, cfg, f=quartic, q=0.3, marks=[0.25]))
+    for name in ("times", "states", "Bh", "C", "jump_sizes", "jump_paths", "jump_times",
+                 "sup_xc", "sup_xd", "G_int"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert all(np.array_equal(x, y) for t in a.marks for x, y in zip(a.marks[t], b.marks[t]))
+    assert not np.array_equal(a.cost_run, b.cost_run)
 
 
 def test_until_is_the_shorter_run():

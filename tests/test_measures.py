@@ -128,6 +128,14 @@ def test_second_moment_matrix_symmetric_pair():
     assert np.allclose(second_moment_matrix(nu), [[2.0]])
 
 
+def test_second_moment_matrix_overflow_is_a_divergence():
+    # the integral 1e308 is finite and m + m.T is not; this used to return
+    # [[inf]] with only a RuntimeWarning, which the simulator read into G
+    nu = AtomicMeasure(dim=1, locations=[[1.0]], masses=[1e308])
+    with pytest.raises(DivergenceError, match="second moment"):
+        second_moment_matrix(nu)
+
+
 def test_first_and_tail_moments():
     nu = AtomicMeasure(dim=1, locations=[[2.0], [-1.0]], masses=[1.0, 0.5])
     assert _moments(nu).m1 == pytest.approx([1.5])
