@@ -742,8 +742,9 @@ def cmd_simulate(run: RunConfig) -> int:
 def _test_from(entry, path: str, policy, lq_sol, dim: int, T: float):
     """One verify test, read in full before any path is simulated.
 
-    Returns its name, the moment-ratio horizons it reads (else none) and a
-    function of the shared runs that gives its report.
+    Returns its name, the moment-ratio horizons it reads (else none), its
+    martingale pairs by config path (else none) and a function of the shared
+    runs that gives its report.
     """
     name = _get(entry, "name", path, str)
     if name in ("martingale", "transversality"):
@@ -752,13 +753,13 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, T: float):
         mode = _get(entry, "mode", path, str, "martingale")
         if mode not in ("sub", "martingale"):
             raise ConfigError(f"{path}.mode", f"unknown mode '{mode}' (sub/martingale)")
-        pairs = []
+        pairs = {}
         for j, pr in enumerate(_get(entry, "pairs", path, list)):
             st = _read(pr, f"{path}.pairs[{j}]", "vector")
             if st.shape != (2,) or not 0.0 <= st[0] < st[1] <= T:
                 raise ConfigError(f"{path}.pairs[{j}]",
                                   f"expected an [s, t] pair with 0 <= s < t <= sim.T = {T:g}")
-            pairs.append((float(st[0]), float(st[1])))
+            pairs[f"{path}.pairs[{j}]"] = (float(st[0]), float(st[1]))
         n_bins = _get(entry, "n_bins", path, "count", 8)
         own_cost = _get(entry, "cost", path, dict, None)
         f_own = None if own_cost is None else _CostSpec(own_cost, f"{path}.cost").along(policy, dim)
@@ -766,15 +767,16 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, T: float):
         def run(shared):
             bundle = shared["bundle"] if own_cost is None else shared["with_cost"](f_own)
             S = dyn.bellman_series(phi, bundle)
-            return ver.submartingale_test(S, bundle, pairs, n_bins=n_bins, mode=mode)
+            return ver.submartingale_test(S, bundle, list(pairs.values()), n_bins=n_bins, mode=mode)
 
-        return name, [], run
+        return name, [], pairs, run
     if name == "transversality":
         window = _get(entry, "window", path, "positive", 0.5)
-        return name, [], lambda shared: ver.transversality_test(shared["bundle"], phi, window=window)
+        return name, [], {}, lambda shared: ver.transversality_test(
+            shared["bundle"], phi, window=window)
     if name == "integrability":
         p = _get(entry, "p", path, "positive")
-        return name, [], lambda shared: ver.h2_integrability_check(shared["bundle"], p)
+        return name, [], {}, lambda shared: ver.h2_integrability_check(shared["bundle"], p)
     if name == "growth":
         box = _get(entry, "box", path, "matrix")
         if box.shape != (dim, 2) or not np.all(box[:, 0] < box[:, 1]):
@@ -785,12 +787,12 @@ def _test_from(entry, path: str, policy, lq_sol, dim: int, T: float):
             policy.coefficient_norms(np.zeros((1, dim)), p)
         except DivergenceError as exc:
             raise ConfigError(f"{path}.p", str(exc)) from None
-        return name, [], lambda shared: ver.growth_certificate_check(
+        return name, [], {}, lambda shared: ver.growth_certificate_check(
             policy, (box[:, 0], box[:, 1]), K, p)
     if name == "moment_ratio":
         qm = _get(entry, "q", path, "positive")
         horizons = _get(entry, "horizons", path, "positives", [1.0, 2.0, 4.0]).tolist()
-        return name, horizons, lambda shared: ver.moment_bound_report(
+        return name, horizons, {}, lambda shared: ver.moment_bound_report(
             [shared["run"].until(h) for h in horizons], qm)
     raise ConfigError(
         f"{path}.name",
@@ -813,9 +815,19 @@ def cmd_verify(run: RunConfig) -> int:
     # prefix to that horizon. Without horizons it is the run to T. A test with
     # its own cost reads the same run with that cost ("with_cost"): no draw
     # depends on the cost, so its paths are the shared ones bit for bit.
-    reads_paths = any(n in ("martingale", "transversality", "integrability") for n, _, _ in tests)
-    ends = [h for _, hs, _ in tests for h in hs] + ([sim.T] if reads_paths else [])
+    reads_paths = any(n in ("martingale", "transversality", "integrability") for n, *_ in tests)
+    ends = [h for _, hs, _, _ in tests for h in hs] + ([sim.T] if reads_paths else [])
     shared = {}
+    if reads_paths:  # the bundle's snapshot times are fixed before any path runs
+        _, dt, mark_step, store_idx = dyn._snapshot_lattice(replace(sim, T=max(ends)), ends)
+        steps = np.asarray(store_idx, dtype=float)
+        times = steps[steps <= mark_step[sim.T]] * dt
+        for where, (s, t) in (p for _, _, pairs, _ in tests for p in pairs.items()):
+            si = ver._nearest_index(times, s)
+            if si == ver._nearest_index(times, t):
+                raise ConfigError(where, f"both ends resolve to the snapshot at {times[si]:g}; "
+                                  f"snapshots lie sim.dt x store_every = {dt * sim.store_every:g} "
+                                  "apart")
     if ends:
         costs = dict(f=f, q=q if q > 0 else None) if reads_paths else {}
         ensemble = partial(dyn.simulate, policy, replace(sim, T=max(ends)), marks=ends, **costs)
@@ -824,7 +836,7 @@ def cmd_verify(run: RunConfig) -> int:
         shared["with_cost"] = lambda cost: ensemble(f=cost).until(sim.T)
 
     reports = []
-    for _, _, test in tests:
+    for *_, test in tests:
         rep = test(shared)
         log.info("test %-16s %s", rep.name, "PASS" if rep.passed else "FAIL")
         reports.append(rep)
@@ -953,7 +965,13 @@ def _example2(run: RunConfig) -> int:
     tol = run.tol if run.tol is not None else 1e-8
     cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
 
-    sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid, tol=tol)
+    if not np.isfinite(2.0 * (q + 1.0)):  # the closed form's rates are sqrt(2q) and sqrt(2(q + 1))
+        raise ConfigError("$.q", f"example 2 needs 2(q + 1) finite, got q = {q:g}")
+    try:
+        sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid, tol=tol)
+    except ex.BoundaryError as exc:  # the grid end whose tail band the layer reaches
+        raise ConfigError("$.grid" + (f".{exc.sides[0]}" if len(exc.sides) == 1 else ""),
+                          str(exc)) from None
     _write_csv(run.out_dir / "value.csv", run.provenance(),
                [("x", grid.axes[0]), ("phi", sol.phi.values)])
 

@@ -774,6 +774,22 @@ def _path_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
+def _snapshot_lattice(cfg: SimConfig, marks=()):
+    """(n_steps, dt, mark_step, store_idx) of a run: the Euler step count and
+    length, each mark's step, and the steps whose snapshots it keeps, in order.
+    ``cfg.T``, ``cfg.dt``, ``cfg.store_every`` and the marks fix them before
+    any path runs; snapshot j lies at time store_idx[j] * dt."""
+    n_steps = max(1, int(round(cfg.T / cfg.dt)))
+    dt = cfg.T / n_steps
+    mark_step = {}
+    for t in map(float, marks):
+        if not 0.0 < t <= cfg.T:
+            raise ValueError(f"mark {t:g} must lie in (0, T]")
+        mark_step[t] = min(n_steps, max(1, int(round(t / dt))))
+    store_idx = sorted({*range(0, n_steps + 1, cfg.store_every), n_steps, *mark_step.values()})
+    return n_steps, dt, mark_step, store_idx
+
+
 def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) -> PathBundle:
     """Run the Euler thinning scheme and record the path bundle.
 
@@ -789,14 +805,7 @@ def simulate(policy: PolicyFieldSpec, cfg: SimConfig, f=None, q=None, marks=()) 
     dim = x0.size
     u = cfg.u if cfg.u is not None else np.zeros(dim)
 
-    n_steps = max(1, int(round(cfg.T / cfg.dt)))
-    dt = cfg.T / n_steps
-    mark_step = {}
-    for t in map(float, marks):
-        if not 0.0 < t <= cfg.T:
-            raise ValueError(f"mark {t:g} must lie in (0, T]")
-        mark_step[t] = min(n_steps, max(1, int(round(t / dt))))
-    store_idx = sorted({*range(0, n_steps + 1, cfg.store_every), n_steps, *mark_step.values()})
+    n_steps, dt, mark_step, store_idx = _snapshot_lattice(cfg, marks)
     store_pos = {s: j for j, s in enumerate(store_idx)}
     K = len(store_idx)
 

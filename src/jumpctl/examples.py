@@ -51,7 +51,12 @@ _BRACKET_CAP = float(2 ** 20)
 
 
 class BoundaryError(ValueError):
-    """The threshold solution's boundary layer reaches the grid's tail band."""
+    """The threshold solution's boundary layer reaches the grid's tail band;
+    ``sides`` names the grid ends, "lo" and/or "hi", whose band it reaches."""
+
+    def __init__(self, message, sides=()):
+        super().__init__(message)
+        self.sides = tuple(sides)
 
 
 class BracketError(RuntimeError):
@@ -317,9 +322,12 @@ def _field_from_closed_form(closed: _ThresholdClosedForm, grid: Grid, coeffs: np
     out = ValueField(grid, vals, q_growth=max(2, coeffs.size - 1), nonneg=True)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if out.tail_residual > 1e-6 * scale:
+        sides = [end for side, end in enumerate(("lo", "hi"))
+                 if out._tails.residual(vals, [(0, side)]) > 1e-6 * scale]
         raise BoundaryError(
-            "grid tail band contaminated by the threshold boundary layer "
-            f"(fit residual {out.tail_residual:.3e}); enlarge the domain past b"
+            f"grid tail band at the {' and '.join(sides)} end contaminated by the threshold "
+            f"boundary layer (fit residual {out.tail_residual:.3e}); enlarge the domain past "
+            f"b = {closed.b:.6g}", sides=sides,
         )
     return out
 

@@ -12,33 +12,31 @@ weights serve both the matrix assembly and point evaluation, so the solve
 and the readout agree.
 
 Each candidate's operator is built once per solve as sparse matrices,
-shared by policy evaluation and improvement. A policy's generator is
-assembled by scattering the candidate rows it selects and the row-scaled
-one-sided differences into one CSC layout fixed per solve, with the
-additions, in the order, of the sparse sum of those matrices, so it is
-that sum bit for bit. The linear system of a policy, q - L for evaluation
-and I - dt L for an implicit time step, is filled straight into that
-layout as a canonical CSC matrix, the bits scipy's sparse difference and
-CSC conversion would give. q and f are evaluated once per chosen (node,
-action), as improvement hands its values at the chosen actions to the
-evaluation of that policy. In product mode they are row-batched per
-(sigma, nu) pair: one call per block of drift-lattice columns and one for
-the refined drifts, not one per node. A block's q/f are tabulated on first
-use per (pair, first lattice column), within 2**21 entries per solve, and
-reused by every later sweep or time step. The drift term is formed per
-lattice axis, and a block's integrands are formed in place in one lattice
-array and scanned by a plain argmin. Every linear system is solved by one
-sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual check;
-COLAMD's column order is computed once per sparsity pattern, and a later
-system on that pattern is factorised with its columns gathered into that
-order, which gives the same factors bit for bit. scipy is imported only in
-the functions that build or factorise a matrix, so a run that solves nothing
-(``simulate``, ``--version``) loads numpy alone. The module does no Monte Carlo:
-``verify`` holds the simulated dynamic-programming check of a solved field.
+shared by policy evaluation and improvement, and laid out once on one CSC
+layout. A policy's generator reads the candidate rows it selects from there
+and adds the row-scaled one-sided differences, the sparse sum of those
+matrices bit for bit. The linear system of a policy, q - L for evaluation
+and I - dt L for an implicit time step, is filled into a copy of its sparsity
+pattern's canonical CSC matrix, the bits scipy's sparse difference and CSC
+conversion would give. q and f are evaluated once per chosen (node, action):
+improvement hands its values at the chosen actions to the evaluation of that
+policy. In product mode they are row-batched per (sigma, nu) pair, one call
+per block of drift-lattice columns and one for the refined drifts; a block's
+q/f are tabulated on first use, within 2**21 entries per solve, for every
+later sweep or time step. The drift term is formed per lattice axis, and a
+block's integrands in place in one lattice array, scanned by a plain argmin.
+Every linear system is solved by one sparse LU factorisation
+(``scipy.sparse.linalg.splu``) with a residual check; COLAMD's column order
+is computed once per sparsity pattern, and a later system on that pattern is
+factorised with its columns gathered into that order, with the same factors
+bit for bit. scipy is imported only where a matrix is built or factorised,
+so a run that solves nothing (``simulate``, ``--version``) loads numpy alone.
+No Monte Carlo runs here: ``verify`` holds the simulated check of a solved field.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -203,11 +201,11 @@ class _TailBasis:
         V = np.polynomial.polynomial.polyvander(s, self.degree[key])
         return V @ self.pinv[key]
 
-    def residual(self, values: np.ndarray) -> float:
+    def residual(self, values: np.ndarray, keys=None) -> float:
         vals = np.asarray(values, float).reshape(self.grid.shape)
         worst = 0.0
-        for key, sel in self.band.items():
-            axis, _ = key
+        for key in self.band if keys is None else keys:  # (axis, side) bands, all by default
+            (axis, _), sel = key, self.band[key]
             band_vals = np.moveaxis(np.take(vals, sel, axis=axis), axis, 0)
             flat = band_vals.reshape(len(sel), -1)
             fit = self.vander[key] @ (self.pinv[key] @ flat)
@@ -535,25 +533,25 @@ class _Candidate:
 class _Generator:
     """The discrete generator of one problem on one grid, built once per solve.
 
-    The grid gets one-sided difference matrices D+_k and D-_k and second
-    differences S_k; every candidate gets one sparse matrix K of its
-    diffusion, cross-derivative and jump parts. Callable list entries are
-    called once per node here. Evaluation selects each node's K row and adds
-    the drift as diag(b+) D+ + diag(b-) D-. Every entry of every K and D+-_k,
-    and the diagonal, has a recorded place in one CSC layout (``indices``,
-    ``indptr``) fixed per solve; ``operator`` adds the selected K entries,
-    then the row-scaled D+_k and D-_k entries axis by axis, into one data
-    array on it, which are the additions scipy's sparse sum makes, and
-    ``system`` turns that array into diag(a) - c L, which ``factorise``
-    factorises in the column order it keeps for the last sparsity pattern.
-    Improvement applies the same matrices to phi and returns q/f at the actions
-    it chose, which the evaluation of that policy takes instead of calling q
-    and f again. Costs are resolved once into row functions (see
-    ``_row_costs``), called per list Action on its nodes and per pair on
-    (node, drift) rows; ``tables`` keeps lattice blocks' q/f per (pair, first
-    column) within ``_TABLE_BUDGET`` entries. Column c's drift on axis k reads
-    ax_k[i_k(c)] only, so ``upwind`` keeps each pair's upwind parts per axis,
-    (len(ax_k), n), and a sweep sums a block's drift from per-axis terms.
+    Built once per solve: one-sided differences D+_k, D-_k and second
+    differences S_k; per candidate one sparse K of its diffusion,
+    cross-derivative and jump parts (callable list entries are called once per
+    node here); one CSC layout (``indices``, ``indptr``) with a place for every
+    K and D+-_k entry and the diagonal, and each K's entries on it (``lk``);
+    the upwind parts of each list entry's drift, and of each pair's drift
+    lattice per axis k, (len(ax_k), n), since column c's drift on axis k reads
+    ax_k[i_k(c)] only (``upwind``); lattice blocks' q/f per (pair, first
+    column) within ``_TABLE_BUDGET`` entries (``tables``); and per sparsity
+    pattern one system matrix and COLAMD's column order for it. Per step,
+    only what the policy sets: ``operator`` reads each row's K entries from
+    its candidate's ``lk`` and adds the row-scaled D+_k and D-_k entries axis
+    by axis, the additions scipy's sparse sum makes; ``system`` writes
+    diag(a) - c L into a copy of its pattern's matrix, which ``factorise``
+    factorises in that pattern's column order. Improvement applies the same
+    matrices to phi and returns q/f at the actions it chose, which the
+    evaluation of that policy takes instead of calling q and f again. Costs
+    are resolved once into row functions (see ``_row_costs``), called per list
+    Action on its nodes and per pair on (node, drift) rows.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -604,17 +602,24 @@ class _Generator:
         n = grid.n_nodes
         self.scatter = [c.K for c in self.cands] + [D for pm in zip(self.Dp, self.Dm) for D in pm]
         node, wide = np.arange(n, dtype=np.int32), np.int32 if n * n < 2**31 else np.int64
-        self.row_of = [np.repeat(node, np.diff(A.indptr)) for A in self.scatter]
-        keys = [A.indices.astype(wide) * n + r for A, r in zip(self.scatter, self.row_of)]
+        row_of = [np.repeat(node, np.diff(A.indptr)) for A in self.scatter]
+        keys = [A.indices.astype(wide) * n + r for A, r in zip(self.scatter, row_of)]
         diag = node.astype(wide) * (n + 1)
         flat = np.unique(np.concatenate(keys + [diag]))  # column * n + row, in CSC order
         self.indices = (flat % n).astype(np.int32)
         self.indptr = np.searchsorted(flat, np.arange(n + 1) * n).astype(np.int32)
-        self.diag = np.searchsorted(flat, diag).astype(np.int32)
-        self.pos = [np.searchsorted(flat, key).astype(np.int32) for key in keys]
+        # positions are np.intp, as are the D+-_k rows a step reads (numpy converts others per use)
+        self.diag, self.pos = np.searchsorted(flat, diag), [np.searchsorted(flat, k) for k in keys]
+        self.row_of = [r.astype(np.intp) for r in row_of[len(self.cands):]]
+        # each K on the layout, 0.0 elsewhere, made 0.0 + x (-0.0 to +0.0) as the operator's sum
+        self.lk, self.slots = np.zeros((len(self.cands), flat.size)), np.arange(flat.size)
+        for lk, cand, pos in zip(self.lk, self.cands, self.pos):
+            lk[pos] += cand.K.data
         self.q_const = None if callable(prob.q) else float(prob.q)
-        self.tables, self.kept, self.upwind = {}, 0, {}
-        self.order, self.orderings, self.factorisations = None, 0, 0
+        self.tables, self.kept, self.every = {}, 0, every
+        self.upwind = {} if prob.mode == "product" else {
+            j: _upwind(self.u + c.mu - c.m1) for j, c in enumerate(self.cands)}
+        self.pattern, self.order, self.orderings, self.factorisations = None, None, 0, 0
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -694,8 +699,8 @@ class _Generator:
         return qv, fv
 
     def operator(self, pol: PolicyTable, costs=None):
-        """Generator entries l for a fixed policy, on the CSC layout (``indices``,
-        ``indptr``), plus discount/cost vectors.
+        """Generator entries l for a fixed policy on the CSC layout, each row's K
+        entries read from ``lk`` plus its drift's D+-_k ones, and discount/cost vectors.
 
         ``costs``, the (q, f) that improvement returned with ``pol``, stands in
         for evaluating q and f again; the bounds checks run either way.
@@ -707,15 +712,14 @@ class _Generator:
             raise ValueError("policy index outside the declared action set")
         product = self.prob.mode == "product"
         n, dim = self.grid.n_nodes, self.grid.dim
-        l = np.zeros(self.indices.size)
+        # a layout position lies in one row, so it takes the K entry of that row's candidate
+        l = self.lk[0].copy() if len(self.cands) == 1 else \
+            self.lk.ravel()[idx[self.indices] * self.slots.size + self.slots]
         mu, m1, cross = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n, dtype=bool)
         qvec, fvec = (np.empty(n), np.empty(n)) if costs is None else costs
         for j, cand in enumerate(self.cands):
             rows = idx == j
-            whole = rows.all()  # one candidate on every node selects no rows
-            sel = slice(None) if whole else rows[self.row_of[j]]
-            l[self.pos[j][sel]] += cand.K.data[sel]
-            r = slice(None) if whole else np.nonzero(rows)[0]
+            r = slice(None) if rows.all() else np.nonzero(rows)[0]
             mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
             if costs is None and product:
                 qvec[r], fvec[r] = self._pair_costs(j, mu[r], r)
@@ -731,7 +735,7 @@ class _Generator:
             )
         b = self.u + mu - m1
         j = len(self.cands)
-        for D, pos, row, bk in zip(self.scatter[j:], self.pos[j:], self.row_of[j:], _upwind(b)):
+        for D, pos, row, bk in zip(self.scatter[j:], self.pos[j:], self.row_of, _upwind(b)):
             l[pos] += bk[row] * D.data
         if cross.any():
             warnings.warn(
@@ -748,17 +752,23 @@ class _Generator:
 
         Each entry is a - c l on the diagonal and 0.0 - c l elsewhere; entries
         that come out exactly zero are dropped, as scipy's sparse difference does.
+        A pattern's matrix is built by its first system; each system is a shallow
+        copy of it that owns its data, so an earlier one and its solve stay intact.
         """
-        import scipy.sparse as sp
         v = 0.0 - c * l
         v[self.diag] = a - c * l[self.diag]
-        indices, indptr = self.indices, self.indptr
         keep = v != 0.0
-        if not keep.all():
-            kept = np.concatenate((np.zeros(1, np.int32), np.cumsum(keep, dtype=np.int32)))
-            v, indices, indptr = v[keep], indices[keep], kept[indptr]
-        n = self.grid.n_nodes
-        return sp.csc_matrix((v, indices, indptr), shape=(n, n))
+        if self.pattern is None or not np.array_equal(keep, self.pattern[0]):
+            import scipy.sparse as sp
+            indices, indptr = self.indices, self.indptr
+            if not keep.all():
+                kept = np.concatenate((np.zeros(1, np.int32), np.cumsum(keep, dtype=np.int32)))
+                indices, indptr = indices[keep], kept[indptr]
+            n = self.grid.n_nodes
+            self.pattern = keep, sp.csc_matrix((v[keep], indices, indptr), shape=(n, n))
+        M = copy.copy(self.pattern[1])  # shares the pattern's index arrays, owns its data
+        M.data = v if len(M.indices) == len(v) else v[keep]  # v itself when nothing drops
+        return M
 
     def evaluate(self, pol: PolicyTable, tol: float, costs=None) -> ValueField:
         """Solve (q - L) phi = f for the policy's rows."""
@@ -770,12 +780,14 @@ class _Generator:
 
     def factorise(self, M: sp.csc_matrix, tol: float):
         """``_factorise(M, tol)`` with COLAMD's column order reused. The order
-        depends on M's pattern only: the first system of a pattern is factorised
-        by ``splu(M)``, a later one on the same pattern as M[:, p] in natural
-        order, gathered from M's data; its factors are splu(M)'s bit for bit."""
+        depends on M's pattern only, known by the index arrays ``system`` shares
+        (any other M's by comparing them): the first system of a pattern is
+        factorised by ``splu(M)``, a later one on it as M[:, p] in natural order,
+        gathered from M's data; its factors are splu(M)'s bit for bit."""
         self.factorisations += 1
         o = self.order
-        if o and np.array_equal(M.indptr, o[0]) and np.array_equal(M.indices, o[1]):
+        if o and (M.indptr is o[0] and M.indices is o[1]
+                  or np.array_equal(M.indptr, o[0]) and np.array_equal(M.indices, o[1])):
             perm_c, gather, Mp = o[2:]
             np.take(M.data, gather, out=Mp.data)
             return _factorise(M, tol, Mp, perm_c)
@@ -806,7 +818,7 @@ class _Generator:
                 mu, I, q, f = self._best_drift(j, phi, dp, dm)
             else:
                 mu, q, f = cand.mu, cand.q, cand.f
-                drift = sum(self._drift_terms(_upwind(self.u + mu - cand.m1), dp, dm))
+                drift = sum(self._drift_terms(self.upwind[j], dp, dm))
                 I = cand.K @ phi + drift - q * phi + f
             upd = I < best
             for dst, src in ((best, I), (best_idx, j), (best_q, q), (best_f, f)):
@@ -818,51 +830,52 @@ class _Generator:
     def _best_drift(self, s: int, phi, dp, dm):
         """Drift, integrand, q and f per node for pair s: the lattice argmin, then one
         per-axis quadratic pass kept where the exact integrand agrees it is better."""
-        cand, n = self.cands[s], self.grid.n_nodes
-        lat, combos, cols, strides = self.prob.mu_lattice, self.combos, self.cols, self.strides
+        cand, n, every = self.cands[s], self.grid.n_nodes, self.every
+        lat, combos, strides = self.prob.mu_lattice, self.combos, self.strides
         base = cand.K @ phi + 0.0  # -0.0 to +0.0: base + T then equals base + sum(T)
         if s not in self.upwind:  # column c's drift on axis k reads ax_k[cols[k][c]] only
             b = [self.u[k] + ax[:, None] - cand.m1[:, k] for k, ax in enumerate(lat)]
             self.upwind[s] = [clip(bk, 0.0) for bk in b for clip in (np.maximum, np.minimum)]
         Iall = np.empty((combos.shape[0], n))  # 1-D: the drift term is Iall's rows
         T = self._drift_terms(self.upwind[s], dp, dm, Iall if len(lat) == 1 else None)
-        I_best = q_best = f_best = None
-        best_flat = np.zeros(n, dtype=int)
         # blocks of lattice columns, about 2^15 rows each, keep the temporaries small
-        every, width = np.arange(n), max(1, 2**15 // n)
+        width = max(1, 2**15 // n)
         for c0 in range(0, combos.shape[0], width):
             at = slice(c0, c0 + width)
             qv, fv = self._lattice_block(s, c0, combos[at])
             qphi = self.q_const * phi if qv is None else qv * phi
             I = Iall[at]  # base + drift - q phi + f, formed in place
             if len(lat) > 1:
-                np.add(T[0][cols[0][at]], T[1][cols[1][at]], out=I)
+                np.add(T[0][self.cols[0][at]], T[1][self.cols[1][at]], out=I)
             np.add(base, I, out=I)
             np.subtract(I, qphi, out=I)
             np.add(I, fv, out=I)
-            if I_best is None:
-                I_best, f_best = I[0].copy(), fv[0].copy()
-                q_best = np.full(n, self.q_const) if qv is None else qv[0].copy()
-            # running argmin, the first minimum wins and a NaN never replaces; q/f ride
-            # along. argmin returns a column's first NaN, so only then is it masked.
+            # running argmin: column 0 seeds it, the first minimum wins and a NaN never
+            # replaces (a NaN in column 0 sticks); q/f ride along. argmin returns a
+            # column's first NaN, so only then is it masked.
             j = I.argmin(0)
             Ij = I.ravel()[j * n + every]
             if np.isnan(Ij).any():
                 j = np.argmin(np.where(np.isnan(I), np.inf, I), axis=0)
+                j[np.isnan(I[0]) & (c0 == 0)] = 0
                 Ij = I.ravel()[j * n + every]
+            fj, qj = (None if v is None else v.ravel()[j * n + every] for v in (fv, qv))
+            if c0 == 0:
+                I_best, best_flat, f_best = Ij, j, fj
+                q_best = np.full(n, self.q_const) if qv is None else qj
+                continue
             r = np.flatnonzero(Ij < I_best)
-            j = j[r]
-            I_best[r], best_flat[r], f_best[r] = Ij[r], c0 + j, fv[j, r]
+            I_best[r], best_flat[r], f_best[r] = Ij[r], c0 + j[r], fj[r]
             if qv is not None:
-                q_best[r] = qv[j, r]
-        cmulti = np.unravel_index(best_flat, self.lshape)
+                q_best[r] = qj[r]
+        cmulti = (best_flat,) if len(lat) == 1 else np.unravel_index(best_flat, self.lshape)
         mu0, Iv = combos[best_flat], Iall.ravel()
         mu_ref = mu0.copy()
         for r, ax in enumerate(lat):
             j = cmulti[r]
             rows = np.nonzero((j > 0) & (j < len(ax) - 1))[0]
             flat0 = best_flat[rows] * n + rows  # (lattice column, node) in Iall, flat
-            I_m, I_0, I_p = (Iv[flat0 + d * strides[r] * n] for d in (-1, 0, 1))
+            I_m, I_0, I_p = Iv[flat0 - strides[r] * n], I_best[rows], Iv[flat0 + strides[r] * n]
             denom = I_p - 2.0 * I_0 + I_m
             step = ax[1] - ax[0]
             ok = denom > 1e-300
@@ -870,7 +883,8 @@ class _Generator:
             off[ok] = np.clip(0.5 * (I_m[ok] - I_p[ok]) / denom[ok] * step, -step, step)
             use = ok & (off != 0.0)
             mu_ref[rows[use], r] += off[use]
-        i = np.nonzero(np.any(mu_ref != mu0, axis=1))[0]
+        moved = mu_ref != mu0  # rows an offset rounds back onto the lattice keep their values
+        i = np.flatnonzero(moved if len(lat) == 1 else moved.any(1))
         dp, dm = [d[i] for d in dp], [d[i] for d in dm]
         drift = sum(self._drift_terms(_upwind(self.u + mu_ref[i] - cand.m1[i]), dp, dm))
         qv, fv = self._pair_costs(s, mu_ref[i], i)
@@ -1020,8 +1034,9 @@ def solve_finite_horizon(
         if not pol.same_as(pol_prev):
             l, qvec, fvec = gen.operator(pol, costs)
             solve = gen.factorise(gen.system(l, 1.0, dt), tol)
-            E = np.exp(-qvec * dt)
-            W = (1.0 - E) / qvec
+            if pol_prev is None or gen.q_const is None:  # a constant q gives the same E and W
+                E = np.exp(-qvec * dt)
+                W = (1.0 - E) / qvec
             pol_prev = pol
         values[m] = solve(E * values[m + 1].ravel() + W * fvec).reshape(grid.shape)
     times = np.linspace(0.0, T, n_steps + 1)

@@ -575,6 +575,19 @@ _UNUSABLE_VALUES = [
     # does not resolve to increasing indices")
     *[("verify_lq.json", ["verify"], [(("tests", 0, "pairs", j, 1), 1e308)],
        f"$.tests[0].pairs[{j}]", "0 <= s < t <= sim.T") for j in (0, 1)],
+    # snapshots 0.5 apart put both ends of a pair on one snapshot, which
+    # sim.T, sim.dt, store_every and the marks fix before any path runs
+    # ("pair (0.5, 0.51) does not resolve to increasing indices" after the run)
+    ("verify_lq.json", ["verify"], [(("sim", "store_every"), 100),
+                                    (("tests", 0, "pairs"), [[0.5, 0.51]])],
+     "$.tests[0].pairs[0]", "both ends resolve to the snapshot at 0.5"),
+    # the closed form's rates sqrt(2q) and sqrt(2(q + 1)) overflow (brentq's
+    # "The function value at x=0.0 is NaN")
+    ("example2.json", ["example", "2"], [(("q",), 1e308)], "$.q", "2(q + 1) finite"),
+    # a grid end within the threshold's boundary layer, whose tail band the
+    # polynomial fit cannot describe ("grid tail band contaminated ...")
+    *[("example2.json", ["example", "2"], [(("grid", end), value)], f"$.grid.{end}",
+       f"tail band at the {end} end") for end in ("lo", "hi") for value in (0.0, -1.0)],
 ]
 
 
@@ -590,7 +603,10 @@ _UNUSABLE_VALUES = [
                               "example1_2d_grid", "example2_2d_grid",
                               "example1_overflow_constant", "simulate_atom_mass_overflow",
                               "verify_dt_beyond_horizon", "verify_pair_0_end_overflow",
-                              "verify_pair_1_end_overflow"])
+                              "verify_pair_1_end_overflow", "verify_pair_ends_one_snapshot",
+                              "example2_q_overflow", "example2_grid_lo_zero",
+                              "example2_grid_lo_negative", "example2_grid_hi_zero",
+                              "example2_grid_hi_negative"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())

@@ -575,6 +575,24 @@ def test_a_changed_pattern_gets_a_new_column_order():
     assert counts == [(1, 1), (2, 2), (2, 3), (3, 4)]
 
 
+@pytest.mark.parametrize("case", [_list_case, _product_case, _product_2d_case])
+def test_an_earlier_solve_survives_a_later_factorisation(case):
+    # systems on one pattern share its index arrays, but each owns its data: a
+    # solve returned before a later factorise on that pattern still solves, and
+    # checks its residual against, its own system
+    prob, g, phi = case()
+    gen = _Generator(prob, g)
+    l = gen.operator(gen.improve(phi)[1])[0]
+    first = gen.system(l, 1.0, 0.02)
+    want = _fresh_solve(first, phi)
+    solve = gen.factorise(first, 1e-8)
+    later = gen.system(l, 1.0, 0.5)
+    assert later.indices is first.indices and later.indptr is first.indptr
+    assert np.array_equal(gen.factorise(later, 1e-8)(phi).view(np.int64), _fresh_solve(later, phi))
+    assert (gen.orderings, gen.factorisations) == (1, 2)
+    assert np.array_equal(solve(phi).view(np.int64), want)
+
+
 def test_singular_systems_raise_with_and_without_a_kept_order():
     # a column of explicit zeros keeps the pattern and makes the system exactly
     # singular: the reused order and a fresh ordering both raise SolverError
@@ -1206,6 +1224,42 @@ def test_solver_frozen_digests():
         "finite_1d_list": _sha(fin1.values),
     }
     assert got == _SOLVER_DIGESTS
+
+
+def _finite_list_kernel():
+    # Example 1's two actions with the jump to the origin as one relocation
+    # kernel entry, as the CLI's builtin jump_to_origin reads it
+    g = Grid.regular(-6.0, 6.0, 121)
+    return solve_finite_horizon(_jump_to_origin_problems(1)[0], h=lambda x: 1.0 + np.cos(x),
+                                T=4.0, n_steps=40, grid=g)
+
+
+def _finite_2d_multiblock():
+    # a 13 x 9 drift lattice scanned in two blocks (101 and 16 columns of 323
+    # nodes), a callable discount (so q is tabulated and e^{-q dt} changes with
+    # the policy) and a cost whose control part goes through np.matmul
+    g = Grid.regular([-3.0, -2.5], [3.0, 2.5], [19, 17])
+    prob = HJBProblem(f=QuadCost([[1.0, 0.3], [0.3, 2.0]]), q=QDiscount(), delta_q=2.0, b_q=3.0,
+                      sigma_nu_pairs=atoms_2d_problem()[1],
+                      mu_lattice=(np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9)), q_growth=2)
+    return solve_finite_horizon(prob, h=lambda x: np.sum(x**2, axis=1), T=0.5, n_steps=8, grid=g)
+
+
+# sha256 of the value slices of two backward solves that no bundled config
+# runs: the list-mode step with a relocation kernel, and the 2-D product step
+# whose lattice scan spans several blocks
+_FINITE_DIGESTS = {
+    "list_kernel": ("47f0b402472d94b4db2bd8dbb9fc77ec5237396d2a901fbbe2bbe861ef9bcbfa",
+                    _finite_list_kernel),
+    "product_2d_multiblock": ("e914bf1daa5428e92513989c004dce92aff8d6bec740b5634e36959ff2ec2af5",
+                              _finite_2d_multiblock),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FINITE_DIGESTS))
+def test_finite_horizon_step_digests(case):
+    pin, solve = _FINITE_DIGESTS[case]
+    assert _sha(solve().values) == pin
 
 
 def test_dpp_residual_zero_horizon():
