@@ -12,26 +12,27 @@ weights serve both the matrix assembly and point evaluation, so the solve
 and the readout agree.
 
 Each candidate's operator is built once per solve as sparse matrices,
-shared by policy evaluation and improvement, and laid out once on one CSC
-layout. A policy's generator reads the candidate rows it selects from there
-and adds the row-scaled one-sided differences, the sparse sum of those
+shared by policy evaluation and improvement, and placed once on one CSC
+layout. A policy's generator is the candidate rows it selects scattered onto
+that layout plus the row-scaled one-sided differences, the sparse sum of those
 matrices bit for bit. The linear system of a policy, q - L for evaluation
-and I - dt L for an implicit time step, is filled into a copy of its sparsity
-pattern's canonical CSC matrix, the bits scipy's sparse difference and CSC
-conversion would give. q and f are evaluated once per chosen (node, action):
-improvement hands its values at the chosen actions to the evaluation of that
-policy. In product mode they are row-batched per (sigma, nu) pair, one call
-per block of drift-lattice columns and one for the refined drifts; a block's
-q/f are tabulated on first use, within 2**21 entries per solve, for every
-later sweep or time step. The drift term is formed per lattice axis, and a
-block's integrands in place in one lattice array, scanned by a plain argmin.
-Every linear system is solved by one sparse LU factorisation
-(``scipy.sparse.linalg.splu``) with a residual check; COLAMD's column order
-is computed once per sparsity pattern, and a later system on that pattern is
-factorised with its columns gathered into that order, with the same factors
-bit for bit. scipy is imported only where a matrix is built or factorised,
-so a run that solves nothing (``simulate``, ``--version``) loads numpy alone.
-No Monte Carlo runs here: ``verify`` holds the simulated check of a solved field.
+and I - dt L for an implicit time step, shares the index arrays of its
+sparsity pattern's canonical CSC matrix and holds the bits scipy's sparse
+difference and CSC conversion would give. q and f are evaluated once per
+chosen (node, action): improvement hands its values at the chosen actions to
+the evaluation of that policy. In product mode they are row-batched per
+(sigma, nu) pair, one call per block of drift-lattice columns and one for the
+refined drifts; a block's q/f are tabulated on first use, within 2**21
+entries per solve, for every later sweep or time step. The drift term is
+formed per lattice axis, and a block's integrands in place in one lattice
+array, scanned by a plain argmin. Every linear system is solved by one
+sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual check;
+COLAMD's column order is computed once per sparsity pattern, and a later
+system on that pattern is factorised with its columns gathered into that
+order, with the same factors bit for bit. scipy is imported only where a
+matrix is built or factorised, so a run that solves nothing (``simulate``,
+``--version``) loads numpy alone. No Monte Carlo runs here: ``verify`` holds
+the simulated check of a solved field.
 """
 
 from __future__ import annotations
@@ -537,21 +538,21 @@ class _Generator:
     differences S_k; per candidate one sparse K of its diffusion,
     cross-derivative and jump parts (callable list entries are called once per
     node here); one CSC layout (``indices``, ``indptr``) with a place for every
-    K and D+-_k entry and the diagonal, and each K's entries on it (``lk``);
-    the upwind parts of each list entry's drift, and of each pair's drift
-    lattice per axis k, (len(ax_k), n), since column c's drift on axis k reads
-    ax_k[i_k(c)] only (``upwind``); lattice blocks' q/f per (pair, first
-    column) within ``_TABLE_BUDGET`` entries (``tables``); and per sparsity
-    pattern one system matrix and COLAMD's column order for it. Per step,
-    only what the policy sets: ``operator`` reads each row's K entries from
-    its candidate's ``lk`` and adds the row-scaled D+_k and D-_k entries axis
-    by axis, the additions scipy's sparse sum makes; ``system`` writes
-    diag(a) - c L into a copy of its pattern's matrix, which ``factorise``
-    factorises in that pattern's column order. Improvement applies the same
-    matrices to phi and returns q/f at the actions it chose, which the
-    evaluation of that policy takes instead of calling q and f again. Costs
-    are resolved once into row functions (see ``_row_costs``), called per list
-    Action on its nodes and per pair on (node, drift) rows.
+    K and D+-_k entry and the diagonal (``pos``, ``diag``); the upwind parts
+    of each list entry's drift, and of each pair's drift lattice per axis k,
+    (len(ax_k), n), since column c's drift on axis k reads ax_k[i_k(c)] only
+    (``upwind``); lattice blocks' q/f per (pair, first column) within
+    ``_TABLE_BUDGET`` entries (``tables``); and per sparsity pattern its first
+    system matrix, whose index arrays the later ones share, and COLAMD's
+    column order for it. Per step, only what the policy sets: ``operator``
+    scatters each row's entries of its candidate's K and adds the row-scaled
+    D+_k and D-_k entries axis by axis, the additions scipy's sparse sum
+    makes; ``system`` forms diag(a) - c L on its pattern's index arrays,
+    which ``factorise`` factorises in that pattern's column order. Improvement
+    applies the same matrices to phi and returns q/f at the actions it chose,
+    which the evaluation of that policy takes instead of calling q and f
+    again. Costs are resolved once into row functions (see ``_row_costs``),
+    called per list Action on its nodes and per pair on (node, drift) rows.
     """
 
     def __init__(self, prob: HJBProblem, grid: Grid):
@@ -611,10 +612,6 @@ class _Generator:
         # positions are np.intp, as are the D+-_k rows a step reads (numpy converts others per use)
         self.diag, self.pos = np.searchsorted(flat, diag), [np.searchsorted(flat, k) for k in keys]
         self.row_of = [r.astype(np.intp) for r in row_of[len(self.cands):]]
-        # each K on the layout, 0.0 elsewhere, made 0.0 + x (-0.0 to +0.0) as the operator's sum
-        self.lk, self.slots = np.zeros((len(self.cands), flat.size)), np.arange(flat.size)
-        for lk, cand, pos in zip(self.lk, self.cands, self.pos):
-            lk[pos] += cand.K.data
         self.q_const = None if callable(prob.q) else float(prob.q)
         self.tables, self.kept, self.every = {}, 0, every
         self.upwind = {} if prob.mode == "product" else {
@@ -699,8 +696,8 @@ class _Generator:
         return qv, fv
 
     def operator(self, pol: PolicyTable, costs=None):
-        """Generator entries l for a fixed policy on the CSC layout, each row's K
-        entries read from ``lk`` plus its drift's D+-_k ones, and discount/cost vectors.
+        """Generator entries l for a fixed policy on the CSC layout, each row's
+        entries of its candidate's K plus its drift's D+-_k ones, and discount/cost vectors.
 
         ``costs``, the (q, f) that improvement returned with ``pol``, stands in
         for evaluating q and f again; the bounds checks run either way.
@@ -712,14 +709,15 @@ class _Generator:
             raise ValueError("policy index outside the declared action set")
         product = self.prob.mode == "product"
         n, dim = self.grid.n_nodes, self.grid.dim
-        # a layout position lies in one row, so it takes the K entry of that row's candidate
-        l = self.lk[0].copy() if len(self.cands) == 1 else \
-            self.lk.ravel()[idx[self.indices] * self.slots.size + self.slots]
+        l = np.zeros(self.indices.size)
         mu, m1, cross = np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n, dtype=bool)
         qvec, fvec = (np.empty(n), np.empty(n)) if costs is None else costs
         for j, cand in enumerate(self.cands):
             rows = idx == j
-            r = slice(None) if rows.all() else np.nonzero(rows)[0]
+            whole = rows.all()  # one candidate on every node selects no rows
+            sel = slice(None) if whole else np.repeat(rows, np.diff(cand.K.indptr))  # K is CSR
+            l[self.pos[j][sel]] += cand.K.data[sel]
+            r = slice(None) if whole else np.nonzero(rows)[0]
             mu[r], m1[r], cross[r] = pol.mu[r] if product else cand.mu[r], cand.m1[r], cand.cross[r]
             if costs is None and product:
                 qvec[r], fvec[r] = self._pair_costs(j, mu[r], r)
@@ -752,7 +750,7 @@ class _Generator:
 
         Each entry is a - c l on the diagonal and 0.0 - c l elsewhere; entries
         that come out exactly zero are dropped, as scipy's sparse difference does.
-        A pattern's matrix is built by its first system; each system is a shallow
+        A pattern's first system is built as a matrix; each later one is a shallow
         copy of it that owns its data, so an earlier one and its solve stay intact.
         """
         v = 0.0 - c * l
@@ -766,6 +764,7 @@ class _Generator:
                 indices, indptr = indices[keep], kept[indptr]
             n = self.grid.n_nodes
             self.pattern = keep, sp.csc_matrix((v[keep], indices, indptr), shape=(n, n))
+            return self.pattern[1]
         M = copy.copy(self.pattern[1])  # shares the pattern's index arrays, owns its data
         M.data = v if len(M.indices) == len(v) else v[keep]  # v itself when nothing drops
         return M
@@ -780,14 +779,14 @@ class _Generator:
 
     def factorise(self, M: sp.csc_matrix, tol: float):
         """``_factorise(M, tol)`` with COLAMD's column order reused. The order
-        depends on M's pattern only, known by the index arrays ``system`` shares
-        (any other M's by comparing them): the first system of a pattern is
+        depends on M's pattern only, known by the index arrays that ``system``
+        shares among a pattern's systems: the first system of a pattern is
         factorised by ``splu(M)``, a later one on it as M[:, p] in natural order,
-        gathered from M's data; its factors are splu(M)'s bit for bit."""
+        gathered from M's data; its factors are splu(M)'s bit for bit. An M with
+        other index arrays is ordered afresh."""
         self.factorisations += 1
         o = self.order
-        if o and (M.indptr is o[0] and M.indices is o[1]
-                  or np.array_equal(M.indptr, o[0]) and np.array_equal(M.indices, o[1])):
+        if o and M.indptr is o[0] and M.indices is o[1]:
             perm_c, gather, Mp = o[2:]
             np.take(M.data, gather, out=Mp.data)
             return _factorise(M, tol, Mp, perm_c)

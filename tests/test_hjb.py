@@ -1,5 +1,6 @@
 """Grid solver: interpolation/tails, policy iteration, finite horizon."""
 
+import copy
 import hashlib
 from functools import partial
 
@@ -595,14 +596,17 @@ def test_an_earlier_solve_survives_a_later_factorisation(case):
 
 def test_singular_systems_raise_with_and_without_a_kept_order():
     # a column of explicit zeros keeps the pattern and makes the system exactly
-    # singular: the reused order and a fresh ordering both raise SolverError
+    # singular: the reused order and a fresh ordering both raise SolverError.
+    # S shares M's index arrays, as the systems on one pattern do, by which
+    # factorise knows the pattern it has ordered
     prob, g, phi = _product_case()
     gen = _Generator(prob, g)
     M = gen.system(gen.operator(gen.improve(phi)[1])[0], 1.0, 0.05)
     gen.factorise(M, 1e-8)
     data = M.data.copy()
     data[M.indptr[40] : M.indptr[41]] = 0.0
-    S = sp.csc_matrix((data, M.indices, M.indptr), shape=M.shape)
+    S = copy.copy(M)
+    S.data = data
     for fresh in (False, True):
         with pytest.raises(SolverError, match="singular"):
             (_Generator(prob, g) if fresh else gen).factorise(S, 1e-8)
