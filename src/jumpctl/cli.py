@@ -22,10 +22,8 @@ value that breaks its kind exits 1 naming its ``$.`` path; ``verify`` reads
 all its tests before it simulates.
 
 Shared flags: ``--config PATH`` (JSON; see ``configs/config.schema.json``
-next to this module for the published format), ``--out DIR``, ``--seed U64``
-(overrides the config seed), ``--threads N`` (global worker budget for the
-linear-algebra backends, applied through threadpoolctl; without it a warning
-says the budget had no effect), ``--tol REAL`` (overrides the config tolerance).
+next to this module for the published format), ``--out DIR`` and ``--seed U64``
+(overrides the config seed).
 ``JUMPCTL_LOG`` in {error, warn, info, debug} selects the log level.
 
 Artifacts are deterministic: every file embeds the config digest, the
@@ -35,7 +33,8 @@ rerun with identical inputs reproduces identical bytes.  CSV files carry a
 single ``#``-prefixed JSON provenance line before the column header.
 
 Exit codes (stable contract): 0 success, 1 input error (config parse or
-schema violations are reported with a path to the offending field; a jump
+schema violations are reported with a path to the offending field, and a
+usage error, such as an unknown command or flag, names it too; a jump
 measure whose moments do not evaluate finite is an input error too; an
 output directory or artifact that cannot be written is reported as
 ``jumpctl: cannot write output: ...``),
@@ -479,7 +478,8 @@ def _phi_from(obj, path: str, dim: int, lq_sol=None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective invocation: parsed config plus the flag overrides."""
+    """Effective invocation: the parsed config, the artifact directory and the
+    ``--seed`` override (None when absent)."""
 
     command: str
     config: dict
@@ -487,7 +487,6 @@ class RunConfig:
     config_name: str
     out_dir: Path
     seed: int | None
-    tol: float | None
 
     def provenance(self) -> dict:
         return {
@@ -565,9 +564,6 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     grid = _grid_from(_get(pc, "grid", ppath, dict), f"{ppath}.grid")
     dim = grid.dim
     q = _get(pc, "q", ppath, "positive")
-    bounds = _get(pc, "q_bounds", ppath, "vector", [q, q])
-    if bounds.shape != (2,):
-        raise ConfigError(f"{ppath}.q_bounds", "expected [delta_q, b_q]")
     cost = _CostSpec(_get(pc, "cost", ppath, dict, None), f"{ppath}.cost")
     # the solver needs f >= 0 at every state and drift: x^T M x >= 0 for each matrix M
     matrices = {"quadratic_form": ("matrix",), "quadratic_control": ("lam", "theta")}
@@ -619,8 +615,8 @@ def _problem_from(cfg: dict, path: str) -> tuple[HJBProblem, Grid, _CostSpec]:
     else:
         raise ConfigError(f"{apath}.mode", f"unknown action mode '{mode}' (product/list)")
 
-    prob = _build(ppath, HJBProblem, f=cost.hjb_fn(dim), q=q, delta_q=float(bounds[0]),
-                  b_q=float(bounds[1]), u=u, p=p, q_growth=q_growth, **kwargs)
+    prob = _build(ppath, HJBProblem, f=cost.hjb_fn(dim), q=q, delta_q=q, b_q=q,
+                  u=u, p=p, q_growth=q_growth, **kwargs)
     return prob, grid, cost
 
 
@@ -641,7 +637,7 @@ def _solve_report(rep, phi, extra=None) -> dict:
 
 def cmd_solve(run: RunConfig) -> int:
     prob, grid, _ = _problem_from(run.config, "$")
-    tol = run.tol if run.tol is not None else _get(run.config, "tol", "$", "positive", 1e-8)
+    tol = _get(run.config, "tol", "$", "positive", 1e-8)
     max_iters = _get(run.config, "max_iters", "$", "count", 60)
     phi, pol, rep = solve_stationary(prob, grid, tol=tol, max_iters=max_iters)
 
@@ -672,10 +668,9 @@ def cmd_solve_finite(run: RunConfig) -> int:
     terminal = _CostSpec(_get(hz, "terminal", "$.horizon", dict, None), "$.horizon.terminal")
     if terminal.kind == "quadratic_control":
         raise ConfigError("$.horizon.terminal.kind", "terminal payoffs depend on the state only")
-    tol = run.tol if run.tol is not None else 1e-10
     h_grid = 0.0 if terminal.kind == "zero" else (
         lambda xb: terminal._state_part(np.reshape(xb, (-1, grid.dim))))
-    sol = solve_finite_horizon(prob, h_grid, T, n_steps, grid, tol=tol)
+    sol = solve_finite_horizon(prob, h_grid, T, n_steps, grid)
 
     prov = run.provenance()
     nodes = _node_columns(grid)
@@ -808,6 +803,9 @@ def cmd_verify(run: RunConfig) -> int:
         raise ConfigError("$.tests", "needs at least one test entry")
     tests = [_test_from(t, f"$.tests[{i}]", policy, lq_sol, sim.x0.size, sim.T)
              for i, t in enumerate(tests)]
+    if sim.n_paths < ver.MIN_ENSEMBLE and any(n == "martingale" for n, *_ in tests):
+        raise ConfigError("$.sim.n_paths", f"a martingale test needs at least "
+                          f"{ver.MIN_ENSEMBLE} paths, got {sim.n_paths}")
 
     # One ensemble at sim.seed serves every test that reads recorded paths.
     # It runs to the largest of T and the moment-ratio horizons, marked at
@@ -962,13 +960,20 @@ def _example2(run: RunConfig) -> int:
     cfg = run.config
     cost, q, grid = _polynomial_example(cfg, 2, {"lo": -8.0, "hi": 8.0, "num": 481})
     kappa = _get(cfg, "kappa", "$", "positive", 1.0)
-    tol = run.tol if run.tol is not None else 1e-8
     cc, cgrid = _crosscheck_fields(cfg, grid, num=241, tol_rel=5e-2, tol_cells=2.0)
 
     if not np.isfinite(2.0 * (q + 1.0)):  # the closed form's rates are sqrt(2q) and sqrt(2(q + 1))
         raise ConfigError("$.q", f"example 2 needs 2(q + 1) finite, got q = {q:g}")
+    # the defect rises from -kappa at b = 0 through zero at b_hat: not above zero
+    # at the grid's outer extent, b_hat lies past the grid and no solved node jumps
+    b_out = max(abs(grid.lo[0]), abs(grid.hi[0]))
+    defect = ex._solve_threshold(ex._as_poly_coeffs(cost.coeffs), q, kappa, b_out).gap()
+    if not defect > 0.0:
+        raise ConfigError("$.grid", f"the free boundary lies past the grid's extent "
+                          f"b = {b_out:g} (matching defect {defect:.3g} there); widen the "
+                          "grid, or lower q or kappa")
     try:
-        sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid, tol=tol)
+        sol = ex.example2_free_boundary(cost.coeffs, q, kappa, grid)
     except ex.BoundaryError as exc:  # the grid end whose tail band the layer reaches
         raise ConfigError("$.grid" + (f".{exc.sides[0]}" if len(exc.sides) == 1 else ""),
                           str(exc)) from None
@@ -1051,20 +1056,6 @@ def _example3(run: RunConfig) -> int:
 # argument parsing and dispatch
 
 
-def _apply_thread_budget(n: int):
-    if n < 1:
-        raise ConfigError("--threads", "must be >= 1")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        log.warning(
-            "--threads %d not applied: threadpoolctl is not installed, and the BLAS "
-            "numpy has already loaded keeps its own thread count", n
-        )
-        return None
-    return threadpool_limits(limits=n)
-
-
 def _configure_logging() -> None:
     raw = os.environ.get("JUMPCTL_LOG", "warn").strip().lower()
     if raw not in _LOG_LEVELS:
@@ -1076,15 +1067,22 @@ def _configure_logging() -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error (an unknown command or flag, a flag value of the wrong
+    type) as a ConfigError, which exits 1, where argparse would exit 2; the
+    message names the command or flag. Subcommand parsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="JSON problem config")
     common.add_argument("--out", type=Path, default=Path("."), help="artifact directory")
     common.add_argument("--seed", type=int, default=None, help="unsigned 64-bit seed override")
-    common.add_argument("--threads", type=int, default=None, help="global worker budget")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jumpctl",
         description="Solve, simulate and verify controlled jump-process models.",
     )
@@ -1111,21 +1109,17 @@ def _resolve_config(args) -> tuple[dict, str, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _configure_logging()
-        if args.threads is not None:
-            limits = _apply_thread_budget(args.threads)  # noqa: F841 (kept alive)
         if args.seed is not None and not 0 <= args.seed <= _U64_MAX:
             raise ConfigError("--seed", "seed must be an unsigned 64-bit integer")
-        if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0.0):
-            raise ConfigError("--tol", "tolerance must be a positive real")
 
         config, digest, cfg_name = _resolve_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         run = RunConfig(
             command=args.command, config=config, config_sha256=digest,
-            config_name=cfg_name, out_dir=args.out, seed=args.seed, tol=args.tol,
+            config_name=cfg_name, out_dir=args.out, seed=args.seed,
         )
         commands = {"solve": cmd_solve, "solve-finite": cmd_solve_finite,
                     "simulate": cmd_simulate, "verify": cmd_verify,

@@ -1037,12 +1037,12 @@ class CharacteristicsReport:
     messages: tuple = ()
 
 
-def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> CharacteristicsReport:
+def characteristics_report(bundle: PathBundle) -> CharacteristicsReport:
     """Compare recorded characteristics with their predicted forms.
 
     For constant actions with a fixed measure the truncated drift and
     covariance admit exact closed forms, and the empirical jump-size
-    histogram is compared with the compensator prediction bin by bin
+    histogram is compared with the compensator prediction over 20 bins
     (Poisson standard errors); a 1-D density cell's mass is spread over the
     bins as its jittered draws are, uniformly across the cell.  For
     state-dependent policies, a relocation kernel's included, the drift
@@ -1055,6 +1055,7 @@ def characteristics_report(bundle: PathBundle, n_bins: int = 20) -> Characterist
     n = bundle.n_paths
     messages = []
     nu = None if isinstance(policy.nu, RelocationKernel) else policy.nu
+    n_bins = 20
 
     if policy.kind == "constant" and nu is not None:
         rate_vec = bundle.u + policy.action.mu - _moments(policy.nu).big_mean

@@ -373,13 +373,14 @@ class Example2Solution:
             raise ValueError("free boundary must be nonnegative")
 
 
-def example2_free_boundary(f, q: float, kappa: float, grid: Grid, tol: float = 1e-8) -> Example2Solution:
+def example2_free_boundary(f, q: float, kappa: float, grid: Grid) -> Example2Solution:
     """Find the optimal jump threshold ``b_hat``.
 
     Root of ``g(b) = phi_b(b) - phi_b(0) - kappa``: starts from
     ``g(0) = -kappa < 0`` and doubles the upper bracket until the sign
     changes (``g`` grows without bound in ``b``), then polishes with a
-    bracketing root solve.  The returned bundle carries the C^1 and C^2
+    bracketing root solve; a defect above 1e-8 at the root raises
+    BracketError.  The returned bundle carries the C^1 and C^2
     matching diagnostics at ``b_hat`` and a monotonicity flag for ``phi``
     on the positive half-grid.
     """
@@ -414,9 +415,9 @@ def example2_free_boundary(f, q: float, kappa: float, grid: Grid, tol: float = 1
     b_hat = float(brentq(gap_at, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200))
     closed = _solve_threshold(coeffs, q, kappa, b_hat)
     defect = abs(closed.gap())
-    if defect > tol:
+    if defect > 1e-8:
         raise BracketError(
-            f"matching defect {defect:.3e} at b={b_hat:.12g} exceeds {tol:.1e}",
+            f"matching defect {defect:.3e} at b={b_hat:.12g} exceeds 1.0e-08",
             samples=samples,
         )
 

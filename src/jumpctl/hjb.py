@@ -919,9 +919,9 @@ def _factorise(M: sp.csc_matrix, tol: float, Mp=None, perm_c=None):
     return solve
 
 
-def policy_evaluation(pol: PolicyTable, prob: HJBProblem, grid: Grid, tol: float = 1e-8) -> ValueField:
+def policy_evaluation(pol: PolicyTable, prob: HJBProblem, grid: Grid) -> ValueField:
     """Solve the linear system of the fixed policy, (q - L) phi = f, by sparse LU."""
-    return _Generator(prob, grid).evaluate(pol, tol)
+    return _Generator(prob, grid).evaluate(pol, 1e-8)
 
 
 def policy_improvement(phi: ValueField, prob: HJBProblem, grid: Grid) -> PolicyTable:
@@ -1011,9 +1011,8 @@ def _terminal_values(h, grid: Grid) -> np.ndarray:
     return vals
 
 
-def solve_finite_horizon(
-    prob: HJBProblem, h, T: float, n_steps: int, grid: Grid, tol: float = 1e-10
-) -> FiniteHorizonSolution:
+def solve_finite_horizon(prob: HJBProblem, h, T: float, n_steps: int,
+                         grid: Grid) -> FiniteHorizonSolution:
     """Backward steps of the discounted implicit scheme.
 
     Each step improves the policy on the next slice, then solves
@@ -1032,7 +1031,7 @@ def solve_finite_horizon(
         _, pol, costs = gen.improve(values[m + 1].ravel())
         if not pol.same_as(pol_prev):
             l, qvec, fvec = gen.operator(pol, costs)
-            solve = gen.factorise(gen.system(l, 1.0, dt), tol)
+            solve = gen.factorise(gen.system(l, 1.0, dt), 1e-9)
             if pol_prev is None or gen.q_const is None:  # a constant q gives the same E and W
                 E = np.exp(-qvec * dt)
                 W = (1.0 - E) / qvec

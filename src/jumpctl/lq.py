@@ -122,12 +122,12 @@ def riccati_residual(B, lam, theta, q) -> np.ndarray:
     return B.T @ np.linalg.solve(theta, B) + q * B - lam
 
 
-def solve_riccati(lam, theta, q, tol=1e-12, max_newton=30) -> np.ndarray:
+def solve_riccati(lam, theta, q) -> np.ndarray:
     """Symmetric PD solution of B^T Theta^-1 B + q B - Lam = 0.
 
     Stable-subspace eigenvector construction on the 2n x 2n block matrix
     [[-q/2 I, -Theta^-1], [-Lam, q/2 I]] followed by Newton (Kleinman-style)
-    refinement down to ``tol`` on the residual norm.
+    refinement, at most 30 steps, down to 1e-12 on the residual's largest entry.
     """
     lam = _check_spd(lam, "lam")
     theta = _check_spd(theta, "theta")
@@ -155,10 +155,10 @@ def solve_riccati(lam, theta, q, tol=1e-12, max_newton=30) -> np.ndarray:
         raise RiccatiSolveError(f"stable subspace is degenerate: {exc}") from exc
     B = 0.5 * (B + B.T)
 
-    for it in range(max_newton):
+    for it in range(30):
         res = riccati_residual(B, lam, theta, q)
         nrm = np.abs(res).max()
-        if nrm <= tol:
+        if nrm <= 1e-12:
             break
         from scipy.linalg import solve_sylvester
         # Frechet derivative: dR[D] = A^T D + D A with A = Theta^-1 B + q/2 I

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +62,8 @@ log = logging.getLogger(__name__)
 
 Z_THRESHOLD = 3.0
 MIN_ENSEMBLE = 1000
+# a martingale bin with fewer paths is reported but not tested
+MIN_BIN_COUNT = 50
 # a decay-rate certificate is refused when one path carries more than this
 # share of the estimator mass somewhere in the fit window: the plug-in SE
 # of a mean that is dominated by single draws is anti-conservative
@@ -84,7 +86,7 @@ class TestReport:
     n_samples: int
     messages: tuple = ()
 
-    def to_json(self, indent=None) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "name": self.name,
@@ -93,8 +95,7 @@ class TestReport:
                 "thresholds": _jsonable(self.thresholds),
                 "n_samples": int(self.n_samples),
                 "messages": list(self.messages),
-            },
-            indent=indent,
+            }
         )
 
 
@@ -144,7 +145,6 @@ def submartingale_test(
     pairs: Sequence,
     n_bins: int = 8,
     mode: str = "sub",
-    min_bin_count: int = 50,
 ) -> TestReport:
     """Binned conditional-increment sign test of an ensemble series.
 
@@ -152,7 +152,8 @@ def submartingale_test(
     lists (s, t) times with s < t.  Paths are bucketed by the state at s
     (quantile bins), and within each sufficiently populated bin the mean
     of S_t - S_s must be >= -3 SE ("sub" mode) or within 3 SE of zero
-    ("martingale" mode).  Undersampled bins are flagged and excluded.
+    ("martingale" mode).  Bins of fewer than ``MIN_BIN_COUNT`` paths are
+    flagged and excluded.
     """
     S = np.asarray(S, dtype=float)
     n, K = S.shape
@@ -188,7 +189,7 @@ def submartingale_test(
         for b in range(n_eff):
             sel = assign == b
             m = int(sel.sum())
-            if m < min_bin_count:
+            if m < MIN_BIN_COUNT:
                 bins.append({"bin": b, "count": m, "excluded": True})
                 continue
             any_included = True
@@ -220,7 +221,7 @@ def submartingale_test(
         name="submartingale-binned" if mode == "sub" else "martingale-binned",
         passed=bool(all_ok),
         statistics={"pairs": pair_stats},
-        thresholds={"z": Z_THRESHOLD, "min_bin_count": min_bin_count},
+        thresholds={"z": Z_THRESHOLD, "min_bin_count": MIN_BIN_COUNT},
         n_samples=n,
         messages=tuple(messages),
     )
@@ -242,13 +243,9 @@ def _wls_line(t: np.ndarray, y: np.ndarray, var: np.ndarray):
     return b, 1.0 / s_tt
 
 
-def transversality_test(
-    bundle: PathBundle,
-    phi,
-    t_lattice: Optional[np.ndarray] = None,
-    window: float = 0.5,
-) -> TestReport:
-    """Decay test for m(t) = E[e^{-gamma_t} phi(X_t)] along a recorded bundle.
+def transversality_test(bundle: PathBundle, phi, window: float = 0.5) -> TestReport:
+    """Decay test for m(t) = E[e^{-gamma_t} phi(X_t)] on a recorded bundle's
+    snapshot lattice.
 
     The bundle's discount integral gamma is the one it was simulated with,
     so the discount rate q goes to :func:`~jumpctl.dynamics.simulate`.  Over
@@ -260,25 +257,17 @@ def transversality_test(
     statement it stands in for; the report says so.
     """
     times = bundle.times
-    if t_lattice is not None:
-        idx = sorted({_nearest_index(times, t) for t in np.asarray(t_lattice, float)})
-        if len(idx) < 4:
-            raise ValueError("time lattice resolves to fewer than 4 snapshot points")
-    else:
-        idx = list(range(times.size))
-    tsel = times[idx]
     n = bundle.n_paths
 
-    Y = np.empty((n, len(idx)))
-    for j, k in enumerate(idx):
-        vals = _field_value(phi, bundle.states[:, k, :])
-        Y[:, j] = np.exp(-bundle.gamma[:, k]) * vals
+    Y = np.empty((n, times.size))
+    for k in range(times.size):
+        Y[:, k] = np.exp(-bundle.gamma[:, k]) * _field_value(phi, bundle.states[:, k, :])
     m = Y.mean(axis=0)
     se = Y.std(axis=0, ddof=1) / np.sqrt(n)
 
-    w0 = np.searchsorted(tsel, (1.0 - window) * tsel[-1])
-    w0 = min(max(w0, 0), len(tsel) - 3)
-    win = slice(w0, len(tsel))
+    w0 = np.searchsorted(times, (1.0 - window) * times[-1])
+    w0 = min(max(w0, 0), len(times) - 3)
+    win = slice(w0, len(times))
     messages = [
         "eventual-decay + positive-rate fit is sufficient for the limit "
         "condition, not equivalent",
@@ -286,18 +275,18 @@ def transversality_test(
     ]
 
     dec_ok = True
-    for j in range(w0, len(tsel) - 1):
+    for j in range(w0, len(times) - 1):
         d = Y[:, j + 1] - Y[:, j]
         d_se = d.std(ddof=1) / np.sqrt(n)
         if d.mean() > Z_THRESHOLD * d_se:
             dec_ok = False
             messages.append(
-                f"significant increase of m between t={tsel[j]:g} and t={tsel[j + 1]:g}"
+                f"significant increase of m between t={times[j]:g} and t={times[j + 1]:g}"
             )
             break
 
     scale = float(np.max(np.abs(m))) if np.max(np.abs(m)) > 0 else 1.0
-    mw, sew, tw = m[win], se[win], tsel[win]
+    mw, sew, tw = m[win], se[win], times[win]
     absY = np.abs(Y[:, win])
     mass = absY.sum(axis=0)
     share = float(np.max(absY.max(axis=0) / np.maximum(mass, 1e-300)))
@@ -326,8 +315,8 @@ def transversality_test(
         name="transversality",
         passed=passed,
         statistics={
-            "times": tsel, "m": m, "se": se,
-            "window_start": float(tsel[w0]), "rate": r_hat, "rate_se": r_se,
+            "times": times, "m": m, "se": se,
+            "window_start": float(times[w0]), "rate": r_hat, "rate_se": r_se,
             "eventually_decreasing": dec_ok, "max_path_share": share,
         },
         thresholds={"z": Z_THRESHOLD},

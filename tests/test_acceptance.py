@@ -162,7 +162,7 @@ def test_03_jump_to_origin_benchmark_and_general_solver():
 def test_04_free_boundary_smooth_fit_and_switch_node():
     start = time.perf_counter()
     grid = Grid.regular(-8.0, 8.0, 481)
-    sol = example2_free_boundary([0.0, 0.0, 1.0], 1.0, 1.0, grid, tol=1e-8)
+    sol = example2_free_boundary([0.0, 0.0, 1.0], 1.0, 1.0, grid)
     assert sol.matching_gap <= 1e-8
     assert sol.c1_gap <= 1e-8
     assert sol.increasing

@@ -18,9 +18,10 @@ partial artifacts or a failed linear solve, 3 verification failure.
 """
 
 import hashlib
-import importlib.util
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -588,6 +589,17 @@ _UNUSABLE_VALUES = [
     # polynomial fit cannot describe ("grid tail band contaminated ...")
     *[("example2.json", ["example", "2"], [(("grid", end), value)], f"$.grid.{end}",
        f"tail band at the {end} end") for end in ("lo", "hi") for value in (0.0, -1.0)],
+    # a martingale test's ensemble is checked before any path runs (this used
+    # to simulate, then exit 1 with the path-less "ensemble of 500 paths ...")
+    ("verify_lq.json", ["verify"], [(("sim", "n_paths"), 500)], "$.sim.n_paths",
+     "a martingale test needs at least 1000 paths, got 500"),
+    # b_hat past the grid's extent: the matching defect is not above zero there
+    # (these used to exit 2 with "no sign change ... up to b=1.04858e+06" or
+    # "matching defect ... exceeds 1.0e-08", or 3 with no solved node jumping)
+    *[("example2.json", ["example", "2"], [((key,), value)], "$.grid",
+       "the free boundary lies past the grid's extent b = 8")
+      for key, value in (("q", 1e100), ("q", 8.9e307), ("q", 1e6), ("kappa", 1e100),
+                         ("kappa", 1e308), ("kappa", 1e12), ("kappa", 1e4))],
 ]
 
 
@@ -606,7 +618,10 @@ _UNUSABLE_VALUES = [
                               "verify_pair_1_end_overflow", "verify_pair_ends_one_snapshot",
                               "example2_q_overflow", "example2_grid_lo_zero",
                               "example2_grid_lo_negative", "example2_grid_hi_zero",
-                              "example2_grid_hi_negative"])
+                              "example2_grid_hi_negative", "verify_n_paths_below_minimum",
+                              "example2_q_1e100", "example2_q_8.9e307", "example2_q_1e6",
+                              "example2_kappa_1e100", "example2_kappa_1e308",
+                              "example2_kappa_1e12", "example2_kappa_1e4"])
 def test_unusable_values_exit_1_naming_the_field(tmp_path, capsys, name, command, edits, where,
                                                  message):
     cfg = json.loads(Path(_bundled(name)).read_text())
@@ -1022,24 +1037,28 @@ def test_quadratic_cost_is_batch_size_invariant(dim):
 # ----------------------------------------------------------------- misc flags
 
 
-def test_threads_flag_is_accepted(tmp_path):
-    # without threadpoolctl the budget cannot reach the BLAS numpy has loaded:
-    # the run says so on stderr, and its artifacts match a run without the flag
-    env = dict(os.environ, PYTHONPATH=str(Path(jumpctl.__file__).resolve().parents[1]),
-               JUMPCTL_LOG="warn")
-    runs = {}
-    for name, extra in (("plain", []), ("threads", ["--threads", "2"])):
-        out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "jumpctl", "example", "3", "--out", str(out), *extra],
-            env=env, capture_output=True, text=True, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs[name] = (proc.stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    if importlib.util.find_spec("threadpoolctl") is None:
-        assert "--threads 2 not applied" in runs["threads"][0]
-    assert "--threads" not in runs["plain"][0]
-    assert runs["threads"][1] == runs["plain"][1]
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--bogus"], "--bogus"),
+    (["simulate", "--seed", "x"], "--seed"),
+    (["bogus"], "'bogus'"),
+    (["example", "4"], "which"),
+    (["solve", "--threads", "2"], "--threads"),
+    (["solve-finite", "--tol", "1e-3"], "--tol"),
+], ids=["unknown_flag", "seed_not_an_integer", "unknown_command", "unknown_example",
+        "threads_removed", "tol_removed"])
+def test_usage_errors_exit_1_with_one_line(capsys, argv, named):
+    # argparse exits 2, the numerical-failure code; a usage error is an input error
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("jumpctl: ") and err.count("\n") == 1 and named in err, err
+
+
+def test_help_lists_only_the_shared_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out", "--seed"}, flags
 
 
 _SCIPY_PROBE = """

@@ -138,7 +138,7 @@ def test_submartingale_flags_undersampled_bins():
     cfg = SimConfig(x0=0.0, T=1.0, dt=0.02, n_paths=1500, seed=6)
     b = simulate(pol, cfg, q=1.0)
     S = bellman_series(lambda X: X[:, 0] ** 2, b)
-    rep = submartingale_test(S, b, pairs=[(0.2, 0.8)], n_bins=8, min_bin_count=10_000)
+    rep = submartingale_test(S, b, pairs=[(0.2, 0.8)], n_bins=40)
     assert not rep.passed
     assert any("undersampled" in msg for msg in rep.messages)
 
