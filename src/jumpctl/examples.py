@@ -127,6 +127,13 @@ def _particular_coeffs(fc: np.ndarray, decay: float) -> np.ndarray:
 # jump-to-origin benchmark
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _Psi(ValueField):
+    """``psi`` at the nodes, with the polynomial ``P`` it sums over the axes."""
+
+    P: np.ndarray = None
+
+
 def example1_psi(f, q: float, grid: Grid) -> ValueField:
     """``psi`` solving ``(1/2) Laplacian psi - (q+1) psi + f = 0`` with polynomial growth.
 
@@ -141,7 +148,7 @@ def example1_psi(f, q: float, grid: Grid) -> ValueField:
     _validate_cost(coeffs)
     P = _particular_coeffs(coeffs, q + 1.0)
     vals = sum(npoly.polyval(x, P) for x in np.meshgrid(*grid.axes, indexing="ij", sparse=True))
-    return ValueField(grid, vals, q_growth=max(2, coeffs.size - 1), nonneg=True)
+    return _Psi(grid, vals, q_growth=max(2, coeffs.size - 1), nonneg=True, P=P)
 
 
 def example1_value(psi: ValueField, q: float) -> ValueField:
@@ -149,12 +156,15 @@ def example1_value(psi: ValueField, q: float) -> ValueField:
 
     The optimal control is unit diffusion and a unit-rate jump straight to
     the origin, ``Action(1, RelocationKernel(1, 1.0), 0)`` (the jump measure
-    is the point mass at ``-x`` when the state is ``x``).
+    is the point mass at ``-x`` when the state is ``x``). ``psi`` is
+    ``example1_psi``'s, whose exact ``psi(0) = dim * P(0)`` is read, not
+    interpolated: the origin need not be a node.
     """
     if not (np.isfinite(q) and q > 0.0):
         raise ValueError("discount rate q must be positive")
-    origin = np.zeros(psi.grid.dim) if psi.grid.dim > 1 else 0.0
-    shift = float(psi.value(origin)) / q
+    if not isinstance(psi, _Psi):
+        raise TypeError("psi must come from example1_psi")
+    shift = psi.grid.dim * float(psi.P[0]) / q
     return ValueField(
         psi.grid, psi.values + shift, q_growth=psi.q_growth, nonneg=True
     )

@@ -25,8 +25,9 @@ the evaluation of that policy. In product mode they are row-batched per
 refined drifts; a block's q/f are tabulated on first use, within 2**21
 entries per solve, for every later sweep or time step. The drift term is
 formed per lattice axis, and a block's integrands in place in one lattice
-array, scanned by a plain argmin. Every linear system is solved by one
-sparse LU factorisation (``scipy.sparse.linalg.splu``) with a residual check;
+array, scanned by a plain argmin. A linear system is solved by one sparse LU
+factorisation (``scipy.sparse.linalg.splu``) with a residual check, or a time
+step's by iterative refinement on the last such factor, where 2 corrections do.
 COLAMD's column order is computed once per sparsity pattern, and a later
 system on that pattern is factorised with its columns gathered into that
 order, with the same factors bit for bit. scipy is imported only where a
@@ -64,6 +65,8 @@ __all__ = [
 
 log = logging.getLogger("jumpctl.hjb")
 _TABLE_BUDGET = 2**21  # drift-lattice q/f table entries one solve keeps: 16 MB
+_REFINE_EPS = 4e-15  # a refined solve's backward error: residual over |M| |x| + |b|, inf-norms
+_CORRECTIONS = 2  # refinement corrections before a step's system is factorised afresh
 
 
 class SolverError(RuntimeError):
@@ -616,7 +619,8 @@ class _Generator:
         self.tables, self.kept, self.every = {}, 0, every
         self.upwind = {} if prob.mode == "product" else {
             j: _upwind(self.u + c.mu - c.m1) for j, c in enumerate(self.cands)}
-        self.pattern, self.order, self.orderings, self.factorisations = None, None, 0, 0
+        self.pattern, self.order = None, None
+        self.orderings = self.factorisations = self.corrections = 0
 
     def _candidate(self, groups, costs: bool) -> _Candidate:
         """Assemble K (and q, f if asked) from (node indices, Action) groups covering every node."""
@@ -801,6 +805,23 @@ class _Generator:
         self.order = M.indptr, M.indices, perm_c, gather, Mp
         return solve
 
+    def refine(self, M: sp.csc_matrix, raw, rhs: np.ndarray):
+        """x with M x = rhs by iterative refinement on ``raw``, an earlier system's
+        unchecked solve, to a backward error of ``_REFINE_EPS`` within ``_factorise``'s
+        bound; None once the contraction predicts more than ``_CORRECTIONS`` corrections."""
+        norm = np.bincount(M.indices, np.abs(M.data), M.shape[0]).max()  # |M|, no sparse copy
+        size, x = np.abs(rhs).max(), raw(rhs)
+        for k in range(_CORRECTIONS + 1):
+            r = rhs - M @ x
+            resid = np.abs(r).max()
+            bound = min(_REFINE_EPS * (norm * np.abs(x).max() + size), 1e-9 * max(1.0, size))
+            if resid <= bound < np.inf:  # a NaN residual or an infinite bound never passes
+                return x
+            if k == _CORRECTIONS or k and not resid * (resid / last) ** (_CORRECTIONS - k) <= bound:
+                return None
+            last, x = resid, x + raw(r)
+            self.corrections += 1
+
     def improve(self, phi: np.ndarray):
         """Per-node argmin of L^a phi - q phi + f over the family; ties go to the lowest index.
 
@@ -896,18 +917,21 @@ class _Generator:
 
 
 def _factorise(M: sp.csc_matrix, tol: float, Mp=None, perm_c=None):
-    """Sparse LU of the CSC matrix M; returns solve(rhs), which checks the
-    residual of M against tol, with the factor's column order as ``solve.perm_c``.
-    Given Mp = M[:, p], p = argsort(perm_c), Mp is factorised in natural order
-    instead and its solution y read back as x[p] = y, that is x = y[perm_c]."""
+    """Sparse LU of the CSC matrix M; returns solve(rhs), which checks the residual of
+    M against tol, and keeps M, the unchecked solve and the factor's column order as
+    ``solve.M``, ``solve.raw``, ``solve.perm_c``. Given Mp = M[:, p], p = argsort(perm_c),
+    Mp is factorised in natural order instead, and its solution y read as x = y[perm_c]."""
     from scipy.sparse.linalg import splu
     try:
         lu = splu(M) if Mp is None else splu(Mp, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolverError(f"singular system: {exc}") from exc
 
+    def raw(rhs: np.ndarray) -> np.ndarray:
+        return lu.solve(rhs) if perm_c is None else lu.solve(rhs)[perm_c]
+
     def solve(rhs: np.ndarray) -> np.ndarray:
-        phi = lu.solve(rhs) if perm_c is None else lu.solve(rhs)[perm_c]
+        phi = raw(rhs)
         resid = float(np.abs(M @ phi - rhs).max())
         scale = max(1.0, float(np.abs(rhs).max()))
         if not np.isfinite(resid) or resid > max(tol, 1e-9) * scale:
@@ -915,7 +939,7 @@ def _factorise(M: sp.csc_matrix, tol: float, Mp=None, perm_c=None):
         log.debug("sparse LU solve: %d unknowns, residual %.3e", len(rhs), resid)
         return phi
 
-    solve.perm_c = lu.perm_c
+    solve.perm_c, solve.raw, solve.M = lu.perm_c, raw, M
     return solve
 
 
@@ -1018,7 +1042,9 @@ def solve_finite_horizon(prob: HJBProblem, h, T: float, n_steps: int,
     Each step improves the policy on the next slice, then solves
     (I - dt L) phi_m = e^{-q dt} phi_{m+1} + (1 - e^{-q dt})/q f, which
     resolves the discount factor exactly (constants and pure discounting
-    are reproduced to solver precision, uniformly in dt).
+    are reproduced to solver precision, uniformly in dt). Each system is solved
+    by iterative refinement on the last factor kept, or, where that would take more
+    than two corrections (``_Generator.refine``), factorised, and its factor kept.
     """
     if T <= 0.0 or n_steps < 1:
         raise ValueError("need T > 0 and n_steps >= 1")
@@ -1026,16 +1052,20 @@ def solve_finite_horizon(prob: HJBProblem, h, T: float, n_steps: int,
     values = np.empty((n_steps + 1,) + grid.shape)
     values[n_steps] = _terminal_values(h, grid)
     gen = _Generator(prob, grid)
-    pol_prev = None
+    pol_prev = solve = None  # solve: the checked solve of the last system factorised
     for m in range(n_steps - 1, -1, -1):
         _, pol, costs = gen.improve(values[m + 1].ravel())
         if not pol.same_as(pol_prev):
             l, qvec, fvec = gen.operator(pol, costs)
-            solve = gen.factorise(gen.system(l, 1.0, dt), 1e-9)
+            M = gen.system(l, 1.0, dt)
             if pol_prev is None or gen.q_const is None:  # a constant q gives the same E and W
                 E = np.exp(-qvec * dt)
                 W = (1.0 - E) / qvec
             pol_prev = pol
-        values[m] = solve(E * values[m + 1].ravel() + W * fvec).reshape(grid.shape)
+        rhs = E * values[m + 1].ravel() + W * fvec
+        x = None if solve is None else solve(rhs) if solve.M is M else gen.refine(M, solve.raw, rhs)
+        if x is None:  # refinement would miss: factorise M, and refine on its factor next
+            solve = gen.factorise(M, 1e-9)
+        values[m] = (solve(rhs) if x is None else x).reshape(grid.shape)
     times = np.linspace(0.0, T, n_steps + 1)
     return FiniteHorizonSolution(times=times, values=values, grid=grid, q_growth=prob.q_growth)

@@ -130,6 +130,31 @@ def test_solver_error_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
                                         "the residual bound"]
 
 
+def test_singular_time_step_exits_2_after_refinement(tmp_path, monkeypatch, capsys):
+    # finite_lq's third step system, made exactly singular, meets a kept factor
+    # of an earlier step: refinement gives it no answer, and its own
+    # factorisation fails as a numerical failure
+    import copy
+    from jumpctl import hjb
+
+    system, built = hjb._Generator.system, []
+
+    def singular_third(self, l, a, c):
+        M = system(self, l, a, c)
+        if len(built) == 2:
+            M = copy.copy(M)
+            M.data = M.data.copy()
+            M.data[M.indptr[40] : M.indptr[41]] = 0.0
+        built.append(M)
+        return M
+
+    monkeypatch.setattr(hjb._Generator, "system", singular_third)
+    code = main(["solve-finite", "--config", _bundled("finite_lq.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(built) == 3
+    assert "jumpctl: numerical failure: singular system" in err and "Traceback" not in err, err
+
+
 def test_solve_finite_pure_discount(tmp_path):
     cfg = json.loads(Path(_bundled("lq_1d.json")).read_text())
     cfg["problem"]["cost"] = {"kind": "zero"}
@@ -928,8 +953,8 @@ _BUNDLED_DIGESTS = {
     "lq_2d/policy.csv": "4aba531800821df101b0be3c758dbb1ace16288031166c9c5a697835f74b88cc",
     "lq_2d/report.json": "7502a6274a01a78163571028231d2673767abfb6af0bdfa5c58a99e812b7b0aa",
     "lq_2d/value.csv": "d0a756941d6c443bcd6d11b82c6b37f5fbd66a1d3d1542b3eecdc80dfbad5d3f",
-    "finite_lq/report.json": "79fc55fbe7101b1491a71e2ad4ad2e93f048b6ae43b0f1f1784b28069d338ca9",
-    "finite_lq/value.csv": "34579ca9f8299fcfff5d255932651e43a5a9564e59fe9dac3a5a65d956ef4ed2",
+    "finite_lq/report.json": "146e00d1ec4384ded08e2e5c1134b80499ddb6a754693ef777c5abe91c4fbf76",
+    "finite_lq/value.csv": "e2d7c4c182ab81f32ccf4915ddf53daa45c290e160ff306bdaedff1da07927fb",
     "example1/report.json": "5eda622d9bfda75d0907ea9ee6c9f4bd62fd71c978d738f23fedfb46d8bf47e1",
     "example1/value.csv": "1438cc5409ecf6573d02c4d6dc34c46dfeb3d3803b4c652ab20389abdccc1965",
     "example2/report.json": "535bc902507b9d2a9c0709f933380827f9387ddc8a41d76ec9b2586924b4fd1b",
@@ -954,14 +979,17 @@ def test_bundled_config_artifact_digests(tmp_path):
 
 
 @pytest.mark.parametrize("name, cmd, counts", [
-    ("finite_lq", ["solve-finite"], (1, 319)),
-    ("lq_2d", ["solve"], (2, 6)),  # the first sweep's zero-drift pattern differs from the rest
-    ("lq_1d", ["solve"], (1, 5)),
+    ("finite_lq", ["solve-finite"], (1, 48, 591)),
+    ("lq_2d", ["solve"], (2, 6, 0)),  # the first sweep's zero-drift pattern differs from the rest
+    ("lq_1d", ["solve"], (1, 5, 0)),
 ])
 def test_solver_counts_orderings_and_factorisations(tmp_path, monkeypatch, name, cmd, counts):
-    # COLAMD runs once per sparsity pattern and SuperLU once per system: 320
-    # time steps make 319 systems (one step keeps its policy) on one pattern.
-    # The counters stay off report.json, whose bytes the digests above pin.
+    # (orderings, factorisations, corrections). COLAMD runs once per sparsity
+    # pattern, and SuperLU once per stationary sweep. finite_lq's 320 time
+    # steps make 319 systems on one pattern: 48 are factorised, and the others
+    # refined on the last factor, with 591 corrections in all (those of the
+    # refinements that gave up included). The counters stay off report.json,
+    # whose bytes the digests above pin.
     from jumpctl import hjb
 
     gens, init = [], hjb._Generator.__init__
@@ -972,7 +1000,7 @@ def test_solver_counts_orderings_and_factorisations(tmp_path, monkeypatch, name,
 
     monkeypatch.setattr(hjb._Generator, "__init__", recording)
     assert main([*cmd, "--config", _bundled(f"{name}.json"), "--out", str(tmp_path / name)]) == 0
-    assert [(g.orderings, g.factorisations) for g in gens] == [counts]
+    assert [(g.orderings, g.factorisations, g.corrections) for g in gens] == [counts]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -29,7 +29,7 @@ from jumpctl.examples import (
     example2_phi_b,
 )
 from jumpctl.generator import AnalyticField, apply_generator
-from jumpctl.hjb import Grid, HJBProblem, solve_stationary
+from jumpctl.hjb import Grid, HJBProblem, ValueField, solve_stationary
 from jumpctl.measures import Action, AtomicMeasure, ZeroMeasure, total_mass
 from per_state_actions import example1_policy
 
@@ -120,6 +120,22 @@ def test_value_origin_identity():
     psi = example1_psi([0.0, 0.0, 2.0, 0.0, 1.0], q, GRID)
     v = example1_value(psi, q)
     assert v.value(0.0) == pytest.approx(psi.value(0.0) * (1.0 + 1.0 / q), abs=1e-10)
+
+
+def test_value_exact_without_a_node_at_the_origin():
+    # f = 1 + x^4, q = 1: P(x) = x^4/2 + 3x^2/2 + 5/4 solves (1/2) P'' - 2 P + f = 0,
+    # so V = P + P(0)/q and V(0) = 2.5. No node of 400 on [-6, 6] is the origin:
+    # an interpolated psi(0) reads 1.2503392, and shifted V by 2.7e-4 relative
+    grid = Grid.regular(-6.0, 6.0, 400)
+    x = grid.axes[0]
+    P = 0.5 * x**4 + 1.5 * x**2 + 1.25
+    psi = example1_psi([1.0, 0.0, 0.0, 0.0, 1.0], 1.0, grid)
+    v = example1_value(psi, 1.0)
+    assert np.max(np.abs(v.values - (P + 1.25))) <= 1e-12 * np.max(P)
+    assert np.max(np.abs(v.values - psi.values - 1.25)) <= 1e-12 * np.max(P)
+    assert npoly.polyval(0.0, psi.P) * (1.0 + 1.0 / 1.0) == 2.5  # V(0) = P(0) (1 + 1/q)
+    with pytest.raises(TypeError, match="example1_psi"):
+        example1_value(ValueField(grid, P), 1.0)
 
 
 def test_policy_jumps_to_origin():
